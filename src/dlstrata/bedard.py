@@ -102,12 +102,9 @@ class BedardSequence:
         return self.steps[min(k, len(self.steps) - 1)][1]
 
 
-@lru_cache(maxsize=None)
 def _IW_for(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
     """Minimal left coset representatives for an arbitrary type."""
-    return tuple(
-        w for w in weyl.enumerate_group(n) if weyl.is_min_left_rep(w, subset)
-    )
+    return weyl.min_double_reps(n, subset, frozenset())
 
 
 @lru_cache(maxsize=None)

@@ -26,10 +26,6 @@ from . import __version__, bedard, dlclassify, dieudonne, weyl
 from .gf import field
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
-
-
 def _header(config: dict, ctx=None) -> dict:
     head = {"tool": "dlstrata", "version": __version__, "config": config}
     if ctx is not None:
@@ -69,9 +65,6 @@ def cmd_strata(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if not _is_prime(args.p):
-        print(f"p = {args.p} is not prime", file=sys.stderr)
-        return 2
     try:
         ctx = field(args.p, 2 * args.m)
     except ValueError as exc:
@@ -103,14 +96,22 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not _is_prime(args.p):
-        print(f"p = {args.p} is not prime", file=sys.stderr)
+    try:
+        field(args.p, 2 * args.m)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if args.c < 1:
+        print("verify requires c >= 1", file=sys.stderr)
         return 2
     if args.g < 2 * args.c:
         print("verify requires g >= 2c", file=sys.stderr)
         return 2
+    if args.trials is not None and args.trials < 0:
+        print("verify requires --trials >= 0", file=sys.stderr)
+        return 2
     try:
-        field(args.p, 2 * args.m)
+        dlclassify.bounded_total(args.c, args.p, args.m, "verify")
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -123,7 +124,7 @@ def cmd_verify(args) -> int:
     ok = True
     for u in points:
         fine = dlclassify.classify_fine(u, check=False)
-        good = dieudonne.verify_pullback(u, args.g)
+        good = dieudonne.verify_pullback(u, args.g, fine=fine)
         ok &= good
         tally = passed.setdefault(fine.perm, [0, 0])
         tally[0] += int(good)

@@ -25,8 +25,9 @@ freedom is harmless and is demonstrated to be so in the tests.
 
 The canonical flag is the smallest chain containing ker V that is
 stable under V-preimage and pairing-complement; its F-image dimensions
-interpolate to the final type psi, and the EO label is the unique
-minimal Siegel representative w with psi(i) = i - r_w(i, g).
+interpolate to the final type psi, and the EO label is the minimal
+Siegel representative w with psi(i) = i - r_w(i, g), read off the
+positions where psi does not jump.
 
 Modules are immutable after construction (every constructor runs the
 full invariant battery), so label verification over many points can be
@@ -232,7 +233,6 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
     ctx = space.ctx
-    ctx._require_tables()
     dim = 2 * g
     k = g - 2 * c
     bounds = (0, c, g - c, g + c, 2 * g - c, 2 * g)
@@ -365,13 +365,36 @@ def final_type_of(w: WeylElement, g: int) -> tuple[int, ...]:
     return tuple(i - weyl.r_w(w, i, g) for i in range(2 * g + 1))
 
 
+def _label_of_final_type(psi: tuple[int, ...], g: int) -> WeylElement:
+    """The minimal Siegel representative w with final type psi.
+
+    psi(i) - psi(i-1) = 1 - [w(i) <= g], so the g positions where psi
+    does not jump are w^{-1}(1) < ... < w^{-1}(g) (Oort 2001); they fix w
+    on those positions and symmetry fixes the rest.  A psi that is not
+    the final type of any such w raises RuntimeError.
+    """
+    flat = [i for i in range(1, 2 * g + 1) if psi[i] == psi[i - 1]]
+    perm = [0] * (2 * g)
+    if len(flat) == g:
+        for j, pos in enumerate(flat, start=1):
+            perm[pos - 1] = j
+            perm[2 * g - pos] = 2 * g + 1 - j
+    try:
+        w = WeylElement(g, tuple(perm))
+    except ValueError as exc:
+        raise RuntimeError(f"no label has the measured final type {list(psi)}") from exc
+    if final_type_of(w, g) != tuple(psi):
+        raise RuntimeError(f"no label has the measured final type {list(psi)}")
+    return w
+
+
 def eo_type(module: DieudonneModule) -> EOType:
-    """Read the final type off the canonical flag and match its label.
+    """Read the final type off the canonical flag and invert it to a label.
 
     psi is interpolated across canonical gaps using the zero-or-full
-    dichotomy; exactly one minimal Siegel representative reproduces it,
-    and the match is re-verified against the raw F-image dimensions at
-    the canonical dimensions.
+    dichotomy and inverted directly (``_label_of_final_type``); the label
+    is re-verified against the raw F-image dimensions at the canonical
+    dimensions.
     """
     flag = canonical_flag(module)
     g = module.g
@@ -381,27 +404,25 @@ def eo_type(module: DieudonneModule) -> EOType:
     ):
         for i in range(d0, d1 + 1):
             psi[i] = f0 if f1 == f0 else f0 + (i - d0)
-    matches = [
-        w
-        for w in weyl.enumerate_IW(g)
-        if final_type_of(w, g) == tuple(psi)
-    ]
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"{len(matches)} labels match the measured final type {psi}"
-        )
-    w = matches[0]
+    w = _label_of_final_type(tuple(psi), g)
     for d, f in zip(flag.dims, flag.fdims):
         if psi[d] != f or (d - weyl.r_w(w, d, g)) != f:
             raise RuntimeError("matched label disagrees at a canonical dimension")
     return EOType(w, tuple(psi))
 
 
-def verify_pullback(u: Subspace, g: int, check: bool = False) -> bool:
-    """The flagship identity: module EO label == lifted fine label."""
+def verify_pullback(
+    u: Subspace, g: int, fine: WeylElement | None = None
+) -> bool:
+    """The flagship identity: module EO label == lifted fine label.
+
+    ``fine`` is the point's fine label when the caller already has it;
+    without it the point is classified here.
+    """
     module = build_from_lagrangian(u, g)
     eo = eo_type(module)
-    fine = dlclassify.classify_fine(u, check=check)
+    if fine is None:
+        fine = dlclassify.classify_fine(u, check=False)
     return eo.w.perm == weyl.r_map_inv(fine, g).perm
 
 

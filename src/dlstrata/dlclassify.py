@@ -144,6 +144,16 @@ def expected_total(c: int, q: int) -> int:
 CENSUS_POINT_LIMIT = 5_000_000
 
 
+def bounded_total(c: int, p: int, m: int, what: str) -> int:
+    """The point count over F_{p^{2m}}; ValueError above CENSUS_POINT_LIMIT."""
+    expected = expected_total(c, p ** (2 * m))
+    if expected > CENSUS_POINT_LIMIT:
+        raise ValueError(
+            f"{what} of {expected} points exceeds the desk-scale limit"
+        )
+    return expected
+
+
 def census(c: int, p: int, m: int, check: bool = True) -> list[CensusRecord]:
     """Classify every Lagrangian over F_{p^{2m}}; one record per label.
 
@@ -151,11 +161,7 @@ def census(c: int, p: int, m: int, check: bool = True) -> list[CensusRecord]:
     and the partition property (counts sum to prod(q^i + 1) for
     q = p^{2m}) is verified before returning.
     """
-    expected = expected_total(c, p ** (2 * m))
-    if expected > CENSUS_POINT_LIMIT:
-        raise ValueError(
-            f"census of {expected} points exceeds the desk-scale limit"
-        )
+    expected = bounded_total(c, p, m, "census")
     points = _cached_lagrangians(c, p, m)
     counts: dict[tuple[int, ...], int] = {}
     for u in points:

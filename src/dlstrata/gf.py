@@ -8,7 +8,8 @@ value is reproducible bit for bit.
 
 A :class:`FieldCtx` carries dense numpy lookup tables (add, mul, neg,
 inv, Frobenius powers) that the linear-algebra layer indexes directly;
-contexts are immutable after construction and safe to share across
+orders above ``TABLE_LIMIT`` are refused, so every context has them.
+Contexts are immutable after construction and safe to share across
 threads.
 """
 
@@ -19,8 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-ORDER_LIMIT = 2**20  # desk-scale guard on the field order
-TABLE_LIMIT = 2**10  # largest order for which dense q x q tables are built
+TABLE_LIMIT = 2**10  # largest order: dense q x q tables are built for every field
 
 _CTX_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
 
@@ -106,17 +106,14 @@ class FieldCtx:
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**k > ORDER_LIMIT:
-            raise ValueError(f"field order {p}^{k} exceeds the guard {ORDER_LIMIT}")
+        if p**k > TABLE_LIMIT:
+            raise ValueError(f"field order {p}^{k} exceeds the table limit {TABLE_LIMIT}")
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus: tuple[int, ...] = _first_irreducible(p, k)
         self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.add = self.mul = None  # type: ignore[assignment]
+        self._build_tables()
 
     # -- tables ---------------------------------------------------------
 
@@ -207,18 +204,10 @@ class FieldCtx:
                 return exp, log
         raise RuntimeError("no generator found (not a field?)")
 
-    def _require_tables(self) -> None:
-        if self.add is None:
-            raise ValueError(
-                f"field order {self.q} exceeds the table limit {TABLE_LIMIT}; "
-                "bulk arithmetic is not available"
-            )
-
     # -- element helpers -------------------------------------------------
 
     def frob_table(self, r: int) -> np.ndarray:
         """Code table of x -> x^(p^r); r may be negative."""
-        self._require_tables()
         return self.frob_tables[r % self.k]
 
     def elem(self, value: int | Iterable[int]) -> "GFElem":
@@ -284,45 +273,22 @@ class GFElem:
 
     def __add__(self, other: "GFElem") -> "GFElem":
         self._check(other)
-        ctx = self.ctx
-        if ctx.add is not None:
-            return GFElem(ctx, int(ctx.add[self.code, other.code]))
-        s = [
-            (a + b) % ctx.p
-            for a, b in zip(self.coeffs, other.coeffs)
-        ]
-        return GFElem(ctx, ctx._encode_poly(s))
+        return GFElem(self.ctx, int(self.ctx.add[self.code, other.code]))
 
     def __neg__(self) -> "GFElem":
-        ctx = self.ctx
-        if ctx.add is not None:
-            return GFElem(ctx, int(ctx.neg[self.code]))
-        return GFElem(ctx, ctx._encode_poly([(-a) % ctx.p for a in self.coeffs]))
+        return GFElem(self.ctx, int(self.ctx.neg[self.code]))
 
     def __sub__(self, other: "GFElem") -> "GFElem":
         return self + (-other)
 
     def __mul__(self, other: "GFElem") -> "GFElem":
         self._check(other)
-        ctx = self.ctx
-        if ctx.mul is not None:
-            return GFElem(ctx, int(ctx.mul[self.code, other.code]))
-        return GFElem(ctx, ctx._scalar_mul(self.code, other.code))
+        return GFElem(self.ctx, int(self.ctx.mul[self.code, other.code]))
 
     def inv(self) -> "GFElem":
         if self.code == 0:
             raise ZeroDivisionError("inversion of zero")
-        ctx = self.ctx
-        if ctx.mul is not None:
-            return GFElem(ctx, int(ctx.inv[self.code]))
-        # Fermat: a^(q-2)
-        out, base, e = 1, self.code, ctx.q - 2
-        while e:
-            if e & 1:
-                out = ctx._scalar_mul(out, base)
-            base = ctx._scalar_mul(base, base)
-            e >>= 1
-        return GFElem(ctx, out)
+        return GFElem(self.ctx, int(self.ctx.inv[self.code]))
 
     def __truediv__(self, other: "GFElem") -> "GFElem":
         return self * other.inv()
@@ -336,19 +302,7 @@ class GFElem:
 
 def frobenius(a: GFElem, r: int) -> GFElem:
     """a^(p^r), with r arbitrary (Frobenius is bijective)."""
-    ctx = a.ctx
-    if ctx.add is not None:
-        return GFElem(ctx, int(ctx.frob_table(r)[a.code]))
-    out = a.code
-    for _ in range(r % ctx.k):
-        e, base, acc = ctx.p, out, 1
-        while e:
-            if e & 1:
-                acc = ctx._scalar_mul(acc, base)
-            base = ctx._scalar_mul(base, base)
-            e >>= 1
-        out = acc
-    return GFElem(ctx, out)
+    return GFElem(a.ctx, int(a.ctx.frob_table(r)[a.code]))
 
 
 def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
@@ -364,8 +318,6 @@ def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
     cached = src._embed_cache.get(key)
     if cached is not None:
         return cached
-    src._require_tables()
-    dst._require_tables()
     if src is dst:
         table = np.arange(src.q, dtype=np.int32)
         src._embed_cache[key] = table

@@ -27,7 +27,6 @@ def eye(ctx: FieldCtx, n: int) -> np.ndarray:
 
 def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (basis without zero rows, pivots)."""
-    ctx._require_tables()
     a = np.array(mat, dtype=DTYPE, copy=True)
     if a.ndim != 2:
         raise ValueError("matrix expected")
@@ -84,7 +83,6 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
 
 def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of coded matrices."""
-    ctx._require_tables()
     a = np.asarray(a, dtype=DTYPE)
     b = np.asarray(b, dtype=DTYPE)
     n, m = a.shape

@@ -11,10 +11,11 @@ conjugates everything):
 * a flag is a strictly increasing chain containing 0 and the full
   space; the classifier only ever produces self-dual flags.
 
-Relative position is computed against the rank table
-dim(C_a cap D_b) = r_w(dim D_b, dim C_a) by scanning the minimal
-double-coset representatives and insisting on a unique match, which
-doubles as a consistency check of the coset tables.
+Relative position is built directly from the rank table
+dim(C_a cap D_b) = r_w(dim D_b, dim C_a): its second differences count
+the positions each block of one flag sends into each block of the
+other, which fixes the minimal double-coset representative; every table
+entry is then re-checked against r_w of the result.
 
 Subspaces and flags are immutable values (cached complements are
 computed once), so everything here can be shared across threads;
@@ -43,7 +44,7 @@ class SymplecticSpace:
         self.n = n
         self.dim = 2 * n
         gram = linalg.zeros(self.dim, self.dim)
-        minus_one = int(ctx.neg[1]) if ctx.add is not None else ctx.p - 1
+        minus_one = int(ctx.neg[1])
         for i in range(self.dim):
             gram[i, self.dim - 1 - i] = 1 if i < n else minus_one
         gram.flags.writeable = False
@@ -168,25 +169,6 @@ def full_subspace(space: SymplecticSpace) -> Subspace:
     return Subspace._from_rref(space, linalg.eye(space.ctx, space.dim))
 
 
-intersect = Subspace.intersect
-
-
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def perp(a: Subspace) -> Subspace:
-    return a.perp()
-
-
-def twist(a: Subspace, r: int) -> Subspace:
-    return a.twist(r)
-
-
-def is_isotropic(a: Subspace) -> bool:
-    return a.is_isotropic()
-
-
 class Flag:
     """A strictly increasing chain of subspaces from 0 to the full space."""
 
@@ -261,43 +243,65 @@ def standard_flag(space: SymplecticSpace, dims: Iterable[int]) -> Flag:
 def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     """The minimal double-coset representative matching the rank table.
 
-    Exactly one representative w for the pair of types satisfies
-    dim(C_a cap D_b) = r_w(dim D_b, dim C_a) over all member pairs; zero
-    or several matches indicate an invalid flag pair or a broken table
-    and raise RuntimeError.  The argument order in r_w is what makes the
-    normalization match the coset machinery: for the standard flag E and
-    a permuted standard flag vE it returns v itself, not its inverse
-    (the two conventions agree on every self-inverse position, so only
-    genuinely asymmetric pairs are sensitive to it).
+    With T(a, b) = dim(C_a cap D_b), the second difference of T over a
+    block (d_{k-1}, d_k] of flag_d dimensions and a block (c_{l-1}, c_l]
+    of flag_c dimensions counts the positions of the first block that w
+    sends into the second (Fulton, Duke 1992).  Filling each flag_d
+    block in increasing order with the next unused values of each
+    flag_c block gives the representative that increases on every block
+    of both, which is the minimal one.  Every table entry is then
+    re-checked as dim(C_a cap D_b) = r_w(dim D_b, dim C_a); a table that
+    is not the table of a Weyl element (a negative count, a permutation
+    that is not symmetric, or a mismatched entry) raises RuntimeError.
+    Both flags must have symmetric dimension sets, as self-dual flags
+    do.  The argument order in r_w is what makes the normalization
+    match the coset machinery: for the standard flag E and a permuted
+    standard flag vE it returns v itself, not its inverse (the two
+    conventions agree on every self-inverse position, so only genuinely
+    asymmetric pairs are sensitive to it).
     """
     if flag_c.space is not flag_d.space:
         raise ValueError("flags live in different spaces")
-    n = flag_c.space.n
-    ctx = flag_c.space.ctx
-    type_c, type_d = flag_type(flag_c), flag_type(flag_d)
+    space = flag_c.space
+    for flag in (flag_c, flag_d):
+        if any(space.dim - d not in flag.dims for d in flag.dims):
+            raise ValueError(f"dimension set {flag.dims} is not symmetric")
     table = {}
     for cm in flag_c.members:
         for dm in flag_d.members:
             if cm.dim == 0 or dm.dim == 0:
                 table[(cm.dim, dm.dim)] = 0
-            elif cm.dim == flag_c.space.dim:
+            elif cm.dim == space.dim:
                 table[(cm.dim, dm.dim)] = dm.dim
-            elif dm.dim == flag_c.space.dim:
+            elif dm.dim == space.dim:
                 table[(cm.dim, dm.dim)] = cm.dim
             else:
-                joined = linalg.rank(ctx, np.vstack([cm.basis, dm.basis]))
+                joined = linalg.rank(space.ctx, np.vstack([cm.basis, dm.basis]))
                 table[(cm.dim, dm.dim)] = cm.dim + dm.dim - joined
-    matches = [
-        w
-        for w in weyl.min_double_reps(n, type_c, type_d)
-        if all(weyl.r_w(w, j, i) == v for (i, j), v in table.items())
-    ]
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"rank table matched {len(matches)} representatives "
-            f"(types {sorted(type_c)}, {sorted(type_d)})"
-        )
-    return matches[0]
+    cdims, ddims = flag_c.dims, flag_d.dims
+    used = list(cdims[:-1])  # last value taken from each flag_c block
+    perm: list[int] = []
+    for d0, d1 in zip(ddims, ddims[1:]):
+        for l, (c0, c1) in enumerate(zip(cdims, cdims[1:])):
+            count = table[c1, d1] - table[c1, d0] - table[c0, d1] + table[c0, d0]
+            if count < 0:
+                raise RuntimeError(
+                    f"rank table gives {count} positions from block "
+                    f"({d0}, {d1}] into block ({c0}, {c1}]"
+                )
+            perm.extend(range(used[l] + 1, used[l] + count + 1))
+            used[l] += count
+    try:
+        w = WeylElement(space.n, tuple(perm))
+    except ValueError as exc:
+        raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
+    for (i, j), v in table.items():
+        if weyl.r_w(w, j, i) != v:
+            raise RuntimeError(
+                f"rank table entry dim(C_{i} cap D_{j}) = {v} differs from "
+                f"r_w = {weyl.r_w(w, j, i)} for w = {w.perm}"
+            )
+    return w
 
 
 def refine(flag_c: Flag, flag_d: Flag) -> Flag:
@@ -388,7 +392,6 @@ def lagrangian_cells(
     form, so no deduplication is needed downstream.
     """
     ctx = space.ctx
-    ctx._require_tables()
     q = ctx.q
     for pivots, param_slots in _cell_descriptors(space):
         d = len(param_slots)

@@ -182,64 +182,43 @@ def min_double_coset_rep(
         return cur
 
 
-@lru_cache(maxsize=None)
-def enumerate_group(n: int) -> tuple[WeylElement, ...]:
-    """All of W_n by breadth-first search from the identity (2^n n! elements)."""
-    gens = [simple_reflection(i, n) for i in range(1, n + 1)]
-    seen = {identity(n).perm}
+def _bfs(n: int, subset: Iterable[int]) -> dict[WeylElement, int]:
+    """Breadth-first search from the identity over the given generators.
+
+    Maps each element of the generated subgroup to its distance in the
+    Cayley graph, in the order the search reaches them.
+    """
+    gens = [simple_reflection(i, n) for i in sorted(subset)]
+    dist = {identity(n): 0}
     frontier = [identity(n)]
-    out = [identity(n)]
     while frontier:
         nxt = []
         for w in frontier:
             for s in gens:
                 ws = compose(w, s)
-                if ws.perm not in seen:
-                    seen.add(ws.perm)
-                    nxt.append(ws)
-                    out.append(ws)
-        frontier = nxt
-    return tuple(sorted(out, key=WeylElement.sort_key))
-
-
-@lru_cache(maxsize=None)
-def cayley_distances(n: int) -> dict[tuple[int, ...], int]:
-    """BFS distance from the identity; the independent oracle for length()."""
-    gens = [simple_reflection(i, n) for i in range(1, n + 1)]
-    dist = {identity(n).perm: 0}
-    frontier = [identity(n)]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = compose(w, s)
-                if ws.perm not in dist:
-                    dist[ws.perm] = d
+                if ws not in dist:
+                    dist[ws] = dist[w] + 1
                     nxt.append(ws)
         frontier = nxt
     return dist
 
 
 @lru_cache(maxsize=None)
+def enumerate_group(n: int) -> tuple[WeylElement, ...]:
+    """All of W_n by breadth-first search from the identity (2^n n! elements)."""
+    return tuple(sorted(_bfs(n, range(1, n + 1)), key=WeylElement.sort_key))
+
+
+@lru_cache(maxsize=None)
+def cayley_distances(n: int) -> dict[tuple[int, ...], int]:
+    """BFS distance from the identity; the independent oracle for length()."""
+    return {w.perm: d for w, d in _bfs(n, range(1, n + 1)).items()}
+
+
+@lru_cache(maxsize=None)
 def parabolic_subgroup(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
     """The standard parabolic subgroup W_J, J a set of generator indices."""
-    gens = [simple_reflection(i, n) for i in sorted(subset)]
-    seen = {identity(n).perm}
-    frontier = [identity(n)]
-    out = [identity(n)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = compose(w, s)
-                if ws.perm not in seen:
-                    seen.add(ws.perm)
-                    nxt.append(ws)
-                    out.append(ws)
-        frontier = nxt
-    return tuple(sorted(out, key=WeylElement.sort_key))
+    return tuple(sorted(_bfs(n, subset), key=WeylElement.sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +370,3 @@ def class_c(w: WeylElement) -> Optional[int]:
     if c == 0:
         return 0
     return c if 2 * c <= g else None
-
-
-def one_line_json(w: WeylElement) -> list[int]:
-    return list(w.perm)

@@ -75,6 +75,17 @@ def test_verify_exit_codes(capsys):
     assert "stratum e: 5/5 passed" in out
     assert run(["verify", "--c", "1", "--g", "1", "--p", "2", "--m", "1"]) == 2
     assert run(["verify", "--c", "1", "--g", "2", "--p", "6", "--m", "1"]) == 2
+    capsys.readouterr()
+    # each bad configuration ends with one line on stderr, no traceback
+    for argv in (
+        ["--c", "0", "--g", "2", "--p", "2", "--m", "1"],
+        ["--c", "1", "--g", "2", "--p", "2", "--m", "1", "--trials", "-3"],
+        ["--c", "1", "--g", "2", "--p", "2", "--m", "6"],  # order 4096
+        ["--c", "2", "--g", "4", "--p", "2", "--m", "4"],  # 16.8M points
+    ):
+        assert run(["verify"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
 def test_verify_sampled(capsys):

@@ -5,6 +5,7 @@ from dlstrata import dlclassify as dc, linalg, weyl
 from dlstrata.dieudonne import (
     DieudonneModule,
     SemilinearMap,
+    _label_of_final_type,
     build_from_lagrangian,
     canonical_flag,
     eo_type,
@@ -178,6 +179,26 @@ def test_final_type_map_is_injective_on_representatives():
     for g in (1, 2, 3, 4, 5):
         types = {final_type_of(w, g) for w in weyl.enumerate_IW(g)}
         assert len(types) == 2**g
+
+
+def test_final_type_inversion_against_the_scan():
+    for g in range(1, 7):
+        for w in weyl.enumerate_IW(g):
+            psi = final_type_of(w, g)
+            # reference: the scan over all 2^g labels that eo_type replaces
+            scan = [x for x in weyl.enumerate_IW(g) if final_type_of(x, g) == psi]
+            assert [x.perm for x in scan] == [w.perm]
+            assert _label_of_final_type(psi, g).perm == w.perm
+
+
+def test_final_type_inversion_rejects_other_sequences():
+    for psi in (
+        (0, 1, 2, 3, 4),  # no flat step
+        (0, 1, 1, 1, 2),  # flat steps at a symmetric pair of positions
+        (0, 0, 1, 1, 5),  # right flat steps, wrong values
+    ):
+        with pytest.raises(RuntimeError):
+            _label_of_final_type(psi, 2)
 
 
 def test_psi_duality_and_flag_self_duality(f16_line, f16_rational_line):

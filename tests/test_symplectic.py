@@ -201,6 +201,26 @@ def test_standard_flags_are_self_dual(space4):
         assert standard_flag(space4, dims).is_self_dual()
 
 
+def _relpos_by_scan(flag_c, flag_d):
+    """Reference: the unique minimal double-coset representative whose
+    rank function matches the flags' rank table, found by filtering
+    ``weyl.min_double_reps`` (the scan ``relpos`` replaces)."""
+    space = flag_c.space
+    table = {
+        (cm.dim, dm.dim): cm.dim + dm.dim
+        - linalg.rank(space.ctx, np.vstack([cm.basis, dm.basis]))
+        for cm in flag_c.members
+        for dm in flag_d.members
+    }
+    matches = [
+        w
+        for w in weyl.min_double_reps(space.n, flag_type(flag_c), flag_type(flag_d))
+        if all(weyl.r_w(w, j, i) == v for (i, j), v in table.items())
+    ]
+    assert len(matches) == 1
+    return matches[0]
+
+
 def test_relpos_normalization_against_permuted_standard_flags(space4, space9):
     """relpos(E, vE) must be v itself for every group element v.
 
@@ -208,16 +228,42 @@ def test_relpos_normalization_against_permuted_standard_flags(space4, space9):
     property the stabilizing-sequence checks depend on, and only
     non-self-inverse v are sensitive to it.
     """
-    for space in (space4, space9):
+    for space in (space4, space9, SymplecticSpace(field(2, 2), 3)):
         eye = linalg.eye(space.ctx, space.dim)
-        for v in weyl.enumerate_group(2):
+        full = standard_flag(space, range(1, space.dim))
+        for v in weyl.enumerate_group(space.n):
             members = []
             for d in range(1, space.dim):
                 rows = np.array([eye[v(a) - 1] for a in range(1, d + 1)])
                 members.append(Subspace(space, rows))
             flag_v = Flag(members)
-            got = relpos(standard_flag(space, [1, 2, 3]), flag_v)
+            got = relpos(full, flag_v)
             assert got.perm == v.perm, v.perm
+            assert _relpos_by_scan(full, flag_v).perm == v.perm
+
+
+def test_relpos_matches_the_scan_on_random_flag_pairs():
+    rng = np.random.default_rng(31)
+    for p, k in [(2, 2), (3, 2), (2, 4)]:
+        for n in (2, 3):
+            space = SymplecticSpace(field(p, k), n)
+            for _ in range(10):
+                c = random_self_dual_flag(space, rng)
+                d = random_self_dual_flag(space, rng)
+                for a, b in ((c, d), (d, c), (c, c)):
+                    assert relpos(a, b).perm == _relpos_by_scan(a, b).perm
+
+
+def test_relpos_rejects_invalid_flag_pairs(space4):
+    eye = linalg.eye(space4.ctx, 4)
+    line = Subspace(space4, eye[:1])
+    # a chain with symmetric dimensions that is not self-dual: its rank
+    # table against the standard flag belongs to no Weyl element
+    skew = Flag([line, Subspace(space4, eye[[0, 1, 3]])])
+    with pytest.raises(RuntimeError):
+        relpos(standard_flag(space4, [1, 2, 3]), skew)
+    with pytest.raises(ValueError):
+        relpos(Flag([line]), Flag([line]))
 
 
 def test_relpos_examples(space4):

@@ -48,18 +48,23 @@ def point_flag(u: Subspace) -> Flag:
     return Flag([u])
 
 
-def _refine_to_stable(u: Subspace, qexp: int) -> list[Flag]:
-    """The refinement chain D_0, D_1, ..., ending at the stable flag."""
+def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, Flag]]:
+    """The refinement chain D_0, D_1, ..., ending at the stable flag.
+
+    Each flag comes paired with its twist, built (and chain-checked by
+    ``Flag``) once here and reused for every relative position.
+    """
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
     c = u.space.n
     flag = point_flag(u)
-    flags = [flag]
+    pairs = []
     for _ in range(2 * c * (c + 1) + 2):
-        nxt = symplectic.refine(flag, flag.twist(qexp))
+        twist = flag.twist(qexp)
+        pairs.append((flag, twist))
+        nxt = symplectic.refine(flag, twist)
         if nxt == flag:
-            return flags
-        flags.append(nxt)
+            return pairs
         flag = nxt
     raise RuntimeError("flag refinement failed to stabilize")
 
@@ -68,24 +73,23 @@ def classify_fine(
     u: Subspace, qexp: int = 2, check: bool = True
 ) -> WeylElement:
     """Fine stratum label of a Lagrangian point."""
-    flags = _refine_to_stable(u, qexp)
+    pairs = _refine_to_stable(u, qexp)
     if check:
-        label, _ = classify_fine_with_trace(u, qexp=qexp, _flags=flags)
+        label, _ = classify_fine_with_trace(u, qexp=qexp, _pairs=pairs)
         return label
-    stable = flags[-1]
-    return symplectic.relpos(stable, stable.twist(qexp))
+    return symplectic.relpos(*pairs[-1])
 
 
 def classify_fine_with_trace(
-    u: Subspace, qexp: int = 2, _flags: list[Flag] | None = None
+    u: Subspace, qexp: int = 2, _pairs: list[tuple[Flag, Flag]] | None = None
 ) -> tuple[WeylElement, list[tuple[WeylElement, frozenset[int]]]]:
     """Fine label plus the observed (relative position, type) per step."""
-    flags = _refine_to_stable(u, qexp) if _flags is None else _flags
+    pairs = _refine_to_stable(u, qexp) if _pairs is None else _pairs
     trace = []
-    for flag in flags:
+    for flag, twist in pairs:
         if not flag.is_self_dual():
             raise RuntimeError("refinement chain left the self-dual flags")
-        pos = symplectic.relpos(flag, flag.twist(qexp))
+        pos = symplectic.relpos(flag, twist)
         trace.append((pos, symplectic.flag_type(flag)))
     label = trace[-1][0]
     _check_against_sequence(label, trace, u.space.n)

@@ -7,10 +7,13 @@ first irreducible monic polynomial, so every table and every serialized
 value is reproducible bit for bit.
 
 A :class:`FieldCtx` carries dense numpy lookup tables (add, mul, neg,
-inv, Frobenius powers) that the linear-algebra layer indexes directly;
-orders above ``TABLE_LIMIT`` are refused, so every context has them.
-Contexts are immutable after construction and safe to share across
-threads.
+inv, Frobenius powers) that the linear-algebra layer indexes directly,
+and the same add, mul, neg and inv tables as nested Python lists
+(``add_list`` and friends), which row elimination indexes one entry at a
+time without numpy dispatch.  Orders above ``TABLE_LIMIT`` are refused,
+before any primality test or power is computed, so every context has
+its tables and no input makes construction unbounded.  Contexts are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -102,10 +105,15 @@ class FieldCtx:
     """The field F_{p^k} with its fixed modulus and lookup tables."""
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        # bound p and k first: trial division of a huge p and the power
+        # p**k for a huge k are both unbounded work (2^k > TABLE_LIMIT
+        # once k reaches its bit length)
+        if p > TABLE_LIMIT or (p >= 2 and k >= TABLE_LIMIT.bit_length()):
+            raise ValueError(f"field order {p}^{k} exceeds the table limit {TABLE_LIMIT}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if p**k > TABLE_LIMIT:
             raise ValueError(f"field order {p}^{k} exceeds the table limit {TABLE_LIMIT}")
         self.p = p
@@ -132,10 +140,15 @@ class FieldCtx:
             return (mat % p) @ weights
 
         self.coeff_table = coeffs
+        self.digit_weights = weights
         self.neg = encode_rows(-coeffs).astype(np.int32)
-        self.add = encode_rows(
-            coeffs[:, None, :] + coeffs[None, :, :]
-        ).astype(np.int32)
+        # one digit at a time in int32: a q x q x k intermediate would
+        # set the peak memory of the whole process on F_1024
+        add = np.zeros((q, q), dtype=np.int32)
+        for i in range(k):
+            digit = coeffs[:, i].astype(np.int32)
+            add += (digit[:, None] + digit[None, :]) % p * np.int32(p**i)
+        self.add = add
 
         # multiplicative structure through a generator
         exp, log = self._discrete_logs()
@@ -148,6 +161,16 @@ class FieldCtx:
         inv[1:] = exp[(-lo) % n]
         self.inv = inv
         self._exp, self._log = exp, log
+
+        # list forms for elimination; the entries are shared int objects
+        # (indexing an object array copies references), so each q x q
+        # table costs q*q pointers, not q*q separate ints
+        shared = np.empty(q, dtype=object)
+        shared[:] = range(q)
+        self.add_list = shared[add].tolist()
+        self.mul_list = shared[mul].tolist()
+        self.neg_list = shared[self.neg].tolist()
+        self.inv_list = shared[inv].tolist()
 
         # Frobenius x -> x^p is F_p-linear; build its matrix once and
         # compose the code table for the higher powers.

@@ -4,6 +4,17 @@ Matrices hold field-element codes (see gf.py); every routine is exact.
 Row convention: a subspace is the row span of its matrix, and the
 canonical form of a subspace is its reduced row echelon form, so equal
 subspaces have byte-identical bases.
+
+Elimination runs on Python row lists that index the list forms of the
+field tables (``FieldCtx.add_list`` and friends), not on numpy arrays.
+The matrices met here are tiny, at most about 10 x 20 (a 2c-dimensional
+space, a 2g-dimensional module, an augmented inverse), so one numpy call
+per column costs far more in dispatch than the table lookups it does.
+The cost is one lookup chain per entry touched: about rank x rows x
+columns for ``rref`` and everything built on it (``rank``, ``row_space``,
+``nullspace``, ``inverse``, ``in_row_space``), plus a fixed conversion
+to and from the int32 array.  Table-driven row reduction over GF(p^k)
+follows the ``galois`` package (https://github.com/mhostetter/galois).
 """
 
 from __future__ import annotations
@@ -27,33 +38,37 @@ def eye(ctx: FieldCtx, n: int) -> np.ndarray:
 
 def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (basis without zero rows, pivots)."""
-    a = np.array(mat, dtype=DTYPE, copy=True)
+    a = np.asarray(mat, dtype=DTYPE)
     if a.ndim != 2:
         raise ValueError("matrix expected")
     nrows, ncols = a.shape
-    add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
+    rows = a.tolist()
+    add, mul, neg, inv = ctx.add_list, ctx.mul_list, ctx.neg_list, ctx.inv_list
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = int(a[r, c])
+        prow = rows[i]
+        rows[i] = rows[r]
+        piv = prow[c]
         if piv != 1:
-            a[r] = mul[int(inv[piv]), a[r]]
-        col = a[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            a[rows] = add[a[rows], mul[neg[col[rows]][:, None], a[r][None, :]]]
+            scale = mul[inv[piv]]
+            prow = [scale[x] for x in prow]
+        rows[r] = prow
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != r:
+                fneg = mul[neg[f]]
+                rows[j] = [add[x][fneg[y]] for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return np.ascontiguousarray(a[: len(pivots)]), tuple(pivots)
+    return np.array(rows[:r], dtype=DTYPE).reshape(r, ncols), tuple(pivots)
 
 
 def row_space(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
@@ -72,28 +87,33 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
     if mat.size == 0:
         return eye(ctx, ncols)
     r, pivots = rref(ctx, mat)
+    rows = r.tolist()
+    neg = ctx.neg_list
     free = [c for c in range(ncols) if c not in pivots]
-    basis = zeros(len(free), ncols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = ctx.neg[r[j, fc]]
-    return row_space(ctx, basis)
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = neg[row[fc]]
+        basis.append(vec)
+    return row_space(ctx, np.array(basis, dtype=DTYPE).reshape(len(free), ncols))
 
 
 def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of coded matrices."""
+    """Exact product of coded matrices.
+
+    All products come from one ``mul`` lookup; the sum over the inner
+    index adds their F_p digits (``coeff_table``) and reduces mod p once.
+    """
     a = np.asarray(a, dtype=DTYPE)
     b = np.asarray(b, dtype=DTYPE)
     n, m = a.shape
     m2, l = b.shape
     if m != m2:
         raise ValueError("shape mismatch")
-    out = zeros(n, l)
-    add, mul = ctx.add, ctx.mul
-    for t in range(m):
-        out = add[out, mul[a[:, t][:, None], b[t][None, :]]]
-    return out
+    digits = ctx.coeff_table[ctx.mul[a[:, :, None], b[None]]].sum(axis=1) % ctx.p
+    return (digits @ ctx.digit_weights).astype(DTYPE)
 
 
 def mat_vec(ctx: FieldCtx, a: np.ndarray, x: np.ndarray) -> np.ndarray:

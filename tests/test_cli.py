@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from dlstrata.cli import main
+from tests import src_env
 
 
 def run(args):
@@ -63,9 +64,19 @@ def test_census_json_header(tmp_path):
     assert sum(r["count"] for r in payload["rows"]) == 10
 
 
-def test_census_config_errors():
+def test_census_config_errors(capsys):
     assert run(["census", "--c", "1", "--p", "4", "--m", "1"]) == 2
     assert run(["census", "--c", "1", "--p", "2", "--m", "11"]) == 2
+    capsys.readouterr()
+    # a huge prime and a huge degree are refused at once, in one line
+    for argv in (
+        ["--c", "1", "--p", "1000000000000000003", "--m", "1"],
+        ["--c", "1", "--p", "3", "--m", "100000000"],
+    ):
+        assert run(["census"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert "exceeds the table limit" in captured.err, argv
 
 
 def test_verify_exit_codes(capsys):
@@ -82,6 +93,8 @@ def test_verify_exit_codes(capsys):
         ["--c", "1", "--g", "2", "--p", "2", "--m", "1", "--trials", "-3"],
         ["--c", "1", "--g", "2", "--p", "2", "--m", "6"],  # order 4096
         ["--c", "2", "--g", "4", "--p", "2", "--m", "4"],  # 16.8M points
+        ["--c", "1", "--g", "2", "--p", "1000000000000000003", "--m", "1"],
+        ["--c", "1", "--g", "2", "--p", "3", "--m", "100000000"],
     ):
         assert run(["verify"] + argv) == 2, argv
         captured = capsys.readouterr()
@@ -109,6 +122,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "dlstrata", "strata", "--c", "1"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"]

@@ -1,13 +1,11 @@
 """The fast demos run to completion as scripts."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests import ROOT, src_env
 
 # 03_lagrangian_census.py is left out: it takes seconds, and the
 # acceptance suite already runs its census path.
@@ -16,15 +14,11 @@ DEMOS = ["01_weyl_group_tour.py", "02_fine_strata_tables.py", "04_eo_types.py"]
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -106,3 +106,28 @@ def test_orders_above_the_table_limit_are_refused():
     # every context carries dense tables, so larger orders are refused
     with pytest.raises(ValueError, match="table limit"):
         field(2, 11)
+
+
+def test_huge_orders_are_refused_before_any_unbounded_work():
+    # trial division of this p, or the power 3**200000000, would each
+    # run for minutes; both are refused by the order bound at once
+    with pytest.raises(ValueError, match="table limit"):
+        field(1000000000000000003, 1)
+    with pytest.raises(ValueError, match="table limit"):
+        field(3, 200000000)
+    with pytest.raises(ValueError, match="not prime"):
+        field(1, 200000000)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (2, 10), (31, 2), (1021, 1)])
+def test_list_tables_equal_the_arrays(p, k):
+    ctx = field(p, k)
+    assert ctx.add_list == ctx.add.tolist()
+    assert ctx.mul_list == ctx.mul.tolist()
+    assert ctx.neg_list == ctx.neg.tolist()
+    assert ctx.inv_list == ctx.inv.tolist()
+    # the add table, built one digit at a time, is digit-wise addition mod p
+    assert ctx.add.dtype == np.int32
+    for i in range(k):
+        digit = ctx.coeff_table[:, i]
+        assert np.array_equal(digit[ctx.add], (digit[:, None] + digit[None, :]) % p)

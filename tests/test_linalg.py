@@ -1,8 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dlstrata import linalg
 from dlstrata.gf import field
+
+# every field the differential tests cover: characteristic 2 and odd,
+# prime and extension fields, up to the table limit
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (31, 1), (2, 10)]
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +86,158 @@ def test_in_row_space(f4):
     r, _ = linalg.rref(f4, m)
     assert linalg.in_row_space(f4, r, np.array([1, 1, 3, 2]))  # row0 + row1
     assert not linalg.in_row_space(f4, r, np.array([0, 0, 1, 0]))
+
+
+# -- the numpy reference and the property tests --------------------------
+
+
+def reference_rref(ctx, mat):
+    """The former per-column numpy elimination, kept as the reference."""
+    a = np.array(mat, dtype=linalg.DTYPE, copy=True)
+    nrows, ncols = a.shape
+    add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        piv = int(a[r, c])
+        if piv != 1:
+            a[r] = mul[int(inv[piv]), a[r]]
+        col = a[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            a[rows] = add[a[rows], mul[neg[col[rows]][:, None], a[r][None, :]]]
+        pivots.append(c)
+        r += 1
+    return np.ascontiguousarray(a[: len(pivots)]), tuple(pivots)
+
+
+def scalar_matmul(ctx, a, b):
+    """Product through GFElem arithmetic, one entry at a time."""
+    n, m = a.shape
+    l = b.shape[1]
+    out = np.zeros((n, l), dtype=linalg.DTYPE)
+    for i in range(n):
+        for j in range(l):
+            acc = ctx.zero
+            for t in range(m):
+                acc = acc + ctx.elem(int(a[i, t])) * ctx.elem(int(b[t, j]))
+            out[i, j] = acc.code
+    return out
+
+
+@st.composite
+def field_matrices(draw, fields=FIELDS, max_rows=12, max_cols=24):
+    """A field and a matrix over it: random, zero, or of low rank."""
+    ctx = field(*draw(st.sampled_from(fields)))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "zero", "low_rank"]))
+    if kind == "zero":
+        mat = np.zeros((rows, cols), dtype=linalg.DTYPE)
+    elif kind == "random":
+        mat = rng.integers(0, ctx.q, size=(rows, cols)).astype(linalg.DTYPE)
+    else:
+        inner = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.integers(0, ctx.q, size=(rows, inner)).astype(linalg.DTYPE)
+        right = rng.integers(0, ctx.q, size=(inner, cols)).astype(linalg.DTYPE)
+        mat = linalg.matmul(ctx, left, right)
+    return ctx, mat
+
+
+def span(ctx, mat):
+    """Every vector of the row span, by enumerating all combinations."""
+    vectors = set()
+    for coeffs in itertools.product(range(ctx.q), repeat=mat.shape[0]):
+        acc = [0] * mat.shape[1]
+        for a, row in zip(coeffs, mat):
+            acc = [int(ctx.add[x, ctx.mul[a, int(y)]]) for x, y in zip(acc, row)]
+        vectors.add(tuple(acc))
+    return frozenset(vectors)
+
+
+@PROPERTY
+@given(field_matrices())
+@example((field(2, 4), linalg.zeros(0, 0)))
+@example((field(2, 4), linalg.zeros(0, 24)))
+@example((field(3, 2), linalg.zeros(12, 0)))
+@example((field(2, 10), linalg.zeros(12, 24)))
+def test_rref_matches_the_numpy_reference(case):
+    ctx, mat = case
+    got, pivots = linalg.rref(ctx, mat)
+    want, want_pivots = reference_rref(ctx, mat)
+    assert got.dtype == linalg.DTYPE and got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert pivots == want_pivots
+
+
+@PROPERTY
+@given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=5, max_cols=6), st.data())
+def test_rref_bytes_are_equal_exactly_when_spans_are(case, data):
+    ctx, a = case
+    # b spans a subspace of a's span (equal when the mix is invertible),
+    # or is unrelated
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        mix = rng.integers(0, ctx.q, size=(a.shape[0], a.shape[0])).astype(linalg.DTYPE)
+        b = linalg.matmul(ctx, mix, a)
+    else:
+        b = rng.integers(0, ctx.q, size=a.shape).astype(linalg.DTYPE)
+    same_bytes = linalg.rref(ctx, a)[0].tobytes() == linalg.rref(ctx, b)[0].tobytes()
+    assert same_bytes == (span(ctx, a) == span(ctx, b))
+
+
+@PROPERTY
+@given(field_matrices())
+def test_nullspace_is_exact(case):
+    ctx, mat = case
+    ns = linalg.nullspace(ctx, mat)
+    ncols = mat.shape[1]
+    assert ns.shape == (ncols - linalg.rank(ctx, mat), ncols)
+    assert ns.dtype == linalg.DTYPE
+    # a canonical basis of vectors that mat annihilates
+    assert ns.tobytes() == reference_rref(ctx, ns)[0].tobytes()
+    assert not scalar_matmul(ctx, mat, ns.T).any()
+
+
+@PROPERTY
+@given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=4, max_cols=6))
+def test_nullspace_holds_every_solution(case):
+    ctx, mat = case
+    ns = linalg.nullspace(ctx, mat)
+    solutions = [
+        x for x in itertools.product(range(ctx.q), repeat=mat.shape[1])
+        if not scalar_matmul(ctx, mat, np.array(x, dtype=linalg.DTYPE).reshape(-1, 1)).any()
+    ]
+    assert len(solutions) == ctx.q ** ns.shape[0]
+    assert span(ctx, ns) == frozenset(solutions)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example((3, 2), 3, 0, 2, 0)
+@example((31, 1), 2, 0, 4, 0)
+def test_matmul_matches_scalar_arithmetic(pk, n, m, l, seed):
+    ctx = field(*pk)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, ctx.q, size=(n, m)).astype(linalg.DTYPE)
+    b = rng.integers(0, ctx.q, size=(m, l)).astype(linalg.DTYPE)
+    got = linalg.matmul(ctx, a, b)
+    assert got.dtype == linalg.DTYPE and got.shape == (n, l)
+    assert np.array_equal(got, scalar_matmul(ctx, a, b))
+

@@ -24,13 +24,17 @@ adjunction <F x, y> = <x, V y>^p holds on the nose.  Any residual sign
 freedom is harmless and is demonstrated to be so in the tests.
 
 The canonical flag is the smallest chain containing ker V that is
-stable under V-preimage and pairing-complement; its F-image dimensions
+stable under V-preimage and pairing-complement.  It is closed with a
+worklist, so each member's V-preimage and complement are computed once,
+and a closure that grows past 2g+1 members (the longest chain in a
+2g-dimensional space) is refused at once.  Its F-image dimensions
 interpolate to the final type psi, and the EO label is the minimal
 Siegel representative w with psi(i) = i - r_w(i, g), read off the
 positions where psi does not jump.
 
 Modules are immutable after construction (every constructor runs the
-full invariant battery), so label verification over many points can be
+full invariant battery, and ker F and ker V are computed once and kept
+read-only), so label verification over many points can be
 parallelized trivially; the matching table is shared read-only.
 """
 
@@ -79,6 +83,11 @@ class SemilinearMap:
         )
 
 
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False
+    return rows
+
+
 class DieudonneModule:
     """A 2g-dimensional space with semilinear F, V and an alternating pairing."""
 
@@ -102,6 +111,8 @@ class DieudonneModule:
         self.pairing = np.asarray(pairing, dtype=DTYPE)
         self.slot_bounds = tuple(slot_bounds)
         self.point = point
+        self._ker_f: np.ndarray | None = None
+        self._ker_v: np.ndarray | None = None
         self._validate()
 
     # -- linear-level views ------------------------------------------------
@@ -117,10 +128,16 @@ class DieudonneModule:
         return linalg.frob_map(self.ctx, self.vmap.matrix, 1)
 
     def kernel_of_F(self) -> np.ndarray:
-        return linalg.nullspace(self.ctx, self.f_linear)
+        """Canonical rows of ker F; computed once, read-only."""
+        if self._ker_f is None:
+            self._ker_f = _read_only(linalg.nullspace(self.ctx, self.f_linear))
+        return self._ker_f
 
     def kernel_of_V(self) -> np.ndarray:
-        return linalg.nullspace(self.ctx, self.v_linear)
+        """Canonical rows of ker V; computed once, read-only."""
+        if self._ker_v is None:
+            self._ker_v = _read_only(linalg.nullspace(self.ctx, self.v_linear))
+        return self._ker_v
 
     def image_of_F(self) -> np.ndarray:
         return linalg.row_space(self.ctx, self.f_linear.T)
@@ -300,46 +317,57 @@ class CanonicalFlag:
 def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     """Close {ker V} under V-preimage and pairing-complement, then grade.
 
-    Stabilization is guaranteed inside the finite lattice of subspaces;
-    the result must be a self-dual chain, and on each gap the F-image
-    dimension must grow by zero or by the full gap (the dichotomy the
-    final type is read from).  Violations raise RuntimeError.
+    The closure runs as a worklist: each new member gets its V-preimage
+    once and that preimage's complement once, and the complements are
+    kept (keyed by the member's bytes) for the self-duality check, which
+    computes the complement of every other member once.  The result is
+    the least closed set, whatever the order of the work.  A chain in a
+    2g-dimensional space has at most 2g+1 members, so a closure that
+    grows past that raises RuntimeError at once.  The result must be a
+    self-dual chain, and on each gap the F-image dimension must grow by
+    zero or by the full gap (the dichotomy the final type is read from).
+    Violations raise RuntimeError.
     """
     ctx = module.ctx
+    limit = module.dim + 1
     members: dict[bytes, np.ndarray] = {}
+    perps: dict[bytes, np.ndarray] = {}
+    todo: list[np.ndarray] = []
 
-    def add(rows: np.ndarray) -> bool:
+    def add(rows: np.ndarray) -> bytes:
         key = rows.tobytes()
-        if key in members:
-            return False
-        members[key] = rows
-        return True
+        if key not in members:
+            members[key] = rows
+            todo.append(rows)
+            if len(members) > limit:
+                raise RuntimeError(
+                    f"canonical closure exceeds {limit} members, "
+                    "the most a chain can hold"
+                )
+        return key
+
+    def perp_of(key: bytes) -> np.ndarray:
+        if key not in perps:
+            perps[key] = module.perp(members[key])
+        return perps[key]
 
     add(linalg.zeros(0, module.dim))
     add(linalg.eye(ctx, module.dim))
     add(module.kernel_of_V())
-    for _ in range(4 * module.g):
-        grew = False
-        for rows in list(members.values()):
-            pre = module.v_preimage(rows)
-            grew |= add(pre)
-            grew |= add(module.perp(pre))
-        if not grew:
-            break
-    else:
-        raise RuntimeError("canonical flag did not stabilize within 4g rounds")
+    while todo:
+        pre = add(module.v_preimage(todo.pop()))
+        add(perp_of(pre))
 
     chain = sorted(members.values(), key=lambda m: m.shape[0])
     dims = [m.shape[0] for m in chain]
     if len(set(dims)) != len(dims):
         raise RuntimeError("canonical members are not a chain (repeated dims)")
     for small, big in zip(chain, chain[1:]):
-        stacked = np.vstack([small, big]) if small.shape[0] else big
+        stacked = np.concatenate([small, big]) if small.shape[0] else big
         if linalg.rank(ctx, stacked) != big.shape[0]:
             raise RuntimeError("canonical members are not totally ordered")
-    keys = set(members)
-    for rows in chain:
-        if module.perp(rows).tobytes() not in keys:
+    for key in members:
+        if perp_of(key).tobytes() not in members:
             raise RuntimeError("canonical flag is not self-dual")
 
     fdims = [module.f_image_dim(rows) for rows in chain]

@@ -40,6 +40,7 @@ class CensusRecord:
     count: int
 
 
+@lru_cache(maxsize=None)
 def _siegel_frobenius(c: int) -> tuple[frozenset[int], FrobeniusAction]:
     return weyl.siegel_type(c), FrobeniusAction.trivial(c)
 

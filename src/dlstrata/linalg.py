@@ -138,5 +138,7 @@ def inverse(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
 
 def in_row_space(ctx: FieldCtx, basis_rref: np.ndarray, vec: np.ndarray) -> bool:
     """Membership test against an RREF basis."""
-    stacked = np.vstack([basis_rref, np.asarray(vec, dtype=DTYPE).reshape(1, -1)])
+    stacked = np.concatenate(
+        [basis_rref, np.asarray(vec, dtype=DTYPE).reshape(1, -1)]
+    )
     return rank(ctx, stacked) == basis_rref.shape[0]

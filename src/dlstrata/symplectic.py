@@ -17,6 +17,13 @@ the positions each block of one flag sends into each block of the
 other, which fixes the minimal double-coset representative; every table
 entry is then re-checked against r_w of the result.
 
+Meets, joins, containment and complements answer the trivial cases
+without any elimination, by lattice identities that hold for every
+subspace X: X cap 0 = 0 and X cap V = X, X + 0 = X and X + V = V,
+0 <= X <= V, and 0-perp = V, V-perp = 0 (V the whole space).  Every
+flag holds 0 and V, so most of the meets and joins that refinement
+takes between two flags are of this kind.
+
 Subspaces and flags are immutable values (cached complements are
 computed once), so everything here can be shared across threads;
 enumeration output order is deterministic.
@@ -106,23 +113,31 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.space!r})"
 
     def contains(self, other: "Subspace") -> bool:
-        stacked = np.vstack([self.basis, other.basis])
+        if other.dim == 0 or self.dim == self.space.dim:
+            return True
+        stacked = np.concatenate([self.basis, other.basis])
         return linalg.rank(self.space.ctx, stacked) == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
-        if self._key == other._key:
+        full = self.space.dim
+        if self._key == other._key or self.dim == 0 or other.dim == full:
             return self
-        joint = np.vstack([self.ann, other.ann])
+        if other.dim == 0 or self.dim == full:
+            return other
+        joint = np.concatenate([self.ann, other.ann])
         return Subspace._from_rref(
             self.space, linalg.nullspace(self.space.ctx, joint)
         )
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
-        if self._key == other._key:
+        full = self.space.dim
+        if self._key == other._key or other.dim == 0 or self.dim == full:
             return self
-        stacked = np.vstack([self.basis, other.basis])
+        if self.dim == 0 or other.dim == full:
+            return other
+        stacked = np.concatenate([self.basis, other.basis])
         return Subspace._from_rref(
             self.space, linalg.rref(self.space.ctx, stacked)[0]
         )
@@ -130,10 +145,15 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Orthogonal complement under the symplectic form."""
         if self._perp is None:
-            prod = linalg.matmul(self.space.ctx, self.basis, self.space.gram)
-            self._perp = Subspace._from_rref(
-                self.space, linalg.nullspace(self.space.ctx, prod)
-            )
+            if self.dim == 0:
+                self._perp = full_subspace(self.space)
+            elif self.dim == self.space.dim:
+                self._perp = zero_subspace(self.space)
+            else:
+                prod = linalg.matmul(self.space.ctx, self.basis, self.space.gram)
+                self._perp = Subspace._from_rref(
+                    self.space, linalg.nullspace(self.space.ctx, prod)
+                )
         return self._perp
 
     def twist(self, r: int) -> "Subspace":
@@ -276,7 +296,9 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
             elif dm.dim == space.dim:
                 table[(cm.dim, dm.dim)] = cm.dim
             else:
-                joined = linalg.rank(space.ctx, np.vstack([cm.basis, dm.basis]))
+                joined = linalg.rank(
+                    space.ctx, np.concatenate([cm.basis, dm.basis])
+                )
                 table[(cm.dim, dm.dim)] = cm.dim + dm.dim - joined
     cdims, ddims = flag_c.dims, flag_d.dims
     used = list(cdims[:-1])  # last value taken from each flag_c block

@@ -168,7 +168,7 @@ def test_c09_canonical_flag_behavior():
     ok = True
     for u, g in _module_sweep():
         mod = dd.build_from_lagrangian(u, g)
-        flag = dd.canonical_flag(mod)  # enforces 4g rounds and the dichotomy
+        flag = dd.canonical_flag(mod)  # enforces the 2g+1 member bound and the dichotomy
         keys = {m.tobytes() for m in flag.members}
         ok &= all(mod.perp(m).tobytes() in keys for m in flag.members)
         psi = dd.eo_type(mod).psi

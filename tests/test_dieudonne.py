@@ -13,7 +13,7 @@ from dlstrata.dieudonne import (
     verify_pullback,
 )
 from dlstrata.gf import field
-from dlstrata.symplectic import Subspace, SymplecticSpace
+from dlstrata.symplectic import Subspace, SymplecticSpace, random_lagrangian
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,99 @@ def test_wild_line_genus_three_final_type(f16_line):
     assert eo.w.perm == weyl.r_map_inv(weyl.simple_reflection(1, 1), 3).perm
 
 
+def _round_closure(module):
+    """The round-based closure that canonical_flag's worklist replaced.
+
+    Kept as the reference: every member is re-run through V-preimage and
+    complement in every round until a round adds nothing.  Returns the
+    chain sorted by dimension and its F-image dimensions.
+    """
+    ctx = module.ctx
+    members = {}
+
+    def add(rows):
+        key = rows.tobytes()
+        if key in members:
+            return False
+        members[key] = rows
+        return True
+
+    add(linalg.zeros(0, module.dim))
+    add(linalg.eye(ctx, module.dim))
+    add(linalg.nullspace(ctx, module.v_linear))
+    for _ in range(4 * module.g):
+        grew = False
+        for rows in list(members.values()):
+            pre = module.v_preimage(rows)
+            grew |= add(pre)
+            grew |= add(module.perp(pre))
+        if not grew:
+            break
+    else:
+        raise RuntimeError("reference closure did not stabilize")
+    chain = sorted(members.values(), key=lambda m: m.shape[0])
+    return chain, tuple(module.f_image_dim(rows) for rows in chain)
+
+
+def _closure_points():
+    for u in dc._cached_lagrangians(1, 2, 2):  # every c = 1 point over F_16
+        yield u, 2
+        yield u, 3
+    for u in dc._cached_lagrangians(2, 2, 1):  # every c = 2 point over F_4
+        yield u, 4
+    rng = np.random.default_rng(31)
+    space = dc.census_space(2, 2, 2)
+    for _ in range(40):
+        u = random_lagrangian(space, rng)
+        yield u, 4
+        yield u, 5
+    space = dc.census_space(3, 2, 2)
+    for _ in range(20):
+        yield random_lagrangian(space, rng), 6
+
+
+def test_worklist_closure_matches_the_round_reference():
+    for u, g in _closure_points():
+        mod = build_from_lagrangian(u, g)
+        flag = canonical_flag(mod)
+        chain, fdims = _round_closure(mod)
+        assert [(m.shape, m.tobytes()) for m in flag.members] == [
+            (m.shape, m.tobytes()) for m in chain
+        ]
+        assert flag.fdims == fdims
+
+
+def test_module_kernels_are_cached_read_only(f16_line):
+    for g in (2, 3):
+        mod = build_from_lagrangian(f16_line, g)
+        for ker, linear in (
+            (mod.kernel_of_F, mod.f_linear),
+            (mod.kernel_of_V, mod.v_linear),
+        ):
+            rows = ker()
+            assert ker() is rows
+            assert not rows.flags.writeable
+            assert np.array_equal(rows, linalg.nullspace(mod.ctx, linear))
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+
+
+def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
+    mod = build_from_lagrangian(f16_line, 2)
+    calls = []
+
+    def fresh_line(rows):
+        calls.append(rows)
+        line = linalg.zeros(1, mod.dim)
+        line[0, 0], line[0, 1] = 1, len(calls)
+        return line
+
+    monkeypatch.setattr(mod, "v_preimage", fresh_line)
+    with pytest.raises(RuntimeError, match="exceeds 5 members"):
+        canonical_flag(mod)
+    assert len(calls) <= 2 * mod.g + 1
+
+
 def test_final_type_map_is_injective_on_representatives():
     for g in (1, 2, 3, 4, 5):
         types = {final_type_of(w, g) for w in weyl.enumerate_IW(g)}
@@ -267,6 +360,28 @@ def test_pullback_identity_rank_one_exhaustive():
     for (p, m, g) in [(2, 1, 2), (2, 2, 2), (2, 2, 3), (3, 1, 2)]:
         for u in dc._cached_lagrangians(1, p, m):
             assert verify_pullback(u, g)
+
+
+def test_pullback_sweep_rank_two_over_f256_reaches_s2_s1():
+    # s2.s1 is empty over F_4, F_16 and F_64; over F_256 this seed meets it
+    space = dc.census_space(2, 2, 4)
+    rng = np.random.default_rng(2026)
+    words = []
+    for _ in range(200):
+        u = random_lagrangian(space, rng)
+        label = dc.classify_fine(u, check=True)
+        assert verify_pullback(u, 4, fine=label)
+        words.append(weyl.reduced_word(label))
+    assert (2, 1) in words
+
+
+def test_pullback_sweep_rank_three_over_f16():
+    space = dc.census_space(3, 2, 2)
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        u = random_lagrangian(space, rng)
+        label = dc.classify_fine(u, check=True)
+        assert verify_pullback(u, 6, fine=label)
 
 
 def test_json_dumps(f16_line):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlstrata import linalg, weyl
 from dlstrata.gf import field
@@ -8,6 +9,7 @@ from dlstrata.symplectic import (
     Subspace,
     SymplecticSpace,
     count_lagrangians,
+    full_subspace,
     enumerate_lagrangians,
     flag_type,
     lagrangian_cells,
@@ -16,6 +18,7 @@ from dlstrata.symplectic import (
     refine,
     relpos,
     standard_flag,
+    zero_subspace,
 )
 
 
@@ -83,6 +86,58 @@ def test_perp_properties(space4):
         if u.contains(v):
             assert v.perp().contains(u.perp())
         assert (u + v).perp() == u.perp().intersect(v.perp())
+
+
+# -- trivial meets, joins and complements against the generic route --------
+
+
+def _generic_intersect(a, b):
+    joint = np.concatenate([a.ann, b.ann])
+    return linalg.nullspace(a.space.ctx, joint)
+
+
+def _generic_sum(a, b):
+    return linalg.rref(a.space.ctx, np.concatenate([a.basis, b.basis]))[0]
+
+
+def _generic_contains(a, b):
+    stacked = np.concatenate([a.basis, b.basis])
+    return linalg.rank(a.space.ctx, stacked) == a.dim
+
+
+def _generic_perp(a):
+    prod = linalg.matmul(a.space.ctx, a.basis, a.space.gram)
+    return linalg.nullspace(a.space.ctx, prod)
+
+
+def _same_rows(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _subspace_with_trivial_partner(draw):
+    p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 4)]))
+    n = draw(st.integers(1, 3))
+    space = SymplecticSpace(field(p, k), n)
+    rows = draw(st.integers(0, 2 * n))
+    entries = draw(
+        st.lists(st.integers(0, p**k - 1), min_size=rows * 2 * n, max_size=rows * 2 * n)
+    )
+    x = Subspace(space, np.array(entries, dtype=np.int32).reshape(rows, 2 * n))
+    trivial = draw(st.sampled_from([zero_subspace, full_subspace]))(space)
+    return x, trivial
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_subspace_with_trivial_partner())
+def test_trivial_cases_match_the_generic_computation(pair):
+    x, t = pair
+    for a, b in ((x, t), (t, x), (t, t)):
+        assert _same_rows(a.intersect(b).basis, _generic_intersect(a, b))
+        assert _same_rows((a + b).basis, _generic_sum(a, b))
+        assert a.contains(b) == _generic_contains(a, b)
+    for a in (x, t):
+        assert _same_rows(a.perp().basis, _generic_perp(a))
 
 
 def test_lagrangian_is_self_perp(space4):

@@ -25,6 +25,11 @@ import numpy as np
 from . import __version__, bedard, dlclassify, dieudonne, weyl
 from .gf import field
 
+# Largest genus strata and verify accept: a verify run at g = 64 over
+# F_1024 peaks near 240 MB, and the lifted tables and modules grow
+# with g without bound.
+GENUS_LIMIT = 64
+
 
 def _header(config: dict, ctx=None) -> dict:
     head = {"tool": "dlstrata", "version": __version__, "config": config}
@@ -57,6 +62,9 @@ def cmd_strata(args) -> int:
         return 2
     if args.g is not None and args.g < 2 * args.c:
         print("lift requires g >= 2c", file=sys.stderr)
+        return 2
+    if args.g is not None and args.g > GENUS_LIMIT:
+        print(f"lift requires g <= {GENUS_LIMIT}", file=sys.stderr)
         return 2
     rows = bedard.stratum_table(args.c, args.g)
     config = {"command": "strata", "c": args.c, "g": args.g}
@@ -107,8 +115,14 @@ def cmd_verify(args) -> int:
     if args.g < 2 * args.c:
         print("verify requires g >= 2c", file=sys.stderr)
         return 2
+    if args.g > GENUS_LIMIT:
+        print(f"verify requires g <= {GENUS_LIMIT}", file=sys.stderr)
+        return 2
     if args.trials is not None and args.trials < 0:
         print("verify requires --trials >= 0", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("verify requires --seed >= 0", file=sys.stderr)
         return 2
     try:
         dlclassify.bounded_total(args.c, args.p, args.m, "verify")

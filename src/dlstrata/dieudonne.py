@@ -23,19 +23,24 @@ kernels project onto U and its p-twist inside the middle slot, and the
 adjunction <F x, y> = <x, V y>^p holds on the nose.  Any residual sign
 freedom is harmless and is demonstrated to be so in the tests.
 
-The canonical flag is the smallest chain containing ker V that is
-stable under V-preimage and pairing-complement.  It is closed with a
-worklist, so each member's V-preimage and complement are computed once,
-and a closure that grows past 2g+1 members (the longest chain in a
-2g-dimensional space) is refused at once.  Its F-image dimensions
-interpolate to the final type psi, and the EO label is the minimal
-Siegel representative w with psi(i) = i - r_w(i, g), read off the
-positions where psi does not jump.
+The module's 2g-dimensional space is a ``symplectic.SymplecticSpace``
+whose Gram matrix is the pairing (``SymplecticSpace.from_gram`` checks
+that it is alternating and nondegenerate), so every subspace here is a
+``symplectic.Subspace``: canonical, immutable, with its complement
+under the pairing cached.  The canonical flag is the smallest chain
+containing ker V that is stable under V-preimage and complement.  It is
+closed with a worklist, so each member's V-preimage and complement are
+computed once, and a closure that grows past 2g+1 members (the longest
+chain in a 2g-dimensional space) is refused at once; the members are
+then a ``symplectic.Flag``, which checks the chain, and the flag must
+be self-dual.  Its F-image dimensions interpolate to the final type
+psi, and the EO label is the minimal Siegel representative w with
+psi(i) = i - r_w(i, g), read off the positions where psi does not jump.
 
 Modules are immutable after construction (every constructor runs the
-full invariant battery, and ker F and ker V are computed once and kept
-read-only), so label verification over many points can be
-parallelized trivially; the matching table is shared read-only.
+full invariant battery, and ker F and ker V are computed once), so
+label verification over many points can be parallelized trivially; the
+matching table is shared read-only.
 """
 
 from __future__ import annotations
@@ -47,49 +52,18 @@ import numpy as np
 from . import dlclassify, linalg, weyl
 from .gf import FieldCtx
 from .linalg import DTYPE
-from .symplectic import Subspace
+from .symplectic import Flag, Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
 
 
-@dataclass(frozen=True)
-class SemilinearMap:
-    """x -> matrix . x^[p^twist] (entrywise power, then the linear map)."""
-
-    ctx: FieldCtx
-    matrix: np.ndarray
-    twist: int
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        powered = linalg.frob_map(self.ctx, np.asarray(x, dtype=DTYPE), self.twist)
-        return linalg.mat_vec(self.ctx, self.matrix, powered)
-
-    def compose(self, other: "SemilinearMap") -> "SemilinearMap":
-        """(A, r) after (B, s) = (A . B^[p^r], r + s)."""
-        mat = linalg.matmul(
-            self.ctx, self.matrix, linalg.frob_map(self.ctx, other.matrix, self.twist)
-        )
-        return SemilinearMap(self.ctx, mat, self.twist + other.twist)
-
-    def kernel(self) -> np.ndarray:
-        """Row basis of {x : matrix . x^[p^twist] = 0}."""
-        return linalg.frob_map(
-            self.ctx, linalg.nullspace(self.ctx, self.matrix), -self.twist
-        )
-
-    def image_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        powered = linalg.frob_map(self.ctx, rows, self.twist)
-        return linalg.row_space(
-            self.ctx, linalg.matmul(self.ctx, powered, self.matrix.T)
-        )
-
-
-def _read_only(rows: np.ndarray) -> np.ndarray:
-    rows.flags.writeable = False
-    return rows
-
-
 class DieudonneModule:
-    """A 2g-dimensional space with semilinear F, V and an alternating pairing."""
+    """A 2g-dimensional space with semilinear F, V and an alternating pairing.
+
+    ``fmat`` and ``vmat`` are the matrices of F (twist +1) and V (twist
+    -1): F(x) = fmat . x^[p] and V(x) = vmat . x^[1/p].  The module's
+    space is a ``SymplecticSpace`` whose form is the pairing, so its
+    subspaces are ``Subspace`` values with cached complements.
+    """
 
     def __init__(
         self,
@@ -106,81 +80,81 @@ class DieudonneModule:
         self.g = g
         self.c = c
         self.dim = 2 * g
-        self.fmap = SemilinearMap(ctx, np.asarray(fmat, dtype=DTYPE), 1)
-        self.vmap = SemilinearMap(ctx, np.asarray(vmat, dtype=DTYPE), -1)
-        self.pairing = np.asarray(pairing, dtype=DTYPE)
+        self.fmat = np.asarray(fmat, dtype=DTYPE)
+        self.vmat = np.asarray(vmat, dtype=DTYPE)
+        self.space = SymplecticSpace.from_gram(ctx, pairing)
         self.slot_bounds = tuple(slot_bounds)
         self.point = point
-        self._ker_f: np.ndarray | None = None
-        self._ker_v: np.ndarray | None = None
+        self._ker_f: Subspace | None = None
+        self._ker_v: Subspace | None = None
         self._validate()
+
+    @property
+    def pairing(self) -> np.ndarray:
+        return self.space.gram
 
     # -- linear-level views ------------------------------------------------
 
     @property
     def f_linear(self) -> np.ndarray:
         """F as a plain matrix on twisted source coordinates."""
-        return self.fmap.matrix
+        return self.fmat
 
     @property
     def v_linear(self) -> np.ndarray:
         """V as a plain matrix into twisted target coordinates."""
-        return linalg.frob_map(self.ctx, self.vmap.matrix, 1)
+        return linalg.frob_map(self.ctx, self.vmat, 1)
 
-    def kernel_of_F(self) -> np.ndarray:
-        """Canonical rows of ker F; computed once, read-only."""
+    def _span(self, rows: np.ndarray) -> Subspace:
+        return Subspace._from_rref(self.space, rows)
+
+    def kernel_of_F(self) -> Subspace:
+        """ker F; computed once."""
         if self._ker_f is None:
-            self._ker_f = _read_only(linalg.nullspace(self.ctx, self.f_linear))
+            self._ker_f = self._span(linalg.nullspace(self.ctx, self.f_linear))
         return self._ker_f
 
-    def kernel_of_V(self) -> np.ndarray:
-        """Canonical rows of ker V; computed once, read-only."""
+    def kernel_of_V(self) -> Subspace:
+        """ker V; computed once."""
         if self._ker_v is None:
-            self._ker_v = _read_only(linalg.nullspace(self.ctx, self.v_linear))
+            self._ker_v = self._span(linalg.nullspace(self.ctx, self.v_linear))
         return self._ker_v
 
-    def image_of_F(self) -> np.ndarray:
-        return linalg.row_space(self.ctx, self.f_linear.T)
+    def image_of_F(self) -> Subspace:
+        return self._span(linalg.row_space(self.ctx, self.f_linear.T))
 
-    def image_of_V(self) -> np.ndarray:
-        return linalg.row_space(self.ctx, self.v_linear.T)
+    def image_of_V(self) -> Subspace:
+        return self._span(linalg.row_space(self.ctx, self.v_linear.T))
 
-    def f_image_dim(self, rows: np.ndarray) -> int:
-        """dim F(C^(p)) for a subspace C given by rows."""
-        if rows.shape[0] == 0:
+    def f_image_dim(self, sub: Subspace) -> int:
+        """dim F(C^(p)) for a subspace C."""
+        if sub.dim == 0:
             return 0
-        powered = linalg.frob_map(self.ctx, rows, 1)
-        return linalg.rank(
-            self.ctx, linalg.matmul(self.ctx, powered, self.fmap.matrix.T)
-        )
+        powered = linalg.frob_map(self.ctx, sub.basis, 1)
+        return linalg.rank(self.ctx, linalg.matmul(self.ctx, powered, self.fmat.T))
 
-    def v_preimage(self, rows: np.ndarray) -> np.ndarray:
-        """Row basis of {x : V(x) lies in the p-twist of the row span}.
+    def v_preimage(self, sub: Subspace) -> Subspace:
+        """{x : V(x) lies in the p-twist of C}.
 
-        Solved exactly: a linear preimage under the untwisted matrix
-        composed with the (bijective) Frobenius.
+        V^{-1}(0) is ker V and V^{-1} of the whole space is the whole
+        space; any other C is solved exactly, as a linear preimage of its
+        annihilator under the untwisted matrix composed with the
+        (bijective) Frobenius.
         """
-        ann = linalg.nullspace(self.ctx, rows) if rows.shape[0] else linalg.eye(self.ctx, self.dim)
-        pre = linalg.nullspace(
-            self.ctx, linalg.matmul(self.ctx, ann, self.vmap.matrix)
-        )
-        return linalg.frob_map(self.ctx, pre, 1)
-
-    def perp(self, rows: np.ndarray) -> np.ndarray:
-        """Complement under the module pairing."""
-        if rows.shape[0] == 0:
-            return linalg.eye(self.ctx, self.dim)
-        return linalg.nullspace(
-            self.ctx, linalg.matmul(self.ctx, rows, self.pairing)
-        )
+        if sub.dim == 0:
+            return self.kernel_of_V()
+        if sub.dim == self.dim:
+            return sub
+        pre = linalg.nullspace(self.ctx, linalg.matmul(self.ctx, sub.ann, self.vmat))
+        return self._span(linalg.frob_map(self.ctx, pre, 1))
 
     def transport(self, s: np.ndarray) -> "DieudonneModule":
         """The isomorphic module in the basis x = S x'."""
         ctx = self.ctx
         s_inv = linalg.inverse(ctx, s)
-        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.fmap.matrix),
+        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.fmat),
                            linalg.frob_map(ctx, s, 1))
-        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.vmap.matrix),
+        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.vmat),
                            linalg.frob_map(ctx, s, -1))
         w2 = linalg.matmul(ctx, linalg.matmul(ctx, s.T, self.pairing), s)
         return DieudonneModule(
@@ -191,27 +165,23 @@ class DieudonneModule:
 
     def _validate(self) -> None:
         ctx, dim, g = self.ctx, self.dim, self.g
-        a = self.fmap.matrix
-        b = self.vmap.matrix
+        a = self.fmat
+        b = self.vmat
         v_lin = self.v_linear
-        if a.shape != (dim, dim) or b.shape != (dim, dim):
-            raise ValueError("operator matrices must be 2g x 2g")
+        if a.shape != (dim, dim) or b.shape != (dim, dim) or self.space.dim != dim:
+            raise ValueError("operator and pairing matrices must be 2g x 2g")
         if linalg.matmul(ctx, a, v_lin).any():
             raise RuntimeError("F after V is not zero")
         if linalg.matmul(ctx, b, linalg.frob_map(ctx, a, -1)).any():
             raise RuntimeError("V after F is not zero")
-        ker_f, im_v = self.kernel_of_F(), self.image_of_V()
-        if ker_f.shape[0] != g:
-            raise RuntimeError(f"dim ker F = {ker_f.shape[0]} != g = {g}")
-        if not np.array_equal(ker_f, im_v):
+        ker_f = self.kernel_of_F()
+        if ker_f.dim != g:
+            raise RuntimeError(f"dim ker F = {ker_f.dim} != g = {g}")
+        if ker_f != self.image_of_V():
             raise RuntimeError("ker F != im V")
-        if not np.array_equal(self.kernel_of_V(), self.image_of_F()):
+        if self.kernel_of_V() != self.image_of_F():
             raise RuntimeError("ker V != im F")
         omega = self.pairing
-        if linalg.rank(ctx, omega) != dim:
-            raise RuntimeError("pairing is degenerate")
-        if ctx.add[omega, omega.T].any() or omega.diagonal().any():
-            raise RuntimeError("pairing is not alternating")
         lhs = linalg.matmul(ctx, a.T, omega)
         rhs = linalg.matmul(
             ctx, linalg.frob_map(ctx, omega, 1), linalg.frob_map(ctx, b, 1)
@@ -224,21 +194,21 @@ class DieudonneModule:
     def _check_kernel_shapes(self) -> None:
         """ker F = pr_2^{-1}(U) and ker V = pr_2^{-1}(U twisted)."""
         u = self.point
-        if not np.array_equal(self.kernel_of_F(), self._middle_pullback(u.basis)):
+        if self.kernel_of_F() != self._middle_pullback(u.basis):
             raise RuntimeError("ker F does not project onto the point")
         twisted = linalg.frob_map(self.ctx, u.basis, 1)
-        if not np.array_equal(self.kernel_of_V(), self._middle_pullback(twisted)):
+        if self.kernel_of_V() != self._middle_pullback(twisted):
             raise RuntimeError("ker V does not project onto the twisted point")
 
-    def _middle_pullback(self, rows: np.ndarray) -> np.ndarray:
-        """pr_2^{-1} of a subspace of the middle slot, as canonical rows."""
+    def _middle_pullback(self, rows: np.ndarray) -> Subspace:
+        """pr_2^{-1} of a subspace of the middle slot."""
         lo, hi = self.slot_bounds[2], self.slot_bounds[3]
         k = rows.shape[0]
         out = linalg.zeros(k + (self.dim - hi), self.dim)
         out[:k, lo:hi] = rows
         for i in range(self.dim - hi):
             out[k + i, hi + i] = 1
-        return linalg.row_space(self.ctx, out)
+        return Subspace(self.space, out)
 
 
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
@@ -306,78 +276,72 @@ class CanonicalFlag:
     """The stabilized chain with its F-image dimensions."""
 
     module: DieudonneModule
-    members: tuple[np.ndarray, ...]
+    flag: Flag
     fdims: tuple[int, ...]
 
     @property
+    def members(self) -> tuple[Subspace, ...]:
+        return self.flag.members
+
+    @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(m.shape[0] for m in self.members)
+        return self.flag.dims
 
 
 def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     """Close {ker V} under V-preimage and pairing-complement, then grade.
 
     The closure runs as a worklist: each new member gets its V-preimage
-    once and that preimage's complement once, and the complements are
-    kept (keyed by the member's bytes) for the self-duality check, which
-    computes the complement of every other member once.  The result is
-    the least closed set, whatever the order of the work.  A chain in a
+    once and that preimage's complement once (cached on the preimage,
+    so the self-duality check reuses it).  The result is the least
+    closed set, whatever the order of the work.  A chain in a
     2g-dimensional space has at most 2g+1 members, so a closure that
-    grows past that raises RuntimeError at once.  The result must be a
-    self-dual chain, and on each gap the F-image dimension must grow by
-    zero or by the full gap (the dichotomy the final type is read from).
-    Violations raise RuntimeError.
+    grows past that raises RuntimeError at once.  The members must form
+    a ``Flag`` that is self-dual, and on each gap the F-image dimension
+    must grow by zero or by the full gap (the dichotomy the final type
+    is read from).  Violations raise RuntimeError.
     """
-    ctx = module.ctx
+    space = module.space
     limit = module.dim + 1
-    members: dict[bytes, np.ndarray] = {}
-    perps: dict[bytes, np.ndarray] = {}
-    todo: list[np.ndarray] = []
+    # each member maps to the object kept for it, so an equal subspace
+    # found again reuses the kept one's cached complement
+    members: dict[Subspace, Subspace] = {}
+    todo: list[Subspace] = []
 
-    def add(rows: np.ndarray) -> bytes:
-        key = rows.tobytes()
-        if key not in members:
-            members[key] = rows
-            todo.append(rows)
+    def add(sub: Subspace) -> Subspace:
+        kept = members.get(sub)
+        if kept is None:
+            members[sub] = kept = sub
+            todo.append(sub)
             if len(members) > limit:
                 raise RuntimeError(
                     f"canonical closure exceeds {limit} members, "
                     "the most a chain can hold"
                 )
-        return key
+        return kept
 
-    def perp_of(key: bytes) -> np.ndarray:
-        if key not in perps:
-            perps[key] = module.perp(members[key])
-        return perps[key]
-
-    add(linalg.zeros(0, module.dim))
-    add(linalg.eye(ctx, module.dim))
+    add(zero_subspace(space))
+    add(full_subspace(space))
     add(module.kernel_of_V())
     while todo:
-        pre = add(module.v_preimage(todo.pop()))
-        add(perp_of(pre))
+        add(add(module.v_preimage(todo.pop())).perp())
 
-    chain = sorted(members.values(), key=lambda m: m.shape[0])
-    dims = [m.shape[0] for m in chain]
-    if len(set(dims)) != len(dims):
-        raise RuntimeError("canonical members are not a chain (repeated dims)")
-    for small, big in zip(chain, chain[1:]):
-        stacked = np.concatenate([small, big]) if small.shape[0] else big
-        if linalg.rank(ctx, stacked) != big.shape[0]:
-            raise RuntimeError("canonical members are not totally ordered")
-    for key in members:
-        if perp_of(key).tobytes() not in members:
-            raise RuntimeError("canonical flag is not self-dual")
+    try:
+        flag = Flag(members.values())
+    except ValueError as exc:
+        raise RuntimeError(f"canonical members are not a chain: {exc}") from exc
+    if not flag.is_self_dual():
+        raise RuntimeError("canonical flag is not self-dual")
 
-    fdims = [module.f_image_dim(rows) for rows in chain]
+    fdims = tuple(module.f_image_dim(m) for m in flag.members)
+    dims = flag.dims
     for (d0, f0), (d1, f1) in zip(zip(dims, fdims), zip(dims[1:], fdims[1:])):
         if f1 - f0 not in (0, d1 - d0):
             raise RuntimeError(
                 f"F-image dimension dichotomy fails on gap {d0}..{d1}: "
                 f"{f0} -> {f1}"
             )
-    return CanonicalFlag(module, tuple(chain), tuple(fdims))
+    return CanonicalFlag(module, flag, fdims)
 
 
 @dataclass(frozen=True)
@@ -468,10 +432,10 @@ def module_to_json(module: DieudonneModule) -> dict:
         "g": module.g,
         "c": module.c,
         "slot_bounds": list(module.slot_bounds),
-        "f_matrix": _matrix_coeffs(ctx, module.fmap.matrix),
-        "f_twist": module.fmap.twist,
-        "v_matrix": _matrix_coeffs(ctx, module.vmap.matrix),
-        "v_twist": module.vmap.twist,
+        "f_matrix": _matrix_coeffs(ctx, module.fmat),
+        "f_twist": 1,
+        "v_matrix": _matrix_coeffs(ctx, module.vmat),
+        "v_twist": -1,
         "pairing": _matrix_coeffs(ctx, module.pairing),
     }
 

@@ -139,19 +139,12 @@ def _cached_lagrangians(c: int, p: int, m: int) -> tuple[Subspace, ...]:
     return tuple(symplectic.enumerate_lagrangians(census_space(c, p, m)))
 
 
-def expected_total(c: int, q: int) -> int:
-    total = 1
-    for i in range(1, c + 1):
-        total *= q**i + 1
-    return total
-
-
 CENSUS_POINT_LIMIT = 5_000_000
 
 
 def bounded_total(c: int, p: int, m: int, what: str) -> int:
     """The point count over F_{p^{2m}}; ValueError above CENSUS_POINT_LIMIT."""
-    expected = expected_total(c, p ** (2 * m))
+    expected = symplectic.expected_total(c, p ** (2 * m))
     if expected > CENSUS_POINT_LIMIT:
         raise ValueError(
             f"{what} of {expected} points exceeds the desk-scale limit"
@@ -159,7 +152,7 @@ def bounded_total(c: int, p: int, m: int, what: str) -> int:
     return expected
 
 
-def census(c: int, p: int, m: int, check: bool = True) -> list[CensusRecord]:
+def census(c: int, p: int, m: int) -> list[CensusRecord]:
     """Classify every Lagrangian over F_{p^{2m}}; one record per label.
 
     Zero counts are kept so the row set is the same for every (p, m),
@@ -170,7 +163,7 @@ def census(c: int, p: int, m: int, check: bool = True) -> list[CensusRecord]:
     points = _cached_lagrangians(c, p, m)
     counts: dict[tuple[int, ...], int] = {}
     for u in points:
-        label = classify_fine(u, check=check)
+        label = classify_fine(u)
         counts[label.perm] = counts.get(label.perm, 0) + 1
     records = []
     known = set()

@@ -135,13 +135,9 @@ class FieldCtx:
             coeffs[:, i] = rest % p
             rest //= p
         weights = p ** np.arange(k)
-
-        def encode_rows(mat: np.ndarray) -> np.ndarray:
-            return (mat % p) @ weights
-
         self.coeff_table = coeffs
         self.digit_weights = weights
-        self.neg = encode_rows(-coeffs).astype(np.int32)
+        self.neg = ((-coeffs % p) @ weights).astype(np.int32)
         # one digit at a time in int32: a q x q x k intermediate would
         # set the peak memory of the whole process on F_1024
         add = np.zeros((q, q), dtype=np.int32)
@@ -172,28 +168,14 @@ class FieldCtx:
         self.neg_list = shared[self.neg].tolist()
         self.inv_list = shared[inv].tolist()
 
-        # Frobenius x -> x^p is F_p-linear; build its matrix once and
-        # compose the code table for the higher powers.
-        frob_mat = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            xi_p = self._scalar_pow_xmod(i * p)
-            frob_mat[: len(xi_p), i] = xi_p
-        frob1 = encode_rows(coeffs @ frob_mat.T).astype(np.int32)
+        # Frobenius through the logs, x^p = exp[p log x mod (q-1)]; the
+        # higher powers compose its code table
+        frob1 = np.zeros(q, dtype=np.int32)
+        frob1[1:] = exp[(p * lo) % n]
         tables = [codes.astype(np.int32)]
         for _ in range(1, k):
             tables.append(frob1[tables[-1]])
         self.frob_tables = tables
-
-    def _scalar_pow_xmod(self, e: int) -> tuple[int, ...]:
-        """Coefficients of x^e modulo the field modulus."""
-        out = (1,)
-        base = (0, 1)
-        while e:
-            if e & 1:
-                out = _pmod(_pmul(out, base, self.p), self.modulus, self.p)
-            base = _pmod(_pmul(base, base, self.p), self.modulus, self.p)
-            e >>= 1
-        return out
 
     def _scalar_mul(self, a: int, b: int) -> int:
         pa = _ptrim(_decode_int(a, self.p, self.k))

@@ -3,9 +3,15 @@
 Conventions (recorded here because any symplectic change of basis
 conjugates everything):
 
-* the Gram matrix is antidiagonal, +1 in rows 1..n and -1 in rows
-  n+1..2n, with entries in the prime field, so the standard coordinate
-  flag is self-dual and Frobenius twisting commutes with perp;
+* the Gram matrix of ``SymplecticSpace(ctx, n)`` is antidiagonal, +1
+  in rows 1..n and -1 in rows n+1..2n, with entries in the prime field,
+  so the standard coordinate flag is self-dual and Frobenius twisting
+  commutes with perp;
+* ``SymplecticSpace.from_gram`` gives a space any other alternating
+  nondegenerate form (the pairing of a Dieudonné module); subspaces,
+  complements and flags work in it alike, while Lagrangian enumeration,
+  standard flags and the twist-perp commutation assume the antidiagonal
+  form;
 * subspaces are row spans stored in reduced row echelon form, making
   equality and hashing byte-exact;
 * a flag is a strictly increasing chain containing 0 and the full
@@ -42,19 +48,47 @@ from .weyl import WeylElement
 
 
 class SymplecticSpace:
-    """F_q^{2n} with the fixed antidiagonal alternating form."""
+    """F_q^{2n} with an alternating nondegenerate form.
+
+    ``SymplecticSpace(ctx, n)`` carries the fixed antidiagonal form; any
+    other form comes through ``from_gram``.
+    """
 
     def __init__(self, ctx: FieldCtx, n: int):
         if n < 1:
             raise ValueError("half-dimension must be positive")
-        self.ctx = ctx
-        self.n = n
-        self.dim = 2 * n
-        gram = linalg.zeros(self.dim, self.dim)
+        dim = 2 * n
+        gram = linalg.zeros(dim, dim)
         minus_one = int(ctx.neg[1])
-        for i in range(self.dim):
-            gram[i, self.dim - 1 - i] = 1 if i < n else minus_one
+        for i in range(dim):
+            gram[i, dim - 1 - i] = 1 if i < n else minus_one
+        self._init_from_gram(ctx, gram)
+
+    @classmethod
+    def from_gram(cls, ctx: FieldCtx, gram: np.ndarray) -> "SymplecticSpace":
+        """The space whose form has the given Gram matrix.
+
+        The matrix must be square of positive even size, alternating
+        (antisymmetric with zero diagonal) and nondegenerate; otherwise
+        ValueError.
+        """
+        gram = np.array(gram, dtype=DTYPE)
+        dim = gram.shape[0] if gram.ndim == 2 else 0
+        if dim == 0 or dim % 2 or gram.shape != (dim, dim):
+            raise ValueError("Gram matrix must be square of positive even size")
+        if ctx.add[gram, gram.T].any() or gram.diagonal().any():
+            raise ValueError("pairing is not alternating")
+        if linalg.rank(ctx, gram) != dim:
+            raise ValueError("pairing is degenerate")
+        obj = cls.__new__(cls)
+        obj._init_from_gram(ctx, gram)
+        return obj
+
+    def _init_from_gram(self, ctx: FieldCtx, gram: np.ndarray) -> None:
         gram.flags.writeable = False
+        self.ctx = ctx
+        self.n = gram.shape[0] // 2
+        self.dim = gram.shape[0]
         self.gram = gram
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> int:
@@ -235,9 +269,6 @@ class Flag:
     def is_self_dual(self) -> bool:
         keys = {m._key for m in self.members}
         return all(m.perp()._key in keys for m in self.members)
-
-    def self_dual_closure(self) -> "Flag":
-        return Flag(list(self.members) + [m.perp() for m in self.members])
 
 
 def flag_type(flag: Flag) -> frozenset[int]:
@@ -425,6 +456,14 @@ def lagrangian_cells(
         yield pivots, _fill_cell(space, pivots, param_slots, combos)
 
 
+def expected_total(c: int, q: int) -> int:
+    """prod_{i=1..c} (q^i + 1), the number of Lagrangians in F_q^{2c}."""
+    total = 1
+    for i in range(1, c + 1):
+        total *= q**i + 1
+    return total
+
+
 def count_lagrangians(space: SymplecticSpace) -> int:
     q = space.ctx.q
     return sum(q ** len(slots) for _, slots in _cell_descriptors(space))
@@ -439,9 +478,7 @@ def enumerate_lagrangians(space: SymplecticSpace) -> list[Subspace]:
     for _, block in lagrangian_cells(space):
         for rows in block:
             out.append(Subspace._from_rref(space, rows))
-    expected = 1
-    for i in range(1, space.n + 1):
-        expected *= space.ctx.q**i + 1
+    expected = expected_total(space.n, space.ctx.q)
     if len(out) != expected:
         raise RuntimeError(
             f"enumerated {len(out)} Lagrangians, expected {expected}"

@@ -143,11 +143,6 @@ def evaluate_word(letters: Iterable[int], n: int) -> WeylElement:
     return out
 
 
-def is_reduced(letters: Iterable[int], n: int) -> bool:
-    letters = tuple(letters)
-    return length(evaluate_word(letters, n)) == len(letters)
-
-
 def support(w: WeylElement) -> frozenset[int]:
     """Generator indices occurring in a reduced word (word-independent)."""
     return frozenset(reduced_word(w))

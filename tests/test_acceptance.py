@@ -151,14 +151,14 @@ def test_c08_module_invariants():
     ok = True
     for u, g in _module_sweep():
         mod = dd.build_from_lagrangian(u, g)  # constructor re-checks everything
-        ok &= mod.kernel_of_F().shape[0] == g
-        ok &= np.array_equal(mod.kernel_of_F(), mod.image_of_V())
-        ok &= np.array_equal(mod.kernel_of_V(), mod.image_of_F())
-        lhs = linalg.matmul(mod.ctx, mod.fmap.matrix.T, mod.pairing)
+        ok &= mod.kernel_of_F().dim == g
+        ok &= np.array_equal(mod.kernel_of_F().basis, mod.image_of_V().basis)
+        ok &= np.array_equal(mod.kernel_of_V().basis, mod.image_of_F().basis)
+        lhs = linalg.matmul(mod.ctx, mod.fmat.T, mod.pairing)
         rhs = linalg.matmul(
             mod.ctx,
             linalg.frob_map(mod.ctx, mod.pairing, 1),
-            linalg.frob_map(mod.ctx, mod.vmap.matrix, 1),
+            linalg.frob_map(mod.ctx, mod.vmat, 1),
         )
         ok &= np.array_equal(lhs, rhs)
     report(8, ok, "kernel/image coincidences, dimension g, pairing adjunction")
@@ -169,8 +169,13 @@ def test_c09_canonical_flag_behavior():
     for u, g in _module_sweep():
         mod = dd.build_from_lagrangian(u, g)
         flag = dd.canonical_flag(mod)  # enforces the 2g+1 member bound and the dichotomy
-        keys = {m.tobytes() for m in flag.members}
-        ok &= all(mod.perp(m).tobytes() in keys for m in flag.members)
+        keys = {m.basis.tobytes() for m in flag.members}
+        # each complement by one null space, not the cached one
+        perps = [
+            linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, m.basis, mod.pairing))
+            for m in flag.members
+        ]
+        ok &= all(perp.tobytes() in keys for perp in perps)
         psi = dd.eo_type(mod).psi
         ok &= all(psi[2 * g - i] == psi[i] + g - i for i in range(2 * g + 1))
     report(9, ok, "flag stabilizes, is self-dual, dichotomy holds, psi duality")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dlstrata.cli import main
+from dlstrata.cli import GENUS_LIMIT, main
 from tests import src_env
 
 
@@ -34,9 +34,18 @@ def test_strata_rank_two_with_lift(tmp_path):
         assert r["lifted_length"] == r["length"]
 
 
-def test_strata_config_errors():
-    assert run(["strata", "--c", "7"]) == 2
-    assert run(["strata", "--c", "2", "--g", "3"]) == 2
+def test_strata_config_errors(capsys, tmp_path):
+    out = tmp_path / "strata.json"
+    assert run(["strata", "--c", "1", "--g", str(GENUS_LIMIT), "--out", str(out)]) == 0
+    # each bad configuration ends with one line on stderr, no traceback
+    for argv in (
+        ["--c", "7"],
+        ["--c", "2", "--g", "3"],
+        ["--c", "1", "--g", "1000000000"],  # over the genus limit
+    ):
+        assert run(["strata"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
 def test_census_csv_deterministic(tmp_path):
@@ -95,6 +104,8 @@ def test_verify_exit_codes(capsys):
         ["--c", "2", "--g", "4", "--p", "2", "--m", "4"],  # 16.8M points
         ["--c", "1", "--g", "2", "--p", "1000000000000000003", "--m", "1"],
         ["--c", "1", "--g", "2", "--p", "3", "--m", "100000000"],
+        ["--c", "1", "--g", "100000", "--p", "2", "--m", "1"],  # over the genus limit
+        ["--c", "1", "--g", "2", "--p", "2", "--m", "1", "--trials", "2", "--seed", "-1"],
     ):
         assert run(["verify"] + argv) == 2, argv
         captured = capsys.readouterr()

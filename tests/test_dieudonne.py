@@ -4,7 +4,6 @@ import pytest
 from dlstrata import dlclassify as dc, linalg, weyl
 from dlstrata.dieudonne import (
     DieudonneModule,
-    SemilinearMap,
     _label_of_final_type,
     build_from_lagrangian,
     canonical_flag,
@@ -13,7 +12,13 @@ from dlstrata.dieudonne import (
     verify_pullback,
 )
 from dlstrata.gf import field
-from dlstrata.symplectic import Subspace, SymplecticSpace, random_lagrangian
+from dlstrata.symplectic import (
+    Subspace,
+    SymplecticSpace,
+    full_subspace,
+    random_lagrangian,
+    zero_subspace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,24 +35,29 @@ def f16_rational_line():
     return Subspace(space, np.array([[1, 0]]))
 
 
-def test_semilinear_composition_rule():
-    ctx = field(2, 4)
-    rng = np.random.default_rng(0)
-    a = SemilinearMap(ctx, rng.integers(0, 16, (3, 3)).astype(np.int32), 1)
-    b = SemilinearMap(ctx, rng.integers(0, 16, (3, 3)).astype(np.int32), -1)
-    comp = a.compose(b)
-    assert comp.twist == 0
-    for _ in range(10):
-        x = rng.integers(0, 16, 3).astype(np.int32)
-        assert np.array_equal(comp.apply(x), a.apply(b.apply(x)))
+def _semilinear_apply(ctx, matrix, twist, x):
+    """matrix . x^[p^twist], one scalar table lookup at a time."""
+    powered = [int(ctx.frob_table(twist)[int(v)]) for v in x]
+    out = []
+    for row in matrix:
+        acc = 0
+        for a, b in zip(row, powered):
+            acc = int(ctx.add[acc, ctx.mul[int(a), b]])
+        out.append(acc)
+    return out
 
 
-def test_semilinear_kernel():
-    ctx = field(2, 2)
-    m = np.array([[1, 2], [0, 0]], dtype=np.int32)
-    k = SemilinearMap(ctx, m, 1).kernel()
-    for row in k:
-        assert not SemilinearMap(ctx, m, 1).apply(row).any()
+def _preimage_by_nullspace(mod, rows):
+    """{x : V(x) in the span of rows}, by null spaces with no special case."""
+    ctx = mod.ctx
+    ann = linalg.nullspace(ctx, rows) if rows.shape[0] else linalg.eye(ctx, mod.dim)
+    pre = linalg.nullspace(ctx, linalg.matmul(ctx, ann, mod.vmat))
+    return linalg.frob_map(ctx, pre, 1)
+
+
+def _complement(mod, rows):
+    """The complement under the module pairing, by one null space."""
+    return linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, rows, mod.pairing))
 
 
 def test_build_checks_preconditions(f16_line):
@@ -63,10 +73,10 @@ def test_build_checks_preconditions(f16_line):
 def test_module_dimensions_and_kernels(f16_line):
     for g in (2, 3, 4):
         mod = build_from_lagrangian(f16_line, g)
-        assert mod.dim == 2 * g
-        assert mod.kernel_of_F().shape[0] == g
-        assert np.array_equal(mod.kernel_of_F(), mod.image_of_V())
-        assert np.array_equal(mod.kernel_of_V(), mod.image_of_F())
+        assert mod.dim == 2 * g and mod.space.dim == 2 * g
+        assert mod.kernel_of_F().dim == g
+        assert np.array_equal(mod.kernel_of_F().basis, mod.image_of_V().basis)
+        assert np.array_equal(mod.kernel_of_V().basis, mod.image_of_F().basis)
 
 
 def test_adjunction_on_all_basis_pairs(f16_line):
@@ -74,9 +84,9 @@ def test_adjunction_on_all_basis_pairs(f16_line):
     ctx = mod.ctx
     eye = linalg.eye(ctx, mod.dim)
     for i in range(mod.dim):
-        fx = mod.fmap.apply(eye[i])
+        fx = _semilinear_apply(ctx, mod.fmat, 1, eye[i])
         for j in range(mod.dim):
-            vy = mod.vmap.apply(eye[j])
+            vy = _semilinear_apply(ctx, mod.vmat, -1, eye[j])
             lhs = 0
             rhs = 0
             for a in range(mod.dim):
@@ -91,22 +101,31 @@ def test_kernel_projects_onto_point_and_twist(f16_line):
     # public helpers rather than the construction-time trap
     mod = build_from_lagrangian(f16_line, 2)
     lo, hi = mod.slot_bounds[2], mod.slot_bounds[3]
-    ker_f = mod.kernel_of_F()
+    ker_f = mod.kernel_of_F().basis
     middle = [row[lo:hi] for row in ker_f if row[:lo].any() or row[lo:hi].any()]
     got = linalg.row_space(mod.ctx, np.array(middle))
     assert np.array_equal(got, f16_line.basis)
-    ker_v = mod.kernel_of_V()
+    ker_v = mod.kernel_of_V().basis
     middle = [row[lo:hi] for row in ker_v if row[lo:hi].any()]
     got = linalg.row_space(mod.ctx, np.array(middle))
     assert np.array_equal(got, linalg.frob_map(mod.ctx, f16_line.basis, 1))
 
 
-def test_v_preimage_edges(f16_line):
-    mod = build_from_lagrangian(f16_line, 3)
-    full = linalg.eye(mod.ctx, mod.dim)
-    assert mod.v_preimage(full).shape[0] == mod.dim
-    zero = linalg.zeros(0, mod.dim)
-    assert np.array_equal(mod.v_preimage(zero), mod.kernel_of_V())
+def test_v_preimage_edges(f16_line, f16_rational_line):
+    # V^{-1}(0) = ker V and V^{-1}(V) = V are answered without
+    # elimination; both must agree with the generic null-space route
+    for u, g in [(f16_line, 2), (f16_line, 3), (f16_rational_line, 2)]:
+        mod = build_from_lagrangian(u, g)
+        zero, full = zero_subspace(mod.space), full_subspace(mod.space)
+        ker_v = mod.v_preimage(zero)
+        assert 0 < ker_v.dim < mod.dim
+        assert np.array_equal(ker_v.basis, _preimage_by_nullspace(mod, zero.basis))
+        whole = mod.v_preimage(full)
+        assert whole.dim == mod.dim
+        assert np.array_equal(whole.basis, _preimage_by_nullspace(mod, full.basis))
+        # and a proper subspace goes the generic way
+        pre = mod.v_preimage(ker_v)
+        assert np.array_equal(pre.basis, _preimage_by_nullspace(mod, ker_v.basis))
 
 
 def test_v_preimage_matches_graded_formula(f16_line):
@@ -129,9 +148,9 @@ def test_v_preimage_matches_graded_formula(f16_line):
             e[t] = 1
             rows.append(e)
         pullback = linalg.row_space(ctx, np.array(rows, dtype=np.int32))
-        lhs = mod.v_preimage(pullback)
+        lhs = mod.v_preimage(Subspace(mod.space, pullback)).basis
         # block route: solve the graded map into the slot, then pull back
-        block = mod.vmap.matrix[lo_s:hi_s, lo_t:hi_t]
+        block = mod.vmat[lo_s:hi_s, lo_t:hi_t]
         ann = linalg.nullspace(ctx, h) if h.shape[0] else linalg.eye(ctx, width)
         sol = linalg.nullspace(ctx, linalg.matmul(ctx, ann, block))
         sol = linalg.frob_map(ctx, sol, 1)
@@ -179,17 +198,18 @@ def _round_closure(module):
     """The round-based closure that canonical_flag's worklist replaced.
 
     Kept as the reference: every member is re-run through V-preimage and
-    complement in every round until a round adds nothing.  Returns the
-    chain sorted by dimension and its F-image dimensions.
+    complement in every round until a round adds nothing, both by plain
+    null spaces (no cached kernel, complement or trivial case).  Returns
+    the chain sorted by dimension and its F-image dimensions.
     """
-    ctx = module.ctx
-    members = {}
+    ctx, space = module.ctx, module.space
+    members = set()
 
     def add(rows):
-        key = rows.tobytes()
-        if key in members:
+        sub = Subspace(space, rows)
+        if sub in members:
             return False
-        members[key] = rows
+        members.add(sub)
         return True
 
     add(linalg.zeros(0, module.dim))
@@ -197,16 +217,16 @@ def _round_closure(module):
     add(linalg.nullspace(ctx, module.v_linear))
     for _ in range(4 * module.g):
         grew = False
-        for rows in list(members.values()):
-            pre = module.v_preimage(rows)
+        for sub in list(members):
+            pre = _preimage_by_nullspace(module, sub.basis)
             grew |= add(pre)
-            grew |= add(module.perp(pre))
+            grew |= add(_complement(module, pre))
         if not grew:
             break
     else:
         raise RuntimeError("reference closure did not stabilize")
-    chain = sorted(members.values(), key=lambda m: m.shape[0])
-    return chain, tuple(module.f_image_dim(rows) for rows in chain)
+    chain = sorted(members, key=lambda m: m.dim)
+    return chain, tuple(module.f_image_dim(sub) for sub in chain)
 
 
 def _closure_points():
@@ -231,8 +251,8 @@ def test_worklist_closure_matches_the_round_reference():
         mod = build_from_lagrangian(u, g)
         flag = canonical_flag(mod)
         chain, fdims = _round_closure(mod)
-        assert [(m.shape, m.tobytes()) for m in flag.members] == [
-            (m.shape, m.tobytes()) for m in chain
+        assert [(m.basis.shape, m.basis.tobytes()) for m in flag.members] == [
+            (m.basis.shape, m.basis.tobytes()) for m in chain
         ]
         assert flag.fdims == fdims
 
@@ -244,23 +264,23 @@ def test_module_kernels_are_cached_read_only(f16_line):
             (mod.kernel_of_F, mod.f_linear),
             (mod.kernel_of_V, mod.v_linear),
         ):
-            rows = ker()
-            assert ker() is rows
-            assert not rows.flags.writeable
-            assert np.array_equal(rows, linalg.nullspace(mod.ctx, linear))
+            sub = ker()
+            assert ker() is sub
+            assert not sub.basis.flags.writeable
+            assert np.array_equal(sub.basis, linalg.nullspace(mod.ctx, linear))
             with pytest.raises(ValueError):
-                rows[0, 0] = 1
+                sub.basis[0, 0] = 1
 
 
 def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
     mod = build_from_lagrangian(f16_line, 2)
     calls = []
 
-    def fresh_line(rows):
-        calls.append(rows)
+    def fresh_line(sub):
+        calls.append(sub)
         line = linalg.zeros(1, mod.dim)
         line[0, 0], line[0, 1] = 1, len(calls)
-        return line
+        return Subspace(mod.space, line)
 
     monkeypatch.setattr(mod, "v_preimage", fresh_line)
     with pytest.raises(RuntimeError, match="exceeds 5 members"):
@@ -298,9 +318,9 @@ def test_psi_duality_and_flag_self_duality(f16_line, f16_rational_line):
     for u, g in [(f16_line, 2), (f16_line, 3), (f16_rational_line, 2)]:
         mod = build_from_lagrangian(u, g)
         flag = canonical_flag(mod)
-        keys = {m.tobytes() for m in flag.members}
+        keys = {m.basis.tobytes() for m in flag.members}
         for m in flag.members:
-            assert mod.perp(m).tobytes() in keys
+            assert _complement(mod, m.basis).tobytes() in keys
         psi = eo_type(mod).psi
         for i in range(2 * g + 1):
             assert psi[2 * g - i] == psi[i] + g - i
@@ -327,8 +347,8 @@ def test_sign_freedom_in_the_middle_blocks(f16_line):
     ctx = mod.ctx
     lo1, hi1 = mod.slot_bounds[1], mod.slot_bounds[2]
     lo3, hi3 = mod.slot_bounds[3], mod.slot_bounds[4]
-    f2 = mod.fmap.matrix.copy()
-    v2 = mod.vmap.matrix.copy()
+    f2 = mod.fmat.copy()
+    v2 = mod.vmat.copy()
     f2[lo3:hi3, lo1:hi1] = ctx.neg[f2[lo3:hi3, lo1:hi1]]
     v2[lo3:hi3, lo1:hi1] = ctx.neg[v2[lo3:hi3, lo1:hi1]]
     flipped = DieudonneModule(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlstrata.gf import embed, embed_table, field, frobenius
+from dlstrata.gf import _pmod, _pmul, embed, embed_table, field, frobenius
 
 
 def test_modulus_is_lex_first_irreducible():
@@ -131,3 +131,41 @@ def test_list_tables_equal_the_arrays(p, k):
     for i in range(k):
         digit = ctx.coeff_table[:, i]
         assert np.array_equal(digit[ctx.add], (digit[:, None] + digit[None, :]) % p)
+
+
+def _frobenius_by_polynomials(ctx):
+    """Reference Frobenius tables through polynomial arithmetic.
+
+    x -> x^p is F_p-linear; its matrix has the coefficients of
+    X^(i p) mod the modulus as columns, and the code table of x^(p^r)
+    composes r copies of the table of x^p.
+    """
+    p, k = ctx.p, ctx.k
+    frob_mat = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        out, base, e = (1,), (0, 1), i * p
+        while e:
+            if e & 1:
+                out = _pmod(_pmul(out, base, p), ctx.modulus, p)
+            base = _pmod(_pmul(base, base, p), ctx.modulus, p)
+            e >>= 1
+        frob_mat[: len(out), i] = out
+    frob1 = ((ctx.coeff_table @ frob_mat.T) % p) @ ctx.digit_weights
+    tables = [np.arange(ctx.q)]
+    for _ in range(1, k):
+        tables.append(frob1[tables[-1]])
+    return tables
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, 1), (2, 2), (2, 4), (2, 5), (2, 10), (3, 1), (3, 2), (3, 4), (3, 6),
+     (5, 2), (7, 3), (31, 2), (1021, 1)],
+)
+def test_frobenius_tables_match_the_polynomial_route(p, k):
+    ctx = field(p, k)
+    reference = _frobenius_by_polynomials(ctx)
+    assert len(ctx.frob_tables) == k
+    for got, want in zip(ctx.frob_tables, reference):
+        assert got.dtype == np.int32
+        assert got.tolist() == want.tolist()

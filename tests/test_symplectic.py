@@ -11,6 +11,7 @@ from dlstrata.symplectic import (
     count_lagrangians,
     full_subspace,
     enumerate_lagrangians,
+    expected_total,
     flag_type,
     lagrangian_cells,
     random_self_dual_flag,
@@ -51,6 +52,50 @@ def test_gram_is_alternating_and_invertible(space4, space9):
         for _ in range(20):
             x = rng.integers(0, ctx.q, size=space.dim)
             assert space.pairing(x, x) == 0
+
+
+def test_from_gram_refuses_forms_that_are_not_symplectic(space9):
+    ctx = space9.ctx
+    same = SymplecticSpace.from_gram(ctx, space9.gram)
+    assert (same.n, same.dim) == (2, 4)
+    assert np.array_equal(same.gram, space9.gram) and same.gram is not space9.gram
+    assert not same.gram.flags.writeable
+    not_antisymmetric = space9.gram.copy()
+    not_antisymmetric[0, 3] = 2
+    nonzero_diagonal = space9.gram.copy()
+    nonzero_diagonal[1, 1] = 1
+    for gram, match in (
+        (not_antisymmetric, "not alternating"),
+        (nonzero_diagonal, "not alternating"),
+        (linalg.zeros(4, 4), "degenerate"),
+        (linalg.zeros(3, 3), "even size"),
+        (linalg.zeros(2, 4), "even size"),
+        (linalg.zeros(0, 0), "even size"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SymplecticSpace.from_gram(ctx, gram)
+
+
+def test_subspaces_under_a_general_form(space9):
+    # the form S^T J S in the basis x = S x', for random invertible S
+    ctx = space9.ctx
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        while True:
+            s = rng.integers(0, ctx.q, size=(4, 4)).astype(np.int32)
+            if linalg.rank(ctx, s) == 4:
+                break
+        gram = linalg.matmul(ctx, linalg.matmul(ctx, s.T, space9.gram), s)
+        space = SymplecticSpace.from_gram(ctx, gram)
+        for dim in (1, 2, 3):
+            u = rand_subspace(space, rng, dim)
+            assert _same_rows(u.perp().basis, _generic_perp(u))
+            assert u.perp().dim == 4 - dim and u.perp().perp() == u
+        # Lagrangians of the standard form, moved by S^{-1}, are Lagrangian
+        s_inv = linalg.inverse(ctx, s)
+        for u in enumerate_lagrangians(space9)[:10]:
+            moved = Subspace(space, linalg.matmul(ctx, u.basis, s_inv.T))
+            assert moved.is_lagrangian() and moved.perp() == moved
 
 
 def test_subspace_canonical_form(space4):
@@ -176,7 +221,7 @@ def test_enumerate_lagrangians_count_and_validity(n, p, k, expected):
     q = p**k
     for i in range(1, n + 1):
         prod *= q**i + 1
-    assert prod == expected
+    assert prod == expected == expected_total(n, q)
     space = SymplecticSpace(field(p, k), n)
     points = enumerate_lagrangians(space)
     assert len(points) == expected

@@ -127,9 +127,15 @@ class DieudonneModule:
         return self._span(linalg.row_space(self.ctx, self.v_linear.T))
 
     def f_image_dim(self, sub: Subspace) -> int:
-        """dim F(C^(p)) for a subspace C."""
+        """dim F(C^(p)) for a subspace C.
+
+        On the whole space this is 2g - dim ker F = g (ker F is computed
+        once and its dimension checked at construction).
+        """
         if sub.dim == 0:
             return 0
+        if sub.dim == self.dim:
+            return self.dim - self.kernel_of_F().dim
         powered = linalg.frob_map(self.ctx, sub.basis, 1)
         return linalg.rank(self.ctx, linalg.matmul(self.ctx, powered, self.fmat.T))
 

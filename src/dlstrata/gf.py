@@ -135,8 +135,6 @@ class FieldCtx:
             coeffs[:, i] = rest % p
             rest //= p
         weights = p ** np.arange(k)
-        self.coeff_table = coeffs
-        self.digit_weights = weights
         self.neg = ((-coeffs % p) @ weights).astype(np.int32)
         # one digit at a time in int32: a q x q x k intermediate would
         # set the peak memory of the whole process on F_1024

@@ -5,16 +5,23 @@ Row convention: a subspace is the row span of its matrix, and the
 canonical form of a subspace is its reduced row echelon form, so equal
 subspaces have byte-identical bases.
 
-Elimination runs on Python row lists that index the list forms of the
-field tables (``FieldCtx.add_list`` and friends), not on numpy arrays.
-The matrices met here are tiny, at most about 10 x 20 (a 2c-dimensional
-space, a 2g-dimensional module, an augmented inverse), so one numpy call
-per column costs far more in dispatch than the table lookups it does.
-The cost is one lookup chain per entry touched: about rank x rows x
-columns for ``rref`` and everything built on it (``rank``, ``row_space``,
-``nullspace``, ``inverse``, ``in_row_space``), plus a fixed conversion
-to and from the int32 array.  Table-driven row reduction over GF(p^k)
-follows the ``galois`` package (https://github.com/mhostetter/galois).
+Elimination and products run on Python row lists that index the list
+forms of the field tables (``FieldCtx.add_list`` and friends), not on
+numpy arrays.  The matrices met here are tiny and sparse, at most about
+10 x 20 (a 2c-dimensional space, a 2g-dimensional module, an augmented
+inverse), so one numpy call per column costs far more in dispatch than
+the table lookups it does.  The cost is one lookup chain per entry
+touched, plus a fixed conversion to and from the int32 array:
+
+* ``rref`` costs about rank x rows x columns, and so do ``rank``,
+  ``row_space``, ``inverse`` and ``in_row_space``, one elimination each;
+* ``nullspace`` is one elimination too, of the column-reversed matrix,
+  whose null vectors are already the canonical basis;
+* ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
+  of a times the columns of b, so zero entries cost nothing.
+
+Table-driven row reduction over GF(p^k) follows the ``galois`` package
+(https://github.com/mhostetter/galois).
 """
 
 from __future__ import annotations
@@ -82,29 +89,42 @@ def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
 
 
 def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
-    """Canonical row basis of {x : mat @ x = 0} (x as column vectors)."""
+    """Canonical row basis of {x : mat @ x = 0} (x as column vectors).
+
+    One elimination, of the column-reversed matrix.  In reversed order
+    the null vector of a free column f is 1 at f and nonzero elsewhere
+    only at pivot columns left of f; read back in the original order,
+    each vector leads with its free column, which is zero in every
+    other vector, so taken by increasing free column they are already
+    the reduced row echelon basis.
+    """
     ncols = mat.shape[1]
     if mat.size == 0:
         return eye(ctx, ncols)
-    r, pivots = rref(ctx, mat)
+    r, pivots = rref(ctx, mat[:, ::-1])
     rows = r.tolist()
     neg = ctx.neg_list
-    free = [c for c in range(ncols) if c not in pivots]
+    last = ncols - 1
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(last, -1, -1):
+        if fc in pivot_set:
+            continue
         vec = [0] * ncols
-        vec[fc] = 1
+        vec[last - fc] = 1
         for row, pc in zip(rows, pivots):
-            vec[pc] = neg[row[fc]]
+            if pc > fc:
+                break
+            vec[last - pc] = neg[row[fc]]
         basis.append(vec)
-    return row_space(ctx, np.array(basis, dtype=DTYPE).reshape(len(free), ncols))
+    return np.array(basis, dtype=DTYPE).reshape(len(basis), ncols)
 
 
 def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of coded matrices.
 
-    All products come from one ``mul`` lookup; the sum over the inner
-    index adds their F_p digits (``coeff_table``) and reduces mod p once.
+    Row i of the product is the sum of the rows b[k] scaled by the
+    nonzero entries a[i][k]; zero entries of a cost nothing.
     """
     a = np.asarray(a, dtype=DTYPE)
     b = np.asarray(b, dtype=DTYPE)
@@ -112,8 +132,26 @@ def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m2, l = b.shape
     if m != m2:
         raise ValueError("shape mismatch")
-    digits = ctx.coeff_table[ctx.mul[a[:, :, None], b[None]]].sum(axis=1) % ctx.p
-    return (digits @ ctx.digit_weights).astype(DTYPE)
+    add, mul = ctx.add_list, ctx.mul_list
+    brows = b.tolist()
+    out = []
+    for arow in a.tolist():
+        acc = None
+        for x, brow in zip(arow, brows):
+            if not x:
+                continue
+            # most nonzeros are 1 (pivots of RREF bases, the module's
+            # identity blocks), which need no scaling
+            if x == 1:
+                acc = brow if acc is None else [add[s][y] for s, y in zip(acc, brow)]
+            else:
+                scale = mul[x]
+                if acc is None:
+                    acc = [scale[y] for y in brow]
+                else:
+                    acc = [add[s][scale[y]] for s, y in zip(acc, brow)]
+        out.append([0] * l if acc is None else acc)
+    return np.array(out, dtype=DTYPE).reshape(n, l)
 
 
 def mat_vec(ctx: FieldCtx, a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -226,7 +226,7 @@ def full_subspace(space: SymplecticSpace) -> Subspace:
 class Flag:
     """A strictly increasing chain of subspaces from 0 to the full space."""
 
-    __slots__ = ("space", "members", "_key")
+    __slots__ = ("space", "members", "dims", "_key")
 
     def __init__(self, members: Iterable[Subspace]):
         members = sorted(set(members), key=lambda s: (s.dim, s._key))
@@ -245,6 +245,7 @@ class Flag:
                 raise ValueError("members are not totally ordered by inclusion")
         self.space = space
         self.members = tuple(members)
+        self.dims = tuple(dims)
         self._key = tuple(m._key for m in members)
 
     def __eq__(self, other: object) -> bool:
@@ -255,10 +256,6 @@ class Flag:
 
     def __repr__(self) -> str:
         return f"Flag(dims={self.dims})"
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(m.dim for m in self.members)
 
     def twist(self, r: int) -> "Flag":
         return Flag(m.twist(r) for m in self.members)
@@ -315,7 +312,8 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
         raise ValueError("flags live in different spaces")
     space = flag_c.space
     for flag in (flag_c, flag_d):
-        if any(space.dim - d not in flag.dims for d in flag.dims):
+        dims = set(flag.dims)
+        if any(space.dim - d not in dims for d in dims):
             raise ValueError(f"dimension set {flag.dims} is not symmetric")
     table = {}
     for cm in flag_c.members:

@@ -79,6 +79,19 @@ def test_module_dimensions_and_kernels(f16_line):
         assert np.array_equal(mod.kernel_of_V().basis, mod.image_of_F().basis)
 
 
+def test_f_image_dim_on_the_whole_space_is_the_rank_of_f():
+    # the whole space is answered as 2g - dim ker F; rank F itself here
+    rng = np.random.default_rng(43)
+    for c, p, m, g in [(1, 2, 2, 2), (1, 3, 1, 3), (2, 2, 2, 4), (2, 2, 2, 5), (3, 2, 2, 6)]:
+        space = dc.census_space(c, p, m)
+        for _ in range(3):
+            mod = build_from_lagrangian(random_lagrangian(space, rng), g)
+            ctx = mod.ctx
+            powered = linalg.frob_map(ctx, linalg.eye(ctx, mod.dim), 1)
+            want = linalg.rank(ctx, linalg.matmul(ctx, powered, mod.fmat.T))
+            assert mod.f_image_dim(full_subspace(mod.space)) == want == g
+
+
 def test_adjunction_on_all_basis_pairs(f16_line):
     mod = build_from_lagrangian(f16_line, 3)
     ctx = mod.ctx

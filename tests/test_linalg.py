@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,17 @@ def test_nullspace_holds_every_solution(case):
     assert span(ctx, ns) == frozenset(solutions)
 
 
+def _sparsified(rng, mat):
+    """mat with each entry zeroed with probability 1/2, then one whole row
+    and one whole column zeroed (when it has any)."""
+    mat = np.where(rng.random(mat.shape) < 0.5, 0, mat).astype(linalg.DTYPE)
+    if mat.shape[0]:
+        mat[rng.integers(mat.shape[0])] = 0
+    if mat.shape[1]:
+        mat[:, rng.integers(mat.shape[1])] = 0
+    return mat
+
+
 @PROPERTY
 @given(
     st.sampled_from(FIELDS),
@@ -229,15 +241,73 @@ def test_nullspace_holds_every_solution(case):
     st.integers(0, 6),
     st.integers(0, 6),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-@example((3, 2), 3, 0, 2, 0)
-@example((31, 1), 2, 0, 4, 0)
-def test_matmul_matches_scalar_arithmetic(pk, n, m, l, seed):
+@example((3, 2), 3, 0, 2, 0, False)
+@example((31, 1), 2, 0, 4, 0, True)
+@example((3, 2), 4, 5, 3, 0, True)
+@example((31, 1), 5, 6, 4, 1, True)
+@example((2, 10), 6, 6, 6, 2, True)
+def test_matmul_matches_scalar_arithmetic(pk, n, m, l, seed, sparse):
     ctx = field(*pk)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, ctx.q, size=(n, m)).astype(linalg.DTYPE)
     b = rng.integers(0, ctx.q, size=(m, l)).astype(linalg.DTYPE)
+    if sparse:
+        # the product skips zero entries of a, which dense draws over
+        # large fields almost never contain
+        a, b = _sparsified(rng, a), _sparsified(rng, b)
     got = linalg.matmul(ctx, a, b)
-    assert got.dtype == linalg.DTYPE and got.shape == (n, l)
+    assert got.dtype == linalg.DTYPE and got.shape == (n, l) and got.flags.c_contiguous
     assert np.array_equal(got, scalar_matmul(ctx, a, b))
 
+
+def test_matmul_memory_is_bounded_by_its_operands():
+    # 128 x 128 by 128 x 128 over F_1024: the former product built an
+    # n x m x l x k int64 digit array, 168 MB here
+    ctx = field(2, 10)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, ctx.q, size=(128, 128)).astype(linalg.DTYPE)
+    b = rng.integers(0, ctx.q, size=(128, 128)).astype(linalg.DTYPE)
+    tracemalloc.start()
+    try:
+        got = linalg.matmul(ctx, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(got[:2], scalar_matmul(ctx, a[:2], b))
+
+
+def reference_nullspace(ctx, mat):
+    """The former two-elimination null space, kept as the reference:
+    eliminate mat, build one vector per free column, then eliminate
+    those vectors again to get the canonical basis."""
+    ncols = mat.shape[1]
+    if mat.size == 0:
+        return linalg.eye(ctx, ncols)
+    r, pivots = linalg.rref(ctx, mat)
+    rows = r.tolist()
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = ctx.neg_list[row[fc]]
+        basis.append(vec)
+    return linalg.row_space(ctx, np.array(basis, dtype=linalg.DTYPE).reshape(len(free), ncols))
+
+
+@PROPERTY
+@given(field_matrices())
+@example((field(3, 2), linalg.zeros(5, 7)))
+@example((field(2, 4), np.array([[1, 2, 3], [0, 1, 5], [0, 0, 7], [4, 4, 4]], dtype=linalg.DTYPE)))
+@example((field(31, 1), np.array([[0], [5], [3]], dtype=linalg.DTYPE)))
+@example((field(2, 1), linalg.zeros(3, 1)))
+def test_nullspace_matches_the_two_elimination_reference(case):
+    ctx, mat = case
+    got = linalg.nullspace(ctx, mat)
+    want = reference_nullspace(ctx, mat)
+    assert got.dtype == linalg.DTYPE and got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -9,9 +9,9 @@ verify   run the module-label identity over all (or sampled) points.
 bedard   dump every stabilizing sequence for the Lagrangian type.
 
 Exit codes: 0 success, 1 verification or partition failure, 2 bad
-configuration.  Output is deterministic for a fixed command line, and
-each file embeds a header describing the tool version, the echoed
-configuration, and the field modulus in use.
+configuration or an unwritable ``--out``.  Output is deterministic for
+a fixed command line, and each file embeds a header describing the tool
+version, the echoed configuration, and the field modulus in use.
 """
 
 from __future__ import annotations
@@ -38,22 +38,25 @@ def _header(config: dict, ctx=None) -> dict:
     return head
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+def _write(text: str, out: str | None) -> int:
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
-def _emit_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_json(payload: dict, out: str | None) -> int:
+    return _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _emit_lines(lines: list[str], out: str | None) -> int:
+    return _write("\n".join(lines) + "\n", out)
 
 
 def cmd_strata(args) -> int:
@@ -68,8 +71,7 @@ def cmd_strata(args) -> int:
         return 2
     rows = bedard.stratum_table(args.c, args.g)
     config = {"command": "strata", "c": args.c, "g": args.g}
-    _emit_json({"header": _header(config), "rows": rows}, args.out)
-    return 0
+    return _emit_json({"header": _header(config), "rows": rows}, args.out)
 
 
 def cmd_census(args) -> int:
@@ -93,14 +95,12 @@ def cmd_census(args) -> int:
             f"# config c={args.c} p={args.p} m={args.m}",
             f"# field p={ctx.p} k={ctx.k} modulus={list(ctx.modulus)}",
         ] + dlclassify.census_csv_rows(records)
-        _emit_lines(lines, args.out)
-    else:
-        payload = {
-            "header": _header(config, ctx),
-            "rows": dlclassify.census_json_rows(records),
-        }
-        _emit_json(payload, args.out)
-    return 0
+        return _emit_lines(lines, args.out)
+    payload = {
+        "header": _header(config, ctx),
+        "rows": dlclassify.census_json_rows(records),
+    }
+    return _emit_json(payload, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -170,8 +170,7 @@ def cmd_bedard(args) -> int:
             }
         )
     config = {"command": "bedard", "c": args.c}
-    _emit_json({"header": _header(config), "rows": rows}, args.out)
-    return 0
+    return _emit_json({"header": _header(config), "rows": rows}, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

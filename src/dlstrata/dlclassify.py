@@ -4,9 +4,11 @@ The stratum of a Lagrangian U over F_{p^{2m}} is read off the iterated
 refinement of the flag {0, U, L} against its p^2-twist: the chain grows
 until it stops, and the relative position of the stable flag with its
 twist is the fine label, an element of the minimal-representative set
-for the Lagrangian (Siegel) type.  The per-step relative positions must
-reproduce the stabilizing sequence attached to the label, and that is
-asserted on every classified point.
+for the Lagrangian (Siegel) type.  Each ``symplectic.refine`` step
+returns the next flag and the relative position it starts from, read
+off the same meets.  The per-step positions must reproduce the
+stabilizing sequence attached to the label, and ``classify_fine``
+asserts that (and self-duality of every flag) unless ``check=False``.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised
@@ -45,27 +47,22 @@ def _siegel_frobenius(c: int) -> tuple[frozenset[int], FrobeniusAction]:
     return weyl.siegel_type(c), FrobeniusAction.trivial(c)
 
 
-def point_flag(u: Subspace) -> Flag:
-    return Flag([u])
+def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, WeylElement]]:
+    """Each flag of the refinement chain D_0, D_1, ... with its position.
 
-
-def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, Flag]]:
-    """The refinement chain D_0, D_1, ..., ending at the stable flag.
-
-    Each flag comes paired with its twist, built (and chain-checked by
-    ``Flag``) once here and reused for every relative position.
+    The chain ends at the stable flag; the position of D_k is
+    relpos(D_k, twist of D_k), which the same ``refine`` call returns.
     """
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
     c = u.space.n
-    flag = point_flag(u)
-    pairs = []
+    flag = Flag([u])
+    steps = []
     for _ in range(2 * c * (c + 1) + 2):
-        twist = flag.twist(qexp)
-        pairs.append((flag, twist))
-        nxt = symplectic.refine(flag, twist)
+        nxt, position = symplectic.refine(flag, flag.twist(qexp))
+        steps.append((flag, position))
         if nxt == flag:
-            return pairs
+            return steps
         flag = nxt
     raise RuntimeError("flag refinement failed to stabilize")
 
@@ -73,40 +70,28 @@ def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, Flag]]:
 def classify_fine(
     u: Subspace, qexp: int = 2, check: bool = True
 ) -> WeylElement:
-    """Fine stratum label of a Lagrangian point."""
-    pairs = _refine_to_stable(u, qexp)
+    """Fine stratum label of a Lagrangian point.
+
+    With ``check``, every flag of the chain must be self-dual and the
+    (position, type) of each step must follow the label's stabilizing
+    sequence; RuntimeError otherwise.
+    """
+    steps = _refine_to_stable(u, qexp)
     if check:
-        label, _ = classify_fine_with_trace(u, qexp=qexp, _pairs=pairs)
-        return label
-    return symplectic.relpos(*pairs[-1])
+        _check_against_sequence(steps, u.space.n)
+    return steps[-1][1]
 
 
-def classify_fine_with_trace(
-    u: Subspace, qexp: int = 2, _pairs: list[tuple[Flag, Flag]] | None = None
-) -> tuple[WeylElement, list[tuple[WeylElement, frozenset[int]]]]:
-    """Fine label plus the observed (relative position, type) per step."""
-    pairs = _refine_to_stable(u, qexp) if _pairs is None else _pairs
-    trace = []
-    for flag, twist in pairs:
-        if not flag.is_self_dual():
-            raise RuntimeError("refinement chain left the self-dual flags")
-        pos = symplectic.relpos(flag, twist)
-        trace.append((pos, symplectic.flag_type(flag)))
-    label = trace[-1][0]
-    _check_against_sequence(label, trace, u.space.n)
-    return label, trace
-
-
-def _check_against_sequence(
-    label: WeylElement,
-    trace: list[tuple[WeylElement, frozenset[int]]],
-    c: int,
-) -> None:
+def _check_against_sequence(steps: list[tuple[Flag, WeylElement]], c: int) -> None:
+    if not all(flag.is_self_dual() for flag, _ in steps):
+        raise RuntimeError("refinement chain left the self-dual flags")
+    label = steps[-1][1]
     I, F = _siegel_frobenius(c)
     if not weyl.in_IW(label):
         raise RuntimeError("fine label escaped the minimal coset representatives")
     seq = bedard.sequence_for(label, I, F)
-    for k, (pos, typ) in enumerate(trace):
+    for k, (flag, pos) in enumerate(steps):
+        typ = symplectic.flag_type(flag)
         if typ != seq.type_at(k):
             raise RuntimeError(
                 f"step {k}: flag type {sorted(typ)} differs from the "
@@ -123,7 +108,7 @@ def classify_coarse(u: Subspace, qexp: int = 2) -> WeylElement:
     """Coarse label: the double-coset class of the unrefined position."""
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
-    flag = point_flag(u)
+    flag = Flag([u])
     pos = symplectic.relpos(flag, flag.twist(qexp))
     I, F = _siegel_frobenius(u.space.n)
     return weyl.min_double_coset_rep(pos, I, F.apply_subset(I))
@@ -198,9 +183,7 @@ def equivariance_check(
         g_small = symplectic.random_symplectic(small, rng)
         g = symplectic.embed_matrix(g_small, small.ctx, space.ctx)
         u = points[int(rng.integers(len(points)))]
-        if classify_fine(u.apply(g), check=False).perm != classify_fine(
-            u, check=False
-        ).perm:
+        if classify_fine(u.apply(g)).perm != classify_fine(u).perm:
             return False
     return True
 

@@ -21,7 +21,9 @@ Relative position is built directly from the rank table
 dim(C_a cap D_b) = r_w(dim D_b, dim C_a): its second differences count
 the positions each block of one flag sends into each block of the
 other, which fixes the minimal double-coset representative; every table
-entry is then re-checked against r_w of the result.
+entry is then re-checked against r_w of the result.  The table holds
+the dimensions of the meets ``refine`` takes, so a refinement step
+returns its relative position along with the refined flag.
 
 Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
@@ -306,8 +308,16 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     match the coset machinery: for the standard flag E and a permuted
     standard flag vE it returns v itself, not its inverse (the two
     conventions agree on every self-inverse position, so only genuinely
-    asymmetric pairs are sensitive to it).
+    asymmetric pairs are sensitive to it).  The table holds the
+    dimensions of the meets ``refine`` takes.
     """
+    return _meets_and_position(flag_c, flag_d)[1]
+
+
+def _meets_and_position(
+    flag_c: Flag, flag_d: Flag
+) -> tuple[list[list[Subspace]], WeylElement]:
+    """Every meet C_a cap D_b (row a, column b) and the position they give."""
     if flag_c.space is not flag_d.space:
         raise ValueError("flags live in different spaces")
     space = flag_c.space
@@ -315,20 +325,12 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
         dims = set(flag.dims)
         if any(space.dim - d not in dims for d in dims):
             raise ValueError(f"dimension set {flag.dims} is not symmetric")
-    table = {}
-    for cm in flag_c.members:
-        for dm in flag_d.members:
-            if cm.dim == 0 or dm.dim == 0:
-                table[(cm.dim, dm.dim)] = 0
-            elif cm.dim == space.dim:
-                table[(cm.dim, dm.dim)] = dm.dim
-            elif dm.dim == space.dim:
-                table[(cm.dim, dm.dim)] = cm.dim
-            else:
-                joined = linalg.rank(
-                    space.ctx, np.concatenate([cm.basis, dm.basis])
-                )
-                table[(cm.dim, dm.dim)] = cm.dim + dm.dim - joined
+    grid = [[cm.intersect(dm) for dm in flag_d.members] for cm in flag_c.members]
+    table = {
+        (cm.dim, dm.dim): meet.dim
+        for cm, row in zip(flag_c.members, grid)
+        for dm, meet in zip(flag_d.members, row)
+    }
     cdims, ddims = flag_c.dims, flag_d.dims
     used = list(cdims[:-1])  # last value taken from each flag_c block
     perm: list[int] = []
@@ -352,18 +354,18 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
                 f"rank table entry dim(C_{i} cap D_{j}) = {v} differs from "
                 f"r_w = {weyl.r_w(w, j, i)} for w = {w.perm}"
             )
-    return w
+    return grid, w
 
 
-def refine(flag_c: Flag, flag_d: Flag) -> Flag:
-    """The chain generated by (C_{i+1} cap D_j) + C_i; refines flag_c."""
-    if flag_c.space is not flag_d.space:
-        raise ValueError("flags live in different spaces")
+def refine(flag_c: Flag, flag_d: Flag) -> tuple[Flag, WeylElement]:
+    """The chain generated by (C_{i+1} cap D_j) + C_i, which refines
+    flag_c, and relpos(flag_c, flag_d), both from one grid of meets."""
+    grid, position = _meets_and_position(flag_c, flag_d)
     members = set(flag_c.members)
-    for lower, upper in zip(flag_c.members, flag_c.members[1:]):
-        for dm in flag_d.members:
-            members.add(upper.intersect(dm) + lower)
-    return Flag(members)
+    for lower, row in zip(flag_c.members, grid[1:]):
+        for meet in row:
+            members.add(meet + lower)
+    return Flag(members), position
 
 
 # -- Lagrangian enumeration ----------------------------------------------

@@ -92,10 +92,11 @@ def test_c04_refinement_lemmas():
             if not keep and proper:
                 keep = [proper[0], proper[-1]]
             d_coarse = Flag(keep) if keep else Flag([d_fine.members[0]])
-            r1 = sp.refine(c_flag, d_coarse)
-            ok &= sp.refine(sp.refine(c_flag, d_coarse), d_fine) == sp.refine(c_flag, d_fine)
-            ok &= sp.refine(r1, d_coarse) == r1
+            r1, w1 = sp.refine(c_flag, d_coarse)
+            ok &= sp.refine(r1, d_fine)[0] == sp.refine(c_flag, d_fine)[0]
+            ok &= sp.refine(r1, d_coarse)[0] == r1
             ok &= sp.relpos(r1, d_coarse).perm == sp.relpos(c_flag, d_coarse).perm
+            ok &= w1.perm == sp.relpos(c_flag, d_coarse).perm
     report(4, ok, "refinement tower collapse and relative-position preservation")
 
 

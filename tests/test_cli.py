@@ -128,6 +128,24 @@ def test_bedard_dump(tmp_path):
     assert run(["bedard", "--c", "6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strata", "--c", "1"],
+        ["census", "--c", "1", "--p", "2", "--m", "1"],
+        ["census", "--c", "1", "--p", "2", "--m", "1", "--format", "csv"],
+        ["bedard", "--c", "1"],
+    ],
+)
+def test_unwritable_out_exits_two_with_one_line(capsys, tmp_path, argv):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run(argv + ["--out", str(out)]) == 2, (argv, out)
+        captured = capsys.readouterr()
+        assert captured.out == "", (argv, out)
+        assert captured.err.count("\n") == 1 and str(out) in captured.err, (argv, out)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dlstrata", "strata", "--c", "1"],

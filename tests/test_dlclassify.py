@@ -8,11 +8,10 @@ from dlstrata.dlclassify import (
     census_csv_rows,
     classify_coarse,
     classify_fine,
-    classify_fine_with_trace,
     equivariance_check,
 )
 from dlstrata.gf import field
-from dlstrata.symplectic import Subspace, SymplecticSpace
+from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, flag_type
 
 
 def test_rank_one_examples():
@@ -82,11 +81,13 @@ def test_trace_matches_sequence_on_every_rank_two_point_over_f16():
     F = FrobeniusAction.trivial(2)
     pts = dc._cached_lagrangians(2, 2, 2)
     for u in pts[:: max(1, len(pts) // 60)]:
-        label, trace = classify_fine_with_trace(u)
+        steps = dc._refine_to_stable(u, 2)
+        label = steps[-1][1]
+        assert label.perm == classify_fine(u).perm
         seq = sequence_for(label, I, F)
-        for k, (pos, typ) in enumerate(trace):
+        for k, (flag, pos) in enumerate(steps):
             assert pos.perm == seq.u_at(k).perm
-            assert typ == seq.type_at(k)
+            assert flag_type(flag) == seq.type_at(k)
 
 
 def test_odd_twist_exponent():
@@ -169,12 +170,12 @@ def test_equivalent_definition_route():
     sample = list(dc._cached_lagrangians(2, 2, 1))  # all 85 over F_4
     sample += list(pts16[:: max(1, len(pts16) // 40)])
     for u in sample:
-        label, trace = classify_fine_with_trace(u)
+        label = classify_fine(u)
         seq = sequence_for(label, I, F)
-        flag0 = dc.point_flag(u)
+        flag0 = Flag([u])
         primed = flag0
         for _ in range(12):
-            nxt = sp.refine(flag0, primed.twist(2))
+            nxt = sp.refine(flag0, primed.twist(2))[0]
             if nxt == primed:
                 break
             primed = nxt
@@ -216,10 +217,28 @@ def test_frozen_wild_point_shape():
 
 def test_frozen_wild_point_label_and_trace():
     space, line, u = f256_wild_point()
-    label, trace = classify_fine_with_trace(u)
+    label = classify_fine(u)
+    steps = dc._refine_to_stable(u, 2)
     assert weyl.reduced_word(label) == (2, 1)
-    assert [sorted(t) for _, t in trace] == [[1], []]
-    assert [weyl.reduced_word(pos) for pos, _ in trace] == [(2,), (2, 1)]
+    assert steps[-1][1].perm == label.perm
+    assert [sorted(flag_type(flag)) for flag, _ in steps] == [[1], []]
+    assert [weyl.reduced_word(pos) for _, pos in steps] == [(2,), (2, 1)]
+
+
+def test_refinement_steps_return_the_relative_position():
+    """Each step's position, read off refine's own meets, equals relpos of
+    the flag and its twist computed on its own; the checked and unchecked
+    classifications agree."""
+    pts16 = dc._cached_lagrangians(2, 2, 2)
+    sample = list(dc._cached_lagrangians(2, 2, 1))  # all 85 over F_4
+    sample += list(pts16[::60])
+    sample.append(f256_wild_point()[2])
+    for u in sample:
+        steps = dc._refine_to_stable(u, 2)
+        for flag, pos in steps:
+            assert pos.perm == sp.relpos(flag, flag.twist(2)).perm
+        label = classify_fine(u)
+        assert classify_fine(u, check=False).perm == label.perm == steps[-1][1].perm
 
 
 def test_third_stratum_empty_over_degree_six():

@@ -401,17 +401,27 @@ def test_refine_idempotence_and_type(space4, space9):
         for _ in range(25):
             c = random_self_dual_flag(space, rng)
             d = random_self_dual_flag(space, rng)
-            r = refine(c, d)
-            assert refine(r, d) == r
-            assert refine(c, c) == c
+            r, w = refine(c, d)
+            assert refine(r, d)[0] == r
+            same, e = refine(c, c)
+            assert same == c and e.is_identity()
             assert all(m in r.members for m in c.members)
             assert r.is_self_dual()
-            w = relpos(c, d)
+            assert w.perm == relpos(c, d).perm
             from dlstrata.bedard import conjugate_type
 
             assert flag_type(r) == flag_type(c) & conjugate_type(w, flag_type(d))
             # refinement preserves the relative position
             assert relpos(r, d).perm == w.perm
+
+
+def test_refine_rejects_flags_with_non_symmetric_dimensions(space4):
+    eye = linalg.eye(space4.ctx, 4)
+    line = Flag([Subspace(space4, eye[:1])])  # dimensions {0, 1, 4}
+    full = standard_flag(space4, [1, 2, 3])
+    for a, b in ((line, full), (full, line), (line, line)):
+        with pytest.raises(ValueError):
+            refine(a, b)
 
 
 def test_random_symplectic_properties(space9):

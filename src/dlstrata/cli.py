@@ -9,15 +9,18 @@ verify   run the module-label identity over all (or sampled) points.
 bedard   dump every stabilizing sequence for the Lagrangian type.
 
 Exit codes: 0 success, 1 verification or partition failure, 2 bad
-configuration or an unwritable ``--out``.  Output is deterministic for
-a fixed command line, and each file embeds a header describing the tool
-version, the echoed configuration, and the field modulus in use.
+configuration or an unwritable ``--out`` (``census`` checks the path
+before it classifies).  Output is deterministic for a fixed command
+line, and each file embeds a header describing the tool version, the
+echoed configuration, and the field modulus in use.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -51,6 +54,28 @@ def _write(text: str, out: str | None) -> int:
     return 0
 
 
+def _unwritable(out: str | None) -> str | None:
+    """Why ``out`` cannot be written, or None; nothing is opened.
+
+    Opening the file to find out would truncate an existing one, so this
+    only looks at the path: a directory, a missing or unwritable parent
+    directory, or an existing file without write permission.  ``_write``
+    still reports any error that opening meets later.
+    """
+    if not out:
+        return None
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return f"cannot write {out}: {os.strerror(code)}"
+
+
 def _emit_json(payload: dict, out: str | None) -> int:
     return _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
@@ -79,6 +104,10 @@ def cmd_census(args) -> int:
         ctx = field(args.p, 2 * args.m)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    problem = _unwritable(args.out)
+    if problem:
+        print(problem, file=sys.stderr)
         return 2
     config = {"command": "census", "c": args.c, "p": args.p, "m": args.m}
     try:
@@ -118,8 +147,8 @@ def cmd_verify(args) -> int:
     if args.g > GENUS_LIMIT:
         print(f"verify requires g <= {GENUS_LIMIT}", file=sys.stderr)
         return 2
-    if args.trials is not None and args.trials < 0:
-        print("verify requires --trials >= 0", file=sys.stderr)
+    if args.trials is not None and args.trials < 1:
+        print("verify requires --trials >= 1", file=sys.stderr)
         return 2
     if args.seed < 0:
         print("verify requires --seed >= 0", file=sys.stderr)
@@ -130,7 +159,7 @@ def cmd_verify(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     points = dlclassify._cached_lagrangians(args.c, args.p, args.m)
-    if args.trials and args.trials < len(points):
+    if args.trials is not None and args.trials < len(points):
         rng = np.random.default_rng(args.seed)
         idx = rng.choice(len(points), size=args.trials, replace=False)
         points = [points[int(i)] for i in sorted(idx)]

@@ -37,6 +37,11 @@ be self-dual.  Its F-image dimensions interpolate to the final type
 psi, and the EO label is the minimal Siegel representative w with
 psi(i) = i - r_w(i, g), read off the positions where psi does not jump.
 
+The operator and pairing blocks are assembled as numpy arrays, and the
+module converts them once into the rows its kernels work on (F, its
+transpose, V, the linear V and the pairing; see ``linalg``); the arrays
+stay for transport and serialization.
+
 Modules are immutable after construction (every constructor runs the
 full invariant battery, and ker F and ker V are computed once), so
 label verification over many points can be parallelized trivially; the
@@ -85,6 +90,11 @@ class DieudonneModule:
         self.space = SymplecticSpace.from_gram(ctx, pairing)
         self.slot_bounds = tuple(slot_bounds)
         self.point = point
+        # row forms for the kernels; the pairing's rows are the space's
+        self._f_rows = linalg.as_rows(self.fmat)
+        self._ft_rows = linalg.as_rows(self.fmat.T)
+        self._v_rows = linalg.as_rows(self.vmat)
+        self._vlin_rows = linalg.frob_map(ctx, self._v_rows, 1)
         self._ker_f: Subspace | None = None
         self._ker_v: Subspace | None = None
         self._validate()
@@ -103,28 +113,32 @@ class DieudonneModule:
     @property
     def v_linear(self) -> np.ndarray:
         """V as a plain matrix into twisted target coordinates."""
-        return linalg.frob_map(self.ctx, self.vmat, 1)
-
-    def _span(self, rows: np.ndarray) -> Subspace:
-        return Subspace._from_rref(self.space, rows)
+        return linalg.as_array(self._vlin_rows, self.dim)
 
     def kernel_of_F(self) -> Subspace:
         """ker F; computed once."""
         if self._ker_f is None:
-            self._ker_f = self._span(linalg.nullspace(self.ctx, self.f_linear))
+            self._ker_f = Subspace._from_rref(
+                self.space, linalg.nullspace(self.ctx, self._f_rows, self.dim)
+            )
         return self._ker_f
 
     def kernel_of_V(self) -> Subspace:
         """ker V; computed once."""
         if self._ker_v is None:
-            self._ker_v = self._span(linalg.nullspace(self.ctx, self.v_linear))
+            self._ker_v = Subspace._from_rref(
+                self.space, linalg.nullspace(self.ctx, self._vlin_rows, self.dim)
+            )
         return self._ker_v
 
     def image_of_F(self) -> Subspace:
-        return self._span(linalg.row_space(self.ctx, self.f_linear.T))
+        return Subspace._from_rref(
+            self.space, *linalg.rref(self.ctx, self._ft_rows, self.dim)
+        )
 
     def image_of_V(self) -> Subspace:
-        return self._span(linalg.row_space(self.ctx, self.v_linear.T))
+        columns = tuple(zip(*self._vlin_rows))
+        return Subspace._from_rref(self.space, *linalg.rref(self.ctx, columns, self.dim))
 
     def f_image_dim(self, sub: Subspace) -> int:
         """dim F(C^(p)) for a subspace C.
@@ -136,8 +150,9 @@ class DieudonneModule:
             return 0
         if sub.dim == self.dim:
             return self.dim - self.kernel_of_F().dim
-        powered = linalg.frob_map(self.ctx, sub.basis, 1)
-        return linalg.rank(self.ctx, linalg.matmul(self.ctx, powered, self.fmat.T))
+        powered = linalg.frob_map(self.ctx, sub.rows, 1)
+        image = linalg.matmul(self.ctx, powered, self._ft_rows, self.dim)
+        return linalg.rank(self.ctx, image, self.dim)
 
     def v_preimage(self, sub: Subspace) -> Subspace:
         """{x : V(x) lies in the p-twist of C}.
@@ -151,18 +166,22 @@ class DieudonneModule:
             return self.kernel_of_V()
         if sub.dim == self.dim:
             return sub
-        pre = linalg.nullspace(self.ctx, linalg.matmul(self.ctx, sub.ann, self.vmat))
-        return self._span(linalg.frob_map(self.ctx, pre, 1))
+        ctx, dim = self.ctx, self.dim
+        pre = linalg.nullspace(ctx, linalg.matmul(ctx, sub.ann, self._v_rows, dim), dim)
+        return Subspace._from_rref(self.space, linalg.frob_map(ctx, pre, 1))
 
     def transport(self, s: np.ndarray) -> "DieudonneModule":
         """The isomorphic module in the basis x = S x'."""
-        ctx = self.ctx
-        s_inv = linalg.inverse(ctx, s)
-        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.fmat),
-                           linalg.frob_map(ctx, s, 1))
-        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.vmat),
-                           linalg.frob_map(ctx, s, -1))
-        w2 = linalg.matmul(ctx, linalg.matmul(ctx, s.T, self.pairing), s)
+        ctx, dim = self.ctx, self.dim
+        s_rows = linalg.as_rows(s)
+        s_inv = linalg.inverse(ctx, s_rows)
+        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self._f_rows, dim),
+                           linalg.frob_map(ctx, s_rows, 1), dim)
+        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self._v_rows, dim),
+                           linalg.frob_map(ctx, s_rows, -1), dim)
+        s_t = linalg.as_rows(s.T)
+        w2 = linalg.matmul(ctx, linalg.matmul(ctx, s_t, self.space.gram_rows, dim),
+                           s_rows, dim)
         return DieudonneModule(
             ctx, self.g, self.c, f2, v2, w2, self.slot_bounds, point=None
         )
@@ -171,14 +190,13 @@ class DieudonneModule:
 
     def _validate(self) -> None:
         ctx, dim, g = self.ctx, self.dim, self.g
-        a = self.fmat
-        b = self.vmat
-        v_lin = self.v_linear
-        if a.shape != (dim, dim) or b.shape != (dim, dim) or self.space.dim != dim:
+        if (self.fmat.shape != (dim, dim) or self.vmat.shape != (dim, dim)
+                or self.space.dim != dim):
             raise ValueError("operator and pairing matrices must be 2g x 2g")
-        if linalg.matmul(ctx, a, v_lin).any():
+        if any(map(any, linalg.matmul(ctx, self._f_rows, self._vlin_rows, dim))):
             raise RuntimeError("F after V is not zero")
-        if linalg.matmul(ctx, b, linalg.frob_map(ctx, a, -1)).any():
+        f_untwisted = linalg.frob_map(ctx, self._f_rows, -1)
+        if any(map(any, linalg.matmul(ctx, self._v_rows, f_untwisted, dim))):
             raise RuntimeError("V after F is not zero")
         ker_f = self.kernel_of_F()
         if ker_f.dim != g:
@@ -187,12 +205,10 @@ class DieudonneModule:
             raise RuntimeError("ker F != im V")
         if self.kernel_of_V() != self.image_of_F():
             raise RuntimeError("ker V != im F")
-        omega = self.pairing
-        lhs = linalg.matmul(ctx, a.T, omega)
-        rhs = linalg.matmul(
-            ctx, linalg.frob_map(ctx, omega, 1), linalg.frob_map(ctx, b, 1)
-        )
-        if not np.array_equal(lhs, rhs):
+        omega = self.space.gram_rows
+        lhs = linalg.matmul(ctx, self._ft_rows, omega, dim)
+        rhs = linalg.matmul(ctx, linalg.frob_map(ctx, omega, 1), self._vlin_rows, dim)
+        if lhs != rhs:
             raise RuntimeError("adjunction <Fx, y> = <x, Vy>^p fails")
         if self.point is not None:
             self._check_kernel_shapes()
@@ -200,21 +216,20 @@ class DieudonneModule:
     def _check_kernel_shapes(self) -> None:
         """ker F = pr_2^{-1}(U) and ker V = pr_2^{-1}(U twisted)."""
         u = self.point
-        if self.kernel_of_F() != self._middle_pullback(u.basis):
+        if self.kernel_of_F() != self._middle_pullback(u.rows):
             raise RuntimeError("ker F does not project onto the point")
-        twisted = linalg.frob_map(self.ctx, u.basis, 1)
+        twisted = linalg.frob_map(self.ctx, u.rows, 1)
         if self.kernel_of_V() != self._middle_pullback(twisted):
             raise RuntimeError("ker V does not project onto the twisted point")
 
-    def _middle_pullback(self, rows: np.ndarray) -> Subspace:
+    def _middle_pullback(self, rows: linalg.Rows) -> Subspace:
         """pr_2^{-1} of a subspace of the middle slot."""
         lo, hi = self.slot_bounds[2], self.slot_bounds[3]
-        k = rows.shape[0]
-        out = linalg.zeros(k + (self.dim - hi), self.dim)
-        out[:k, lo:hi] = rows
-        for i in range(self.dim - hi):
-            out[k + i, hi + i] = 1
-        return Subspace(self.space, out)
+        dim = self.dim
+        left, right = (0,) * lo, (0,) * (dim - hi)
+        out = [left + row + right for row in rows]
+        out.extend(linalg.identity(dim)[hi:])
+        return Subspace._from_rref(self.space, *linalg.rref(self.ctx, out, dim))
 
 
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
@@ -236,7 +251,7 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     s4 = slice(2 * g - c, 2 * g)
 
     basis = u.basis
-    pivots = linalg.rref(ctx, basis)[1]
+    pivots = u.pivots
     nonpiv = [j for j in range(2 * c) if j not in pivots]
     m_u = basis.T.copy()  # 2c x c, columns are the point's basis vectors
     m_w = linalg.zeros(2 * c, c)
@@ -250,7 +265,7 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
             p_w[j, pcol] = ctx.neg[basis[i, col]]
 
     neg = lambda mat: ctx.neg[mat]
-    frob = lambda mat, r: linalg.frob_map(ctx, mat, r)
+    frob = lambda mat, r: ctx.frob_table(r)[mat]
 
     a = linalg.zeros(dim, dim)
     a[s2, s0] = neg(frob(m_u, 1))
@@ -264,15 +279,15 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
         b[s3, s1] = linalg.eye(ctx, k)
     b[s4, s2] = p_w
 
-    gram = space.gram
-    p04 = linalg.matmul(ctx, linalg.matmul(ctx, m_u.T, gram), m_w)
+    ug = linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c)
+    p04 = linalg.as_array(linalg.matmul(ctx, ug, linalg.as_rows(m_w), c), c)
     omega = linalg.zeros(dim, dim)
     omega[s0, s4] = p04
     omega[s4, s0] = neg(p04.T)
     if k:
         omega[s1, s3] = linalg.eye(ctx, k)
         omega[s3, s1] = neg(linalg.eye(ctx, k))
-    omega[s2, s2] = neg(gram)
+    omega[s2, s2] = neg(space.gram)
 
     return DieudonneModule(ctx, g, c, a, b, omega, bounds, point=u)
 

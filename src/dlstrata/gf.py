@@ -7,12 +7,13 @@ first irreducible monic polynomial, so every table and every serialized
 value is reproducible bit for bit.
 
 A :class:`FieldCtx` carries dense numpy lookup tables (add, mul, neg,
-inv, Frobenius powers) that the linear-algebra layer indexes directly,
-and the same add, mul, neg and inv tables as nested Python lists
-(``add_list`` and friends), which row elimination indexes one entry at a
-time without numpy dispatch.  Orders above ``TABLE_LIMIT`` are refused,
-before any primality test or power is computed, so every context has
-its tables and no input makes construction unbounded.  Contexts are
+inv, Frobenius powers) for bulk array work, and the same tables as
+nested Python lists (``add_list``, ``mul_list``, ``neg_list``,
+``inv_list`` and ``frob_lists``), which the row-based linear algebra
+indexes one entry at a time without numpy dispatch.  Orders above
+``TABLE_LIMIT`` are refused, before any primality test or power is
+computed, so every context has its tables and no input makes
+construction unbounded.  Contexts are
 immutable after construction and safe to share across threads.
 """
 
@@ -174,6 +175,7 @@ class FieldCtx:
         for _ in range(1, k):
             tables.append(frob1[tables[-1]])
         self.frob_tables = tables
+        self.frob_lists = [shared[t].tolist() for t in tables]
 
     def _scalar_mul(self, a: int, b: int) -> int:
         pa = _ptrim(_decode_int(a, self.p, self.k))

@@ -1,24 +1,32 @@
-"""Exact linear algebra over a FieldCtx, on integer-coded numpy arrays.
+"""Exact linear algebra over a FieldCtx, on rows of field-element codes.
 
-Matrices hold field-element codes (see gf.py); every routine is exact.
-Row convention: a subspace is the row span of its matrix, and the
-canonical form of a subspace is its reduced row echelon form, so equal
-subspaces have byte-identical bases.
+A matrix is a sequence of rows, each a sequence of Python int codes (see
+gf.py), and its column count is passed explicitly as ``ncols``, so a
+matrix without rows still has a width.  Every routine returns a tuple of
+tuples: results can be shared, hashed and compared as they are, and no
+caller can change rows that another holds.  Row convention: a subspace
+is the row span of its matrix, and the canonical form of a subspace is
+its reduced row echelon form, so equal subspaces have equal row tuples.
 
-Elimination and products run on Python row lists that index the list
-forms of the field tables (``FieldCtx.add_list`` and friends), not on
-numpy arrays.  The matrices met here are tiny and sparse, at most about
-10 x 20 (a 2c-dimensional space, a 2g-dimensional module, an augmented
-inverse), so one numpy call per column costs far more in dispatch than
-the table lookups it does.  The cost is one lookup chain per entry
-touched, plus a fixed conversion to and from the int32 array:
+The routines index the list forms of the field tables
+(``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time.
+The matrices met here are tiny and sparse, at most about 10 x 20 (a
+2c-dimensional space, a 2g-dimensional module, an augmented inverse),
+and a point makes tens of them, so numpy dispatch and array conversion
+would cost more than the lookups.  Arrays stay where work is bulk
+(Schubert cells, module blocks, see ``symplectic`` and ``dieudonne``):
+``as_rows`` and ``as_array`` are the two conversions at that boundary,
+and ``zeros`` and ``eye`` build such arrays.  The cost is one lookup
+chain per entry touched:
 
-* ``rref`` costs about rank x rows x columns, and so do ``rank``,
-  ``row_space``, ``inverse`` and ``in_row_space``, one elimination each;
+* ``rref`` costs about rank x rows x columns, and so do ``rank`` and
+  ``inverse``, one elimination each;
 * ``nullspace`` is one elimination too, of the column-reversed matrix,
   whose null vectors are already the canonical basis;
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
-  of a times the columns of b, so zero entries cost nothing.
+  of a times the columns of b, so zero entries cost nothing;
+* ``in_row_space`` reduces each vector against a reduced basis, one
+  pass over the basis per vector and no elimination.
 
 Table-driven row reduction over GF(p^k) follows the ``galois`` package
 (https://github.com/mhostetter/galois).
@@ -26,11 +34,16 @@ Table-driven row reduction over GF(p^k) follows the ``galois`` package
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Sequence
+
 import numpy as np
 
 from .gf import FieldCtx
 
 DTYPE = np.int32
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -43,13 +56,28 @@ def eye(ctx: FieldCtx, n: int) -> np.ndarray:
     return m
 
 
-def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def as_rows(mat: np.ndarray) -> Rows:
+    """The rows of a 2-d array as a tuple of tuples of Python ints."""
+    return tuple(map(tuple, np.asarray(mat, dtype=DTYPE).tolist()))
+
+
+def as_array(rows: Sequence[Sequence[int]], ncols: int) -> np.ndarray:
+    """A fresh C-contiguous int32 array of shape (len(rows), ncols)."""
+    return np.array(rows, dtype=DTYPE).reshape(len(rows), ncols)
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> Rows:
+    """The rows of the n x n identity matrix."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def rref(
+    ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row echelon form; returns (basis without zero rows, pivots)."""
-    a = np.asarray(mat, dtype=DTYPE)
-    if a.ndim != 2:
-        raise ValueError("matrix expected")
-    nrows, ncols = a.shape
-    rows = a.tolist()
+    rows = list(rows)
+    nrows = len(rows)
     add, mul, neg, inv = ctx.add_list, ctx.mul_list, ctx.neg_list, ctx.inv_list
     pivots = []
     r = 0
@@ -75,20 +103,16 @@ def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
                 rows[j] = [add[x][fneg[y]] for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return np.array(rows[:r], dtype=DTYPE).reshape(r, ncols), tuple(pivots)
+    return tuple(map(tuple, rows[:r])), tuple(pivots)
 
 
-def row_space(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
-    return rref(ctx, mat)[0]
-
-
-def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
-    if mat.size == 0:
+def rank(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> int:
+    if not rows or not ncols:
         return 0
-    return rref(ctx, mat)[0].shape[0]
+    return len(rref(ctx, rows, ncols)[1])
 
 
-def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
+def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> Rows:
     """Canonical row basis of {x : mat @ x = 0} (x as column vectors).
 
     One elimination, of the column-reversed matrix.  In reversed order
@@ -98,11 +122,9 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
     other vector, so taken by increasing free column they are already
     the reduced row echelon basis.
     """
-    ncols = mat.shape[1]
-    if mat.size == 0:
-        return eye(ctx, ncols)
-    r, pivots = rref(ctx, mat[:, ::-1])
-    rows = r.tolist()
+    if not rows or not ncols:
+        return identity(ncols)
+    reduced, pivots = rref(ctx, [row[::-1] for row in rows], ncols)
     neg = ctx.neg_list
     last = ncols - 1
     pivot_set = set(pivots)
@@ -112,32 +134,30 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
             continue
         vec = [0] * ncols
         vec[last - fc] = 1
-        for row, pc in zip(rows, pivots):
+        for row, pc in zip(reduced, pivots):
             if pc > fc:
                 break
             vec[last - pc] = neg[row[fc]]
-        basis.append(vec)
-    return np.array(basis, dtype=DTYPE).reshape(len(basis), ncols)
+        basis.append(tuple(vec))
+    return tuple(basis)
 
 
-def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of coded matrices.
+def matmul(
+    ctx: FieldCtx, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], ncols: int
+) -> Rows:
+    """Exact product of coded matrices; ``ncols`` is the width of b.
 
     Row i of the product is the sum of the rows b[k] scaled by the
     nonzero entries a[i][k]; zero entries of a cost nothing.
     """
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    n, m = a.shape
-    m2, l = b.shape
-    if m != m2:
+    if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     add, mul = ctx.add_list, ctx.mul_list
-    brows = b.tolist()
+    zero = (0,) * ncols
     out = []
-    for arow in a.tolist():
+    for arow in a:
         acc = None
-        for x, brow in zip(arow, brows):
+        for x, brow in zip(arow, b):
             if not x:
                 continue
             # most nonzeros are 1 (pivots of RREF bases, the module's
@@ -150,33 +170,48 @@ def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     acc = [scale[y] for y in brow]
                 else:
                     acc = [add[s][scale[y]] for s, y in zip(acc, brow)]
-        out.append([0] * l if acc is None else acc)
-    return np.array(out, dtype=DTYPE).reshape(n, l)
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
 
 
-def mat_vec(ctx: FieldCtx, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return matmul(ctx, a, np.asarray(x, dtype=DTYPE).reshape(-1, 1))[:, 0]
-
-
-def frob_map(ctx: FieldCtx, mat: np.ndarray, r: int) -> np.ndarray:
+def frob_map(ctx: FieldCtx, rows: Sequence[Sequence[int]], r: int) -> Rows:
     """Entrywise p^r-power; exact and bijective for any integer r."""
-    return ctx.frob_table(r)[np.asarray(mat, dtype=DTYPE)]
+    table = ctx.frob_lists[r % ctx.k].__getitem__
+    return tuple([tuple(map(table, row)) for row in rows])
 
 
-def inverse(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    if mat.shape[1] != n:
+def inverse(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> Rows:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("square matrix expected")
-    aug = np.concatenate([np.asarray(mat, dtype=DTYPE), eye(ctx, n)], axis=1)
-    r, pivots = rref(ctx, aug)
-    if pivots[:n] != tuple(range(n)) or len(pivots) != n:
+    aug = [tuple(row) + unit for row, unit in zip(rows, identity(n))]
+    reduced, pivots = rref(ctx, aug, 2 * n)
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return np.ascontiguousarray(r[:, n:])
+    return tuple(row[n:] for row in reduced)
 
 
-def in_row_space(ctx: FieldCtx, basis_rref: np.ndarray, vec: np.ndarray) -> bool:
-    """Membership test against an RREF basis."""
-    stacked = np.concatenate(
-        [basis_rref, np.asarray(vec, dtype=DTYPE).reshape(1, -1)]
-    )
-    return rank(ctx, stacked) == basis_rref.shape[0]
+def in_row_space(
+    ctx: FieldCtx,
+    basis: Sequence[Sequence[int]],
+    pivots: Sequence[int],
+    vectors: Sequence[Sequence[int]],
+) -> bool:
+    """Whether every vector lies in the row span of a reduced basis.
+
+    ``basis`` must be in reduced row echelon form with these pivots.
+    Each basis row is the only one nonzero at its pivot column, so a
+    vector v lies in the span exactly when v minus v[pivot] times each
+    row is zero.
+    """
+    add, mul, neg = ctx.add_list, ctx.mul_list, ctx.neg_list
+    for vec in vectors:
+        rest = vec
+        for row, c in zip(basis, pivots):
+            f = rest[c]
+            if f:
+                fneg = mul[neg[f]]
+                rest = [add[x][fneg[y]] for x, y in zip(rest, row)]
+        if any(rest):
+            return False
+    return True

@@ -12,8 +12,10 @@ conjugates everything):
   complements and flags work in it alike, while Lagrangian enumeration,
   standard flags and the twist-perp commutation assume the antidiagonal
   form;
-* subspaces are row spans stored in reduced row echelon form, making
-  equality and hashing byte-exact;
+* subspaces are row spans stored as their reduced row echelon rows, a
+  tuple of tuples of codes with the pivot columns beside it; the rows
+  are the equality and hash key, and ``Subspace.basis`` is the same
+  basis as a read-only int32 array, built on access;
 * a flag is a strictly increasing chain containing 0 and the full
   space; the classifier only ever produces self-dual flags.
 
@@ -31,6 +33,13 @@ subspace X: X cap 0 = 0 and X cap V = X, X + 0 = X and X + V = V,
 0 <= X <= V, and 0-perp = V, V-perp = 0 (V the whole space).  Every
 flag holds 0 and V, so most of the meets and joins that refinement
 takes between two flags are of this kind.
+
+Containment reduces the rows of the smaller space against the reduced
+rows of the larger (``linalg.in_row_space``), with no elimination.
+
+Per-point work runs on rows (see ``linalg``).  Schubert cells are built
+in bulk as arrays, and each point's basis is converted to rows once,
+when its ``Subspace`` is made.
 
 Subspaces and flags are immutable values (cached complements are
 computed once), so everything here can be shared across threads;
@@ -53,7 +62,8 @@ class SymplecticSpace:
     """F_q^{2n} with an alternating nondegenerate form.
 
     ``SymplecticSpace(ctx, n)`` carries the fixed antidiagonal form; any
-    other form comes through ``from_gram``.
+    other form comes through ``from_gram``.  ``gram`` is the read-only
+    Gram matrix and ``gram_rows`` the same as rows.
     """
 
     def __init__(self, ctx: FieldCtx, n: int):
@@ -64,7 +74,7 @@ class SymplecticSpace:
         minus_one = int(ctx.neg[1])
         for i in range(dim):
             gram[i, dim - 1 - i] = 1 if i < n else minus_one
-        self._init_from_gram(ctx, gram)
+        self._init_from_gram(ctx, gram, linalg.as_rows(gram))
 
     @classmethod
     def from_gram(cls, ctx: FieldCtx, gram: np.ndarray) -> "SymplecticSpace":
@@ -80,25 +90,30 @@ class SymplecticSpace:
             raise ValueError("Gram matrix must be square of positive even size")
         if ctx.add[gram, gram.T].any() or gram.diagonal().any():
             raise ValueError("pairing is not alternating")
-        if linalg.rank(ctx, gram) != dim:
+        rows = linalg.as_rows(gram)
+        if linalg.rank(ctx, rows, dim) != dim:
             raise ValueError("pairing is degenerate")
         obj = cls.__new__(cls)
-        obj._init_from_gram(ctx, gram)
+        obj._init_from_gram(ctx, gram, rows)
         return obj
 
-    def _init_from_gram(self, ctx: FieldCtx, gram: np.ndarray) -> None:
+    def _init_from_gram(self, ctx: FieldCtx, gram: np.ndarray, rows: linalg.Rows) -> None:
         gram.flags.writeable = False
         self.ctx = ctx
         self.n = gram.shape[0] // 2
         self.dim = gram.shape[0]
         self.gram = gram
+        self.gram_rows = rows
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> int:
-        gx = linalg.mat_vec(self.ctx, self.gram, np.asarray(y, dtype=DTYPE))
+        """<x, y> = x^T G y."""
+        x = np.asarray(x, dtype=DTYPE).tolist()
+        y = np.asarray(y, dtype=DTYPE).tolist()
+        (xg,) = linalg.matmul(self.ctx, [x], self.gram_rows, self.dim)
         acc = 0
-        add, mul = self.ctx.add, self.ctx.mul
-        for a, b in zip(np.asarray(x, dtype=DTYPE), gx):
-            acc = int(add[acc, mul[int(a), int(b)]])
+        add, mul = self.ctx.add_list, self.ctx.mul_list
+        for a, b in zip(xg, y):
+            acc = add[acc][mul[a][b]]
         return acc
 
     def __repr__(self) -> str:
@@ -106,110 +121,136 @@ class SymplecticSpace:
 
 
 class Subspace:
-    """Row span of a reduced-row-echelon basis; equal spans are identical."""
+    """Row span of a reduced-row-echelon basis; equal spans have equal rows.
 
-    __slots__ = ("space", "basis", "dim", "_key", "_ann", "_perp")
+    ``rows`` is the reduced basis as a tuple of tuples of codes, and it
+    is the equality and hash key; ``pivots`` are its pivot columns.
+    ``basis`` is the same basis as a read-only int32 array of shape
+    (dim, 2n), built on each access.
+    """
+
+    __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp")
 
     def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
+        """The span of any rows, an array or a sequence of code rows."""
         mat = np.asarray(rows, dtype=DTYPE).reshape(-1, space.dim)
-        basis, _ = linalg.rref(space.ctx, mat)
-        self._init_from_rref(space, basis)
+        self._init(space, *linalg.rref(space.ctx, mat.tolist(), space.dim))
 
     @classmethod
-    def _from_rref(cls, space: SymplecticSpace, basis: np.ndarray) -> "Subspace":
+    def _from_rref(
+        cls, space: SymplecticSpace, rows: linalg.Rows, pivots: tuple[int, ...] | None = None
+    ) -> "Subspace":
+        """The subspace of rows already in reduced row echelon form.
+
+        Without ``pivots`` they are read off the rows: a reduced row is
+        zero before its pivot, which is 1, so the pivot is its first 1.
+        """
         obj = cls.__new__(cls)
-        obj._init_from_rref(space, basis)
+        if pivots is None:
+            pivots = tuple([row.index(1) for row in rows])
+        obj._init(space, rows, pivots)
         return obj
 
-    def _init_from_rref(self, space: SymplecticSpace, basis: np.ndarray) -> None:
-        basis = np.ascontiguousarray(basis, dtype=DTYPE)
-        basis.flags.writeable = False
+    def _init(self, space: SymplecticSpace, rows: linalg.Rows, pivots: tuple[int, ...]) -> None:
         self.space = space
-        self.basis = basis
-        self.dim = basis.shape[0]
-        self._key = basis.tobytes()
+        self.rows = rows
+        self.pivots = pivots
+        self.dim = len(rows)
         self._ann = None
         self._perp = None
 
+    @property
+    def basis(self) -> np.ndarray:
+        """The reduced basis as a read-only int32 array, shape (dim, 2n)."""
+        out = linalg.as_array(self.rows, self.space.dim)
+        out.flags.writeable = False
+        return out
+
     # annihilator under the standard dot product, cached (not the form)
     @property
-    def ann(self) -> np.ndarray:
+    def ann(self) -> linalg.Rows:
         if self._ann is None:
-            self._ann = linalg.nullspace(self.space.ctx, self.basis)
-            self._ann.flags.writeable = False
+            self._ann = linalg.nullspace(self.space.ctx, self.rows, self.space.dim)
         return self._ann
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subspace) and self._key == other._key
+        return isinstance(other, Subspace) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.space!r})"
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether other lies in self: a larger space never does, and
+        otherwise its rows must reduce to zero against ours."""
         if other.dim == 0 or self.dim == self.space.dim:
             return True
-        stacked = np.concatenate([self.basis, other.basis])
-        return linalg.rank(self.space.ctx, stacked) == self.dim
+        if other.dim > self.dim:
+            return False
+        return linalg.in_row_space(self.space.ctx, self.rows, self.pivots, other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
         full = self.space.dim
-        if self._key == other._key or self.dim == 0 or other.dim == full:
+        if self.rows == other.rows or self.dim == 0 or other.dim == full:
             return self
         if other.dim == 0 or self.dim == full:
             return other
-        joint = np.concatenate([self.ann, other.ann])
-        return Subspace._from_rref(
-            self.space, linalg.nullspace(self.space.ctx, joint)
-        )
+        joint = linalg.nullspace(self.space.ctx, self.ann + other.ann, full)
+        return Subspace._from_rref(self.space, joint)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
         full = self.space.dim
-        if self._key == other._key or other.dim == 0 or self.dim == full:
+        if self.rows == other.rows or other.dim == 0 or self.dim == full:
             return self
         if self.dim == 0 or other.dim == full:
             return other
-        stacked = np.concatenate([self.basis, other.basis])
         return Subspace._from_rref(
-            self.space, linalg.rref(self.space.ctx, stacked)[0]
+            self.space, *linalg.rref(self.space.ctx, self.rows + other.rows, full)
         )
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the symplectic form."""
         if self._perp is None:
+            space = self.space
             if self.dim == 0:
-                self._perp = full_subspace(self.space)
-            elif self.dim == self.space.dim:
-                self._perp = zero_subspace(self.space)
+                self._perp = full_subspace(space)
+            elif self.dim == space.dim:
+                self._perp = zero_subspace(space)
             else:
-                prod = linalg.matmul(self.space.ctx, self.basis, self.space.gram)
+                prod = linalg.matmul(space.ctx, self.rows, space.gram_rows, space.dim)
                 self._perp = Subspace._from_rref(
-                    self.space, linalg.nullspace(self.space.ctx, prod)
+                    space, linalg.nullspace(space.ctx, prod, space.dim)
                 )
         return self._perp
 
     def twist(self, r: int) -> "Subspace":
-        """Entrywise p^r power of the basis (echelon form is preserved)."""
-        return Subspace._from_rref(self.space, linalg.frob_map(self.space.ctx, self.basis, r))
+        """Entrywise p^r power of the basis (echelon form and pivots are kept)."""
+        return Subspace._from_rref(
+            self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
+        )
 
     def is_isotropic(self) -> bool:
-        g = linalg.matmul(self.space.ctx, self.basis, self.space.gram)
-        return not linalg.matmul(self.space.ctx, g, self.basis.T).any()
+        space = self.space
+        g = linalg.matmul(space.ctx, self.rows, space.gram_rows, space.dim)
+        prod = linalg.matmul(space.ctx, g, tuple(zip(*self.rows)), self.dim)
+        return not any(map(any, prod))
 
     def is_lagrangian(self) -> bool:
         return self.dim == self.space.n and self.is_isotropic()
 
     def apply(self, matrix: np.ndarray) -> "Subspace":
         """Image under an invertible matrix (column-vector convention)."""
-        return Subspace(self.space, linalg.matmul(self.space.ctx, self.basis, matrix.T))
+        space = self.space
+        image = linalg.matmul(space.ctx, self.rows, linalg.as_rows(matrix.T), space.dim)
+        return Subspace._from_rref(space, *linalg.rref(space.ctx, image, space.dim))
 
     def to_coeffs(self) -> list[list[tuple[int, ...]]]:
         ctx = self.space.ctx
-        return [[ctx.coeffs_of(int(c)) for c in row] for row in self.basis]
+        return [[ctx.coeffs_of(c) for c in row] for row in self.rows]
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -218,11 +259,11 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 
 
 def zero_subspace(space: SymplecticSpace) -> Subspace:
-    return Subspace._from_rref(space, linalg.zeros(0, space.dim))
+    return Subspace._from_rref(space, (), ())
 
 
 def full_subspace(space: SymplecticSpace) -> Subspace:
-    return Subspace._from_rref(space, linalg.eye(space.ctx, space.dim))
+    return Subspace._from_rref(space, linalg.identity(space.dim), tuple(range(space.dim)))
 
 
 class Flag:
@@ -231,7 +272,7 @@ class Flag:
     __slots__ = ("space", "members", "dims", "_key")
 
     def __init__(self, members: Iterable[Subspace]):
-        members = sorted(set(members), key=lambda s: (s.dim, s._key))
+        members = sorted(set(members), key=lambda s: (s.dim, s.rows))
         if not members:
             raise ValueError("empty flag")
         space = members[0].space
@@ -248,7 +289,7 @@ class Flag:
         self.space = space
         self.members = tuple(members)
         self.dims = tuple(dims)
-        self._key = tuple(m._key for m in members)
+        self._key = tuple(m.rows for m in members)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Flag) and self._key == other._key
@@ -266,8 +307,8 @@ class Flag:
         return Flag(m.apply(matrix) for m in self.members)
 
     def is_self_dual(self) -> bool:
-        keys = {m._key for m in self.members}
-        return all(m.perp()._key in keys for m in self.members)
+        keys = {m.rows for m in self.members}
+        return all(m.perp().rows in keys for m in self.members)
 
 
 def flag_type(flag: Flag) -> frozenset[int]:
@@ -286,8 +327,8 @@ def standard_flag(space: SymplecticSpace, dims: Iterable[int]) -> Flag:
         raise ValueError("proper dimensions expected")
     if any(space.dim - d not in dims for d in dims):
         raise ValueError("dimension set must be symmetric for a self-dual flag")
-    eye = linalg.eye(space.ctx, space.dim)
-    return Flag([Subspace._from_rref(space, eye[:d]) for d in dims])
+    eye = linalg.identity(space.dim)
+    return Flag([Subspace._from_rref(space, eye[:d], tuple(range(d))) for d in dims])
 
 
 def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
@@ -475,9 +516,11 @@ def enumerate_lagrangians(space: SymplecticSpace) -> list[Subspace]:
     The count is checked against prod(q^i + 1) before returning.
     """
     out = []
-    for _, block in lagrangian_cells(space):
-        for rows in block:
-            out.append(Subspace._from_rref(space, rows))
+    for pivots, block in lagrangian_cells(space):
+        # one basis at a time: a whole cell as nested lists would be a
+        # second copy of the cell at once
+        for basis in block:
+            out.append(Subspace._from_rref(space, linalg.as_rows(basis), pivots))
     expected = expected_total(space.n, space.ctx.q)
     if len(out) != expected:
         raise RuntimeError(
@@ -498,22 +541,24 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
     )
     ctx = space.ctx
     two_n = space.dim
-    g = linalg.eye(ctx, two_n)
+    g = linalg.identity(two_n)
     factors = 0
     while factors < 3 * two_n:
         v = rng.integers(0, ctx.q, size=two_n).astype(DTYPE)
         if not v.any():
             continue
         lam = int(rng.integers(1, ctx.q))
-        a = linalg.mat_vec(ctx, space.gram.T, v)
-        t = linalg.eye(ctx, two_n)
-        t = ctx.add[t, ctx.mul[ctx.mul[lam, v[:, None]], a[None, :]]]
-        g = linalg.matmul(ctx, t, g)
+        # t = 1 + lam v a^T with a = G^T v, assembled as an array
+        (a,) = linalg.matmul(ctx, [v.tolist()], space.gram_rows, two_n)
+        rank_one = ctx.mul[ctx.mul[lam, v[:, None]], np.array(a)[None, :]]
+        t = ctx.add[linalg.eye(ctx, two_n), rank_one]
+        g = linalg.matmul(ctx, linalg.as_rows(t), g, two_n)
         factors += 1
-    prod = linalg.matmul(ctx, linalg.matmul(ctx, g.T, space.gram), g)
-    if not np.array_equal(prod, space.gram):
+    gt = tuple(zip(*g))
+    prod = linalg.matmul(ctx, linalg.matmul(ctx, gt, space.gram_rows, two_n), g, two_n)
+    if prod != space.gram_rows:
         raise RuntimeError("transvection product failed to preserve the form")
-    return g
+    return linalg.as_array(g, two_n)
 
 
 def embed_matrix(mat: np.ndarray, src: FieldCtx, dst: FieldCtx) -> np.ndarray:
@@ -547,9 +592,8 @@ def random_lagrangian(space: SymplecticSpace, rng: np.random.Generator) -> Subsp
     for (pivots, slots), w in zip(cells, weights):
         if pick < w:
             combo = rng.integers(0, q, size=(1, len(slots))).astype(DTYPE)
-            return Subspace._from_rref(
-                space, _fill_cell(space, pivots, slots, combo)[0]
-            )
+            basis = _fill_cell(space, pivots, slots, combo)[0]
+            return Subspace._from_rref(space, linalg.as_rows(basis), pivots)
         pick -= w
     raise AssertionError("unreachable")
 

@@ -155,13 +155,15 @@ def test_c08_module_invariants():
         ok &= mod.kernel_of_F().dim == g
         ok &= np.array_equal(mod.kernel_of_F().basis, mod.image_of_V().basis)
         ok &= np.array_equal(mod.kernel_of_V().basis, mod.image_of_F().basis)
-        lhs = linalg.matmul(mod.ctx, mod.fmat.T, mod.pairing)
+        ctx, dim, omega = mod.ctx, mod.dim, linalg.as_rows(mod.pairing)
+        lhs = linalg.matmul(ctx, linalg.as_rows(mod.fmat.T), omega, dim)
         rhs = linalg.matmul(
-            mod.ctx,
-            linalg.frob_map(mod.ctx, mod.pairing, 1),
-            linalg.frob_map(mod.ctx, mod.vmat, 1),
+            ctx,
+            linalg.frob_map(ctx, omega, 1),
+            linalg.frob_map(ctx, linalg.as_rows(mod.vmat), 1),
+            dim,
         )
-        ok &= np.array_equal(lhs, rhs)
+        ok &= lhs == rhs
     report(8, ok, "kernel/image coincidences, dimension g, pairing adjunction")
 
 
@@ -172,11 +174,12 @@ def test_c09_canonical_flag_behavior():
         flag = dd.canonical_flag(mod)  # enforces the 2g+1 member bound and the dichotomy
         keys = {m.basis.tobytes() for m in flag.members}
         # each complement by one null space, not the cached one
+        omega = linalg.as_rows(mod.pairing)
         perps = [
-            linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, m.basis, mod.pairing))
+            linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, m.rows, omega, mod.dim), mod.dim)
             for m in flag.members
         ]
-        ok &= all(perp.tobytes() in keys for perp in perps)
+        ok &= all(linalg.as_array(perp, mod.dim).tobytes() in keys for perp in perps)
         psi = dd.eo_type(mod).psi
         ok &= all(psi[2 * g - i] == psi[i] + g - i for i in range(2 * g + 1))
     report(9, ok, "flag stabilizes, is self-dual, dichotomy holds, psi duality")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dlstrata import dlclassify
 from dlstrata.cli import GENUS_LIMIT, main
 from tests import src_env
 
@@ -100,6 +101,7 @@ def test_verify_exit_codes(capsys):
     for argv in (
         ["--c", "0", "--g", "2", "--p", "2", "--m", "1"],
         ["--c", "1", "--g", "2", "--p", "2", "--m", "1", "--trials", "-3"],
+        ["--c", "1", "--g", "2", "--p", "2", "--m", "1", "--trials", "0"],
         ["--c", "1", "--g", "2", "--p", "2", "--m", "6"],  # order 4096
         ["--c", "2", "--g", "4", "--p", "2", "--m", "4"],  # 16.8M points
         ["--c", "1", "--g", "2", "--p", "1000000000000000003", "--m", "1"],
@@ -144,6 +146,26 @@ def test_unwritable_out_exits_two_with_one_line(capsys, tmp_path, argv):
         assert captured.out == "", (argv, out)
         assert captured.err.count("\n") == 1 and str(out) in captured.err, (argv, out)
     assert not (tmp_path / "missing").exists()
+
+
+def test_census_refuses_an_unwritable_out_before_classifying(capsys, tmp_path, monkeypatch):
+    def census(*args):
+        raise AssertionError("census ran before --out was checked")
+
+    monkeypatch.setattr(dlclassify, "census", census)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        argv = ["census", "--c", "2", "--p", "2", "--m", "2", "--out", str(out)]
+        assert run(argv) == 2, out
+        captured = capsys.readouterr()
+        assert captured.out == "", out
+        assert captured.err.count("\n") == 1 and str(out) in captured.err, out
+    # a writable path goes on to the census, and an existing file is left
+    # as it is until the output is written
+    existing = tmp_path / "kept.json"
+    existing.write_text("kept")
+    with pytest.raises(AssertionError, match="census ran"):
+        run(["census", "--c", "1", "--p", "2", "--m", "1", "--out", str(existing)])
+    assert existing.read_text() == "kept"
 
 
 def test_module_entry_point():

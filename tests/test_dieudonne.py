@@ -49,15 +49,16 @@ def _semilinear_apply(ctx, matrix, twist, x):
 
 def _preimage_by_nullspace(mod, rows):
     """{x : V(x) in the span of rows}, by null spaces with no special case."""
-    ctx = mod.ctx
-    ann = linalg.nullspace(ctx, rows) if rows.shape[0] else linalg.eye(ctx, mod.dim)
-    pre = linalg.nullspace(ctx, linalg.matmul(ctx, ann, mod.vmat))
+    ctx, dim = mod.ctx, mod.dim
+    ann = linalg.nullspace(ctx, rows, dim) if rows else linalg.identity(dim)
+    pre = linalg.nullspace(ctx, linalg.matmul(ctx, ann, linalg.as_rows(mod.vmat), dim), dim)
     return linalg.frob_map(ctx, pre, 1)
 
 
 def _complement(mod, rows):
     """The complement under the module pairing, by one null space."""
-    return linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, rows, mod.pairing))
+    omega = linalg.as_rows(mod.pairing)
+    return linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, rows, omega, mod.dim), mod.dim)
 
 
 def test_build_checks_preconditions(f16_line):
@@ -86,9 +87,10 @@ def test_f_image_dim_on_the_whole_space_is_the_rank_of_f():
         space = dc.census_space(c, p, m)
         for _ in range(3):
             mod = build_from_lagrangian(random_lagrangian(space, rng), g)
-            ctx = mod.ctx
-            powered = linalg.frob_map(ctx, linalg.eye(ctx, mod.dim), 1)
-            want = linalg.rank(ctx, linalg.matmul(ctx, powered, mod.fmat.T))
+            ctx, dim = mod.ctx, mod.dim
+            powered = linalg.frob_map(ctx, linalg.identity(dim), 1)
+            image = linalg.matmul(ctx, powered, linalg.as_rows(mod.fmat.T), dim)
+            want = linalg.rank(ctx, image, dim)
             assert mod.f_image_dim(full_subspace(mod.space)) == want == g
 
 
@@ -114,14 +116,14 @@ def test_kernel_projects_onto_point_and_twist(f16_line):
     # public helpers rather than the construction-time trap
     mod = build_from_lagrangian(f16_line, 2)
     lo, hi = mod.slot_bounds[2], mod.slot_bounds[3]
-    ker_f = mod.kernel_of_F().basis
-    middle = [row[lo:hi] for row in ker_f if row[:lo].any() or row[lo:hi].any()]
-    got = linalg.row_space(mod.ctx, np.array(middle))
-    assert np.array_equal(got, f16_line.basis)
-    ker_v = mod.kernel_of_V().basis
-    middle = [row[lo:hi] for row in ker_v if row[lo:hi].any()]
-    got = linalg.row_space(mod.ctx, np.array(middle))
-    assert np.array_equal(got, linalg.frob_map(mod.ctx, f16_line.basis, 1))
+    ker_f = mod.kernel_of_F().rows
+    middle = [row[lo:hi] for row in ker_f if any(row[:lo]) or any(row[lo:hi])]
+    got = linalg.rref(mod.ctx, middle, hi - lo)[0]
+    assert got == f16_line.rows
+    ker_v = mod.kernel_of_V().rows
+    middle = [row[lo:hi] for row in ker_v if any(row[lo:hi])]
+    got = linalg.rref(mod.ctx, middle, hi - lo)[0]
+    assert got == linalg.frob_map(mod.ctx, f16_line.rows, 1)
 
 
 def test_v_preimage_edges(f16_line, f16_rational_line):
@@ -132,13 +134,13 @@ def test_v_preimage_edges(f16_line, f16_rational_line):
         zero, full = zero_subspace(mod.space), full_subspace(mod.space)
         ker_v = mod.v_preimage(zero)
         assert 0 < ker_v.dim < mod.dim
-        assert np.array_equal(ker_v.basis, _preimage_by_nullspace(mod, zero.basis))
+        assert ker_v.rows == _preimage_by_nullspace(mod, zero.rows)
         whole = mod.v_preimage(full)
         assert whole.dim == mod.dim
-        assert np.array_equal(whole.basis, _preimage_by_nullspace(mod, full.basis))
+        assert whole.rows == _preimage_by_nullspace(mod, full.rows)
         # and a proper subspace goes the generic way
         pre = mod.v_preimage(ker_v)
-        assert np.array_equal(pre.basis, _preimage_by_nullspace(mod, ker_v.basis))
+        assert pre.rows == _preimage_by_nullspace(mod, ker_v.rows)
 
 
 def test_v_preimage_matches_graded_formula(f16_line):
@@ -151,29 +153,21 @@ def test_v_preimage_matches_graded_formula(f16_line):
         lo_s, hi_s = bounds[i + 2], bounds[i + 3]
         lo_t, hi_t = bounds[i], bounds[i + 1]
         width = hi_s - lo_s
-        h = linalg.row_space(
-            ctx, rng.integers(0, ctx.q, size=(1, width)).astype(np.int32)
-        )
+        h = linalg.rref(ctx, linalg.as_rows(rng.integers(0, ctx.q, size=(1, width))), width)[0]
         # pr_{i+2}^{-1}(H): embed H at its slot and add all later slots
-        rows = [np.pad(r, (lo_s, mod.dim - hi_s)) for r in h]
-        for t in range(hi_s, mod.dim):
-            e = np.zeros(mod.dim, dtype=np.int32)
-            e[t] = 1
-            rows.append(e)
-        pullback = linalg.row_space(ctx, np.array(rows, dtype=np.int32))
-        lhs = mod.v_preimage(Subspace(mod.space, pullback)).basis
+        eye = linalg.identity(mod.dim)
+        rows = [(0,) * lo_s + r + (0,) * (mod.dim - hi_s) for r in h] + list(eye[hi_s:])
+        pullback = linalg.rref(ctx, rows, mod.dim)[0]
+        lhs = mod.v_preimage(Subspace(mod.space, pullback)).rows
         # block route: solve the graded map into the slot, then pull back
-        block = mod.vmat[lo_s:hi_s, lo_t:hi_t]
-        ann = linalg.nullspace(ctx, h) if h.shape[0] else linalg.eye(ctx, width)
-        sol = linalg.nullspace(ctx, linalg.matmul(ctx, ann, block))
+        block = linalg.as_rows(mod.vmat[lo_s:hi_s, lo_t:hi_t])
+        width_t = hi_t - lo_t
+        ann = linalg.nullspace(ctx, h, width) if h else linalg.identity(width)
+        sol = linalg.nullspace(ctx, linalg.matmul(ctx, ann, block, width_t), width_t)
         sol = linalg.frob_map(ctx, sol, 1)
-        rows = [np.pad(r, (lo_t, mod.dim - hi_t)) for r in sol]
-        for t in range(hi_t, mod.dim):
-            e = np.zeros(mod.dim, dtype=np.int32)
-            e[t] = 1
-            rows.append(e)
-        rhs = linalg.row_space(ctx, np.array(rows, dtype=np.int32))
-        assert np.array_equal(lhs, rhs)
+        rows = [(0,) * lo_t + r + (0,) * (mod.dim - hi_t) for r in sol] + list(eye[hi_t:])
+        rhs = linalg.rref(ctx, rows, mod.dim)[0]
+        assert lhs == rhs
 
 
 # -- canonical flags and final types ---------------------------------------
@@ -227,11 +221,11 @@ def _round_closure(module):
 
     add(linalg.zeros(0, module.dim))
     add(linalg.eye(ctx, module.dim))
-    add(linalg.nullspace(ctx, module.v_linear))
+    add(linalg.nullspace(ctx, linalg.as_rows(module.v_linear), module.dim))
     for _ in range(4 * module.g):
         grew = False
         for sub in list(members):
-            pre = _preimage_by_nullspace(module, sub.basis)
+            pre = _preimage_by_nullspace(module, sub.rows)
             grew |= add(pre)
             grew |= add(_complement(module, pre))
         if not grew:
@@ -280,9 +274,11 @@ def test_module_kernels_are_cached_read_only(f16_line):
             sub = ker()
             assert ker() is sub
             assert not sub.basis.flags.writeable
-            assert np.array_equal(sub.basis, linalg.nullspace(mod.ctx, linear))
+            assert sub.rows == linalg.nullspace(mod.ctx, linalg.as_rows(linear), mod.dim)
             with pytest.raises(ValueError):
                 sub.basis[0, 0] = 1
+            with pytest.raises(TypeError):
+                sub.rows[0][0] = 1
 
 
 def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
@@ -331,9 +327,9 @@ def test_psi_duality_and_flag_self_duality(f16_line, f16_rational_line):
     for u, g in [(f16_line, 2), (f16_line, 3), (f16_rational_line, 2)]:
         mod = build_from_lagrangian(u, g)
         flag = canonical_flag(mod)
-        keys = {m.basis.tobytes() for m in flag.members}
+        keys = {m.rows for m in flag.members}
         for m in flag.members:
-            assert _complement(mod, m.basis).tobytes() in keys
+            assert _complement(mod, m.rows) in keys
         psi = eo_type(mod).psi
         for i in range(2 * g + 1):
             assert psi[2 * g - i] == psi[i] + g - i
@@ -347,7 +343,7 @@ def test_eo_type_is_basis_independent(f16_line):
     for _ in range(5):
         while True:
             s = rng.integers(0, ctx.q, size=(mod.dim, mod.dim)).astype(np.int32)
-            if linalg.rank(ctx, s) == mod.dim:
+            if linalg.rank(ctx, linalg.as_rows(s), mod.dim) == mod.dim:
                 break
         moved = mod.transport(s)
         assert eo_type(moved).w.perm == eo.w.perm

@@ -131,6 +131,7 @@ def test_list_tables_equal_the_arrays(p, k):
     assert ctx.mul_list == ctx.mul.tolist()
     assert ctx.neg_list == ctx.neg.tolist()
     assert ctx.inv_list == ctx.inv.tolist()
+    assert ctx.frob_lists == [t.tolist() for t in ctx.frob_tables]
     # the add table, built one digit at a time, is digit-wise addition mod p
     assert ctx.add.dtype == np.int32
     coeffs = _digits(ctx)

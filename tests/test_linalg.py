@@ -24,69 +24,100 @@ def _random_matrix(ctx, rng, rows, cols):
     return rng.integers(0, ctx.q, size=(rows, cols)).astype(linalg.DTYPE)
 
 
+def assert_rows(got, nrows, ncols):
+    """got is a tuple of nrows tuples of ncols Python ints."""
+    assert type(got) is tuple and len(got) == nrows
+    for row in got:
+        assert type(row) is tuple and len(row) == ncols
+        assert all(type(x) is int for x in row)
+
+
 def test_rref_is_idempotent_and_canonical(f4):
     rng = np.random.default_rng(0)
     for _ in range(40):
         m = _random_matrix(f4, rng, 3, 5)
-        r, piv = linalg.rref(f4, m)
-        r2, piv2 = linalg.rref(f4, r)
-        assert np.array_equal(r, r2) and piv == piv2
+        r, piv = linalg.rref(f4, linalg.as_rows(m), 5)
+        r2, piv2 = linalg.rref(f4, r, 5)
+        assert r == r2 and piv == piv2
         # scaling a row and permuting rows does not change the canonical form
         shuffled = m[rng.permutation(3)]
-        assert np.array_equal(linalg.rref(f4, shuffled)[0], r)
+        assert linalg.rref(f4, linalg.as_rows(shuffled), 5)[0] == r
 
 
 def test_nullspace_annihilates(f4):
     rng = np.random.default_rng(1)
     for _ in range(40):
-        m = _random_matrix(f4, rng, 3, 6)
-        ns = linalg.nullspace(f4, m)
-        assert ns.shape[0] == 6 - linalg.rank(f4, m)
-        if ns.shape[0]:
-            prod = linalg.matmul(f4, m, ns.T)
-            assert not prod.any()
+        m = linalg.as_rows(_random_matrix(f4, rng, 3, 6))
+        ns = linalg.nullspace(f4, m, 6)
+        assert len(ns) == 6 - linalg.rank(f4, m, 6)
+        if ns:
+            prod = linalg.matmul(f4, m, tuple(zip(*ns)), len(ns))
+            assert not any(map(any, prod))
 
 
 def test_matmul_against_scalar_arithmetic(f4):
     rng = np.random.default_rng(2)
     a = _random_matrix(f4, rng, 3, 4)
     b = _random_matrix(f4, rng, 4, 2)
-    got = linalg.matmul(f4, a, b)
+    got = linalg.matmul(f4, linalg.as_rows(a), linalg.as_rows(b), 2)
     for i in range(3):
         for j in range(2):
             acc = f4.zero
             for k in range(4):
                 acc = acc + f4.elem(int(a[i, k])) * f4.elem(int(b[k, j]))
-            assert acc.code == int(got[i, j])
+            assert acc.code == got[i][j]
+    with pytest.raises(ValueError):
+        linalg.matmul(f4, linalg.as_rows(a), linalg.as_rows(a), 4)
 
 
 def test_inverse(f4):
     rng = np.random.default_rng(3)
-    eye = linalg.eye(f4, 4)
+    eye = linalg.identity(4)
     found = 0
     while found < 10:
-        m = _random_matrix(f4, rng, 4, 4)
-        if linalg.rank(f4, m) < 4:
+        m = linalg.as_rows(_random_matrix(f4, rng, 4, 4))
+        if linalg.rank(f4, m, 4) < 4:
             continue
         inv = linalg.inverse(f4, m)
-        assert np.array_equal(linalg.matmul(f4, m, inv), eye)
+        assert_rows(inv, 4, 4)
+        assert linalg.matmul(f4, m, inv, 4) == eye
         found += 1
     with pytest.raises(ValueError):
-        linalg.inverse(f4, linalg.zeros(2, 2))
+        linalg.inverse(f4, ((0, 0), (0, 0)))
+    with pytest.raises(ValueError):
+        linalg.inverse(f4, ((1, 0, 0), (0, 1, 0)))
+    assert linalg.inverse(f4, ()) == ()
 
 
 def test_frob_map_is_bijective_entrywise(f4):
     rng = np.random.default_rng(4)
-    m = _random_matrix(f4, rng, 3, 3)
-    assert np.array_equal(linalg.frob_map(f4, linalg.frob_map(f4, m, 1), -1), m)
-    assert np.array_equal(linalg.frob_map(f4, m, f4.k), m)
+    m = linalg.as_rows(_random_matrix(f4, rng, 3, 3))
+    assert linalg.frob_map(f4, linalg.frob_map(f4, m, 1), -1) == m
+    assert linalg.frob_map(f4, m, f4.k) == m
+    table = f4.frob_table(1)
+    assert linalg.frob_map(f4, m, 1) == linalg.as_rows(table[np.array(m)])
 
 
 def test_in_row_space(f4):
-    m = np.array([[1, 0, 2, 3], [0, 1, 1, 1]], dtype=linalg.DTYPE)
-    r, _ = linalg.rref(f4, m)
-    assert linalg.in_row_space(f4, r, np.array([1, 1, 3, 2]))  # row0 + row1
-    assert not linalg.in_row_space(f4, r, np.array([0, 0, 1, 0]))
+    m = [[1, 0, 2, 3], [0, 1, 1, 1]]
+    r, piv = linalg.rref(f4, m, 4)
+    assert linalg.in_row_space(f4, r, piv, [(1, 1, 3, 2)])  # row0 + row1
+    assert not linalg.in_row_space(f4, r, piv, [(0, 0, 1, 0)])
+    assert not linalg.in_row_space(f4, r, piv, [(1, 1, 3, 2), (0, 0, 1, 0)])
+    assert linalg.in_row_space(f4, r, piv, [])
+    assert linalg.in_row_space(f4, (), (), [(0, 0, 0, 0)])
+    assert not linalg.in_row_space(f4, (), (), [(0, 0, 0, 1)])
+
+
+def test_as_rows_and_as_array_round_trip(f4):
+    rng = np.random.default_rng(6)
+    for shape in ((0, 0), (0, 5), (3, 0), (3, 5)):
+        m = _random_matrix(f4, rng, *shape)
+        rows = linalg.as_rows(m)
+        assert_rows(rows, *shape)
+        back = linalg.as_array(rows, shape[1])
+        assert back.dtype == linalg.DTYPE and back.flags.c_contiguous
+        assert back.shape == shape and back.tobytes() == m.tobytes()
 
 
 # -- the numpy reference and the property tests --------------------------
@@ -151,7 +182,8 @@ def field_matrices(draw, fields=FIELDS, max_rows=12, max_cols=24):
         inner = int(rng.integers(0, min(rows, cols) + 1))
         left = rng.integers(0, ctx.q, size=(rows, inner)).astype(linalg.DTYPE)
         right = rng.integers(0, ctx.q, size=(inner, cols)).astype(linalg.DTYPE)
-        mat = linalg.matmul(ctx, left, right)
+        product = linalg.matmul(ctx, linalg.as_rows(left), linalg.as_rows(right), cols)
+        mat = linalg.as_array(product, cols)
     return ctx, mat
 
 
@@ -174,10 +206,10 @@ def span(ctx, mat):
 @example((field(2, 10), linalg.zeros(12, 24)))
 def test_rref_matches_the_numpy_reference(case):
     ctx, mat = case
-    got, pivots = linalg.rref(ctx, mat)
+    got, pivots = linalg.rref(ctx, linalg.as_rows(mat), mat.shape[1])
     want, want_pivots = reference_rref(ctx, mat)
-    assert got.dtype == linalg.DTYPE and got.flags.c_contiguous
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert_rows(got, want.shape[0], mat.shape[1])
+    assert got == linalg.as_rows(want)
     assert pivots == want_pivots
 
 
@@ -190,33 +222,40 @@ def test_rref_bytes_are_equal_exactly_when_spans_are(case, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
         mix = rng.integers(0, ctx.q, size=(a.shape[0], a.shape[0])).astype(linalg.DTYPE)
-        b = linalg.matmul(ctx, mix, a)
+        product = linalg.matmul(ctx, linalg.as_rows(mix), linalg.as_rows(a), a.shape[1])
+        b = linalg.as_array(product, a.shape[1])
     else:
         b = rng.integers(0, ctx.q, size=a.shape).astype(linalg.DTYPE)
-    same_bytes = linalg.rref(ctx, a)[0].tobytes() == linalg.rref(ctx, b)[0].tobytes()
-    assert same_bytes == (span(ctx, a) == span(ctx, b))
+    ncols = a.shape[1]
+    same_rows = (
+        linalg.rref(ctx, linalg.as_rows(a), ncols)[0]
+        == linalg.rref(ctx, linalg.as_rows(b), ncols)[0]
+    )
+    assert same_rows == (span(ctx, a) == span(ctx, b))
 
 
 @PROPERTY
 @given(field_matrices())
 def test_nullspace_is_exact(case):
     ctx, mat = case
-    ns = linalg.nullspace(ctx, mat)
     ncols = mat.shape[1]
-    assert ns.shape == (ncols - linalg.rank(ctx, mat), ncols)
-    assert ns.dtype == linalg.DTYPE
+    rows = linalg.as_rows(mat)
+    ns = linalg.nullspace(ctx, rows, ncols)
+    assert_rows(ns, ncols - linalg.rank(ctx, rows, ncols), ncols)
     # a canonical basis of vectors that mat annihilates
-    assert ns.tobytes() == reference_rref(ctx, ns)[0].tobytes()
-    assert not scalar_matmul(ctx, mat, ns.T).any()
+    arr = linalg.as_array(ns, ncols)
+    assert ns == linalg.as_rows(reference_rref(ctx, arr)[0])
+    assert not scalar_matmul(ctx, mat, arr.T).any()
 
 
 @PROPERTY
 @given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=4, max_cols=6))
 def test_nullspace_holds_every_solution(case):
     ctx, mat = case
-    ns = linalg.nullspace(ctx, mat)
+    ncols = mat.shape[1]
+    ns = linalg.as_array(linalg.nullspace(ctx, linalg.as_rows(mat), ncols), ncols)
     solutions = [
-        x for x in itertools.product(range(ctx.q), repeat=mat.shape[1])
+        x for x in itertools.product(range(ctx.q), repeat=ncols)
         if not scalar_matmul(ctx, mat, np.array(x, dtype=linalg.DTYPE).reshape(-1, 1)).any()
     ]
     assert len(solutions) == ctx.q ** ns.shape[0]
@@ -257,9 +296,9 @@ def test_matmul_matches_scalar_arithmetic(pk, n, m, l, seed, sparse):
         # the product skips zero entries of a, which dense draws over
         # large fields almost never contain
         a, b = _sparsified(rng, a), _sparsified(rng, b)
-    got = linalg.matmul(ctx, a, b)
-    assert got.dtype == linalg.DTYPE and got.shape == (n, l) and got.flags.c_contiguous
-    assert np.array_equal(got, scalar_matmul(ctx, a, b))
+    got = linalg.matmul(ctx, linalg.as_rows(a), linalg.as_rows(b), l)
+    assert_rows(got, n, l)
+    assert got == linalg.as_rows(scalar_matmul(ctx, a, b))
 
 
 def test_matmul_memory_is_bounded_by_its_operands():
@@ -269,14 +308,15 @@ def test_matmul_memory_is_bounded_by_its_operands():
     rng = np.random.default_rng(5)
     a = rng.integers(0, ctx.q, size=(128, 128)).astype(linalg.DTYPE)
     b = rng.integers(0, ctx.q, size=(128, 128)).astype(linalg.DTYPE)
+    a_rows, b_rows = linalg.as_rows(a), linalg.as_rows(b)
     tracemalloc.start()
     try:
-        got = linalg.matmul(ctx, a, b)
+        got = linalg.matmul(ctx, a_rows, b_rows, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert np.array_equal(got[:2], scalar_matmul(ctx, a[:2], b))
+    assert got[:2] == linalg.as_rows(scalar_matmul(ctx, a[:2], b))
 
 
 def reference_nullspace(ctx, mat):
@@ -286,8 +326,7 @@ def reference_nullspace(ctx, mat):
     ncols = mat.shape[1]
     if mat.size == 0:
         return linalg.eye(ctx, ncols)
-    r, pivots = linalg.rref(ctx, mat)
-    rows = r.tolist()
+    rows, pivots = linalg.rref(ctx, linalg.as_rows(mat), ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -296,7 +335,7 @@ def reference_nullspace(ctx, mat):
         for row, pc in zip(rows, pivots):
             vec[pc] = ctx.neg_list[row[fc]]
         basis.append(vec)
-    return linalg.row_space(ctx, np.array(basis, dtype=linalg.DTYPE).reshape(len(free), ncols))
+    return reference_rref(ctx, np.array(basis, dtype=linalg.DTYPE).reshape(len(free), ncols))[0]
 
 
 @PROPERTY
@@ -307,7 +346,8 @@ def reference_nullspace(ctx, mat):
 @example((field(2, 1), linalg.zeros(3, 1)))
 def test_nullspace_matches_the_two_elimination_reference(case):
     ctx, mat = case
-    got = linalg.nullspace(ctx, mat)
+    ncols = mat.shape[1]
+    got = linalg.nullspace(ctx, linalg.as_rows(mat), ncols)
     want = reference_nullspace(ctx, mat)
-    assert got.dtype == linalg.DTYPE and got.flags.c_contiguous
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert_rows(got, want.shape[0], ncols)
+    assert got == linalg.as_rows(want)

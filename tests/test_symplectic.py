@@ -45,7 +45,8 @@ def test_gram_is_alternating_and_invertible(space4, space9):
     for space in (space4, space9):
         ctx = space.ctx
         g = space.gram
-        assert linalg.rank(ctx, g) == space.dim
+        assert linalg.rank(ctx, space.gram_rows, space.dim) == space.dim
+        assert space.gram_rows == linalg.as_rows(g)
         assert not ctx.add[g, g.T].any()
         assert not g.diagonal().any()
         rng = np.random.default_rng(11)
@@ -82,19 +83,20 @@ def test_subspaces_under_a_general_form(space9):
     rng = np.random.default_rng(12)
     for _ in range(5):
         while True:
-            s = rng.integers(0, ctx.q, size=(4, 4)).astype(np.int32)
-            if linalg.rank(ctx, s) == 4:
+            s = linalg.as_rows(rng.integers(0, ctx.q, size=(4, 4)))
+            if linalg.rank(ctx, s, 4) == 4:
                 break
-        gram = linalg.matmul(ctx, linalg.matmul(ctx, s.T, space9.gram), s)
+        st = tuple(zip(*s))
+        gram = linalg.matmul(ctx, linalg.matmul(ctx, st, space9.gram_rows, 4), s, 4)
         space = SymplecticSpace.from_gram(ctx, gram)
         for dim in (1, 2, 3):
             u = rand_subspace(space, rng, dim)
-            assert _same_rows(u.perp().basis, _generic_perp(u))
+            assert u.perp().rows == _generic_perp(u)
             assert u.perp().dim == 4 - dim and u.perp().perp() == u
         # Lagrangians of the standard form, moved by S^{-1}, are Lagrangian
         s_inv = linalg.inverse(ctx, s)
         for u in enumerate_lagrangians(space9)[:10]:
-            moved = Subspace(space, linalg.matmul(ctx, u.basis, s_inv.T))
+            moved = Subspace(space, linalg.matmul(ctx, u.rows, tuple(zip(*s_inv)), 4))
             assert moved.is_lagrangian() and moved.perp() == moved
 
 
@@ -137,26 +139,22 @@ def test_perp_properties(space4):
 
 
 def _generic_intersect(a, b):
-    joint = np.concatenate([a.ann, b.ann])
-    return linalg.nullspace(a.space.ctx, joint)
+    return linalg.nullspace(a.space.ctx, a.ann + b.ann, a.space.dim)
 
 
 def _generic_sum(a, b):
-    return linalg.rref(a.space.ctx, np.concatenate([a.basis, b.basis]))[0]
+    return linalg.rref(a.space.ctx, a.rows + b.rows, a.space.dim)[0]
 
 
 def _generic_contains(a, b):
-    stacked = np.concatenate([a.basis, b.basis])
-    return linalg.rank(a.space.ctx, stacked) == a.dim
+    """The rank of the stacked bases, the check ``contains`` replaced."""
+    return linalg.rank(a.space.ctx, a.rows + b.rows, a.space.dim) == a.dim
 
 
 def _generic_perp(a):
-    prod = linalg.matmul(a.space.ctx, a.basis, a.space.gram)
-    return linalg.nullspace(a.space.ctx, prod)
-
-
-def _same_rows(got, want):
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
+    space = a.space
+    prod = linalg.matmul(space.ctx, a.rows, space.gram_rows, space.dim)
+    return linalg.nullspace(space.ctx, prod, space.dim)
 
 
 @st.composite
@@ -178,11 +176,72 @@ def _subspace_with_trivial_partner(draw):
 def test_trivial_cases_match_the_generic_computation(pair):
     x, t = pair
     for a, b in ((x, t), (t, x), (t, t)):
-        assert _same_rows(a.intersect(b).basis, _generic_intersect(a, b))
-        assert _same_rows((a + b).basis, _generic_sum(a, b))
+        assert a.intersect(b).rows == _generic_intersect(a, b)
+        assert (a + b).rows == _generic_sum(a, b)
         assert a.contains(b) == _generic_contains(a, b)
     for a in (x, t):
-        assert _same_rows(a.perp().basis, _generic_perp(a))
+        assert a.perp().rows == _generic_perp(a)
+
+
+@st.composite
+def _subspace_pair(draw):
+    """Two subspaces of one space; b is often spanned by combinations of
+    a's rows (so a contains it), otherwise drawn on its own."""
+    p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 4)]))
+    n = draw(st.integers(1, 3))
+    space = SymplecticSpace(field(p, k), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = Subspace(space, rng.integers(0, p**k, size=(draw(st.integers(0, 2 * n)), 2 * n)))
+    rows = draw(st.integers(0, 2 * n))
+    if a.dim and draw(st.booleans()):
+        mix = rng.integers(0, p**k, size=(rows, a.dim))
+        b = Subspace(space, linalg.matmul(space.ctx, linalg.as_rows(mix), a.rows, 2 * n))
+    else:
+        b = Subspace(space, rng.integers(0, p**k, size=(rows, 2 * n)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_subspace_pair())
+def test_contains_matches_the_rank_of_the_stacked_bases(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        want = _generic_contains(x, y)
+        assert x.contains(y) == want
+        assert linalg.in_row_space(x.space.ctx, x.rows, x.pivots, y.rows) == want
+    assert a.contains(a.intersect(b)) and a.contains(a + b) == (a + b == a)
+
+
+def test_subspace_basis_is_the_read_only_array_of_its_rows():
+    from .test_linalg import reference_rref
+
+    rng = np.random.default_rng(17)
+    for p, k, n in [(2, 2, 1), (2, 4, 2), (3, 2, 2), (2, 10, 3)]:
+        space = SymplecticSpace(field(p, k), n)
+        for _ in range(20):
+            mat = rng.integers(0, p**k, size=(int(rng.integers(0, 2 * n + 1)), 2 * n))
+            u = Subspace(space, mat)
+            basis = u.basis
+            assert basis.dtype == np.int32 and basis.flags.c_contiguous
+            assert not basis.flags.writeable and basis.shape == (u.dim, 2 * n)
+            # the bytes of the former array route: RREF of the int32 array
+            want, pivots = reference_rref(space.ctx, mat.astype(np.int32))
+            assert basis.tobytes() == want.tobytes() and u.pivots == pivots
+            with pytest.raises(ValueError):
+                basis[...] = 0
+            assert basis is not u.basis and np.array_equal(basis, u.basis)
+            # kernels return tuples, so rows shared between subspaces are immutable
+            for rows in (u.rows, u.ann, u.perp().rows, u.twist(1).rows):
+                assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+            if u.dim:
+                with pytest.raises(TypeError):
+                    u.rows[0][0] = 1
+            assert Subspace(space, u.rows) == u and Subspace(space, list(u.rows)) == u
+            # every route keeps the pivots of its reduced rows
+            v = Subspace(space, rng.integers(0, p**k, size=(n, 2 * n)))
+            for x in (u.perp(), u.intersect(v), u + v, u.twist(1), v.perp().perp()):
+                want, pivots = reference_rref(space.ctx, x.basis)
+                assert x.basis.tobytes() == want.tobytes() and x.pivots == pivots
 
 
 def test_lagrangian_is_self_perp(space4):
@@ -308,7 +367,7 @@ def _relpos_by_scan(flag_c, flag_d):
     space = flag_c.space
     table = {
         (cm.dim, dm.dim): cm.dim + dm.dim
-        - linalg.rank(space.ctx, np.vstack([cm.basis, dm.basis]))
+        - linalg.rank(space.ctx, cm.rows + dm.rows, space.dim)
         for cm in flag_c.members
         for dm in flag_d.members
     }
@@ -430,9 +489,10 @@ def test_random_symplectic_properties(space9):
     g2 = random_symplectic(space9, 42)
     assert np.array_equal(g1, g2)  # deterministic per seed
     g3 = random_symplectic(space9, 43)
-    prod = linalg.matmul(ctx, g1, g3)
-    check = linalg.matmul(ctx, linalg.matmul(ctx, prod.T, space9.gram), prod)
-    assert np.array_equal(check, space9.gram)
+    assert g1.dtype == np.int32 and g1.shape == (4, 4)
+    prod = linalg.matmul(ctx, linalg.as_rows(g1), linalg.as_rows(g3), 4)
+    check = linalg.matmul(ctx, linalg.matmul(ctx, tuple(zip(*prod)), space9.gram_rows, 4), prod, 4)
+    assert check == space9.gram_rows
 
 
 def test_subspace_serialization(space4):

@@ -28,14 +28,19 @@ whose Gram matrix is the pairing (``SymplecticSpace.from_gram`` checks
 that it is alternating and nondegenerate), so every subspace here is a
 ``symplectic.Subspace``: canonical, immutable, with its complement
 under the pairing cached.  The canonical flag is the smallest chain
-containing ker V that is stable under V-preimage and complement.  It is
-closed with a worklist, so each member's V-preimage and complement are
-computed once, and a closure that grows past 2g+1 members (the longest
-chain in a 2g-dimensional space) is refused at once; the members are
-then a ``symplectic.Flag``, which checks the chain, and the flag must
-be self-dual.  Its F-image dimensions interpolate to the final type
-psi, and the EO label is the minimal Siegel representative w with
-psi(i) = i - r_w(i, g), read off the positions where psi does not jump.
+containing ker V that is stable under V-preimage and complement (Oort
+2001).  The adjunction gives V^{-1}(C) = F(C-perp)-perp for every
+subspace C, and ker V = F(M), so that is also the least set holding 0
+and M that is stable under F-image and complement, and it is closed
+that way: with a worklist, so each member's F-image and complement are
+computed once, one elimination each, and a closure that grows past
+2g+1 members (the longest chain in a 2g-dimensional space) is refused
+at once.  The members are then a ``symplectic.Flag``, which checks the
+chain, and the flag must be self-dual.  Each member's F-image
+dimension is read off the image the closure kept for it; these
+interpolate to the final type psi, and the EO label is the minimal
+Siegel representative w with psi(i) = i - r_w(i, g), read off the
+positions where psi does not jump.
 
 The operator and pairing blocks are assembled as numpy arrays, and the
 module converts them once into the rows its kernels work on (F, its
@@ -140,35 +145,20 @@ class DieudonneModule:
         columns = tuple(zip(*self._vlin_rows))
         return Subspace._from_rref(self.space, *linalg.rref(self.ctx, columns, self.dim))
 
-    def f_image_dim(self, sub: Subspace) -> int:
-        """dim F(C^(p)) for a subspace C.
+    def f_image(self, sub: Subspace) -> Subspace:
+        """F(C) = fmat . C^(p), one product and one elimination.
 
-        On the whole space this is 2g - dim ker F = g (ker F is computed
-        once and its dimension checked at construction).
+        F(0) is 0, and F of the whole space is the cached ker V (the two
+        are checked equal at construction), so neither needs elimination.
         """
         if sub.dim == 0:
-            return 0
-        if sub.dim == self.dim:
-            return self.dim - self.kernel_of_F().dim
-        powered = linalg.frob_map(self.ctx, sub.rows, 1)
-        image = linalg.matmul(self.ctx, powered, self._ft_rows, self.dim)
-        return linalg.rank(self.ctx, image, self.dim)
-
-    def v_preimage(self, sub: Subspace) -> Subspace:
-        """{x : V(x) lies in the p-twist of C}.
-
-        V^{-1}(0) is ker V and V^{-1} of the whole space is the whole
-        space; any other C is solved exactly, as a linear preimage of its
-        annihilator under the untwisted matrix composed with the
-        (bijective) Frobenius.
-        """
-        if sub.dim == 0:
-            return self.kernel_of_V()
-        if sub.dim == self.dim:
             return sub
+        if sub.dim == self.dim:
+            return self.kernel_of_V()
         ctx, dim = self.ctx, self.dim
-        pre = linalg.nullspace(ctx, linalg.matmul(ctx, sub.ann, self._v_rows, dim), dim)
-        return Subspace._from_rref(self.space, linalg.frob_map(ctx, pre, 1))
+        powered = linalg.frob_map(ctx, sub.rows, 1)
+        image = linalg.matmul(ctx, powered, self._ft_rows, dim)
+        return Subspace._from_rref(self.space, *linalg.rref(ctx, image, dim))
 
     def transport(self, s: np.ndarray) -> "DieudonneModule":
         """The isomorphic module in the basis x = S x'."""
@@ -216,20 +206,27 @@ class DieudonneModule:
     def _check_kernel_shapes(self) -> None:
         """ker F = pr_2^{-1}(U) and ker V = pr_2^{-1}(U twisted)."""
         u = self.point
-        if self.kernel_of_F() != self._middle_pullback(u.rows):
+        if self.kernel_of_F() != self._middle_pullback(u.rows, u.pivots):
             raise RuntimeError("ker F does not project onto the point")
         twisted = linalg.frob_map(self.ctx, u.rows, 1)
-        if self.kernel_of_V() != self._middle_pullback(twisted):
+        if self.kernel_of_V() != self._middle_pullback(twisted, u.pivots):
             raise RuntimeError("ker V does not project onto the twisted point")
 
-    def _middle_pullback(self, rows: linalg.Rows) -> Subspace:
-        """pr_2^{-1} of a subspace of the middle slot."""
+    def _middle_pullback(self, rows: linalg.Rows, pivots: tuple[int, ...]) -> Subspace:
+        """pr_2^{-1} of a subspace of the middle slot, given by reduced rows.
+
+        The rows sit in the middle slot above the unit rows of the later
+        slots, which are zero on the middle columns, so the stack is
+        already reduced, with the middle pivots shifted by the slot's
+        start followed by every later column.
+        """
         lo, hi = self.slot_bounds[2], self.slot_bounds[3]
         dim = self.dim
         left, right = (0,) * lo, (0,) * (dim - hi)
-        out = [left + row + right for row in rows]
-        out.extend(linalg.identity(dim)[hi:])
-        return Subspace._from_rref(self.space, *linalg.rref(self.ctx, out, dim))
+        out = tuple(left + row + right for row in rows) + linalg.identity(dim)[hi:]
+        return Subspace._from_rref(
+            self.space, out, tuple(lo + p for p in pivots) + tuple(range(hi, dim))
+        )
 
 
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
@@ -310,51 +307,58 @@ class CanonicalFlag:
 
 
 def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
-    """Close {ker V} under V-preimage and pairing-complement, then grade.
+    """Close {0, M} under F-image and pairing-complement, then grade.
 
-    The closure runs as a worklist: each new member gets its V-preimage
-    once and that preimage's complement once (cached on the preimage,
-    so the self-duality check reuses it).  The result is the least
-    closed set, whatever the order of the work.  A chain in a
-    2g-dimensional space has at most 2g+1 members, so a closure that
-    grows past that raises RuntimeError at once.  The members must form
-    a ``Flag`` that is self-dual, and on each gap the F-image dimension
-    must grow by zero or by the full gap (the dichotomy the final type
-    is read from).  Violations raise RuntimeError.
+    This is the closure under V-preimage and complement that defines
+    the canonical filtration: the adjunction <Fx, y> = <x, Vy>^p gives
+    V^{-1}(C) = F(C-perp)-perp for every subspace C, so a set closed
+    under complement is closed under V-preimage exactly when it is
+    closed under F-image, and F(M) = ker V = V^{-1}(0).  The closure
+    runs as a worklist: each new member gets its F-image once and its
+    complement once (cached on the member, so the self-duality check
+    reuses it), and the images are kept, so each member's F-image
+    dimension is read off its image.  The result is the least closed
+    set, whatever the order of the work.  A chain in a 2g-dimensional
+    space has at most 2g+1 members, so a closure that grows past that
+    raises RuntimeError at once.  The members must form a ``Flag`` that
+    is self-dual, and on each gap the F-image dimension must grow by
+    zero or by the full gap (the dichotomy the final type is read
+    from).  Violations raise RuntimeError.
     """
     space = module.space
     limit = module.dim + 1
-    # each member maps to the object kept for it, so an equal subspace
-    # found again reuses the kept one's cached complement
-    members: dict[Subspace, Subspace] = {}
+    # only the first object found for a member is kept and worked on, so
+    # its cached complement is the one the self-duality check reads
+    members: set[Subspace] = set()
+    images: dict[Subspace, Subspace] = {}
     todo: list[Subspace] = []
 
-    def add(sub: Subspace) -> Subspace:
-        kept = members.get(sub)
-        if kept is None:
-            members[sub] = kept = sub
+    def add(sub: Subspace) -> None:
+        if sub not in members:
+            members.add(sub)
             todo.append(sub)
             if len(members) > limit:
                 raise RuntimeError(
                     f"canonical closure exceeds {limit} members, "
                     "the most a chain can hold"
                 )
-        return kept
 
     add(zero_subspace(space))
     add(full_subspace(space))
-    add(module.kernel_of_V())
     while todo:
-        add(add(module.v_preimage(todo.pop())).perp())
+        sub = todo.pop()
+        images[sub] = module.f_image(sub)
+        add(images[sub])
+        add(sub.perp())
 
     try:
-        flag = Flag(members.values())
+        flag = Flag(members)
     except ValueError as exc:
         raise RuntimeError(f"canonical members are not a chain: {exc}") from exc
     if not flag.is_self_dual():
         raise RuntimeError("canonical flag is not self-dual")
 
-    fdims = tuple(module.f_image_dim(m) for m in flag.members)
+    fdims = tuple(images[m].dim for m in flag.members)
     dims = flag.dims
     for (d0, f0), (d1, f1) in zip(zip(dims, fdims), zip(dims[1:], fdims[1:])):
         if f1 - f0 not in (0, d1 - d0):

@@ -228,10 +228,19 @@ class Subspace:
         return self._perp
 
     def twist(self, r: int) -> "Subspace":
-        """Entrywise p^r power of the basis (echelon form and pivots are kept)."""
-        return Subspace._from_rref(
-            self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
-        )
+        """Entrywise p^r power of the basis (echelon form and pivots are kept).
+
+        A proper subspace's twist carries the twist of its annihilator:
+        Frobenius is an entrywise field automorphism, so it maps the
+        reduced null space of the rows to that of the twisted rows.  The
+        complement is not carried, since a form from ``from_gram`` need
+        not be Frobenius-fixed.
+        """
+        ctx = self.space.ctx
+        out = Subspace._from_rref(self.space, linalg.frob_map(ctx, self.rows, r), self.pivots)
+        if 0 < self.dim < self.space.dim:
+            out._ann = linalg.frob_map(ctx, self.ann, r)
+        return out
 
     def is_isotropic(self) -> bool:
         space = self.space

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlstrata import dlclassify as dc, linalg, weyl
 from dlstrata.dieudonne import (
@@ -55,6 +56,12 @@ def _preimage_by_nullspace(mod, rows):
     return linalg.frob_map(ctx, pre, 1)
 
 
+def _f_product(mod, rows):
+    """The rows of F applied to each row: fmat . x^(p), with no special case."""
+    ctx, dim = mod.ctx, mod.dim
+    return linalg.matmul(ctx, linalg.frob_map(ctx, rows, 1), linalg.as_rows(mod.fmat.T), dim)
+
+
 def _complement(mod, rows):
     """The complement under the module pairing, by one null space."""
     omega = linalg.as_rows(mod.pairing)
@@ -81,17 +88,15 @@ def test_module_dimensions_and_kernels(f16_line):
 
 
 def test_f_image_dim_on_the_whole_space_is_the_rank_of_f():
-    # the whole space is answered as 2g - dim ker F; rank F itself here
+    # the whole space is answered as the cached ker V; rank F itself here
     rng = np.random.default_rng(43)
     for c, p, m, g in [(1, 2, 2, 2), (1, 3, 1, 3), (2, 2, 2, 4), (2, 2, 2, 5), (3, 2, 2, 6)]:
         space = dc.census_space(c, p, m)
         for _ in range(3):
             mod = build_from_lagrangian(random_lagrangian(space, rng), g)
             ctx, dim = mod.ctx, mod.dim
-            powered = linalg.frob_map(ctx, linalg.identity(dim), 1)
-            image = linalg.matmul(ctx, powered, linalg.as_rows(mod.fmat.T), dim)
-            want = linalg.rank(ctx, image, dim)
-            assert mod.f_image_dim(full_subspace(mod.space)) == want == g
+            want = linalg.rank(ctx, _f_product(mod, linalg.identity(dim)), dim)
+            assert mod.f_image(full_subspace(mod.space)).dim == want == g
 
 
 def test_adjunction_on_all_basis_pairs(f16_line):
@@ -126,25 +131,70 @@ def test_kernel_projects_onto_point_and_twist(f16_line):
     assert got == linalg.frob_map(mod.ctx, f16_line.rows, 1)
 
 
-def test_v_preimage_edges(f16_line, f16_rational_line):
-    # V^{-1}(0) = ker V and V^{-1}(V) = V are answered without
-    # elimination; both must agree with the generic null-space route
+def test_f_image_edges(f16_line, f16_rational_line):
+    # F(0) = 0 and F(M) = ker V are answered without elimination; both
+    # must agree with the generic product-and-rank route
     for u, g in [(f16_line, 2), (f16_line, 3), (f16_rational_line, 2)]:
         mod = build_from_lagrangian(u, g)
+        ctx, dim = mod.ctx, mod.dim
         zero, full = zero_subspace(mod.space), full_subspace(mod.space)
-        ker_v = mod.v_preimage(zero)
-        assert 0 < ker_v.dim < mod.dim
+        nothing = mod.f_image(zero)
+        assert nothing.dim == linalg.rank(ctx, _f_product(mod, zero.rows), dim) == 0
+        ker_v = mod.f_image(full)
+        assert ker_v is mod.kernel_of_V()
+        assert 0 < ker_v.dim < dim
+        assert ker_v.rows == linalg.rref(ctx, _f_product(mod, full.rows), dim)[0]
         assert ker_v.rows == _preimage_by_nullspace(mod, zero.rows)
-        whole = mod.v_preimage(full)
-        assert whole.dim == mod.dim
-        assert whole.rows == _preimage_by_nullspace(mod, full.rows)
         # and a proper subspace goes the generic way
-        pre = mod.v_preimage(ker_v)
-        assert pre.rows == _preimage_by_nullspace(mod, ker_v.rows)
+        image = mod.f_image(ker_v)
+        assert image.rows == linalg.rref(ctx, _f_product(mod, ker_v.rows), dim)[0]
+
+
+@st.composite
+def _module_and_subspace(draw):
+    """A module of a random point (c = 1..3 over F_4, F_9 or F_16, g = 2c
+    or 2c + 1) and a random subspace of it."""
+    c = draw(st.integers(1, 3))
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    g = 2 * c + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mod = build_from_lagrangian(random_lagrangian(dc.census_space(c, p, m), rng), g)
+    rows = rng.integers(0, mod.ctx.q, size=(draw(st.integers(0, mod.dim)), mod.dim))
+    return mod, Subspace(mod.space, rows)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_module_and_subspace())
+def test_v_preimage_is_the_complement_of_the_f_image_of_the_complement(pair):
+    # V^{-1}(C) = F(C-perp)-perp, the identity the F-image closure rests on
+    mod, sub = pair
+    assert mod.f_image(sub.perp()).perp().rows == _preimage_by_nullspace(mod, sub.rows)
+
+
+def test_middle_pullback_is_the_rref_of_its_rows():
+    # the stacked rows are taken as reduced; the elimination they skip
+    # must give the same rows and pivots
+    rng = np.random.default_rng(37)
+    space = dc.census_space(2, 2, 2)
+    points = list(dc._cached_lagrangians(1, 2, 2))
+    points += [random_lagrangian(space, rng) for _ in range(40)]
+    for u in points:
+        c = u.space.n
+        for g in (2 * c, 2 * c + 1):
+            mod = build_from_lagrangian(u, g)
+            ctx, dim = mod.ctx, mod.dim
+            lo, hi = mod.slot_bounds[2], mod.slot_bounds[3]
+            for r in (0, 1):
+                rows = linalg.frob_map(ctx, u.rows, r)
+                got = mod._middle_pullback(rows, u.pivots)
+                stacked = [(0,) * lo + row + (0,) * (dim - hi) for row in rows]
+                stacked += linalg.identity(dim)[hi:]
+                assert (got.rows, got.pivots) == linalg.rref(ctx, stacked, dim)
 
 
 def test_v_preimage_matches_graded_formula(f16_line):
-    """Preimages of slot pull-backs agree with the block computation."""
+    """Preimages of slot pull-backs, taken as F(C-perp)-perp, agree with
+    the block computation."""
     mod = build_from_lagrangian(f16_line, 3)
     ctx = mod.ctx
     rng = np.random.default_rng(5)
@@ -158,7 +208,7 @@ def test_v_preimage_matches_graded_formula(f16_line):
         eye = linalg.identity(mod.dim)
         rows = [(0,) * lo_s + r + (0,) * (mod.dim - hi_s) for r in h] + list(eye[hi_s:])
         pullback = linalg.rref(ctx, rows, mod.dim)[0]
-        lhs = mod.v_preimage(Subspace(mod.space, pullback)).rows
+        lhs = mod.f_image(Subspace(mod.space, pullback).perp()).perp().rows
         # block route: solve the graded map into the slot, then pull back
         block = linalg.as_rows(mod.vmat[lo_s:hi_s, lo_t:hi_t])
         width_t = hi_t - lo_t
@@ -202,12 +252,13 @@ def test_wild_line_genus_three_final_type(f16_line):
 
 
 def _round_closure(module):
-    """The round-based closure that canonical_flag's worklist replaced.
+    """The round-based V-preimage closure that canonical_flag replaced.
 
     Kept as the reference: every member is re-run through V-preimage and
     complement in every round until a round adds nothing, both by plain
-    null spaces (no cached kernel, complement or trivial case).  Returns
-    the chain sorted by dimension and its F-image dimensions.
+    null spaces (no cached kernel, complement, F-image or trivial case).
+    Returns the chain sorted by dimension and its F-image dimensions,
+    each the rank of the member's F-product.
     """
     ctx, space = module.ctx, module.space
     members = set()
@@ -233,7 +284,8 @@ def _round_closure(module):
     else:
         raise RuntimeError("reference closure did not stabilize")
     chain = sorted(members, key=lambda m: m.dim)
-    return chain, tuple(module.f_image_dim(sub) for sub in chain)
+    fdims = (linalg.rank(ctx, _f_product(module, sub.rows), module.dim) for sub in chain)
+    return chain, tuple(fdims)
 
 
 def _closure_points():
@@ -291,7 +343,7 @@ def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
         line[0, 0], line[0, 1] = 1, len(calls)
         return Subspace(mod.space, line)
 
-    monkeypatch.setattr(mod, "v_preimage", fresh_line)
+    monkeypatch.setattr(mod, "f_image", fresh_line)
     with pytest.raises(RuntimeError, match="exceeds 5 members"):
         canonical_flag(mod)
     assert len(calls) <= 2 * mod.g + 1

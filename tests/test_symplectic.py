@@ -267,6 +267,28 @@ def test_twist_properties(space4):
     assert u.twist(1) == u
 
 
+@st.composite
+def _subspace_and_exponent(draw):
+    p, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 4)]))
+    n = draw(st.integers(1, 3))
+    space = SymplecticSpace(field(p, k), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = Subspace(space, rng.integers(0, p**k, size=(draw(st.integers(0, 2 * n)), 2 * n)))
+    return u, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_subspace_and_exponent())
+def test_twist_carries_the_annihilator(pair):
+    u, r = pair
+    space = u.space
+    t = u.twist(r)
+    # a proper subspace's twist has its annihilator before it is asked for
+    assert (t._ann is not None) == (0 < u.dim < space.dim)
+    assert t.ann == linalg.nullspace(space.ctx, t.rows, space.dim)
+    assert t.twist(-r) == u and t.twist(-r).ann == u.ann
+
+
 LAGRANGIAN_GRID = [
     (1, 2, 1, 3), (1, 3, 1, 4), (1, 2, 2, 5), (1, 5, 1, 6), (1, 3, 2, 10),
     (2, 2, 1, 15), (2, 3, 1, 40), (2, 2, 2, 85), (2, 5, 1, 156), (2, 3, 2, 820),

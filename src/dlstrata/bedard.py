@@ -7,10 +7,11 @@ for (I_n, F(I_n)), subject to
     I_{n+1} = I_n  intersect  u_n F(I_n) u_n^{-1}
     u_{n+1}  in  W_{I_{n+1}} u_n W_{F(I_n)}
 
-and stabilizes once the pair (u, I) repeats.  Forward enumeration of all
-such sequences hits each minimal left coset representative exactly once
-as the stabilized u; that bijection is asserted here and doubles as the
-correctness oracle for the whole module.
+and stabilizes once the pair (u, I) repeats.  Each minimal left coset
+representative w for I is the stabilized u of exactly one sequence, and
+that sequence is read off w: the double cosets W_{I_n} u_n W_{F(I_n)}
+shrink along the sequence, so each contains w and u_n is the minimal
+representative of W_{I_n} w W_{F(I_n)}.
 
 For Sp the Frobenius acts trivially on the generators; the action is
 kept as a parameter so the twisted variants remain expressible.
@@ -56,9 +57,6 @@ class FrobeniusAction:
 
     def apply_subset(self, subset: frozenset[int]) -> frozenset[int]:
         return frozenset(self(i) for i in subset)
-
-    def is_stable(self, subset: frozenset[int]) -> bool:
-        return self.apply_subset(subset) == subset
 
     @staticmethod
     def trivial(n: int) -> "FrobeniusAction":
@@ -111,72 +109,40 @@ def _IW_for(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
 def enumerate_sequences(
     n: int, I: frozenset[int], F: FrobeniusAction
 ) -> tuple[BedardSequence, ...]:
-    """All stabilizing sequences for (I, F), by forward depth-first search.
-
-    Raises RuntimeError if the stabilized values fail to hit each minimal
-    left coset representative exactly once.
-    """
-    sequences: list[BedardSequence] = []
-
-    def coset_members(
-        left: frozenset[int], u: WeylElement, right: frozenset[int]
-    ) -> set[tuple[int, ...]]:
-        return {
-            weyl.compose(weyl.compose(a, u), b).perm
-            for a in weyl.parabolic_subgroup(n, left)
-            for b in weyl.parabolic_subgroup(n, right)
-        }
-
-    def extend(
-        steps: list[tuple[WeylElement, frozenset[int]]],
-        u: WeylElement,
-        cur_type: frozenset[int],
-    ) -> None:
-        next_type = cur_type & conjugate_type(u, F.apply_subset(cur_type))
-        if next_type == cur_type:
-            # u is the unique minimal representative of its own double
-            # coset, so the sequence is forced constant from here on.
-            sequences.append(BedardSequence(I, tuple(steps) + ((u, next_type),)))
-            return
-        members = coset_members(next_type, u, F.apply_subset(cur_type))
-        candidates = [
-            x
-            for x in weyl.min_double_reps(n, next_type, F.apply_subset(next_type))
-            if x.perm in members
-        ]
-        for cand in candidates:
-            if cand.perm == u.perm and next_type == cur_type:
-                sequences.append(
-                    BedardSequence(I, tuple(steps) + ((cand, next_type),))
-                )
-            else:
-                extend(steps + [(cand, next_type)], cand, next_type)
-
-    for u0 in weyl.min_double_reps(n, I, F.apply_subset(I)):
-        extend([(u0, I)], u0, I)
-
-    found = sorted(s.u_inf.perm for s in sequences)
-    expected = sorted(w.perm for w in _IW_for(n, I))
-    if found != expected:
-        raise RuntimeError(
-            f"sequence enumeration is not a bijection onto the coset "
-            f"representatives for I={sorted(I)} (got {len(found)}, "
-            f"expected {len(expected)})"
-        )
-    return tuple(
-        sorted(sequences, key=lambda s: s.u_inf.sort_key())
-    )
+    """All stabilizing sequences for (I, F), one per coset representative."""
+    seqs = (sequence_for(w, I, F) for w in _IW_for(n, I))
+    return tuple(sorted(seqs, key=lambda s: s.u_inf.sort_key()))
 
 
+@lru_cache(maxsize=None)
 def sequence_for(
     w: WeylElement, I: frozenset[int], F: FrobeniusAction
 ) -> BedardSequence:
-    """The unique sequence stabilizing at w."""
-    table = {s.u_inf.perm: s for s in enumerate_sequences(w.n, I, F)}
-    seq = table.get(w.perm)
-    if seq is None:
+    """The unique sequence stabilizing at w, built forward from w.
+
+    Raises ValueError if w has a left descent in I, and RuntimeError if
+    the sequence stabilizes anywhere but at w.
+    """
+    if not weyl.is_min_left_rep(w, I):
         raise ValueError("element is not a minimal coset representative for I")
-    return seq
+    steps: list[tuple[WeylElement, frozenset[int]]] = []
+    cur_type = I
+    while True:
+        image = F.apply_subset(cur_type)
+        u = weyl.min_double_coset_rep(w, cur_type, image)
+        steps.append((u, cur_type))
+        next_type = cur_type & conjugate_type(u, image)
+        if next_type == cur_type:
+            # u is the unique minimal representative of its own double
+            # coset, so the sequence is forced constant from here on.
+            if u.perm != w.perm:
+                raise RuntimeError(
+                    f"sequence for {w.perm} stabilized at {u.perm} "
+                    f"with I={sorted(I)}"
+                )
+            steps.append((u, cur_type))
+            return BedardSequence(I, tuple(steps))
+        cur_type = next_type
 
 
 def flag_variety_dim(n: int, subset: frozenset[int]) -> int:

@@ -173,8 +173,9 @@ def equivariance_check(
 
     Matrices are drawn over F_{p^2} and embedded, so they commute with
     the classifying twist; the check returns True iff every trial keeps
-    its label.
+    its label.  ValueError above CENSUS_POINT_LIMIT points.
     """
+    bounded_total(c, p, m, "equivariance check")
     rng = np.random.default_rng(seed)
     space = census_space(c, p, m)
     small = SymplecticSpace(field(p, 2), c)

@@ -132,8 +132,20 @@ class Subspace:
     __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp")
 
     def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
-        """The span of any rows, an array or a sequence of code rows."""
-        mat = np.asarray(rows, dtype=DTYPE).reshape(-1, space.dim)
+        """The span of any rows, an array or a sequence of code rows.
+
+        Raises ValueError unless the rows form a matrix of width 2n (an
+        empty input is the zero subspace) with every code in [0, q).
+        """
+        mat = np.asarray(rows, dtype=DTYPE)
+        if mat.shape == (0,):
+            mat = mat.reshape(0, space.dim)
+        if mat.ndim != 2 or mat.shape[1] != space.dim:
+            raise ValueError(
+                f"rows of shape {mat.shape} do not have width {space.dim}"
+            )
+        if mat.size and not (0 <= mat.min() and mat.max() < space.ctx.q):
+            raise ValueError(f"row entries are not codes of F_{space.ctx.q}")
         self._init(space, *linalg.rref(space.ctx, mat.tolist(), space.dim))
 
     @classmethod

@@ -21,6 +21,38 @@ def all_subsets(n):
             yield frozenset(sub)
 
 
+def _sequences_by_search(n, I, F):
+    """Every stabilizing sequence for (I, F) by forward depth-first search.
+
+    Each step scans the minimal double-coset representatives of the next
+    type and keeps those in W_{I_{k+1}} u_k W_{F(I_k)}; the reference that
+    ``enumerate_sequences``, which builds each sequence from its label,
+    must reproduce.
+    """
+    sequences = []
+
+    def coset_members(left, u, right):
+        return {
+            weyl.compose(weyl.compose(a, u), b).perm
+            for a in weyl.parabolic_subgroup(n, left)
+            for b in weyl.parabolic_subgroup(n, right)
+        }
+
+    def extend(steps, u, cur_type):
+        next_type = cur_type & conjugate_type(u, F.apply_subset(cur_type))
+        if next_type == cur_type:
+            sequences.append(bedard.BedardSequence(I, tuple(steps) + ((u, next_type),)))
+            return
+        members = coset_members(next_type, u, F.apply_subset(cur_type))
+        for cand in weyl.min_double_reps(n, next_type, F.apply_subset(next_type)):
+            if cand.perm in members:
+                extend(steps + [(cand, next_type)], cand, next_type)
+
+    for u0 in weyl.min_double_reps(n, I, F.apply_subset(I)):
+        extend([(u0, I)], u0, I)
+    return tuple(sorted(sequences, key=lambda s: s.u_inf.sort_key()))
+
+
 def test_frobenius_action_validation():
     FrobeniusAction.trivial(3)
     # the rank-2 diagram flip is a genuine Coxeter-matrix automorphism
@@ -95,6 +127,36 @@ def test_sequence_for_lookup_and_uniqueness():
     assert len(infs) == len(set(infs))
     with pytest.raises(ValueError):
         sequence_for(simple_reflection(1, 2), I, F)  # has a left descent in I
+
+
+@pytest.mark.parametrize(
+    "n, F, types",
+    [
+        (n, FrobeniusAction.trivial(n), list(all_subsets(n)))
+        for n in (1, 2, 3, 4)
+    ]
+    + [
+        (2, FrobeniusAction(2, (2, 1)), list(all_subsets(2))),
+        (5, FrobeniusAction.trivial(5), [weyl.siegel_type(5)]),
+    ],
+    ids=["n1", "n2", "n3", "n4", "n2-flip", "n5-siegel"],
+)
+def test_sequences_from_labels_match_the_search(n, F, types):
+    for I in types:
+        assert enumerate_sequences(n, I, F) == _sequences_by_search(n, I, F)
+
+
+def test_sequence_stabilizing_off_its_label_raises(monkeypatch):
+    # with types that never shrink the first step already repeats, and
+    # its u is the minimal double-coset representative, not w itself
+    monkeypatch.setattr(
+        bedard, "conjugate_type", lambda u, subset: frozenset(range(1, u.n + 1))
+    )
+    w = weyl.WeylElement(2, (3, 1, 4, 2))
+    I, F = weyl.siegel_type(2), FrobeniusAction.trivial(2)
+    assert weyl.is_min_left_rep(w, I)
+    with pytest.raises(RuntimeError, match=r"\(1, 3, 2, 4\)"):
+        sequence_for.__wrapped__(w, I, F)
 
 
 def test_flag_variety_dimensions():

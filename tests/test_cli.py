@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,6 +48,43 @@ def test_strata_config_errors(capsys, tmp_path):
         assert run(["strata"] + argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
+
+
+# sha256 of each strata/bedard output file.  The header carries the tool
+# version, so a version bump changes every digest; any other change to
+# these bytes must be deliberate.
+OUTPUT_DIGESTS = {
+    "strata --c 1": "5489260d07f0b313887637b96f7fdf1914b9fd21930af444c76c0a94a3dac81d",
+    "strata --c 1 --g 2": "ca3282d1e3dedb0afcd8b5b42492d326facaefa4065dc726090a1af9adaa00e1",
+    "strata --c 1 --g 3": "1abac604667595fc73d63f5fd7a06fd166a9dab8c55465bc08a2c66ee29db44b",
+    "strata --c 2": "b3110f276da15fbbcd1dcddc72f06456c2e65364b5fb2618827e5c2c38ff0268",
+    "strata --c 2 --g 4": "f6938f3a551bc3717bf082ddc3944de6350bc71bd06aeae5a525abec0a481180",
+    "strata --c 2 --g 5": "89dfec291ed58937876e923bc1c8ad55e48fe39af1d5f0ac57f187c71fc6b35f",
+    "strata --c 3": "5f5105be63b86642c600a88ee7b7893cf19d1617ef0e25f808d9c7764c006152",
+    "strata --c 3 --g 6": "30a171ea1f3e78a8344310310ca2954fee28bb78f3e99e4c1d2c76dee1387740",
+    "strata --c 3 --g 7": "e329700c199f8f5a5bd6bbd1f006ded334b385da4858f91cc204f96936a304c4",
+    "strata --c 4": "9d5ddfdd744110edff8b567323f120c793e6489cb91364e055d8ed27391dea7a",
+    "strata --c 4 --g 8": "98e8923b4cdcfb51f375e5ab4ffa865600d3f362e5ecd89385adbc570f2db602",
+    "strata --c 4 --g 9": "dac1db445c76e876bf1f3e90834d476b249a70f12bcb20ab59cfa3403b2ce82a",
+    "strata --c 5": "c41a289486f306b02532ac8ec879e0554a10e138e407cb6bb25ca9e1fbae723e",
+    "strata --c 5 --g 10": "ac015ce340d97c78880c476d33d8d82402e2682e924db586ad678b0ecfa55ff5",
+    "strata --c 5 --g 11": "a92ce5d4a04e4d926bb53f7915297a1e857a8f88dc3610bb67caaccb14c2f72d",
+    "strata --c 6": "5af6641bfa92ffcd5314e8efa84524f53b134d877089c362a77e88269740d4ec",
+    "strata --c 6 --g 12": "49f44363620d1921f7b428a462e7e7dabec14e73d5fcaa5b71ff9321ef54221b",
+    "strata --c 6 --g 13": "57c95c89baa745af6241442765e96bc59320c17bb0aaa0c9338053b42c65222f",
+    "bedard --c 1": "4f1dceb2a0477e4248956fb06f655731c5c3cfc7efea4d93c18692d48c9fb22e",
+    "bedard --c 2": "564b090c9200c00e3de1188c768027af3ac219ea3a83a38a5b044f0e7c082f82",
+    "bedard --c 3": "427079f0929c57e9775cefd96fc07a25960ce3231a091eb24a06407a7f7b8afd",
+    "bedard --c 4": "a8f2accf922f8c31cbe9de719efa3feed20ab2def24bd26a9beea8e11a6c2bfd",
+    "bedard --c 5": "8c1141b2107411c97fa1b5dd550d517293e3b62e5cf28a536c647ef85ba7d710",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_strata_and_bedard_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / "out.json"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
 
 
 def test_census_csv_deterministic(tmp_path):

@@ -117,6 +117,14 @@ def test_equivariance_small_configs():
     assert equivariance_check(2, 2, 1, trials=10, seed=4)
 
 
+def test_equivariance_check_is_bounded(monkeypatch):
+    # (2, 2, 1) has 85 points: over a limit of 50 it must refuse before
+    # enumerating anything
+    monkeypatch.setattr(dc, "CENSUS_POINT_LIMIT", 50)
+    with pytest.raises(ValueError, match="equivariance check"):
+        equivariance_check(2, 2, 1, trials=1)
+
+
 def test_non_rational_substitution_is_a_negative_control_only():
     # matrices over the big field need not preserve labels; we only require
     # that classification still succeeds on the moved points

@@ -100,6 +100,35 @@ def test_subspaces_under_a_general_form(space9):
             assert moved.is_lagrangian() and moved.perp() == moved
 
 
+def test_subspace_rejects_bad_shapes_and_codes(space4):
+    # a row of the wrong width, or a matrix of the wrong width, is not
+    # reshaped into some other subspace
+    with pytest.raises(ValueError):
+        Subspace(space4, np.array([[1, 0, 0, 0, 0, 1, 0, 0]]))
+    with pytest.raises(ValueError):
+        Subspace(space4, np.array([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        Subspace(space4, np.array([1, 0, 0, 0]))  # one row, not a matrix
+    with pytest.raises(ValueError):
+        Subspace(space4, np.zeros((0, 3), dtype=np.int32))
+    # codes outside [0, q) are neither kept nor wrapped
+    line = SymplecticSpace(field(2, 2), 1)
+    with pytest.raises(ValueError):
+        Subspace(line, np.array([[1, 7]]))
+    with pytest.raises(ValueError):
+        Subspace(line, [[-1, 0]])
+
+
+def test_subspace_accepts_arrays_row_tuples_and_empty_inputs(space4):
+    u = Subspace(space4, np.array([[0, 1, 1, 0], [1, 0, 0, 3]]))
+    assert u.dim == 2
+    assert Subspace(space4, u.rows) == u
+    assert Subspace(space4, [list(r) for r in u.rows]) == u
+    zero = zero_subspace(space4)
+    for empty in (np.zeros((0, 4), dtype=np.int32), (), []):
+        assert Subspace(space4, empty) == zero
+
+
 def test_subspace_canonical_form(space4):
     rows = np.array([[1, 2, 3, 0], [0, 1, 1, 1]])
     u = Subspace(space4, rows)

@@ -101,8 +101,31 @@ class BedardSequence:
 
 
 def _IW_for(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
-    """Minimal left coset representatives for an arbitrary type."""
-    return weyl.min_double_reps(n, subset, frozenset())
+    """Minimal left coset representatives for an arbitrary type.
+
+    They are the elements with no left descent in the type, found by
+    breadth-first search upward from the identity: a reduced prefix of
+    such an element has none either, so every one is reached through
+    steps w -> w s_i that lengthen w (i not a right descent) and keep
+    the left descents outside the type.  Ordered by length, then one-line
+    form.
+    """
+    gens = [weyl.simple_reflection(i, n) for i in range(1, n + 1)]
+    found = {weyl.identity(n)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            descents = weyl.right_descents(w)
+            for i, s in enumerate(gens, start=1):
+                if i in descents:
+                    continue
+                ws = weyl.compose(w, s)
+                if ws not in found and weyl.is_min_left_rep(ws, subset):
+                    found.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return tuple(sorted(found, key=WeylElement.sort_key))
 
 
 @lru_cache(maxsize=None)

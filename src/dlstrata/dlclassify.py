@@ -6,9 +6,12 @@ until it stops, and the relative position of the stable flag with its
 twist is the fine label, an element of the minimal-representative set
 for the Lagrangian (Siegel) type.  Each ``symplectic.refine`` step
 returns the next flag and the relative position it starts from, read
-off the same meets.  The per-step positions must reproduce the
-stabilizing sequence attached to the label, and ``classify_fine``
-asserts that (and self-duality of every flag) unless ``check=False``.
+off the same rank table, which also tells which joins need an
+elimination; a stable flag comes back as the same object, which ends
+the chain.  The per-step positions must reproduce the stabilizing
+sequence attached to the label, and ``classify_fine`` asserts that
+(and self-duality of every flag, by pairing products) unless
+``check=False``.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised
@@ -61,7 +64,7 @@ def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, WeylElement]]:
     for _ in range(2 * c * (c + 1) + 2):
         nxt, position = symplectic.refine(flag, flag.twist(qexp))
         steps.append((flag, position))
-        if nxt == flag:
+        if nxt is flag:
             return steps
         flag = nxt
     raise RuntimeError("flag refinement failed to stabilize")

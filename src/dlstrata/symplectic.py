@@ -23,9 +23,19 @@ Relative position is built directly from the rank table
 dim(C_a cap D_b) = r_w(dim D_b, dim C_a): its second differences count
 the positions each block of one flag sends into each block of the
 other, which fixes the minimal double-coset representative; every table
-entry is then re-checked against r_w of the result.  The table holds
-the dimensions of the meets ``refine`` takes, so a refinement step
-returns its relative position along with the refined flag.
+entry is then re-checked against r_w of the result, in one pass over w
+per table.  The table holds the dimensions of the meets ``refine``
+takes, so a refinement step returns its relative position along with
+the refined flag.  The table also gives the dimension of every join
+that refinement takes, so a join is eliminated for only when its
+dimension lies strictly between the two members it sits between, and
+a flag the table shows stable comes back as it is.
+
+Self-duality is checked by pairing products: a flag with symmetric
+dimensions is self-dual iff each member is orthogonal to the member of
+complementary dimension, so no complement is computed; a complement
+already cached (the canonical closure caches one for every member) is
+compared by rows instead.
 
 Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
@@ -41,8 +51,9 @@ Per-point work runs on rows (see ``linalg``).  Schubert cells are built
 in bulk as arrays, and each point's basis is converted to rows once,
 when its ``Subspace`` is made.
 
-Subspaces and flags are immutable values (cached complements are
-computed once), so everything here can be shared across threads;
+Subspaces and flags are immutable values (cached annihilators and
+complements are computed once, a twist's annihilator from its
+source's), so everything here can be shared across threads;
 enumeration output order is deterministic.
 """
 
@@ -52,7 +63,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import linalg, weyl
+from . import linalg
 from .gf import FieldCtx, embed_table
 from .linalg import DTYPE
 from .weyl import WeylElement
@@ -129,7 +140,7 @@ class Subspace:
     (dim, 2n), built on each access.
     """
 
-    __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp")
+    __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp", "_twist_of")
 
     def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
         """The span of any rows, an array or a sequence of code rows.
@@ -170,6 +181,7 @@ class Subspace:
         self.dim = len(rows)
         self._ann = None
         self._perp = None
+        self._twist_of = None
 
     @property
     def basis(self) -> np.ndarray:
@@ -178,11 +190,18 @@ class Subspace:
         out.flags.writeable = False
         return out
 
-    # annihilator under the standard dot product, cached (not the form)
+    # annihilator under the standard dot product, cached (not the form);
+    # a twist's is the twist of its source's (see ``twist``)
     @property
     def ann(self) -> linalg.Rows:
         if self._ann is None:
-            self._ann = linalg.nullspace(self.space.ctx, self.rows, self.space.dim)
+            twist_of = self._twist_of
+            if twist_of is None:
+                self._ann = linalg.nullspace(self.space.ctx, self.rows, self.space.dim)
+            else:
+                source, r = twist_of
+                self._ann = linalg.frob_map(self.space.ctx, source.ann, r)
+                self._twist_of = None  # the source is no longer needed
         return self._ann
 
     def __eq__(self, other: object) -> bool:
@@ -242,23 +261,36 @@ class Subspace:
     def twist(self, r: int) -> "Subspace":
         """Entrywise p^r power of the basis (echelon form and pivots are kept).
 
-        A proper subspace's twist carries the twist of its annihilator:
-        Frobenius is an entrywise field automorphism, so it maps the
-        reduced null space of the rows to that of the twisted rows.  The
-        complement is not carried, since a form from ``from_gram`` need
-        not be Frobenius-fixed.
+        0 and the whole space are their own twists, and come back as
+        they are.  A proper subspace's twist takes its annihilator from
+        the source when it is first asked for: Frobenius is an entrywise
+        field automorphism, so it maps the reduced null space of the rows
+        to that of the twisted rows, and a twist whose annihilator is
+        never asked for (a twist-fixed point meets its twist by equal
+        rows) costs no null space.  The complement is not carried, since
+        a form from ``from_gram`` need not be Frobenius-fixed.
         """
-        ctx = self.space.ctx
-        out = Subspace._from_rref(self.space, linalg.frob_map(ctx, self.rows, r), self.pivots)
-        if 0 < self.dim < self.space.dim:
-            out._ann = linalg.frob_map(ctx, self.ann, r)
+        if self.dim == 0 or self.dim == self.space.dim:
+            return self
+        out = Subspace._from_rref(
+            self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
+        )
+        out._twist_of = (self, r)
         return out
 
-    def is_isotropic(self) -> bool:
+    def is_orthogonal_to(self, other: "Subspace") -> bool:
+        """Whether the form pairs every vector of self with every vector
+        of other to zero: two products, and no elimination."""
+        _check_same_space(self, other)
+        if self.dim == 0 or other.dim == 0:
+            return True
         space = self.space
         g = linalg.matmul(space.ctx, self.rows, space.gram_rows, space.dim)
-        prod = linalg.matmul(space.ctx, g, tuple(zip(*self.rows)), self.dim)
+        prod = linalg.matmul(space.ctx, g, tuple(zip(*other.rows)), other.dim)
         return not any(map(any, prod))
+
+    def is_isotropic(self) -> bool:
+        return self.is_orthogonal_to(self)
 
     def is_lagrangian(self) -> bool:
         return self.dim == self.space.n and self.is_isotropic()
@@ -328,8 +360,30 @@ class Flag:
         return Flag(m.apply(matrix) for m in self.members)
 
     def is_self_dual(self) -> bool:
-        keys = {m.rows for m in self.members}
-        return all(m.perp().rows in keys for m in self.members)
+        """Whether the complement of every member is a member.
+
+        With dimensions d_0 < ... < d_k symmetric about n that holds iff
+        C_{d_i} is orthogonal to C_{d_{k-i}} for every i <= k/2: that
+        member then lies in C_{d_i}-perp, which has its dimension, and
+        perp is an involution, so the pairs past the middle follow.  A
+        pair where either member has its complement cached (the
+        canonical closure caches one for every member) compares it with
+        the other member's rows; any other pair takes two products
+        (``Subspace.is_orthogonal_to``) and no null space.
+        """
+        members, dims, full = self.members, self.dims, self.space.dim
+        if any(a + b != full for a, b in zip(dims, reversed(dims))):
+            return False
+        for low, high in zip(members[1 : (len(members) + 1) // 2], members[-2::-1]):
+            if low._perp is not None:
+                dual = low._perp.rows == high.rows
+            elif high._perp is not None:
+                dual = high._perp.rows == low.rows
+            else:
+                dual = low.is_orthogonal_to(high)
+            if not dual:
+                return False
+        return True
 
 
 def flag_type(flag: Flag) -> frozenset[int]:
@@ -388,17 +442,13 @@ def _meets_and_position(
         if any(space.dim - d not in dims for d in dims):
             raise ValueError(f"dimension set {flag.dims} is not symmetric")
     grid = [[cm.intersect(dm) for dm in flag_d.members] for cm in flag_c.members]
-    table = {
-        (cm.dim, dm.dim): meet.dim
-        for cm, row in zip(flag_c.members, grid)
-        for dm, meet in zip(flag_d.members, row)
-    }
+    table = [[meet.dim for meet in row] for row in grid]
     cdims, ddims = flag_c.dims, flag_d.dims
     used = list(cdims[:-1])  # last value taken from each flag_c block
     perm: list[int] = []
-    for d0, d1 in zip(ddims, ddims[1:]):
+    for k, (d0, d1) in enumerate(zip(ddims, ddims[1:])):
         for l, (c0, c1) in enumerate(zip(cdims, cdims[1:])):
-            count = table[c1, d1] - table[c1, d0] - table[c0, d1] + table[c0, d0]
+            count = table[l + 1][k + 1] - table[l + 1][k] - table[l][k + 1] + table[l][k]
             if count < 0:
                 raise RuntimeError(
                     f"rank table gives {count} positions from block "
@@ -410,24 +460,52 @@ def _meets_and_position(
         w = WeylElement(space.n, tuple(perm))
     except ValueError as exc:
         raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
-    for (i, j), v in table.items():
-        if weyl.r_w(w, j, i) != v:
-            raise RuntimeError(
-                f"rank table entry dim(C_{i} cap D_{j}) = {v} differs from "
-                f"r_w = {weyl.r_w(w, j, i)} for w = {w.perm}"
-            )
+    # re-check every entry against r_w(d, c) = #{x <= d : w(x) <= c}, in
+    # one pass along w: below[a] is that count for c = cdims[a] and the
+    # flag_d dimension d reached so far
+    below = [0] * len(cdims)
+    done = 0
+    for k, d in enumerate(ddims):
+        for x in perm[done:d]:
+            for a, c in enumerate(cdims):
+                if x <= c:
+                    below[a] += 1
+        done = d
+        for a, c in enumerate(cdims):
+            if table[a][k] != below[a]:
+                raise RuntimeError(
+                    f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
+                    f"from r_w = {below[a]} for w = {w.perm}"
+                )
     return grid, w
 
 
 def refine(flag_c: Flag, flag_d: Flag) -> tuple[Flag, WeylElement]:
     """The chain generated by (C_{i+1} cap D_j) + C_i, which refines
-    flag_c, and relpos(flag_c, flag_d), both from one grid of meets."""
+    flag_c, and relpos(flag_c, flag_d), both from one grid of meets.
+
+    The rank table fixes the dimension of each join: C_i lies in
+    C_{i+1}, so (C_{i+1} cap D_j) cap C_i = C_i cap D_j and the join has
+    dimension T(C_{i+1}, D_j) + dim C_i - T(C_i, D_j).  A join of
+    dimension dim C_i is C_i, one of dimension dim C_{i+1} is C_{i+1},
+    and for a fixed i the joins grow with j, so two of the same
+    dimension are equal.  Only the first join of each dimension strictly
+    between is eliminated for; when there is none, flag_c is stable and
+    comes back as it is.
+    """
     grid, position = _meets_and_position(flag_c, flag_d)
-    members = set(flag_c.members)
-    for lower, row in zip(flag_c.members, grid[1:]):
-        for meet in row:
-            members.add(meet + lower)
-    return Flag(members), position
+    members = flag_c.members
+    joins = []
+    for lower, upper, lower_row, row in zip(members, members[1:], grid, grid[1:]):
+        seen = {lower.dim, upper.dim}
+        for lower_meet, meet in zip(lower_row, row):
+            dim = meet.dim + lower.dim - lower_meet.dim
+            if dim not in seen:
+                seen.add(dim)
+                joins.append(meet + lower)
+    if not joins:
+        return flag_c, position
+    return Flag(members + tuple(joins)), position
 
 
 # -- Lagrangian enumeration ----------------------------------------------

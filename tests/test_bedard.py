@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -79,6 +80,16 @@ def test_sequence_counts_examples():
     assert len(enumerate_sequences(1, frozenset(), FrobeniusAction.trivial(1))) == 2
     assert len(enumerate_sequences(2, frozenset({1}), FrobeniusAction.trivial(2))) == 4
     assert len(enumerate_sequences(3, frozenset({1, 2}), FrobeniusAction.trivial(3))) == 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coset_representatives_match_the_group_scan(n):
+    """The upward search lists exactly the group elements that the scan
+    ``weyl.min_double_reps`` keeps, in the same order, for every type."""
+    for I in all_subsets(n):
+        reps = bedard._IW_for(n, I)
+        assert reps == weyl.min_double_reps(n, I, frozenset()), sorted(I)
+        assert len(reps) * len(weyl.parabolic_subgroup(n, I)) == 2**n * factorial(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

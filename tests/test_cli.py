@@ -8,6 +8,7 @@ import pytest
 from dlstrata import dlclassify
 from dlstrata.cli import GENUS_LIMIT, main
 from tests import src_env
+from tests.test_acceptance import CENSUS_CONFIGS
 
 
 def run(args):
@@ -85,6 +86,41 @@ def test_strata_and_bedard_bytes_are_pinned(tmp_path, command):
     out = tmp_path / "out.json"
     assert run(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
+
+
+# sha256 of the census CSV and JSON output for every CENSUS_CONFIGS
+# entry; the header carries the tool version, as above.
+CENSUS_DIGESTS = {
+    "census --c 1 --p 2 --m 1 --format csv": "8d166447f69ebad326d0951b60da2c2231c76e92f2803f7399597bb68bf2a6ef",
+    "census --c 1 --p 2 --m 1 --format json": "1804311be2f4fb730f17ad584a368db44554e301a059df404ebababc9a5e5811",
+    "census --c 1 --p 2 --m 2 --format csv": "7ae5869f758ae1f94492e62422aefdb72dccc0e476d0611bdec0fc145ca0ecdd",
+    "census --c 1 --p 2 --m 2 --format json": "55eb337ab1d9f33bf96299363737962959468f1d6f4dac3dcaca8e4692b99d80",
+    "census --c 1 --p 3 --m 1 --format csv": "8f104a55cf5177e175dbbe558995bb07a4cbec442acff090dfd5e27cf820995a",
+    "census --c 1 --p 3 --m 1 --format json": "f94cff8176dbd7d2929438dcae1992a96360e7928d6504efd55179dcd391f6b5",
+    "census --c 1 --p 3 --m 2 --format csv": "8108f8898ef024f768d2db044eabfb00db0b83fe8ae46388ddf6306498633cf2",
+    "census --c 1 --p 3 --m 2 --format json": "11b314a891a58537e20d661eb5ef7d79fdf1ddbe643626290d9c87ddfb3b2753",
+    "census --c 2 --p 2 --m 1 --format csv": "38cb146ad56eec89a11d9f943dfc7c2956c129aedb6c945d56b1d1f90e637c97",
+    "census --c 2 --p 2 --m 1 --format json": "9d451a6aa84efee53610601e6785772e2846be208c3bef4603db859f26babc51",
+    "census --c 2 --p 2 --m 2 --format csv": "cb5c0424ced607fa994cf2a9f241aeb4eec15f9f04c5c8c48649980b48e65984",
+    "census --c 2 --p 2 --m 2 --format json": "852c2f9ed70f674ad3903e8f8d17d3e1dd25a183f1b7f14d3af378f88efab4cb",
+    "census --c 2 --p 3 --m 1 --format csv": "ece7a64b27c6a6e1b1de0f763251c9ca54a41524185e3d6cb055208b75d57184",
+    "census --c 2 --p 3 --m 1 --format json": "77e08a4e6ef6ba1b7a6a715fa8e51aedf75d0df2543a3a1409c32b8432c80773",
+}
+
+
+def test_census_digests_cover_every_census_config():
+    assert set(CENSUS_DIGESTS) == {
+        f"census --c {c} --p {p} --m {m} --format {fmt}"
+        for c, p, m in CENSUS_CONFIGS
+        for fmt in ("csv", "json")
+    }
+
+
+@pytest.mark.parametrize("command", sorted(CENSUS_DIGESTS))
+def test_census_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / "out"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_DIGESTS[command]
 
 
 def test_census_csv_deterministic(tmp_path):

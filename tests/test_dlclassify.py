@@ -259,3 +259,52 @@ def test_third_stratum_empty_over_degree_six():
         u = sp.random_lagrangian(space, rng)
         seen.add(weyl.reduced_word(classify_fine(u, check=True)))
     assert (2, 1) not in seen
+
+
+def _counting(monkeypatch, name):
+    """Count calls of a ``linalg`` routine, wherever it is called from."""
+    from dlstrata import linalg
+
+    real, calls = getattr(linalg, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def _fresh(u):
+    """The point on a new subspace object, with nothing cached."""
+    return Subspace._from_rref(u.space, u.rows, u.pivots)
+
+
+def test_top_stratum_classifies_with_two_eliminations(monkeypatch):
+    """A top-stratum point U over F_16 meets its twist in 0, so {0, U, L}
+    is stable and the rank table answers every join: one elimination
+    for U's annihilator, one for the meet with the twist.  Counted with
+    the check on; a null space counts its elimination."""
+    calls = _counting(monkeypatch, "rref")
+    top = max(weyl.enumerate_IW(2), key=weyl.length).perm
+    seen = 0
+    for u in dc._cached_lagrangians(2, 2, 2):
+        u = _fresh(u)
+        calls[0] = 0
+        label = classify_fine(u)
+        if label.perm == top:
+            assert calls[0] <= 2, u.rows
+            seen += 1
+    assert seen == 3264
+
+
+def test_twist_fixed_points_take_no_null_space(monkeypatch):
+    """Over F_9 the p^2-twist fixes every point: U meets its twist by
+    equal rows, so the twist's annihilator is never asked for, and the
+    self-duality of {0, U, L} is checked by pairing U with itself."""
+    calls = _counting(monkeypatch, "nullspace")
+    points = dc._cached_lagrangians(2, 3, 1)
+    assert len(points) == 820
+    for u in points:
+        assert classify_fine(_fresh(u)).is_identity()
+    assert calls[0] == 0

@@ -312,8 +312,20 @@ def test_twist_carries_the_annihilator(pair):
     u, r = pair
     space = u.space
     t = u.twist(r)
-    # a proper subspace's twist has its annihilator before it is asked for
-    assert (t._ann is not None) == (0 < u.dim < space.dim)
+    if u.dim in (0, space.dim):
+        assert t is u  # 0 and the whole space are their own twists
+    else:
+        # a proper subspace's twist asks for its annihilator only when its
+        # own is asked for, and then takes it from the source's
+        assert t._ann is None and u._ann is None
+        real, calls = linalg.nullspace, []
+        linalg.nullspace = lambda *args: calls.append(args) or real(*args)
+        try:
+            ann = t.ann
+        finally:
+            linalg.nullspace = real
+        assert calls == [(space.ctx, u.rows, space.dim)] and u._ann is not None
+        assert ann == linalg.frob_map(space.ctx, u.ann, r)
     assert t.ann == linalg.nullspace(space.ctx, t.rows, space.dim)
     assert t.twist(-r) == u and t.twist(-r).ann == u.ann
 
@@ -476,6 +488,27 @@ def test_relpos_rejects_invalid_flag_pairs(space4):
         relpos(Flag([line]), Flag([line]))
 
 
+def test_relpos_rechecks_every_table_entry(space4, monkeypatch):
+    """A table whose second differences give a Weyl element but whose
+    entries are not its ranks is refused: here every meet with 0 is
+    made a line, which shifts a whole border row of the table and leaves
+    every second difference as it was."""
+    eye = linalg.eye(space4.ctx, 4)
+    line = Subspace(space4, eye[:1])
+    flag = standard_flag(space4, [1, 2, 3])
+    real = Subspace.intersect
+
+    def intersect(self, other):
+        return line if self.dim == 0 else real(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", intersect)
+    for c, d in ((flag, flag), (flag, standard_flag(space4, [2]))):
+        with pytest.raises(RuntimeError, match=r"dim\(C_0 cap D_0\) = 1 differs from r_w = 0"):
+            relpos(c, d)
+        with pytest.raises(RuntimeError, match="differs from r_w"):
+            refine(c, d)
+
+
 def test_relpos_examples(space4):
     points = enumerate_lagrangians(space4)
     u = points[0]
@@ -523,6 +556,123 @@ def test_refine_idempotence_and_type(space4, space9):
             assert flag_type(r) == flag_type(c) & conjugate_type(w, flag_type(d))
             # refinement preserves the relative position
             assert relpos(r, d).perm == w.perm
+
+
+def _refine_by_all_joins(flag_c, flag_d):
+    """Reference: every join (C_{i+1} cap D_j) + C_i eliminated for, and
+    the position found by the scan (what ``refine`` reads off its table)."""
+    members = set(flag_c.members)
+    for lower, upper in zip(flag_c.members, flag_c.members[1:]):
+        for dm in flag_d.members:
+            members.add(upper.intersect(dm) + lower)
+    return Flag(members), _relpos_by_scan(flag_c, flag_d)
+
+
+def _assert_refine_matches_all_joins(flag_c, flag_d):
+    got, position = refine(flag_c, flag_d)
+    want, want_position = _refine_by_all_joins(flag_c, flag_d)
+    assert got == want and position.perm == want_position.perm
+    # a stable flag comes back as it is, with no rebuilt Flag
+    assert (got is flag_c) == (want == flag_c)
+    return got
+
+
+def test_refine_matches_all_joins_on_every_census_refinement_step():
+    from dlstrata import dlclassify
+
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        if c != 2:
+            continue
+        for u in dlclassify._cached_lagrangians(c, p, m):
+            for flag, _ in dlclassify._refine_to_stable(u, 2):
+                _assert_refine_matches_all_joins(flag, flag.twist(2))
+
+
+@st.composite
+def _self_dual_flag_pair(draw):
+    p, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 4)]))
+    space = SymplecticSpace(field(p, k), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_self_dual_flag(space, rng), random_self_dual_flag(space, rng)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_self_dual_flag_pair())
+def test_refine_matches_all_joins_on_random_flag_pairs(pair):
+    c, d = pair
+    for a, b in ((c, d), (d, c), (c, c)):
+        # refine a against b until it stops, checking every step
+        for _ in range(a.space.dim):
+            nxt = _assert_refine_matches_all_joins(a, b)
+            if nxt is a:
+                break
+            a = nxt
+        else:
+            raise AssertionError("refinement did not stop")
+
+
+def _self_dual_by_perp(flag):
+    """Reference: the complement of every member is a member."""
+    keys = {m.rows for m in flag.members}
+    return all(_generic_perp(m) in keys for m in flag.members)
+
+
+def _fresh(flag):
+    """The same flag on new subspace objects, with nothing cached."""
+    return Flag(Subspace._from_rref(m.space, m.rows, m.pivots) for m in flag.members)
+
+
+@st.composite
+def _flag_with_symmetric_dims(draw):
+    """A self-dual flag moved by a symplectic or by a random invertible
+    matrix: the second keeps the dimensions and mostly breaks duality."""
+    p, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 4)]))
+    space = SymplecticSpace(field(p, k), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flag = random_self_dual_flag(space, rng)
+    if draw(st.booleans()):
+        while True:
+            g = rng.integers(0, p**k, size=(space.dim, space.dim)).astype(np.int32)
+            if linalg.rank(space.ctx, linalg.as_rows(g), space.dim) == space.dim:
+                break
+        flag = flag.apply(g)
+    return flag
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_flag_with_symmetric_dims())
+def test_is_self_dual_matches_the_perp_definition(flag):
+    want = _self_dual_by_perp(flag)
+    # no complement cached: pairing products only
+    fresh = _fresh(flag)
+    assert fresh.is_self_dual() == want
+    assert all(m._perp is None for m in fresh.members)
+    # every complement cached, then only the lower half, then the upper
+    half = len(flag.members) // 2
+    for cached in (slice(None), slice(None, half), slice(half, None)):
+        fresh = _fresh(flag)
+        for m in fresh.members[cached]:
+            m.perp()
+        assert fresh.is_self_dual() == want
+
+
+def test_is_self_dual_on_fixed_examples(space4, space9):
+    eye = linalg.eye(space4.ctx, 4)
+    # symmetric dimensions, not self-dual: e1-perp is <e1, e2, e3>, not
+    # the hyperplane <e1, e2, e4>; and <e1, e4> = 1 on the plane they span
+    skew = Flag([Subspace(space4, eye[:1]), Subspace(space4, eye[[0, 1, 3]])])
+    assert not skew.is_self_dual() and not _self_dual_by_perp(skew)
+    not_isotropic = Flag([Subspace(space4, eye[[0, 3]])])
+    assert not not_isotropic.is_self_dual() and not _self_dual_by_perp(not_isotropic)
+    # dimensions that are not symmetric
+    assert not Flag([Subspace(space4, eye[:1])]).is_self_dual()
+    # the canonical closure's route: every complement is cached
+    for u in enumerate_lagrangians(space9)[::40]:
+        flag = _fresh(Flag([u]))
+        flag.members[1].perp()
+        assert flag.is_self_dual()
 
 
 def test_refine_rejects_flags_with_non_symmetric_dimensions(space4):

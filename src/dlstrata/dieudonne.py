@@ -21,36 +21,40 @@ requirements, all asserted at construction: F and V compose to zero
 with matching kernels and images (the mod-p Dieudonné conditions), the
 kernels project onto U and its p-twist inside the middle slot, and the
 adjunction <F x, y> = <x, V y>^p holds on the nose.  Any residual sign
-freedom is harmless and is demonstrated to be so in the tests.
+freedom is harmless and is demonstrated to be so in the tests.  Since
+both products vanish, the images lie in the kernels, and rank-nullity
+turns the two equalities into dim ker F = dim ker V = g, so checking a
+module takes three eliminations: ker F, ker V and the pairing's rank.
 
 The module's 2g-dimensional space is a ``symplectic.SymplecticSpace``
 whose Gram matrix is the pairing (``SymplecticSpace.from_gram`` checks
 that it is alternating and nondegenerate), so every subspace here is a
 ``symplectic.Subspace``: canonical, immutable, with its complement
-under the pairing cached.  The canonical flag is the smallest chain
+under the pairing cached (and perp is an involution: a complement
+knows its source).  The canonical flag is the smallest chain
 containing ker V that is stable under V-preimage and complement (Oort
 2001).  The adjunction gives V^{-1}(C) = F(C-perp)-perp for every
 subspace C, and ker V = F(M), so that is also the least set holding 0
 and M that is stable under F-image and complement, and it is closed
-that way: with a worklist, so each member's F-image and complement are
-computed once, one elimination each, and a closure that grows past
-2g+1 members (the longest chain in a 2g-dimensional space) is refused
-at once.  The members are then a ``symplectic.Flag``, which checks the
-chain, and the flag must be self-dual.  Each member's F-image
+that way: with a worklist, so each member's F-image is computed once,
+one elimination each, a member and its complement share one
+elimination, and a closure that grows past 2g+1 members (the longest
+chain in a 2g-dimensional space) is refused at once.  The members are
+then a ``symplectic.Flag``, which checks the chain, and the flag must
+be self-dual.  Each member's F-image
 dimension is read off the image the closure kept for it; these
 interpolate to the final type psi, and the EO label is the minimal
 Siegel representative w with psi(i) = i - r_w(i, g), read off the
 positions where psi does not jump.
 
-The operator and pairing blocks are assembled as numpy arrays, and the
-module converts them once into the rows its kernels work on (F, its
-transpose, V, the linear V and the pairing; see ``linalg``); the arrays
-stay for transport and serialization.
+The module is built on rows (see ``linalg``): F, V and the pairing are
+written entry by entry from the point's reduced rows and pivots and
+frozen once, and no numpy runs per point.  ``fmat``, ``vmat`` and
+``pairing`` are read-only arrays of the same matrices, built on access.
 
 Modules are immutable after construction (every constructor runs the
 full invariant battery, and ker F and ker V are computed once), so
-label verification over many points can be parallelized trivially; the
-matching table is shared read-only.
+label verification over many points can be parallelized trivially.
 """
 
 from __future__ import annotations
@@ -61,18 +65,25 @@ import numpy as np
 
 from . import dlclassify, linalg, weyl
 from .gf import FieldCtx
-from .linalg import DTYPE
 from .symplectic import Flag, Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
+
+
+def _read_only(rows: linalg.Rows, ncols: int) -> np.ndarray:
+    out = linalg.as_array(rows, ncols)
+    out.flags.writeable = False
+    return out
 
 
 class DieudonneModule:
     """A 2g-dimensional space with semilinear F, V and an alternating pairing.
 
-    ``fmat`` and ``vmat`` are the matrices of F (twist +1) and V (twist
-    -1): F(x) = fmat . x^[p] and V(x) = vmat . x^[1/p].  The module's
-    space is a ``SymplecticSpace`` whose form is the pairing, so its
-    subspaces are ``Subspace`` values with cached complements.
+    ``f_rows`` and ``v_rows`` are the rows of the matrices of F (twist
+    +1) and V (twist -1): F(x) = F . x^[p] and V(x) = V . x^[1/p].  The
+    module's space is a ``SymplecticSpace`` whose Gram rows are the
+    pairing, so its subspaces are ``Subspace`` values with cached
+    complements.  ``fmat``, ``vmat`` and ``pairing`` are the same
+    matrices as read-only int32 arrays, built on each access.
     """
 
     def __init__(
@@ -80,9 +91,9 @@ class DieudonneModule:
         ctx: FieldCtx,
         g: int,
         c: int,
-        fmat: np.ndarray,
-        vmat: np.ndarray,
-        pairing: np.ndarray,
+        f_rows: linalg.Rows,
+        v_rows: linalg.Rows,
+        pairing: linalg.Rows,
         slot_bounds: tuple[int, ...],
         point: Subspace | None = None,
     ):
@@ -90,19 +101,24 @@ class DieudonneModule:
         self.g = g
         self.c = c
         self.dim = 2 * g
-        self.fmat = np.asarray(fmat, dtype=DTYPE)
-        self.vmat = np.asarray(vmat, dtype=DTYPE)
+        self.f_rows = f_rows
+        self.v_rows = v_rows
         self.space = SymplecticSpace.from_gram(ctx, pairing)
         self.slot_bounds = tuple(slot_bounds)
         self.point = point
-        # row forms for the kernels; the pairing's rows are the space's
-        self._f_rows = linalg.as_rows(self.fmat)
-        self._ft_rows = linalg.as_rows(self.fmat.T)
-        self._v_rows = linalg.as_rows(self.vmat)
-        self._vlin_rows = linalg.frob_map(ctx, self._v_rows, 1)
+        self._ft_rows = tuple(zip(*f_rows))
+        self._vlin_rows = linalg.frob_map(ctx, v_rows, 1)
         self._ker_f: Subspace | None = None
         self._ker_v: Subspace | None = None
         self._validate()
+
+    @property
+    def fmat(self) -> np.ndarray:
+        return _read_only(self.f_rows, self.dim)
+
+    @property
+    def vmat(self) -> np.ndarray:
+        return _read_only(self.v_rows, self.dim)
 
     @property
     def pairing(self) -> np.ndarray:
@@ -118,13 +134,13 @@ class DieudonneModule:
     @property
     def v_linear(self) -> np.ndarray:
         """V as a plain matrix into twisted target coordinates."""
-        return linalg.as_array(self._vlin_rows, self.dim)
+        return _read_only(self._vlin_rows, self.dim)
 
     def kernel_of_F(self) -> Subspace:
         """ker F; computed once."""
         if self._ker_f is None:
             self._ker_f = Subspace._from_rref(
-                self.space, linalg.nullspace(self.ctx, self._f_rows, self.dim)
+                self.space, linalg.nullspace(self.ctx, self.f_rows, self.dim)
             )
         return self._ker_f
 
@@ -146,10 +162,11 @@ class DieudonneModule:
         return Subspace._from_rref(self.space, *linalg.rref(self.ctx, columns, self.dim))
 
     def f_image(self, sub: Subspace) -> Subspace:
-        """F(C) = fmat . C^(p), one product and one elimination.
+        """F(C) = F . C^(p), one product and one elimination.
 
         F(0) is 0, and F of the whole space is the cached ker V (the two
-        are checked equal at construction), so neither needs elimination.
+        are equal by the checks at construction), so neither needs
+        elimination.
         """
         if sub.dim == 0:
             return sub
@@ -165,9 +182,9 @@ class DieudonneModule:
         ctx, dim = self.ctx, self.dim
         s_rows = linalg.as_rows(s)
         s_inv = linalg.inverse(ctx, s_rows)
-        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self._f_rows, dim),
+        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.f_rows, dim),
                            linalg.frob_map(ctx, s_rows, 1), dim)
-        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self._v_rows, dim),
+        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.v_rows, dim),
                            linalg.frob_map(ctx, s_rows, -1), dim)
         s_t = linalg.as_rows(s.T)
         w2 = linalg.matmul(ctx, linalg.matmul(ctx, s_t, self.space.gram_rows, dim),
@@ -179,25 +196,37 @@ class DieudonneModule:
     # -- construction-time checks -------------------------------------------
 
     def _validate(self) -> None:
+        """Every Dieudonné condition, with three eliminations in all.
+
+        F.V = 0 and V.F = 0 put im V in ker F and im F in ker V.  With
+        dim ker F = g, rank F is g, so ker V = im F exactly when dim
+        ker V = g, and then rank V is g too, so ker F = im V: the two
+        kernel dimensions decide both equalities, and the images are
+        never eliminated for.  The pairing's rank (``from_gram``) is the
+        third elimination.
+        """
         ctx, dim, g = self.ctx, self.dim, self.g
-        if (self.fmat.shape != (dim, dim) or self.vmat.shape != (dim, dim)
-                or self.space.dim != dim):
+        if (self.space.dim != dim
+                or any(len(rows) != dim or any(len(row) != dim for row in rows)
+                       for rows in (self.f_rows, self.v_rows))):
             raise ValueError("operator and pairing matrices must be 2g x 2g")
-        if any(map(any, linalg.matmul(ctx, self._f_rows, self._vlin_rows, dim))):
+        f, vlin = self.f_rows, self._vlin_rows
+        if any(map(any, linalg.matmul(ctx, f, vlin, dim))):
             raise RuntimeError("F after V is not zero")
-        f_untwisted = linalg.frob_map(ctx, self._f_rows, -1)
-        if any(map(any, linalg.matmul(ctx, self._v_rows, f_untwisted, dim))):
+        # V(F x) = (Vlin . F . x)^(1/p), so V.F = 0 iff Vlin . F = 0
+        if any(map(any, linalg.matmul(ctx, vlin, f, dim))):
             raise RuntimeError("V after F is not zero")
         ker_f = self.kernel_of_F()
         if ker_f.dim != g:
             raise RuntimeError(f"dim ker F = {ker_f.dim} != g = {g}")
-        if ker_f != self.image_of_V():
-            raise RuntimeError("ker F != im V")
-        if self.kernel_of_V() != self.image_of_F():
-            raise RuntimeError("ker V != im F")
+        ker_v = self.kernel_of_V()
+        if ker_v.dim != g:
+            raise RuntimeError(
+                f"dim ker V = {ker_v.dim} != g = {g}: ker V != im F and ker F != im V"
+            )
         omega = self.space.gram_rows
         lhs = linalg.matmul(ctx, self._ft_rows, omega, dim)
-        rhs = linalg.matmul(ctx, linalg.frob_map(ctx, omega, 1), self._vlin_rows, dim)
+        rhs = linalg.matmul(ctx, linalg.frob_map(ctx, omega, 1), vlin, dim)
         if lhs != rhs:
             raise RuntimeError("adjunction <Fx, y> = <x, Vy>^p fails")
         if self.point is not None:
@@ -230,63 +259,63 @@ class DieudonneModule:
 
 
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
-    """The split graded module of a Lagrangian point, for genus g >= 2c."""
+    """The split graded module of a Lagrangian point, for genus g >= 2c.
+
+    F, V and the pairing are written entry by entry from the point's
+    reduced rows and pivots into zero rows, and each is frozen once.
+    """
     space = u.space
-    c = space.n
+    ctx, c = space.ctx, space.n
     if 2 * c > g:
         raise ValueError("genus must be at least twice the point rank")
-    if not u.is_lagrangian():
-        raise ValueError("point must be a Lagrangian subspace")
-    ctx = space.ctx
-    dim = 2 * g
-    k = g - 2 * c
-    bounds = (0, c, g - c, g + c, 2 * g - c, 2 * g)
-    s0 = slice(0, c)
-    s1 = slice(c, g - c)
-    s2 = slice(g - c, g + c)
-    s3 = slice(g + c, 2 * g - c)
-    s4 = slice(2 * g - c, 2 * g)
-
-    basis = u.basis
-    pivots = u.pivots
-    nonpiv = [j for j in range(2 * c) if j not in pivots]
-    m_u = basis.T.copy()  # 2c x c, columns are the point's basis vectors
-    m_w = linalg.zeros(2 * c, c)
-    for j, col in enumerate(nonpiv):
-        m_w[col, j] = 1
-    # W-coordinates of x: x[nonpivot] minus the U-part contribution
-    p_w = linalg.zeros(c, 2 * c)
-    for j, col in enumerate(nonpiv):
-        p_w[j, col] = 1
-        for i, pcol in enumerate(pivots):
-            p_w[j, pcol] = ctx.neg[basis[i, col]]
-
-    neg = lambda mat: ctx.neg[mat]
-    frob = lambda mat, r: ctx.frob_table(r)[mat]
-
-    a = linalg.zeros(dim, dim)
-    a[s2, s0] = neg(frob(m_u, 1))
-    if k:
-        a[s3, s1] = neg(linalg.eye(ctx, k))
-    a[s4, s2] = neg(p_w)
-
-    b = linalg.zeros(dim, dim)
-    b[s2, s0] = frob(m_u, -1)
-    if k:
-        b[s3, s1] = linalg.eye(ctx, k)
-    b[s4, s2] = p_w
-
+    # the rows of U times the form give both the Lagrangian check and
+    # the pairing of slot 0 with slot 4
     ug = linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c)
-    p04 = linalg.as_array(linalg.matmul(ctx, ug, linalg.as_rows(m_w), c), c)
-    omega = linalg.zeros(dim, dim)
-    omega[s0, s4] = p04
-    omega[s4, s0] = neg(p04.T)
-    if k:
-        omega[s1, s3] = linalg.eye(ctx, k)
-        omega[s3, s1] = neg(linalg.eye(ctx, k))
-    omega[s2, s2] = neg(space.gram)
+    if u.dim != c or any(map(any, linalg.matmul(ctx, ug, tuple(zip(*u.rows)), c))):
+        raise ValueError("point must be a Lagrangian subspace")
+    dim = 2 * g
+    bounds = (0, c, g - c, g + c, 2 * g - c, 2 * g)
+    _, s1, s2, s3, s4, _ = bounds  # where slots 1..4 start
+    neg = ctx.neg_list
+    minus_one = neg[1]
+    up, down = ctx.frob_lists[1 % ctx.k], ctx.frob_lists[-1 % ctx.k]
+    f = [[0] * dim for _ in range(dim)]
+    v = [[0] * dim for _ in range(dim)]
+    omega = [[0] * dim for _ in range(dim)]
 
-    return DieudonneModule(ctx, g, c, a, b, omega, bounds, point=u)
+    # slot 0 -> slot 2: U into L, its basis vectors as columns
+    for j, row in enumerate(u.rows):
+        for r, x in enumerate(row):
+            f[s2 + r][j] = neg[up[x]]
+            v[s2 + r][j] = down[x]
+    # slot 1 -> slot 3: the identity on K, and K paired with its twist
+    for i in range(g - 2 * c):
+        f[s3 + i][s1 + i] = minus_one
+        v[s3 + i][s1 + i] = 1
+        omega[s1 + i][s3 + i] = 1
+        omega[s3 + i][s1 + i] = minus_one
+    # slot 2 -> slot 4: L -> L/U, in the coordinates of the non-pivot
+    # columns W, x -> x[W] minus the U-part, and slot 0 paired with
+    # slot 4 through the form
+    nonpivots = [col for col in range(2 * c) if col not in u.pivots]
+    for j, col in enumerate(nonpivots):
+        target_f, target_v = f[s4 + j], v[s4 + j]
+        target_f[s2 + col] = minus_one
+        target_v[s2 + col] = 1
+        for row, pcol in zip(u.rows, u.pivots):
+            target_f[s2 + pcol] = row[col]
+            target_v[s2 + pcol] = neg[row[col]]
+        for i, urow in enumerate(ug):
+            omega[i][s4 + j] = urow[col]
+            omega[s4 + j][i] = neg[urow[col]]
+    # slot 2 with itself: minus the form
+    for r, grow in enumerate(space.gram_rows):
+        omega[s2 + r][s2 : s2 + 2 * c] = [neg[x] for x in grow]
+
+    freeze = lambda mat: tuple(map(tuple, mat))
+    return DieudonneModule(
+        ctx, g, c, freeze(f), freeze(v), freeze(omega), bounds, point=u
+    )
 
 
 @dataclass(frozen=True)
@@ -316,8 +345,9 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     closed under F-image, and F(M) = ker V = V^{-1}(0).  The closure
     runs as a worklist: each new member gets its F-image once and its
     complement once (cached on the member, so the self-duality check
-    reuses it), and the images are kept, so each member's F-image
-    dimension is read off its image.  The result is the least closed
+    reuses it; a complement knows its source, so the complement of a
+    complement costs nothing), and the images are kept, so each
+    member's F-image dimension is read off its image.  The result is the least closed
     set, whatever the order of the work.  A chain in a 2g-dimensional
     space has at most 2g+1 members, so a closure that grows past that
     raises RuntimeError at once.  The members must form a ``Flag`` that
@@ -378,8 +408,12 @@ class EOType:
 
 
 def final_type_of(w: WeylElement, g: int) -> tuple[int, ...]:
-    """psi_w(i) = i - r_w(i, g) on 0..2g."""
-    return tuple(i - weyl.r_w(w, i, g) for i in range(2 * g + 1))
+    """psi_w(i) = i - r_w(i, g) on 0..2g, the running count of
+    positions x <= i with w(x) > g, in one pass over w."""
+    psi = [0]
+    for x in w.perm:
+        psi.append(psi[-1] + (x > g))
+    return tuple(psi)
 
 
 def _label_of_final_type(psi: tuple[int, ...], g: int) -> WeylElement:
@@ -409,9 +443,9 @@ def eo_type(module: DieudonneModule) -> EOType:
     """Read the final type off the canonical flag and invert it to a label.
 
     psi is interpolated across canonical gaps using the zero-or-full
-    dichotomy and inverted directly (``_label_of_final_type``); the label
-    is re-verified against the raw F-image dimensions at the canonical
-    dimensions.
+    dichotomy and inverted directly (``_label_of_final_type``, which
+    checks that psi is the label's final type); the label is re-verified
+    against the raw F-image dimensions at the canonical dimensions.
     """
     flag = canonical_flag(module)
     g = module.g
@@ -423,7 +457,7 @@ def eo_type(module: DieudonneModule) -> EOType:
             psi[i] = f0 if f1 == f0 else f0 + (i - d0)
     w = _label_of_final_type(tuple(psi), g)
     for d, f in zip(flag.dims, flag.fdims):
-        if psi[d] != f or (d - weyl.r_w(w, d, g)) != f:
+        if psi[d] != f:
             raise RuntimeError("matched label disagrees at a canonical dimension")
     return EOType(w, tuple(psi))
 
@@ -443,8 +477,10 @@ def verify_pullback(
     return eo.w.perm == weyl.r_map_inv(fine, g).perm
 
 
-def _matrix_coeffs(ctx: FieldCtx, mat: np.ndarray) -> list[list[tuple[int, ...]]]:
-    return [[ctx.coeffs_of(int(v)) for v in row] for row in mat]
+def _matrix_coeffs(ctx: FieldCtx, rows: linalg.Rows) -> list[list[tuple[int, ...]]]:
+    """Each entry's coefficient tuple, decoding each distinct code once."""
+    coeffs = {v: ctx.coeffs_of(v) for v in set().union(*rows)}
+    return [[coeffs[v] for v in row] for row in rows]
 
 
 def module_to_json(module: DieudonneModule) -> dict:
@@ -457,11 +493,11 @@ def module_to_json(module: DieudonneModule) -> dict:
         "g": module.g,
         "c": module.c,
         "slot_bounds": list(module.slot_bounds),
-        "f_matrix": _matrix_coeffs(ctx, module.fmat),
+        "f_matrix": _matrix_coeffs(ctx, module.f_rows),
         "f_twist": 1,
-        "v_matrix": _matrix_coeffs(ctx, module.vmat),
+        "v_matrix": _matrix_coeffs(ctx, module.v_rows),
         "v_twist": -1,
-        "pairing": _matrix_coeffs(ctx, module.pairing),
+        "pairing": _matrix_coeffs(ctx, module.space.gram_rows),
     }
 
 

@@ -14,7 +14,8 @@ The matrices met here are tiny and sparse, at most about 10 x 20 (a
 2c-dimensional space, a 2g-dimensional module, an augmented inverse),
 and a point makes tens of them, so numpy dispatch and array conversion
 would cost more than the lookups.  Arrays stay where work is bulk
-(Schubert cells, module blocks, see ``symplectic`` and ``dieudonne``):
+(Schubert cells, see ``symplectic``) and as read-only views built on
+access (``Subspace.basis``, the module matrices in ``dieudonne``):
 ``as_rows`` and ``as_array`` are the two conversions at that boundary,
 and ``zeros`` and ``eye`` build such arrays.  The cost is one lookup
 chain per entry touched:

@@ -8,7 +8,9 @@ conjugates everything):
   so the standard coordinate flag is self-dual and Frobenius twisting
   commutes with perp;
 * ``SymplecticSpace.from_gram`` gives a space any other alternating
-  nondegenerate form (the pairing of a Dieudonné module); subspaces,
+  nondegenerate form, given as code rows (the pairing of a Dieudonné
+  module); the space keeps the rows and ``gram`` is a read-only array
+  of them, built on access; subspaces,
   complements and flags work in it alike, while Lagrangian enumeration,
   standard flags and the twist-perp commutation assume the antidiagonal
   form;
@@ -53,8 +55,10 @@ when its ``Subspace`` is made.
 
 Subspaces and flags are immutable values (cached annihilators and
 complements are computed once, a twist's annihilator from its
-source's), so everything here can be shared across threads;
-enumeration output order is deterministic.
+source's, and a complement's complement is its source), so everything
+here can be shared across threads; enumeration output order is
+deterministic.  The twist of a flag is the chain of its members'
+twists, built without re-checking it.
 """
 
 from __future__ import annotations
@@ -73,48 +77,57 @@ class SymplecticSpace:
     """F_q^{2n} with an alternating nondegenerate form.
 
     ``SymplecticSpace(ctx, n)`` carries the fixed antidiagonal form; any
-    other form comes through ``from_gram``.  ``gram`` is the read-only
-    Gram matrix and ``gram_rows`` the same as rows.
+    other form comes through ``from_gram``.  ``gram_rows`` is the Gram
+    matrix as rows, and ``gram`` the same as a read-only int32 array,
+    built on each access.
     """
 
     def __init__(self, ctx: FieldCtx, n: int):
         if n < 1:
             raise ValueError("half-dimension must be positive")
         dim = 2 * n
-        gram = linalg.zeros(dim, dim)
-        minus_one = int(ctx.neg[1])
+        minus_one = ctx.neg_list[1]
+        rows = []
         for i in range(dim):
-            gram[i, dim - 1 - i] = 1 if i < n else minus_one
-        self._init_from_gram(ctx, gram, linalg.as_rows(gram))
+            row = [0] * dim
+            row[dim - 1 - i] = 1 if i < n else minus_one
+            rows.append(tuple(row))
+        self._init_from_gram(ctx, tuple(rows))
 
     @classmethod
-    def from_gram(cls, ctx: FieldCtx, gram: np.ndarray) -> "SymplecticSpace":
-        """The space whose form has the given Gram matrix.
+    def from_gram(cls, ctx: FieldCtx, gram: Sequence[Sequence[int]]) -> "SymplecticSpace":
+        """The space whose form has the Gram matrix with these code rows.
 
         The matrix must be square of positive even size, alternating
-        (antisymmetric with zero diagonal) and nondegenerate; otherwise
-        ValueError.
+        (antisymmetric with zero diagonal) and nondegenerate (one
+        elimination); otherwise ValueError.
         """
-        gram = np.array(gram, dtype=DTYPE)
-        dim = gram.shape[0] if gram.ndim == 2 else 0
-        if dim == 0 or dim % 2 or gram.shape != (dim, dim):
+        rows = tuple(map(tuple, gram))
+        dim = len(rows)
+        if dim == 0 or dim % 2 or any(len(row) != dim for row in rows):
             raise ValueError("Gram matrix must be square of positive even size")
-        if ctx.add[gram, gram.T].any() or gram.diagonal().any():
+        neg = ctx.neg_list
+        if any(row[i] or any(x != neg[y] for x, y in zip(row, col))
+               for i, (row, col) in enumerate(zip(rows, zip(*rows)))):
             raise ValueError("pairing is not alternating")
-        rows = linalg.as_rows(gram)
         if linalg.rank(ctx, rows, dim) != dim:
             raise ValueError("pairing is degenerate")
         obj = cls.__new__(cls)
-        obj._init_from_gram(ctx, gram, rows)
+        obj._init_from_gram(ctx, rows)
         return obj
 
-    def _init_from_gram(self, ctx: FieldCtx, gram: np.ndarray, rows: linalg.Rows) -> None:
-        gram.flags.writeable = False
+    def _init_from_gram(self, ctx: FieldCtx, rows: linalg.Rows) -> None:
         self.ctx = ctx
-        self.n = gram.shape[0] // 2
-        self.dim = gram.shape[0]
-        self.gram = gram
+        self.n = len(rows) // 2
+        self.dim = len(rows)
         self.gram_rows = rows
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The Gram matrix as a read-only int32 array, shape (2n, 2n)."""
+        out = linalg.as_array(self.gram_rows, self.dim)
+        out.flags.writeable = False
+        return out
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> int:
         """<x, y> = x^T G y."""
@@ -244,18 +257,23 @@ class Subspace:
         )
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement under the symplectic form."""
+        """Orthogonal complement under the symplectic form; computed once.
+
+        The form is nondegenerate, so perp is an involution: the
+        complement records this subspace as its own complement, and
+        asking it back costs nothing.
+        """
         if self._perp is None:
             space = self.space
             if self.dim == 0:
-                self._perp = full_subspace(space)
+                out = full_subspace(space)
             elif self.dim == space.dim:
-                self._perp = zero_subspace(space)
+                out = zero_subspace(space)
             else:
                 prod = linalg.matmul(space.ctx, self.rows, space.gram_rows, space.dim)
-                self._perp = Subspace._from_rref(
-                    space, linalg.nullspace(space.ctx, prod, space.dim)
-                )
+                out = Subspace._from_rref(space, linalg.nullspace(space.ctx, prod, space.dim))
+            out._perp = self
+            self._perp = out
         return self._perp
 
     def twist(self, r: int) -> "Subspace":
@@ -354,7 +372,17 @@ class Flag:
         return f"Flag(dims={self.dims})"
 
     def twist(self, r: int) -> "Flag":
-        return Flag(m.twist(r) for m in self.members)
+        """The flag of the members' twists.
+
+        Frobenius maps a chain to a chain of the same dimensions, in the
+        same order, so the result is built as it is, with no re-check.
+        """
+        out = Flag.__new__(Flag)
+        out.space = self.space
+        out.members = tuple([m.twist(r) for m in self.members])
+        out.dims = self.dims
+        out._key = tuple([m.rows for m in out.members])
+        return out
 
     def apply(self, matrix: np.ndarray) -> "Flag":
         return Flag(m.apply(matrix) for m in self.members)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from dlstrata.dieudonne import (
     canonical_flag,
     eo_type,
     final_type_of,
+    module_to_json,
     verify_pullback,
 )
 from dlstrata.gf import field
@@ -68,6 +71,151 @@ def _complement(mod, rows):
     return linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, rows, omega, mod.dim), mod.dim)
 
 
+def _build_by_arrays(u, g):
+    """The numpy block assembly that ``build_from_lagrangian`` replaced.
+
+    Kept as the reference: the operator and pairing blocks are written
+    into int32 arrays by slice assignment.  Returns (F, V, pairing).
+    """
+    space = u.space
+    ctx, c = space.ctx, space.n
+    dim, k = 2 * g, g - 2 * c
+    s0, s1, s2 = slice(0, c), slice(c, g - c), slice(g - c, g + c)
+    s3, s4 = slice(g + c, 2 * g - c), slice(2 * g - c, 2 * g)
+
+    basis, pivots = u.basis, u.pivots
+    nonpiv = [j for j in range(2 * c) if j not in pivots]
+    m_u = basis.T.copy()  # 2c x c, columns are the point's basis vectors
+    m_w = linalg.zeros(2 * c, c)
+    for j, col in enumerate(nonpiv):
+        m_w[col, j] = 1
+    # W-coordinates of x: x[nonpivot] minus the U-part contribution
+    p_w = linalg.zeros(c, 2 * c)
+    for j, col in enumerate(nonpiv):
+        p_w[j, col] = 1
+        for i, pcol in enumerate(pivots):
+            p_w[j, pcol] = ctx.neg[basis[i, col]]
+
+    neg = lambda mat: ctx.neg[mat]
+    frob = lambda mat, r: ctx.frob_table(r)[mat]
+
+    a = linalg.zeros(dim, dim)
+    a[s2, s0] = neg(frob(m_u, 1))
+    if k:
+        a[s3, s1] = neg(linalg.eye(ctx, k))
+    a[s4, s2] = neg(p_w)
+
+    b = linalg.zeros(dim, dim)
+    b[s2, s0] = frob(m_u, -1)
+    if k:
+        b[s3, s1] = linalg.eye(ctx, k)
+    b[s4, s2] = p_w
+
+    ug = linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c)
+    p04 = linalg.as_array(linalg.matmul(ctx, ug, linalg.as_rows(m_w), c), c)
+    omega = linalg.zeros(dim, dim)
+    omega[s0, s4] = p04
+    omega[s4, s0] = neg(p04.T)
+    if k:
+        omega[s1, s3] = linalg.eye(ctx, k)
+        omega[s3, s1] = neg(linalg.eye(ctx, k))
+    omega[s2, s2] = neg(space.gram)
+    return a, b, omega
+
+
+def _json_by_arrays(mod, arrays):
+    """``module_to_json`` as it read the arrays of ``_build_by_arrays``."""
+    ctx = mod.ctx
+    code_coeffs = [ctx.coeffs_of(v) for v in range(ctx.q)]
+    coeffs = lambda mat: [[code_coeffs[int(v)] for v in row] for row in mat]
+    a, b, omega = arrays
+    return {
+        "p": ctx.p,
+        "k": ctx.k,
+        "dim": mod.dim,
+        "g": mod.g,
+        "c": mod.c,
+        "slot_bounds": list(mod.slot_bounds),
+        "f_matrix": coeffs(a),
+        "f_twist": 1,
+        "v_matrix": coeffs(b),
+        "v_twist": -1,
+        "pairing": coeffs(omega),
+    }
+
+
+def _assert_built_as_by_arrays(u, g):
+    mod = build_from_lagrangian(u, g)
+    arrays = _build_by_arrays(u, g)
+    assert (mod.f_rows, mod.v_rows, mod.space.gram_rows) == tuple(map(linalg.as_rows, arrays))
+    got = json.dumps(module_to_json(mod)).encode()
+    assert got == json.dumps(_json_by_arrays(mod, arrays)).encode()
+
+
+def test_rows_match_the_array_assembly_on_every_census_point():
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        if c <= 2:
+            for u in dc._cached_lagrangians(c, p, m):
+                for g in (2 * c, 2 * c + 1):
+                    _assert_built_as_by_arrays(u, g)
+
+
+def test_rows_match_the_array_assembly_at_rank_three():
+    rng = np.random.default_rng(47)
+    space = dc.census_space(3, 2, 2)
+    for _ in range(50):
+        _assert_built_as_by_arrays(random_lagrangian(space, rng), 6)
+
+
+def test_matrices_are_read_only_arrays_of_the_rows(f16_line):
+    mod = build_from_lagrangian(f16_line, 3)
+    for mat, rows in (
+        (mod.fmat, mod.f_rows),
+        (mod.vmat, mod.v_rows),
+        (mod.pairing, mod.space.gram_rows),
+        (mod.v_linear, linalg.frob_map(mod.ctx, mod.v_rows, 1)),
+    ):
+        assert mat.shape == (mod.dim, mod.dim) and linalg.as_rows(mat) == rows
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1
+
+
+def _edited(mod, f_rows=None, v_rows=None, pairing=None):
+    """The module's data with some matrices replaced, as a new module."""
+    return DieudonneModule(
+        mod.ctx, mod.g, mod.c,
+        mod.f_rows if f_rows is None else f_rows,
+        mod.v_rows if v_rows is None else v_rows,
+        mod.space.gram_rows if pairing is None else pairing,
+        mod.slot_bounds, point=None,
+    )
+
+
+def _unit(dim, i, j):
+    return tuple(tuple(int((r, s) == (i, j)) for s in range(dim)) for r in range(dim))
+
+
+def test_each_failed_check_raises_its_own_message(f16_line):
+    mod = build_from_lagrangian(f16_line, 3)
+    dim = mod.dim
+    zero = linalg.as_rows(linalg.zeros(dim, dim))
+    for edit, match in (
+        (dict(f_rows=linalg.identity(dim), v_rows=linalg.identity(dim)), "F after V is not zero"),
+        # F = E_01 and V = E_20: F.V = 0 but V.F = E_21
+        (dict(f_rows=_unit(dim, 0, 1), v_rows=_unit(dim, 2, 0)), "V after F is not zero"),
+        (dict(f_rows=zero, v_rows=zero), r"dim ker F = 6 != g = 3"),
+        # V = 0 passes both products and ker F, and must fail at ker V
+        (dict(v_rows=zero), r"dim ker V = 6 != g = 3"),
+        (dict(pairing=zero), "degenerate"),
+        (dict(f_rows=mod.f_rows[:-1]), "2g x 2g"),
+    ):
+        with pytest.raises((RuntimeError, ValueError), match=match):
+            _edited(mod, **edit)
+    assert _edited(mod).f_rows == mod.f_rows  # the unedited data passes
+
+
 def test_build_checks_preconditions(f16_line):
     with pytest.raises(ValueError):
         build_from_lagrangian(f16_line, 1)  # needs g >= 2c
@@ -76,6 +224,10 @@ def test_build_checks_preconditions(f16_line):
     if not not_lag.is_isotropic():
         with pytest.raises(ValueError):
             build_from_lagrangian(not_lag, 4)
+    # a line, and a plane that pairs e_1 with e_4, are not Lagrangian
+    for rows in ([[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 1]]):
+        with pytest.raises(ValueError, match="Lagrangian"):
+            build_from_lagrangian(Subspace(space, np.array(rows)), 4)
 
 
 def test_module_dimensions_and_kernels(f16_line):
@@ -349,6 +501,29 @@ def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
     assert len(calls) <= 2 * mod.g + 1
 
 
+def test_final_type_is_the_r_w_definition():
+    for g in range(1, 7):
+        for w in weyl.enumerate_IW(g):
+            want = tuple(i - weyl.r_w(w, i, g) for i in range(2 * g + 1))
+            assert final_type_of(w, g) == want
+
+
+def test_build_and_closure_take_at_most_eleven_eliminations(monkeypatch):
+    # three to build and check a module (the pairing's rank, ker F and
+    # ker V), and one per F-image and per complement pair in the closure
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or rref(*args))
+    counts = []
+    for u in dc._cached_lagrangians(2, 2, 2):
+        calls.clear()
+        mod = build_from_lagrangian(u, 5)
+        assert len(calls) == 3
+        canonical_flag(mod)
+        counts.append(len(calls))
+    assert len(counts) == 4369 and max(counts) <= 11
+
+
 def test_final_type_map_is_injective_on_representatives():
     for g in (1, 2, 3, 4, 5):
         types = {final_type_of(w, g) for w in weyl.enumerate_IW(g)}
@@ -403,19 +578,26 @@ def test_eo_type_is_basis_independent(f16_line):
 
 def test_sign_freedom_in_the_middle_blocks(f16_line):
     """Flipping the sign of the K-block pair leaves every invariant and
-    the EO type unchanged (the residual freedom is harmless)."""
-    mod = build_from_lagrangian(f16_line, 3)
-    ctx = mod.ctx
-    lo1, hi1 = mod.slot_bounds[1], mod.slot_bounds[2]
-    lo3, hi3 = mod.slot_bounds[3], mod.slot_bounds[4]
-    f2 = mod.fmat.copy()
-    v2 = mod.vmat.copy()
-    f2[lo3:hi3, lo1:hi1] = ctx.neg[f2[lo3:hi3, lo1:hi1]]
-    v2[lo3:hi3, lo1:hi1] = ctx.neg[v2[lo3:hi3, lo1:hi1]]
-    flipped = DieudonneModule(
-        ctx, mod.g, mod.c, f2, v2, mod.pairing, mod.slot_bounds, point=mod.point
-    )
-    assert eo_type(flipped).w.perm == eo_type(mod).w.perm
+    the EO type unchanged (the residual freedom is harmless); flipping
+    it in F alone breaks the adjunction, and is refused."""
+    f9_line = Subspace(SymplecticSpace(field(3, 2), 1), np.array([[1, 2]]))
+    for u in (f16_line, f9_line):
+        mod = build_from_lagrangian(u, 3)
+        ctx = mod.ctx
+        lo1, hi1 = mod.slot_bounds[1], mod.slot_bounds[2]
+        lo3, hi3 = mod.slot_bounds[3], mod.slot_bounds[4]
+        f2 = mod.fmat.copy()
+        v2 = mod.vmat.copy()
+        f2[lo3:hi3, lo1:hi1] = ctx.neg[f2[lo3:hi3, lo1:hi1]]
+        v2[lo3:hi3, lo1:hi1] = ctx.neg[v2[lo3:hi3, lo1:hi1]]
+        f2, v2 = linalg.as_rows(f2), linalg.as_rows(v2)
+        flipped = DieudonneModule(
+            ctx, mod.g, mod.c, f2, v2, mod.space.gram_rows, mod.slot_bounds, point=mod.point
+        )
+        assert eo_type(flipped).w.perm == eo_type(mod).w.perm
+        if ctx.p != 2:  # at p = 2 the flip is the identity
+            with pytest.raises(RuntimeError, match="adjunction"):
+                _edited(mod, f_rows=f2)
 
 
 def test_symplectic_substitution_preserves_eo_type():

@@ -57,8 +57,9 @@ def test_gram_is_alternating_and_invertible(space4, space9):
 
 def test_from_gram_refuses_forms_that_are_not_symplectic(space9):
     ctx = space9.ctx
-    same = SymplecticSpace.from_gram(ctx, space9.gram)
+    same = SymplecticSpace.from_gram(ctx, space9.gram_rows)
     assert (same.n, same.dim) == (2, 4)
+    assert same.gram_rows == space9.gram_rows
     assert np.array_equal(same.gram, space9.gram) and same.gram is not space9.gram
     assert not same.gram.flags.writeable
     not_antisymmetric = space9.gram.copy()
@@ -74,7 +75,7 @@ def test_from_gram_refuses_forms_that_are_not_symplectic(space9):
         (linalg.zeros(0, 0), "even size"),
     ):
         with pytest.raises(ValueError, match=match):
-            SymplecticSpace.from_gram(ctx, gram)
+            SymplecticSpace.from_gram(ctx, linalg.as_rows(gram))
 
 
 def test_subspaces_under_a_general_form(space9):
@@ -162,6 +163,25 @@ def test_perp_properties(space4):
         if u.contains(v):
             assert v.perp().contains(u.perp())
         assert (u + v).perp() == u.perp().intersect(v.perp())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 4)]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_perp_is_an_involution_on_cached_complements(pk, n, seed):
+    # a complement remembers its source, so asking it back is the source
+    # itself, and both equal fresh null spaces
+    space = SymplecticSpace(field(*pk), n)
+    rng = np.random.default_rng(seed)
+    x = rand_subspace(space, rng, int(rng.integers(1, space.dim)))
+    y = x.perp()
+    assert y.perp() is x
+    assert y.rows == _generic_perp(x) and x.rows == _generic_perp(y)
+    # a fresh copy of the complement computes its own
+    fresh = Subspace._from_rref(space, y.rows, y.pivots).perp()
+    assert fresh is not x and fresh == x and fresh.perp().rows == y.rows
+    for trivial in (zero_subspace(space), full_subspace(space)):
+        assert trivial.perp().perp() is trivial
 
 
 # -- trivial meets, joins and complements against the generic route --------
@@ -590,6 +610,32 @@ def test_refine_matches_all_joins_on_every_census_refinement_step():
                 _assert_refine_matches_all_joins(flag, flag.twist(2))
 
 
+def _assert_twist_matches_rebuilt(flag, r):
+    """Flag.twist builds the twisted chain as it is; ``Flag.__init__``
+    sorts and re-checks it, and must find the same flag."""
+    got = flag.twist(r)
+    want = Flag(m.twist(r) for m in flag.members)
+    assert got == want and hash(got) == hash(want)
+    assert got.space is want.space and got.dims == want.dims == flag.dims
+    assert [(m.rows, m.pivots) for m in got.members] == [
+        (m.rows, m.pivots) for m in want.members
+    ]
+
+
+def test_twist_matches_the_rebuilt_flag_on_every_census_refinement_step():
+    from dlstrata import dlclassify
+
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        if c != 2:
+            continue
+        for u in dlclassify._cached_lagrangians(c, p, m):
+            for flag, _ in dlclassify._refine_to_stable(u, 2):
+                for r in (2, -2, 1):
+                    _assert_twist_matches_rebuilt(flag, r)
+
+
 @st.composite
 def _self_dual_flag_pair(draw):
     p, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 4)]))
@@ -611,6 +657,13 @@ def test_refine_matches_all_joins_on_random_flag_pairs(pair):
             a = nxt
         else:
             raise AssertionError("refinement did not stop")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_self_dual_flag_pair(), st.integers(-4, 4))
+def test_twist_matches_the_rebuilt_flag_on_random_flags(pair, r):
+    for flag in pair:
+        _assert_twist_matches_rebuilt(flag, r)
 
 
 def _self_dual_by_perp(flag):

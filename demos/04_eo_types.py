@@ -17,9 +17,9 @@ from dlstrata.gf import field
 from dlstrata.symplectic import Subspace, SymplecticSpace
 
 space = SymplecticSpace(field(2, 4), 1)
-s = space.ctx.gen
+s = space.ctx.p  # the code of x, a root of the modulus
 
-for name, row in [("rational", [1, 0]), ("wild", [1, s.code])]:
+for name, row in [("rational", [1, 0]), ("wild", [1, s])]:
     u = Subspace(space, np.array([row]))
     print(f"{name} line {row} over F_16:")
     for g in (2, 3):

@@ -3,7 +3,7 @@ finite fields and the Ekedahl-Oort types of the modules they induce."""
 
 __version__ = "0.1.0"
 
-from .gf import FieldCtx, GFElem, embed, field, frobenius
+from .gf import FieldCtx, field
 from .weyl import (
     WeylElement,
     canonical_word_IW,
@@ -45,10 +45,7 @@ from .dieudonne import (
 
 __all__ = [
     "FieldCtx",
-    "GFElem",
     "field",
-    "frobenius",
-    "embed",
     "WeylElement",
     "simple_reflection",
     "compose",

@@ -29,8 +29,8 @@ from . import __version__, bedard, dlclassify, dieudonne, weyl
 from .gf import field
 
 # Largest genus strata and verify accept: a verify run at g = 64 over
-# F_1024 peaks near 68 MB, most of it the field's tables, and the lifted
-# tables and modules grow with g without bound.
+# F_1024 peaks near 54 MB, about 17 MB of it the field's tables, and the
+# lifted tables and modules grow with g without bound.
 GENUS_LIMIT = 64
 
 

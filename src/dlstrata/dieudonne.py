@@ -124,18 +124,6 @@ class DieudonneModule:
     def pairing(self) -> np.ndarray:
         return self.space.gram
 
-    # -- linear-level views ------------------------------------------------
-
-    @property
-    def f_linear(self) -> np.ndarray:
-        """F as a plain matrix on twisted source coordinates."""
-        return self.fmat
-
-    @property
-    def v_linear(self) -> np.ndarray:
-        """V as a plain matrix into twisted target coordinates."""
-        return _read_only(self._vlin_rows, self.dim)
-
     def kernel_of_F(self) -> Subspace:
         """ker F; computed once."""
         if self._ker_f is None:
@@ -176,22 +164,6 @@ class DieudonneModule:
         powered = linalg.frob_map(ctx, sub.rows, 1)
         image = linalg.matmul(ctx, powered, self._ft_rows, dim)
         return Subspace._from_rref(self.space, *linalg.rref(ctx, image, dim))
-
-    def transport(self, s: np.ndarray) -> "DieudonneModule":
-        """The isomorphic module in the basis x = S x'."""
-        ctx, dim = self.ctx, self.dim
-        s_rows = linalg.as_rows(s)
-        s_inv = linalg.inverse(ctx, s_rows)
-        f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.f_rows, dim),
-                           linalg.frob_map(ctx, s_rows, 1), dim)
-        v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, self.v_rows, dim),
-                           linalg.frob_map(ctx, s_rows, -1), dim)
-        s_t = linalg.as_rows(s.T)
-        w2 = linalg.matmul(ctx, linalg.matmul(ctx, s_t, self.space.gram_rows, dim),
-                           s_rows, dim)
-        return DieudonneModule(
-            ctx, self.g, self.c, f2, v2, w2, self.slot_bounds, point=None
-        )
 
     # -- construction-time checks -------------------------------------------
 
@@ -498,12 +470,4 @@ def module_to_json(module: DieudonneModule) -> dict:
         "v_matrix": _matrix_coeffs(ctx, module.v_rows),
         "v_twist": -1,
         "pairing": _matrix_coeffs(ctx, module.space.gram_rows),
-    }
-
-
-def eo_type_to_json(eo: EOType) -> dict:
-    return {
-        "one_line": list(eo.w.perm),
-        "word": list(weyl.reduced_word(eo.w)),
-        "psi": list(eo.psi),
     }

@@ -6,27 +6,30 @@ degree first).  For each (p, k) the modulus is the lexicographically
 first irreducible monic polynomial, so every table and every serialized
 value is reproducible bit for bit.
 
-A :class:`FieldCtx` carries dense numpy lookup tables (add, mul, neg,
-inv, Frobenius powers) for bulk array work, and the same tables as
-nested Python lists (``add_list``, ``mul_list``, ``neg_list``,
-``inv_list`` and ``frob_lists``), which the row-based linear algebra
-indexes one entry at a time without numpy dispatch.  Orders above
-``TABLE_LIMIT`` are refused, before any primality test or power is
-computed, so every context has its tables and no input makes
-construction unbounded.  Contexts are
-immutable after construction and safe to share across threads.
+A :class:`FieldCtx` carries one layout of lookup tables: nested Python
+lists (``add_list``, ``mul_list``, ``neg_list``, ``inv_list`` and
+``frob_lists``, one list per Frobenius power), which the row-based
+linear algebra indexes one entry at a time without numpy dispatch.
+Negation is also kept as the int32 array ``neg``, because Schubert
+cells negate whole columns of codes at once.  The tables are built with
+numpy a block of rows at a time, and only the lists are kept.  Orders
+above ``TABLE_LIMIT`` are refused, before any primality test or power
+is computed, so every context has its tables and no input makes
+construction unbounded.  Contexts are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-TABLE_LIMIT = 2**10  # largest order: dense q x q tables are built for every field
+TABLE_LIMIT = 2**10  # largest order: q x q add and mul tables are built for every field
 
 _CTX_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
+
+_ROW_BLOCK = 64  # rows of a q x q table built per numpy step
 
 
 def _is_prime(p: int) -> bool:
@@ -130,40 +133,41 @@ class FieldCtx:
         p, k, q = self.p, self.k, self.q
         # digit matrix: coeffs[code] = coefficient vector of that code
         codes = np.arange(q)
-        coeffs = np.empty((q, k), dtype=np.int64)
+        coeffs = np.empty((q, k), dtype=np.int32)
         rest = codes.copy()
         for i in range(k):
             coeffs[:, i] = rest % p
             rest //= p
-        weights = p ** np.arange(k)
+        weights = p ** np.arange(k, dtype=np.int32)
         self.neg = ((-coeffs % p) @ weights).astype(np.int32)
-        # one digit at a time in int32: a q x q x k intermediate would
-        # set the peak memory of the whole process on F_1024
-        add = np.zeros((q, q), dtype=np.int32)
-        for i in range(k):
-            digit = coeffs[:, i].astype(np.int32)
-            add += (digit[:, None] + digit[None, :]) % p * np.int32(p**i)
-        self.add = add
 
-        # multiplicative structure through a generator
-        exp, log = self._discrete_logs()
-        n = q - 1
-        mul = np.zeros((q, q), dtype=np.int32)
-        lo = log[1:]
-        mul[1:, 1:] = exp[(lo[:, None] + lo[None, :]) % n]
-        self.mul = mul
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = exp[(-lo) % n]
-        self.inv = inv
-        self._exp, self._log = exp, log
-
-        # list forms for elimination; the entries are shared int objects
-        # (indexing an object array copies references), so each q x q
-        # table costs q*q pointers, not q*q separate ints
+        # The tables are nested lists whose entries are shared int
+        # objects (indexing an object array copies references), so each
+        # q x q table costs q*q pointers, not q*q separate ints.  They are
+        # built a block of rows at a time, so no q x q array is ever held.
         shared = np.empty(q, dtype=object)
         shared[:] = range(q)
-        self.add_list = shared[add].tolist()
-        self.mul_list = shared[mul].tolist()
+        blocks = [codes[i : i + _ROW_BLOCK] for i in range(0, q, _ROW_BLOCK)]
+        self.add_list = []
+        for rows in blocks:
+            add = np.zeros((len(rows), q), dtype=np.int32)
+            for i in range(k):  # addition is digit-wise mod p
+                add += (coeffs[rows, i, None] + coeffs[None, :, i]) % p * weights[i]
+            self.add_list += shared[add].tolist()
+
+        # multiplicative structure through a generator; the log of 0 is
+        # a placeholder, so row and column 0 are set to 0 afterwards
+        exp, log = self._discrete_logs()
+        n = q - 1
+        lo = log[1:]
+        self.mul_list = []
+        for rows in blocks:
+            mul = exp[(log[rows, None] + log[None, :]) % n]
+            mul[:, 0] = 0
+            mul[rows == 0] = 0
+            self.mul_list += shared[mul].tolist()
+        inv = np.zeros(q, dtype=np.int32)
+        inv[1:] = exp[(-lo) % n]
         self.neg_list = shared[self.neg].tolist()
         self.inv_list = shared[inv].tolist()
 
@@ -171,28 +175,23 @@ class FieldCtx:
         # higher powers compose its code table
         frob1 = np.zeros(q, dtype=np.int32)
         frob1[1:] = exp[(p * lo) % n]
-        tables = [codes.astype(np.int32)]
+        table = codes
+        self.frob_lists = [shared[table].tolist()]
         for _ in range(1, k):
-            tables.append(frob1[tables[-1]])
-        self.frob_tables = tables
-        self.frob_lists = [shared[t].tolist() for t in tables]
+            table = frob1[table]
+            self.frob_lists.append(shared[table].tolist())
 
     def _scalar_mul(self, a: int, b: int) -> int:
         pa = _ptrim(_decode_int(a, self.p, self.k))
         pb = _ptrim(_decode_int(b, self.p, self.k))
-        return self._encode_poly(_pmod(_pmul(pa, pb, self.p), self.modulus, self.p))
-
-    def _encode_poly(self, poly: Sequence[int]) -> int:
-        code = 0
-        for i, c in enumerate(poly):
-            code += (c % self.p) * self.p**i
-        return code
+        poly = _pmod(_pmul(pa, pb, self.p), self.modulus, self.p)
+        return sum(c * self.p**i for i, c in enumerate(poly))
 
     def _discrete_logs(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
         n = q - 1
         if n == 1:
-            return np.array([1], dtype=np.int32), np.zeros(2, dtype=np.int64)
+            return np.array([1], dtype=np.int32), np.zeros(2, dtype=np.int32)
         for g in range(2, q):
             exp = np.empty(n, dtype=np.int32)
             x = 1
@@ -204,45 +203,10 @@ class FieldCtx:
                     ok = False
                     break
             if ok and x == 1:
-                log = np.zeros(q, dtype=np.int64)
-                log[exp] = np.arange(n)
+                log = np.zeros(q, dtype=np.int32)
+                log[exp] = np.arange(n, dtype=np.int32)
                 return exp, log
         raise RuntimeError("no generator found (not a field?)")
-
-    # -- element helpers -------------------------------------------------
-
-    def frob_table(self, r: int) -> np.ndarray:
-        """Code table of x -> x^(p^r); r may be negative."""
-        return self.frob_tables[r % self.k]
-
-    def elem(self, value: int | Iterable[int]) -> "GFElem":
-        if isinstance(value, int):
-            if not 0 <= value < self.q:
-                raise ValueError(f"code {value} out of range for order {self.q}")
-            return GFElem(self, value)
-        coeffs = list(value)
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        coeffs += [0] * (self.k - len(coeffs))
-        return GFElem(self, self._encode_poly(coeffs))
-
-    @property
-    def zero(self) -> "GFElem":
-        return GFElem(self, 0)
-
-    @property
-    def one(self) -> "GFElem":
-        return GFElem(self, 1)
-
-    @property
-    def gen(self) -> "GFElem":
-        """The class of x, a root of the modulus (k >= 2 only)."""
-        if self.k == 1:
-            raise ValueError("prime field has no polynomial generator")
-        return GFElem(self, self.p)
-
-    def elements(self) -> list["GFElem"]:
-        return [GFElem(self, c) for c in range(self.q)]
 
     def coeffs_of(self, code: int) -> tuple[int, ...]:
         return tuple(_decode_int(code, self.p, self.k))
@@ -259,55 +223,6 @@ def field(p: int, k: int) -> FieldCtx:
         ctx = FieldCtx(p, k)
         _CTX_CACHE[key] = ctx
     return ctx
-
-
-@dataclass(frozen=True)
-class GFElem:
-    """A field element: a context reference plus its integer code."""
-
-    ctx: FieldCtx
-    code: int
-
-    def _check(self, other: "GFElem") -> None:
-        if self.ctx is not other.ctx:
-            raise ValueError("elements from different field contexts")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs_of(self.code)
-
-    def __add__(self, other: "GFElem") -> "GFElem":
-        self._check(other)
-        return GFElem(self.ctx, int(self.ctx.add[self.code, other.code]))
-
-    def __neg__(self) -> "GFElem":
-        return GFElem(self.ctx, int(self.ctx.neg[self.code]))
-
-    def __sub__(self, other: "GFElem") -> "GFElem":
-        return self + (-other)
-
-    def __mul__(self, other: "GFElem") -> "GFElem":
-        self._check(other)
-        return GFElem(self.ctx, int(self.ctx.mul[self.code, other.code]))
-
-    def inv(self) -> "GFElem":
-        if self.code == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return GFElem(self.ctx, int(self.ctx.inv[self.code]))
-
-    def __truediv__(self, other: "GFElem") -> "GFElem":
-        return self * other.inv()
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"GFElem{self.coeffs}@F_{self.ctx.q}"
-
-
-def frobenius(a: GFElem, r: int) -> GFElem:
-    """a^(p^r), with r arbitrary (Frobenius is bijective)."""
-    return GFElem(a.ctx, int(a.ctx.frob_table(r)[a.code]))
 
 
 def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
@@ -327,13 +242,14 @@ def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
         table = np.arange(src.q, dtype=np.int32)
         src._embed_cache[key] = table
         return table
+    add, mul = dst.add_list, dst.mul_list
     root = None
     for cand in range(dst.q):
         acc, powc = 0, 1
         for c in src.modulus:
             if c:
-                acc = int(dst.add[acc, dst.mul[c % dst.p, powc]])
-            powc = int(dst.mul[powc, cand])
+                acc = add[acc][mul[c % dst.p][powc]]
+            powc = mul[powc][cand]
         if acc == 0:
             root = cand
             break
@@ -344,13 +260,8 @@ def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
         acc, powr = 0, 1
         for c in src.coeffs_of(code):
             if c:
-                acc = int(dst.add[acc, dst.mul[c, powr]])
-            powr = int(dst.mul[powr, root])
+                acc = add[acc][mul[c][powr]]
+            powr = mul[powr][root]
         table[code] = acc
     src._embed_cache[key] = table
     return table
-
-
-def embed(a: GFElem, target: FieldCtx) -> GFElem:
-    """Image of a under the fixed embedding into the target field."""
-    return GFElem(target, int(embed_table(a.ctx, target)[a.code]))

@@ -8,20 +8,20 @@ caller can change rows that another holds.  Row convention: a subspace
 is the row span of its matrix, and the canonical form of a subspace is
 its reduced row echelon form, so equal subspaces have equal row tuples.
 
-The routines index the list forms of the field tables
+The routines index the field's tables, which are nested lists
 (``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time.
 The matrices met here are tiny and sparse, at most about 10 x 20 (a
-2c-dimensional space, a 2g-dimensional module, an augmented inverse),
-and a point makes tens of them, so numpy dispatch and array conversion
+2c-dimensional space, a 2g-dimensional module), and a point makes tens
+of them, so numpy dispatch and array conversion
 would cost more than the lookups.  Arrays stay where work is bulk
-(Schubert cells, see ``symplectic``) and as read-only views built on
+(Schubert cells, see ``symplectic``, which negate through the int32
+array ``FieldCtx.neg``) and as read-only views built on
 access (``Subspace.basis``, the module matrices in ``dieudonne``):
-``as_rows`` and ``as_array`` are the two conversions at that boundary,
-and ``zeros`` and ``eye`` build such arrays.  The cost is one lookup
-chain per entry touched:
+``as_rows`` and ``as_array`` are the two conversions at that boundary.
+The cost is one lookup chain per entry touched:
 
-* ``rref`` costs about rank x rows x columns, and so do ``rank`` and
-  ``inverse``, one elimination each;
+* ``rref`` costs about rank x rows x columns, and so does ``rank``, one
+  elimination;
 * ``nullspace`` is one elimination too, of the column-reversed matrix,
   whose null vectors are already the canonical basis;
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
@@ -45,16 +45,6 @@ from .gf import FieldCtx
 DTYPE = np.int32
 
 Rows = tuple[tuple[int, ...], ...]
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=DTYPE)
-
-
-def eye(ctx: FieldCtx, n: int) -> np.ndarray:
-    m = zeros(n, n)
-    np.fill_diagonal(m, 1)
-    return m
 
 
 def as_rows(mat: np.ndarray) -> Rows:
@@ -179,17 +169,6 @@ def frob_map(ctx: FieldCtx, rows: Sequence[Sequence[int]], r: int) -> Rows:
     """Entrywise p^r-power; exact and bijective for any integer r."""
     table = ctx.frob_lists[r % ctx.k].__getitem__
     return tuple([tuple(map(table, row)) for row in rows])
-
-
-def inverse(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> Rows:
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("square matrix expected")
-    aug = [tuple(row) + unit for row, unit in zip(rows, identity(n))]
-    reduced, pivots = rref(ctx, aug, 2 * n)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
 
 
 def in_row_space(

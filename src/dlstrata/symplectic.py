@@ -11,8 +11,8 @@ conjugates everything):
   nondegenerate form, given as code rows (the pairing of a Dieudonné
   module); the space keeps the rows and ``gram`` is a read-only array
   of them, built on access; subspaces,
-  complements and flags work in it alike, while Lagrangian enumeration,
-  standard flags and the twist-perp commutation assume the antidiagonal
+  complements and flags work in it alike, while Lagrangian enumeration
+  and the twist-perp commutation assume the antidiagonal
   form;
 * subspaces are row spans stored as their reduced row echelon rows, a
   tuple of tuples of codes with the pivot columns beside it; the rows
@@ -128,17 +128,6 @@ class SymplecticSpace:
         out = linalg.as_array(self.gram_rows, self.dim)
         out.flags.writeable = False
         return out
-
-    def pairing(self, x: np.ndarray, y: np.ndarray) -> int:
-        """<x, y> = x^T G y."""
-        x = np.asarray(x, dtype=DTYPE).tolist()
-        y = np.asarray(y, dtype=DTYPE).tolist()
-        (xg,) = linalg.matmul(self.ctx, [x], self.gram_rows, self.dim)
-        acc = 0
-        add, mul = self.ctx.add_list, self.ctx.mul_list
-        for a, b in zip(xg, y):
-            acc = add[acc][mul[a][b]]
-        return acc
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(F_{self.ctx.q}, 2n={self.dim})"
@@ -319,10 +308,6 @@ class Subspace:
         image = linalg.matmul(space.ctx, self.rows, linalg.as_rows(matrix.T), space.dim)
         return Subspace._from_rref(space, *linalg.rref(space.ctx, image, space.dim))
 
-    def to_coeffs(self) -> list[list[tuple[int, ...]]]:
-        ctx = self.space.ctx
-        return [[ctx.coeffs_of(c) for c in row] for row in self.rows]
-
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
     if a.space is not b.space:
@@ -384,9 +369,6 @@ class Flag:
         out._key = tuple([m.rows for m in out.members])
         return out
 
-    def apply(self, matrix: np.ndarray) -> "Flag":
-        return Flag(m.apply(matrix) for m in self.members)
-
     def is_self_dual(self) -> bool:
         """Whether the complement of every member is a member.
 
@@ -421,17 +403,6 @@ def flag_type(flag: Flag) -> frozenset[int]:
     return frozenset(
         i for i in range(1, n + 1) if i not in dims and 2 * n - i not in dims
     )
-
-
-def standard_flag(space: SymplecticSpace, dims: Iterable[int]) -> Flag:
-    """Coordinate flag with the given (symmetric) proper dimension set."""
-    dims = sorted(set(dims))
-    if any(d <= 0 or d >= space.dim for d in dims):
-        raise ValueError("proper dimensions expected")
-    if any(space.dim - d not in dims for d in dims):
-        raise ValueError("dimension set must be symmetric for a self-dual flag")
-    eye = linalg.identity(space.dim)
-    return Flag([Subspace._from_rref(space, eye[:d], tuple(range(d))) for d in dims])
 
 
 def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
@@ -667,19 +638,23 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
         else np.random.default_rng(seed_or_rng)
     )
     ctx = space.ctx
+    add, mul = ctx.add_list, ctx.mul_list
     two_n = space.dim
     g = linalg.identity(two_n)
     factors = 0
     while factors < 3 * two_n:
-        v = rng.integers(0, ctx.q, size=two_n).astype(DTYPE)
-        if not v.any():
+        v = rng.integers(0, ctx.q, size=two_n).tolist()
+        if not any(v):
             continue
         lam = int(rng.integers(1, ctx.q))
-        # t = 1 + lam v a^T with a = G^T v, assembled as an array
-        (a,) = linalg.matmul(ctx, [v.tolist()], space.gram_rows, two_n)
-        rank_one = ctx.mul[ctx.mul[lam, v[:, None]], np.array(a)[None, :]]
-        t = ctx.add[linalg.eye(ctx, two_n), rank_one]
-        g = linalg.matmul(ctx, linalg.as_rows(t), g, two_n)
+        # t = 1 + lam v a^T with a = G^T v: row i is unit row i plus
+        # (lam v_i) a
+        (a,) = linalg.matmul(ctx, [v], space.gram_rows, two_n)
+        t = tuple(
+            tuple([add[e][scale[x]] for e, x in zip(unit, a)])
+            for unit, scale in zip(linalg.identity(two_n), (mul[mul[lam][vi]] for vi in v))
+        )
+        g = linalg.matmul(ctx, t, g, two_n)
         factors += 1
     gt = tuple(zip(*g))
     prod = linalg.matmul(ctx, linalg.matmul(ctx, gt, space.gram_rows, two_n), g, two_n)
@@ -723,15 +698,3 @@ def random_lagrangian(space: SymplecticSpace, rng: np.random.Generator) -> Subsp
             return Subspace._from_rref(space, linalg.as_rows(basis), pivots)
         pick -= w
     raise AssertionError("unreachable")
-
-
-def random_self_dual_flag(space: SymplecticSpace, rng: np.random.Generator) -> Flag:
-    """A random self-dual flag: random symmetric type, random basis."""
-    n = space.n
-    while True:
-        picks = [i for i in range(1, n + 1) if rng.integers(2)]
-        if picks:
-            break
-    dims = sorted({d for i in picks for d in (i, 2 * n - i)})
-    g = random_symplectic(space, rng)
-    return standard_flag(space, dims).apply(g)

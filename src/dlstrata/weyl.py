@@ -154,11 +154,6 @@ def is_min_left_rep(w: WeylElement, subset: Iterable[int]) -> bool:
     return all(i not in lds for i in subset)
 
 
-def is_min_double_rep(w: WeylElement, left: Iterable[int], right: Iterable[int]) -> bool:
-    lds, rds = left_descents(w), right_descents(w)
-    return all(i not in lds for i in left) and all(i not in rds for i in right)
-
-
 def min_double_coset_rep(
     w: WeylElement, left: Iterable[int], right: Iterable[int]
 ) -> WeylElement:
@@ -205,18 +200,6 @@ def enumerate_group(n: int) -> tuple[WeylElement, ...]:
 
 
 @lru_cache(maxsize=None)
-def cayley_distances(n: int) -> dict[tuple[int, ...], int]:
-    """BFS distance from the identity; the independent oracle for length()."""
-    return {w.perm: d for w, d in _bfs(n, range(1, n + 1)).items()}
-
-
-@lru_cache(maxsize=None)
-def parabolic_subgroup(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
-    """The standard parabolic subgroup W_J, J a set of generator indices."""
-    return tuple(sorted(_bfs(n, subset), key=WeylElement.sort_key))
-
-
-@lru_cache(maxsize=None)
 def longest_parabolic_element(n: int, subset: frozenset[int]) -> WeylElement:
     """Longest element of W_J, by greedy ascent (no enumeration needed)."""
     cur = identity(n)
@@ -240,16 +223,6 @@ def longest_element(n: int) -> WeylElement:
 def siegel_type(n: int) -> frozenset[int]:
     """The generator subset {1, ..., n-1} indexing the Lagrangian flag."""
     return frozenset(range(1, n))
-
-
-@lru_cache(maxsize=None)
-def min_double_reps(
-    n: int, left: frozenset[int], right: frozenset[int]
-) -> tuple[WeylElement, ...]:
-    """All minimal double-coset representatives, by scanning the group."""
-    return tuple(
-        w for w in enumerate_group(n) if is_min_double_rep(w, left, right)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,108 @@
+"""Reference implementations that only the tests use.
+
+Scans and constructions the pipeline has replaced or never needs: the
+Weyl-group scans that ``bedard`` and ``relpos`` build directly, a matrix
+inverse and the change of basis of a Dieudonné module, and random
+self-dual flags for the relative-position laws.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from dlstrata import linalg, weyl
+from dlstrata.dieudonne import DieudonneModule
+from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, random_symplectic
+from dlstrata.weyl import WeylElement
+
+# -- Weyl group scans ---------------------------------------------------------
+
+
+def is_min_double_rep(w: WeylElement, left: Iterable[int], right: Iterable[int]) -> bool:
+    lds, rds = weyl.left_descents(w), weyl.right_descents(w)
+    return all(i not in lds for i in left) and all(i not in rds for i in right)
+
+
+@lru_cache(maxsize=None)
+def cayley_distances(n: int) -> dict[tuple[int, ...], int]:
+    """BFS distance from the identity; the independent oracle for length()."""
+    return {w.perm: d for w, d in weyl._bfs(n, range(1, n + 1)).items()}
+
+
+@lru_cache(maxsize=None)
+def parabolic_subgroup(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
+    """The standard parabolic subgroup W_J, J a set of generator indices."""
+    return tuple(sorted(weyl._bfs(n, subset), key=WeylElement.sort_key))
+
+
+@lru_cache(maxsize=None)
+def min_double_reps(
+    n: int, left: frozenset[int], right: frozenset[int]
+) -> tuple[WeylElement, ...]:
+    """All minimal double-coset representatives, by scanning the group."""
+    return tuple(
+        w for w in weyl.enumerate_group(n) if is_min_double_rep(w, left, right)
+    )
+
+
+# -- matrices and modules -----------------------------------------------------
+
+
+def inverse(ctx, rows: Sequence[Sequence[int]]) -> linalg.Rows:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("square matrix expected")
+    aug = [tuple(row) + unit for row, unit in zip(rows, linalg.identity(n))]
+    reduced, pivots = linalg.rref(ctx, aug, 2 * n)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def transport(mod: DieudonneModule, s: np.ndarray) -> DieudonneModule:
+    """The isomorphic module in the basis x = S x'."""
+    ctx, dim = mod.ctx, mod.dim
+    s_rows = linalg.as_rows(s)
+    s_inv = inverse(ctx, s_rows)
+    f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, mod.f_rows, dim),
+                       linalg.frob_map(ctx, s_rows, 1), dim)
+    v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, mod.v_rows, dim),
+                       linalg.frob_map(ctx, s_rows, -1), dim)
+    s_t = linalg.as_rows(s.T)
+    w2 = linalg.matmul(ctx, linalg.matmul(ctx, s_t, mod.space.gram_rows, dim),
+                       s_rows, dim)
+    return DieudonneModule(ctx, mod.g, mod.c, f2, v2, w2, mod.slot_bounds, point=None)
+
+
+# -- flags ----------------------------------------------------------------------
+
+
+def standard_flag(space: SymplecticSpace, dims: Iterable[int]) -> Flag:
+    """Coordinate flag with the given (symmetric) proper dimension set."""
+    dims = sorted(set(dims))
+    if any(d <= 0 or d >= space.dim for d in dims):
+        raise ValueError("proper dimensions expected")
+    if any(space.dim - d not in dims for d in dims):
+        raise ValueError("dimension set must be symmetric for a self-dual flag")
+    eye = linalg.identity(space.dim)
+    return Flag([Subspace._from_rref(space, eye[:d], tuple(range(d))) for d in dims])
+
+
+def flag_apply(flag: Flag, matrix: np.ndarray) -> Flag:
+    """The image of a flag under an invertible matrix."""
+    return Flag(m.apply(matrix) for m in flag.members)
+
+
+def random_self_dual_flag(space: SymplecticSpace, rng: np.random.Generator) -> Flag:
+    """A random self-dual flag: random symmetric type, random basis."""
+    n = space.n
+    while True:
+        picks = [i for i in range(1, n + 1) if rng.integers(2)]
+        if picks:
+            break
+    dims = sorted({d for i in picks for d in (i, 2 * n - i)})
+    g = random_symplectic(space, rng)
+    return flag_apply(standard_flag(space, dims), g)

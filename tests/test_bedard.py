@@ -14,6 +14,7 @@ from dlstrata.bedard import (
     stratum_dimension,
 )
 from dlstrata.weyl import identity, length, simple_reflection
+from tests.reference import is_min_double_rep, min_double_reps, parabolic_subgroup
 
 
 def all_subsets(n):
@@ -35,8 +36,8 @@ def _sequences_by_search(n, I, F):
     def coset_members(left, u, right):
         return {
             weyl.compose(weyl.compose(a, u), b).perm
-            for a in weyl.parabolic_subgroup(n, left)
-            for b in weyl.parabolic_subgroup(n, right)
+            for a in parabolic_subgroup(n, left)
+            for b in parabolic_subgroup(n, right)
         }
 
     def extend(steps, u, cur_type):
@@ -45,11 +46,11 @@ def _sequences_by_search(n, I, F):
             sequences.append(bedard.BedardSequence(I, tuple(steps) + ((u, next_type),)))
             return
         members = coset_members(next_type, u, F.apply_subset(cur_type))
-        for cand in weyl.min_double_reps(n, next_type, F.apply_subset(next_type)):
+        for cand in min_double_reps(n, next_type, F.apply_subset(next_type)):
             if cand.perm in members:
                 extend(steps + [(cand, next_type)], cand, next_type)
 
-    for u0 in weyl.min_double_reps(n, I, F.apply_subset(I)):
+    for u0 in min_double_reps(n, I, F.apply_subset(I)):
         extend([(u0, I)], u0, I)
     return tuple(sorted(sequences, key=lambda s: s.u_inf.sort_key()))
 
@@ -85,11 +86,11 @@ def test_sequence_counts_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_coset_representatives_match_the_group_scan(n):
     """The upward search lists exactly the group elements that the scan
-    ``weyl.min_double_reps`` keeps, in the same order, for every type."""
+    ``min_double_reps`` keeps, in the same order, for every type."""
     for I in all_subsets(n):
         reps = bedard._IW_for(n, I)
-        assert reps == weyl.min_double_reps(n, I, frozenset()), sorted(I)
-        assert len(reps) * len(weyl.parabolic_subgroup(n, I)) == 2**n * factorial(n)
+        assert reps == min_double_reps(n, I, frozenset()), sorted(I)
+        assert len(reps) * len(parabolic_subgroup(n, I)) == 2**n * factorial(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -107,7 +108,7 @@ def test_bijection_and_step_conditions_all_types(n):
             assert seq.steps[-1] == seq.steps[-2]
             drops = 0
             for k, (u, t) in enumerate(seq.steps):
-                assert weyl.is_min_double_rep(u, t, F.apply_subset(t))
+                assert is_min_double_rep(u, t, F.apply_subset(t))
                 if k + 1 < len(seq.steps):
                     t_next = t & conjugate_type(u, F.apply_subset(t))
                     assert types[k + 1] == t_next
@@ -115,8 +116,8 @@ def test_bijection_and_step_conditions_all_types(n):
                     drops += t_next != t
                     members = {
                         (a * us[k] * b).perm
-                        for a in weyl.parabolic_subgroup(n, t_next)
-                        for b in weyl.parabolic_subgroup(n, F.apply_subset(t))
+                        for a in parabolic_subgroup(n, t_next)
+                        for b in parabolic_subgroup(n, F.apply_subset(t))
                     }
                     assert us[k + 1].perm in members
             assert drops <= len(I) + 1

@@ -194,6 +194,16 @@ def test_verify_sampled(capsys):
     assert "over 7 points" in capsys.readouterr().out
 
 
+def test_verify_sampled_bytes_are_pinned(capsys):
+    # 60 seeded points over F_16 at genus 5, one line per stratum met
+    assert run(["verify", "--c", "2", "--g", "5", "--p", "2", "--m", "2",
+                "--trials", "60", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("verify: PASS over 60 points\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "7cfa521fa0b3984ab6175172b8c2488b2f9f4865e373e8bfb5a09d09dd6ed103"
+
+
 def test_bedard_dump(tmp_path):
     out = tmp_path / "seqs.json"
     assert run(["bedard", "--c", "2", "--out", str(out)]) == 0

@@ -23,14 +23,16 @@ from dlstrata.symplectic import (
     random_lagrangian,
     zero_subspace,
 )
+from tests import eye, tables, zeros
+from tests.reference import transport
 
 
 @pytest.fixture(scope="module")
 def f16_line():
     """The non-rational line over F_16: the smallest wild point."""
     space = SymplecticSpace(field(2, 4), 1)
-    s = space.ctx.gen
-    return Subspace(space, np.array([[1, s.code]]))
+    s = space.ctx.p  # the code of x, a root of the modulus
+    return Subspace(space, np.array([[1, s]]))
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +43,12 @@ def f16_rational_line():
 
 def _semilinear_apply(ctx, matrix, twist, x):
     """matrix . x^[p^twist], one scalar table lookup at a time."""
-    powered = [int(ctx.frob_table(twist)[int(v)]) for v in x]
+    powered = [ctx.frob_lists[twist % ctx.k][int(v)] for v in x]
     out = []
     for row in matrix:
         acc = 0
         for a, b in zip(row, powered):
-            acc = int(ctx.add[acc, ctx.mul[int(a), b]])
+            acc = ctx.add_list[acc][ctx.mul_list[int(a)][b]]
         out.append(acc)
     return out
 
@@ -86,39 +88,39 @@ def _build_by_arrays(u, g):
     basis, pivots = u.basis, u.pivots
     nonpiv = [j for j in range(2 * c) if j not in pivots]
     m_u = basis.T.copy()  # 2c x c, columns are the point's basis vectors
-    m_w = linalg.zeros(2 * c, c)
+    m_w = zeros(2 * c, c)
     for j, col in enumerate(nonpiv):
         m_w[col, j] = 1
     # W-coordinates of x: x[nonpivot] minus the U-part contribution
-    p_w = linalg.zeros(c, 2 * c)
+    p_w = zeros(c, 2 * c)
     for j, col in enumerate(nonpiv):
         p_w[j, col] = 1
         for i, pcol in enumerate(pivots):
             p_w[j, pcol] = ctx.neg[basis[i, col]]
 
     neg = lambda mat: ctx.neg[mat]
-    frob = lambda mat, r: ctx.frob_table(r)[mat]
+    frob = lambda mat, r: tables(ctx).frob[r % ctx.k][mat]
 
-    a = linalg.zeros(dim, dim)
+    a = zeros(dim, dim)
     a[s2, s0] = neg(frob(m_u, 1))
     if k:
-        a[s3, s1] = neg(linalg.eye(ctx, k))
+        a[s3, s1] = neg(eye(k))
     a[s4, s2] = neg(p_w)
 
-    b = linalg.zeros(dim, dim)
+    b = zeros(dim, dim)
     b[s2, s0] = frob(m_u, -1)
     if k:
-        b[s3, s1] = linalg.eye(ctx, k)
+        b[s3, s1] = eye(k)
     b[s4, s2] = p_w
 
     ug = linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c)
     p04 = linalg.as_array(linalg.matmul(ctx, ug, linalg.as_rows(m_w), c), c)
-    omega = linalg.zeros(dim, dim)
+    omega = zeros(dim, dim)
     omega[s0, s4] = p04
     omega[s4, s0] = neg(p04.T)
     if k:
-        omega[s1, s3] = linalg.eye(ctx, k)
-        omega[s3, s1] = neg(linalg.eye(ctx, k))
+        omega[s1, s3] = eye(k)
+        omega[s3, s1] = neg(eye(k))
     omega[s2, s2] = neg(space.gram)
     return a, b, omega
 
@@ -175,7 +177,6 @@ def test_matrices_are_read_only_arrays_of_the_rows(f16_line):
         (mod.fmat, mod.f_rows),
         (mod.vmat, mod.v_rows),
         (mod.pairing, mod.space.gram_rows),
-        (mod.v_linear, linalg.frob_map(mod.ctx, mod.v_rows, 1)),
     ):
         assert mat.shape == (mod.dim, mod.dim) and linalg.as_rows(mat) == rows
         with pytest.raises(ValueError):
@@ -200,7 +201,7 @@ def _unit(dim, i, j):
 def test_each_failed_check_raises_its_own_message(f16_line):
     mod = build_from_lagrangian(f16_line, 3)
     dim = mod.dim
-    zero = linalg.as_rows(linalg.zeros(dim, dim))
+    zero = linalg.as_rows(zeros(dim, dim))
     for edit, match in (
         (dict(f_rows=linalg.identity(dim), v_rows=linalg.identity(dim)), "F after V is not zero"),
         # F = E_01 and V = E_20: F.V = 0 but V.F = E_21
@@ -254,18 +255,20 @@ def test_f_image_dim_on_the_whole_space_is_the_rank_of_f():
 def test_adjunction_on_all_basis_pairs(f16_line):
     mod = build_from_lagrangian(f16_line, 3)
     ctx = mod.ctx
-    eye = linalg.eye(ctx, mod.dim)
+    add, mul = ctx.add_list, ctx.mul_list
+    unit = eye(mod.dim).tolist()
+    omega = mod.pairing.tolist()
     for i in range(mod.dim):
-        fx = _semilinear_apply(ctx, mod.fmat, 1, eye[i])
+        fx = _semilinear_apply(ctx, mod.fmat, 1, unit[i])
         for j in range(mod.dim):
-            vy = _semilinear_apply(ctx, mod.vmat, -1, eye[j])
+            vy = _semilinear_apply(ctx, mod.vmat, -1, unit[j])
             lhs = 0
             rhs = 0
             for a in range(mod.dim):
                 for b in range(mod.dim):
-                    lhs = ctx.add[lhs, ctx.mul[ctx.mul[int(fx[a]), int(mod.pairing[a, b])], int(eye[j][b])]]
-                    rhs = ctx.add[rhs, ctx.mul[ctx.mul[int(eye[i][a]), int(mod.pairing[a, b])], int(vy[b])]]
-            assert int(lhs) == int(ctx.frob_table(1)[rhs])
+                    lhs = add[lhs][mul[mul[fx[a]][omega[a][b]]][unit[j][b]]]
+                    rhs = add[rhs][mul[mul[unit[i][a]][omega[a][b]]][vy[b]]]
+            assert lhs == ctx.frob_lists[1][rhs]
 
 
 def test_kernel_projects_onto_point_and_twist(f16_line):
@@ -422,9 +425,9 @@ def _round_closure(module):
         members.add(sub)
         return True
 
-    add(linalg.zeros(0, module.dim))
-    add(linalg.eye(ctx, module.dim))
-    add(linalg.nullspace(ctx, linalg.as_rows(module.v_linear), module.dim))
+    add(zeros(0, module.dim))
+    add(eye(module.dim))
+    add(linalg.nullspace(ctx, linalg.frob_map(ctx, module.v_rows, 1), module.dim))
     for _ in range(4 * module.g):
         grew = False
         for sub in list(members):
@@ -471,14 +474,13 @@ def test_worklist_closure_matches_the_round_reference():
 def test_module_kernels_are_cached_read_only(f16_line):
     for g in (2, 3):
         mod = build_from_lagrangian(f16_line, g)
-        for ker, linear in (
-            (mod.kernel_of_F, mod.f_linear),
-            (mod.kernel_of_V, mod.v_linear),
-        ):
+        # V as a plain matrix into twisted target coordinates
+        v_linear = linalg.frob_map(mod.ctx, mod.v_rows, 1)
+        for ker, linear in ((mod.kernel_of_F, mod.f_rows), (mod.kernel_of_V, v_linear)):
             sub = ker()
             assert ker() is sub
             assert not sub.basis.flags.writeable
-            assert sub.rows == linalg.nullspace(mod.ctx, linalg.as_rows(linear), mod.dim)
+            assert sub.rows == linalg.nullspace(mod.ctx, linear, mod.dim)
             with pytest.raises(ValueError):
                 sub.basis[0, 0] = 1
             with pytest.raises(TypeError):
@@ -491,7 +493,7 @@ def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
 
     def fresh_line(sub):
         calls.append(sub)
-        line = linalg.zeros(1, mod.dim)
+        line = zeros(1, mod.dim)
         line[0, 0], line[0, 1] = 1, len(calls)
         return Subspace(mod.space, line)
 
@@ -572,7 +574,7 @@ def test_eo_type_is_basis_independent(f16_line):
             s = rng.integers(0, ctx.q, size=(mod.dim, mod.dim)).astype(np.int32)
             if linalg.rank(ctx, linalg.as_rows(s), mod.dim) == mod.dim:
                 break
-        moved = mod.transport(s)
+        moved = transport(mod, s)
         assert eo_type(moved).w.perm == eo.w.perm
 
 
@@ -648,18 +650,17 @@ def test_pullback_sweep_rank_three_over_f16():
 
 
 def test_json_dumps(f16_line):
-    from dlstrata.dieudonne import eo_type_to_json, module_to_json
-
     mod = build_from_lagrangian(f16_line, 2)
     dump = module_to_json(mod)
     assert dump["dim"] == 4 and dump["slot_bounds"] == [0, 1, 1, 3, 3, 4]
     assert dump["f_twist"] == 1 and dump["v_twist"] == -1
     assert len(dump["f_matrix"]) == 4
     assert all(len(c) == mod.ctx.k for row in dump["pairing"] for c in row)
-    eo = eo_type_to_json(eo_type(mod))
-    assert eo["one_line"] == [1, 3, 2, 4]
-    assert eo["word"] == [2]
-    assert eo["psi"] == [0, 0, 1, 1, 2]
+    json.dumps(dump)
+    eo = eo_type(mod)
+    assert eo.w.perm == (1, 3, 2, 4)
+    assert weyl.reduced_word(eo.w) == (2,)
+    assert eo.psi == (0, 0, 1, 1, 2)
 
 
 def test_pullback_identity_on_frozen_wild_point():

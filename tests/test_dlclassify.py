@@ -18,8 +18,8 @@ def test_rank_one_examples():
     space = SymplecticSpace(field(2, 4), 1)
     rational = Subspace(space, np.array([[1, 0]]))
     assert classify_fine(rational).is_identity()
-    s = space.ctx.gen
-    wild = Subspace(space, np.array([[1, s.code]]))
+    s = space.ctx.p  # the code of x, a root of the modulus
+    wild = Subspace(space, np.array([[1, s]]))
     assert weyl.reduced_word(classify_fine(wild)) == (1,)
 
 
@@ -115,6 +115,8 @@ def test_census_rejects_non_lagrangian():
 def test_equivariance_small_configs():
     assert equivariance_check(1, 2, 2, trials=25, seed=3)
     assert equivariance_check(2, 2, 1, trials=10, seed=4)
+    # the check demo 03 runs
+    assert equivariance_check(2, 2, 2, trials=50, seed=0)
 
 
 def test_equivariance_check_is_bounded(monkeypatch):

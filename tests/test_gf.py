@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dlstrata.gf import _pmod, _pmul, embed, embed_table, field, frobenius
+from dlstrata.gf import _pmod, _pmul, embed_table, field
+from tests import tables
 
 
 def test_modulus_is_lex_first_irreducible():
@@ -21,8 +24,9 @@ def test_field_order_guard():
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (2, 4), (3, 2), (5, 1), (3, 4), (7, 1)])
 def test_field_axioms_exhaustive(p, k):
     ctx = field(p, k)
+    t = tables(ctx)
     q = ctx.q
-    add, mul = ctx.add, ctx.mul
+    add, mul = t.add, t.mul
     codes = np.arange(q)
     # commutativity
     assert np.array_equal(add, add.T)
@@ -30,10 +34,12 @@ def test_field_axioms_exhaustive(p, k):
     # identities
     assert np.array_equal(add[0], codes)
     assert np.array_equal(mul[1], codes)
-    # inverses
-    assert np.array_equal(add[codes, ctx.neg[codes]], np.zeros(q, dtype=add.dtype))
+    # inverses, from the lists and from the array the cells negate with
+    assert np.array_equal(ctx.neg, t.neg)
+    assert np.array_equal(add[codes, t.neg[codes]], np.zeros(q, dtype=add.dtype))
     nz = codes[1:]
-    assert np.array_equal(mul[nz, ctx.inv[nz]], np.ones(q - 1, dtype=mul.dtype))
+    assert np.array_equal(mul[nz, t.inv[nz]], np.ones(q - 1, dtype=mul.dtype))
+    assert ctx.inv_list[0] == 0
     # associativity and distributivity, fully vectorized over all triples
     a = codes[:, None, None]
     b = codes[None, :, None]
@@ -45,65 +51,55 @@ def test_field_axioms_exhaustive(p, k):
 
 def test_generator_relation_in_f4():
     ctx = field(2, 2)
-    t = ctx.gen
-    assert (t * t).coeffs == (1, 1)  # t^2 = t + 1
-    assert (t * t.inv()).code == 1
-
-
-def test_elem_roundtrip_and_errors():
-    ctx = field(2, 2)
-    assert ctx.elem([1, 1]).code == 3
-    assert ctx.elem(3).coeffs == (1, 1)
-    with pytest.raises(ValueError):
-        ctx.elem(4)
-    with pytest.raises(ZeroDivisionError):
-        ctx.zero.inv()
-    other = field(3, 1)
-    with pytest.raises(ValueError):
-        ctx.one + other.one
+    t = ctx.p  # the code of x, a root of the modulus
+    assert ctx.coeffs_of(ctx.mul_list[t][t]) == (1, 1)  # t^2 = t + 1
+    assert ctx.mul_list[t][ctx.inv_list[t]] == 1
 
 
 def test_frobenius_order_and_values():
     ctx = field(2, 2)
-    t = ctx.gen
-    assert frobenius(t, 0).code == t.code
-    assert frobenius(t, ctx.k).code == t.code
-    assert frobenius(t, 1).coeffs == (1, 1)  # t^2
-    assert frobenius(frobenius(t, 1), -1).code == t.code
-    for a in ctx.elements():
-        assert frobenius(a, 1).code == (a * a).code
+    t = ctx.p
+    frob = ctx.frob_lists
+    assert len(frob) == ctx.k
+    assert frob[0] == list(range(ctx.q))
+    assert ctx.coeffs_of(frob[1][t]) == (1, 1)  # t^2
+    assert frob[1][frob[ctx.k - 1][t]] == t  # the power k - 1 inverts the power 1
+    for a in range(ctx.q):
+        assert frob[1][a] == ctx.mul_list[a][a]
     # automorphism of order k on F_81
     ctx81 = field(3, 4)
-    g = ctx81.gen
-    powers = {frobenius(g, r).code for r in range(ctx81.k)}
+    powers = {ctx81.frob_lists[r][ctx81.p] for r in range(ctx81.k)}
     assert len(powers) == ctx81.k
 
 
-def test_embed_is_ring_homomorphism():
-    f4, f16 = field(2, 2), field(2, 4)
-    table = embed_table(f4, f16)
-    assert table[0] == 0 and table[1] == 1
-    assert len(set(int(x) for x in table)) == f4.q  # injective
-    for a in f4.elements():
-        for b in f4.elements():
-            assert embed(a * b, f16).code == (embed(a, f16) * embed(b, f16)).code
-            assert embed(a + b, f16).code == (embed(a, f16) + embed(b, f16)).code
-    # Frobenius-equivariance
-    for a in f4.elements():
-        assert embed(frobenius(a, 1), f16).code == frobenius(embed(a, f16), 1).code
+def _poly_product(ctx, a, b):
+    """The code of a * b, through polynomial multiplication mod the modulus."""
+    prod = _pmod(_pmul(ctx.coeffs_of(a), ctx.coeffs_of(b), ctx.p), ctx.modulus, ctx.p)
+    return sum(c * ctx.p**i for i, c in enumerate(prod))
 
 
-def test_embed_identity_and_errors():
-    f4 = field(2, 2)
-    assert np.array_equal(embed_table(f4, f4), np.arange(4))
-    with pytest.raises(ValueError):
-        embed_table(f4, field(2, 3))
-    with pytest.raises(ValueError):
-        embed_table(f4, field(3, 2))
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (2, 2), (3, 1), (2, 4), (3, 2), (5, 1), (7, 1), (5, 2), (2, 5), (7, 2),
+            (2, 6), (3, 4)],
+)
+def test_mul_list_is_the_polynomial_product_on_every_pair(p, k):
+    ctx = field(p, k)
+    assert ctx.q <= 81
+    for a in range(ctx.q):
+        row = ctx.mul_list[a]
+        assert row == [_poly_product(ctx, a, b) for b in range(ctx.q)], a
+
+
+@pytest.mark.parametrize("p,k", [(2, 10), (31, 2), (3, 6)])
+def test_mul_list_is_the_polynomial_product_on_seeded_pairs(p, k):
+    ctx = field(p, k)
+    rng = np.random.default_rng(2000 + ctx.q)
+    for a, b in rng.integers(0, ctx.q, size=(2000, 2)).tolist():
+        assert ctx.mul_list[a][b] == _poly_product(ctx, a, b), (a, b)
 
 
 def test_orders_above_the_table_limit_are_refused():
-    # every context carries dense tables, so larger orders are refused
+    # every context carries q x q tables, so larger orders are refused
     with pytest.raises(ValueError, match="table limit"):
         field(2, 11)
 
@@ -124,20 +120,44 @@ def _digits(ctx):
     return np.array([ctx.coeffs_of(code) for code in range(ctx.q)], dtype=np.int64)
 
 
+def _powers_by_polynomials(ctx):
+    """exp and log of the least generator, found by polynomial products."""
+    n = ctx.q - 1
+    for g in range(1, ctx.q):
+        exp = [1]
+        while len(exp) < n:
+            exp.append(_poly_product(ctx, exp[-1], g))
+            if exp[-1] == 1:
+                break
+        if len(exp) == n and _poly_product(ctx, exp[-1], g) == 1:
+            log = np.zeros(ctx.q, dtype=np.int64)
+            log[exp] = np.arange(n)
+            return np.array(exp), log
+    raise AssertionError("no generator")
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (2, 10), (31, 2), (1021, 1)])
 def test_list_tables_equal_the_arrays(p, k):
+    """The list tables equal arrays built here by an independent route:
+    addition and negation digit by digit, products and inverses through
+    the powers of a generator found by polynomial multiplication."""
     ctx = field(p, k)
-    assert ctx.add_list == ctx.add.tolist()
-    assert ctx.mul_list == ctx.mul.tolist()
-    assert ctx.neg_list == ctx.neg.tolist()
-    assert ctx.inv_list == ctx.inv.tolist()
-    assert ctx.frob_lists == [t.tolist() for t in ctx.frob_tables]
-    # the add table, built one digit at a time, is digit-wise addition mod p
-    assert ctx.add.dtype == np.int32
     coeffs = _digits(ctx)
+    weights = p ** np.arange(k)
+    add = np.zeros((ctx.q, ctx.q), dtype=np.int64)
     for i in range(k):
-        digit = coeffs[:, i]
-        assert np.array_equal(digit[ctx.add], (digit[:, None] + digit[None, :]) % p)
+        add += (coeffs[:, None, i] + coeffs[None, :, i]) % p * weights[i]
+    assert ctx.add_list == add.tolist()
+    assert ctx.neg_list == ((-coeffs % p) @ weights).tolist()
+    assert ctx.neg.dtype == np.int32 and ctx.neg.tolist() == ctx.neg_list
+    exp, log = _powers_by_polynomials(ctx)
+    n = ctx.q - 1
+    mul = np.zeros((ctx.q, ctx.q), dtype=np.int64)
+    mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % n]
+    assert ctx.mul_list == mul.tolist()
+    inv = np.zeros(ctx.q, dtype=np.int64)
+    inv[1:] = exp[(-log[1:]) % n]
+    assert ctx.inv_list == inv.tolist()
 
 
 def _frobenius_by_polynomials(ctx):
@@ -172,7 +192,54 @@ def _frobenius_by_polynomials(ctx):
 def test_frobenius_tables_match_the_polynomial_route(p, k):
     ctx = field(p, k)
     reference = _frobenius_by_polynomials(ctx)
-    assert len(ctx.frob_tables) == k
-    for got, want in zip(ctx.frob_tables, reference):
-        assert got.dtype == np.int32
-        assert got.tolist() == want.tolist()
+    assert len(ctx.frob_lists) == k
+    for got, want in zip(ctx.frob_lists, reference):
+        assert got == want.tolist()
+
+
+# (p, k, K) -> sha256 of the little-endian int32 table of F_{p^k} -> F_{p^K}
+EMBED_DIGESTS = {
+    (2, 2, 2): "baed642339816affb3fe8719792d0e4ce82f12db72b7373d244eaa65445800fe",
+    (2, 2, 4): "c496ed8b9201a17a5c94b18e146d84ec15c6e8d53d1c5f58950a92ca0ecc74d7",
+    (3, 2, 2): "921c803abfa6ac88f44f7ab19198e5c137d1c7183e8e6912757a6263e8dee0a5",
+    (3, 2, 4): "d70259d5ac22ba641474f1f69627a00ae070b3ffd6ca3df9c380d078fb9232c6",
+    (2, 1, 4): "01acecb507abfe1a354aa8064f4af5d3f1acd019e37db3c11c97523b71c76e9d",
+    (2, 2, 10): "142a72798835eb71c79f89e35e3e92bd1867014f9b13868309e6ecce7de62936",
+    (2, 5, 10): "a1affe35868ecb7f385d40c7553e544da9fd9d9a3c0629e4dd367d0809345b1d",
+    (3, 1, 6): "ad5dc1478de06a4c2728ea528bd9361a4b945e92a414bf4d180cedaaeaa5f4cc",
+    (3, 2, 6): "25b322f2a20e20b08a276cfdb328f9b1b1827d64b8ab1cfc63a2648c4c989ed6",
+    (5, 1, 4): "e528f4309e1413e6bc35aea5d8db8519384d2fcc33f9dd5d1126d73f104cf92a",
+    (5, 2, 4): "534a07e505d7e5ed27afec24a78bcc795447b43d1daececce99323200fe5e723",
+}
+
+
+@pytest.mark.parametrize("p,k,K", sorted(EMBED_DIGESTS))
+def test_embed_table_bytes_are_pinned(p, k, K):
+    table = embed_table(field(p, k), field(p, K))
+    assert table.dtype == np.int32
+    digest = hashlib.sha256(np.ascontiguousarray(table, dtype="<i4").tobytes()).hexdigest()
+    assert digest == EMBED_DIGESTS[(p, k, K)]
+
+
+def test_embed_is_ring_homomorphism():
+    for p, k, K in sorted(EMBED_DIGESTS):
+        src, dst = field(p, k), field(p, K)
+        table = embed_table(src, dst).tolist()
+        assert table[0] == 0 and table[1] == 1
+        assert len(set(table)) == src.q  # injective
+        for a in range(src.q):
+            for b in range(src.q):
+                assert table[src.mul_list[a][b]] == dst.mul_list[table[a]][table[b]]
+                assert table[src.add_list[a][b]] == dst.add_list[table[a]][table[b]]
+        # Frobenius-equivariance: x -> x^p on both sides
+        for a in range(src.q):
+            assert table[src.frob_lists[1 % k][a]] == dst.frob_lists[1][table[a]]
+
+
+def test_embed_identity_and_errors():
+    f4 = field(2, 2)
+    assert np.array_equal(embed_table(f4, f4), np.arange(4))
+    with pytest.raises(ValueError):
+        embed_table(f4, field(2, 3))
+    with pytest.raises(ValueError):
+        embed_table(f4, field(3, 2))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +16,18 @@ from dlstrata.symplectic import (
     expected_total,
     flag_type,
     lagrangian_cells,
-    random_self_dual_flag,
     random_symplectic,
     refine,
     relpos,
-    standard_flag,
     zero_subspace,
+)
+from tests import eye, tables, zeros
+from tests.reference import (
+    flag_apply,
+    inverse,
+    min_double_reps,
+    random_self_dual_flag,
+    standard_flag,
 )
 
 
@@ -47,12 +55,18 @@ def test_gram_is_alternating_and_invertible(space4, space9):
         g = space.gram
         assert linalg.rank(ctx, space.gram_rows, space.dim) == space.dim
         assert space.gram_rows == linalg.as_rows(g)
-        assert not ctx.add[g, g.T].any()
+        t = tables(ctx)
+        assert not t.add[g, g.T].any()
         assert not g.diagonal().any()
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.integers(0, ctx.q, size=space.dim)
-            assert space.pairing(x, x) == 0
+            # <x, x> = sum over i, j of x_i G_ij x_j
+            terms = t.mul[t.mul[x[:, None], g], x[None, :]].ravel()
+            acc = 0
+            for term in terms.tolist():
+                acc = ctx.add_list[acc][term]
+            assert acc == 0
 
 
 def test_from_gram_refuses_forms_that_are_not_symplectic(space9):
@@ -69,10 +83,10 @@ def test_from_gram_refuses_forms_that_are_not_symplectic(space9):
     for gram, match in (
         (not_antisymmetric, "not alternating"),
         (nonzero_diagonal, "not alternating"),
-        (linalg.zeros(4, 4), "degenerate"),
-        (linalg.zeros(3, 3), "even size"),
-        (linalg.zeros(2, 4), "even size"),
-        (linalg.zeros(0, 0), "even size"),
+        (zeros(4, 4), "degenerate"),
+        (zeros(3, 3), "even size"),
+        (zeros(2, 4), "even size"),
+        (zeros(0, 0), "even size"),
     ):
         with pytest.raises(ValueError, match=match):
             SymplecticSpace.from_gram(ctx, linalg.as_rows(gram))
@@ -95,7 +109,7 @@ def test_subspaces_under_a_general_form(space9):
             assert u.perp().rows == _generic_perp(u)
             assert u.perp().dim == 4 - dim and u.perp().perp() == u
         # Lagrangians of the standard form, moved by S^{-1}, are Lagrangian
-        s_inv = linalg.inverse(ctx, s)
+        s_inv = inverse(ctx, s)
         for u in enumerate_lagrangians(space9)[:10]:
             moved = Subspace(space, linalg.matmul(ctx, u.rows, tuple(zip(*s_inv)), 4))
             assert moved.is_lagrangian() and moved.perp() == moved
@@ -133,10 +147,10 @@ def test_subspace_accepts_arrays_row_tuples_and_empty_inputs(space4):
 def test_subspace_canonical_form(space4):
     rows = np.array([[1, 2, 3, 0], [0, 1, 1, 1]])
     u = Subspace(space4, rows)
-    ctx = space4.ctx
+    t = tables(space4.ctx)
     # scale first row by the generator and add the second: same span
     scaled = np.array(
-        [ctx.mul[2, rows[0]], ctx.add[rows[0], rows[1]]]
+        [t.mul[2, rows[0]], t.add[rows[0], rows[1]]]
     )
     v = Subspace(space4, scaled)
     assert u == v and hash(u) == hash(v)
@@ -391,7 +405,7 @@ def test_lagrangian_count_formula_large(n, p, k):
 def test_lagrangian_cells_are_isotropic_in_bulk():
     # verify every generated basis satisfies B G B^T = 0, vectorized
     space = SymplecticSpace(field(3, 2), 3)
-    ctx = space.ctx
+    t = tables(space.ctx)
     g = space.gram
     total = 0
     for _, block in lagrangian_cells(space):
@@ -400,13 +414,13 @@ def test_lagrangian_cells_are_isotropic_in_bulk():
         for j in range(cols):
             acc = np.zeros((nmat, rows), dtype=block.dtype)
             for k in range(cols):
-                acc = ctx.add[acc, ctx.mul[block[:, :, k], g[k, j]]]
+                acc = t.add[acc, t.mul[block[:, :, k], g[k, j]]]
             bg[:, :, j] = acc
         for i in range(rows):
             for j in range(rows):
                 acc = np.zeros(nmat, dtype=block.dtype)
                 for k in range(cols):
-                    acc = ctx.add[acc, ctx.mul[bg[:, i, k], block[:, j, k]]]
+                    acc = t.add[acc, t.mul[bg[:, i, k], block[:, j, k]]]
                 assert not acc.any()
         total += nmat
     assert total == (9 + 1) * (81 + 1) * (729 + 1)
@@ -446,7 +460,7 @@ def test_standard_flags_are_self_dual(space4):
 def _relpos_by_scan(flag_c, flag_d):
     """Reference: the unique minimal double-coset representative whose
     rank function matches the flags' rank table, found by filtering
-    ``weyl.min_double_reps`` (the scan ``relpos`` replaces)."""
+    ``min_double_reps`` (the scan ``relpos`` replaces)."""
     space = flag_c.space
     table = {
         (cm.dim, dm.dim): cm.dim + dm.dim
@@ -456,7 +470,7 @@ def _relpos_by_scan(flag_c, flag_d):
     }
     matches = [
         w
-        for w in weyl.min_double_reps(space.n, flag_type(flag_c), flag_type(flag_d))
+        for w in min_double_reps(space.n, flag_type(flag_c), flag_type(flag_d))
         if all(weyl.r_w(w, j, i) == v for (i, j), v in table.items())
     ]
     assert len(matches) == 1
@@ -471,12 +485,12 @@ def test_relpos_normalization_against_permuted_standard_flags(space4, space9):
     non-self-inverse v are sensitive to it.
     """
     for space in (space4, space9, SymplecticSpace(field(2, 2), 3)):
-        eye = linalg.eye(space.ctx, space.dim)
+        unit = eye(space.dim)
         full = standard_flag(space, range(1, space.dim))
         for v in weyl.enumerate_group(space.n):
             members = []
             for d in range(1, space.dim):
-                rows = np.array([eye[v(a) - 1] for a in range(1, d + 1)])
+                rows = np.array([unit[v(a) - 1] for a in range(1, d + 1)])
                 members.append(Subspace(space, rows))
             flag_v = Flag(members)
             got = relpos(full, flag_v)
@@ -497,11 +511,11 @@ def test_relpos_matches_the_scan_on_random_flag_pairs():
 
 
 def test_relpos_rejects_invalid_flag_pairs(space4):
-    eye = linalg.eye(space4.ctx, 4)
-    line = Subspace(space4, eye[:1])
+    unit = eye(4)
+    line = Subspace(space4, unit[:1])
     # a chain with symmetric dimensions that is not self-dual: its rank
     # table against the standard flag belongs to no Weyl element
-    skew = Flag([line, Subspace(space4, eye[[0, 1, 3]])])
+    skew = Flag([line, Subspace(space4, unit[[0, 1, 3]])])
     with pytest.raises(RuntimeError):
         relpos(standard_flag(space4, [1, 2, 3]), skew)
     with pytest.raises(ValueError):
@@ -513,8 +527,8 @@ def test_relpos_rechecks_every_table_entry(space4, monkeypatch):
     entries are not its ranks is refused: here every meet with 0 is
     made a line, which shifts a whole border row of the table and leaves
     every second difference as it was."""
-    eye = linalg.eye(space4.ctx, 4)
-    line = Subspace(space4, eye[:1])
+    unit = eye(4)
+    line = Subspace(space4, unit[:1])
     flag = standard_flag(space4, [1, 2, 3])
     real = Subspace.intersect
 
@@ -549,7 +563,7 @@ def test_relpos_symplectic_invariance_and_symmetry(space9):
         d = random_self_dual_flag(space9, rng)
         w = relpos(c, d)
         g = random_symplectic(space9, rng)
-        assert relpos(c.apply(g), d.apply(g)).perm == w.perm
+        assert relpos(flag_apply(c, g), flag_apply(d, g)).perm == w.perm
         # opposite order gives the minimal representative of the inverse coset
         back = relpos(d, c)
         expected = weyl.min_double_coset_rep(
@@ -690,7 +704,7 @@ def _flag_with_symmetric_dims(draw):
             g = rng.integers(0, p**k, size=(space.dim, space.dim)).astype(np.int32)
             if linalg.rank(space.ctx, linalg.as_rows(g), space.dim) == space.dim:
                 break
-        flag = flag.apply(g)
+        flag = flag_apply(flag, g)
     return flag
 
 
@@ -712,15 +726,15 @@ def test_is_self_dual_matches_the_perp_definition(flag):
 
 
 def test_is_self_dual_on_fixed_examples(space4, space9):
-    eye = linalg.eye(space4.ctx, 4)
+    unit = eye(4)
     # symmetric dimensions, not self-dual: e1-perp is <e1, e2, e3>, not
     # the hyperplane <e1, e2, e4>; and <e1, e4> = 1 on the plane they span
-    skew = Flag([Subspace(space4, eye[:1]), Subspace(space4, eye[[0, 1, 3]])])
+    skew = Flag([Subspace(space4, unit[:1]), Subspace(space4, unit[[0, 1, 3]])])
     assert not skew.is_self_dual() and not _self_dual_by_perp(skew)
-    not_isotropic = Flag([Subspace(space4, eye[[0, 3]])])
+    not_isotropic = Flag([Subspace(space4, unit[[0, 3]])])
     assert not not_isotropic.is_self_dual() and not _self_dual_by_perp(not_isotropic)
     # dimensions that are not symmetric
-    assert not Flag([Subspace(space4, eye[:1])]).is_self_dual()
+    assert not Flag([Subspace(space4, unit[:1])]).is_self_dual()
     # the canonical closure's route: every complement is cached
     for u in enumerate_lagrangians(space9)[::40]:
         flag = _fresh(Flag([u]))
@@ -729,8 +743,8 @@ def test_is_self_dual_on_fixed_examples(space4, space9):
 
 
 def test_refine_rejects_flags_with_non_symmetric_dimensions(space4):
-    eye = linalg.eye(space4.ctx, 4)
-    line = Flag([Subspace(space4, eye[:1])])  # dimensions {0, 1, 4}
+    unit = eye(4)
+    line = Flag([Subspace(space4, unit[:1])])  # dimensions {0, 1, 4}
     full = standard_flag(space4, [1, 2, 3])
     for a, b in ((line, full), (full, line), (line, line)):
         with pytest.raises(ValueError):
@@ -749,12 +763,31 @@ def test_random_symplectic_properties(space9):
     assert check == space9.gram_rows
 
 
-def test_subspace_serialization(space4):
-    u = enumerate_lagrangians(space4)[3]
-    coeffs = u.to_coeffs()
-    assert len(coeffs) == u.dim
-    rebuilt = Subspace(
-        space4,
-        [[space4.ctx.elem(list(c)).code for c in row] for row in coeffs],
-    )
-    assert rebuilt == u
+
+# (p, k, c) -> sha256 of the little-endian int32 bytes of random_symplectic
+# for seeds 0, 1 and 2, concatenated
+RANDOM_SYMPLECTIC_DIGESTS = {
+    (2, 2, 1): "e427bd12675f7861fda19b7edfb35721c96d97ca45f2e7198f6062dae6a3ad88",
+    (2, 2, 2): "009a98ff49c17d5e0f55a5b49c6f290a75afe15a967ac4f41021deabf081bca3",
+    (2, 2, 3): "813f3c274cef9e021e11849086853d7af706e098c6bae44605522e91e486c6d7",
+    (3, 2, 1): "fea137ec39051dea54263c85e99d1fe2a6841a51b6d9d773deb06a5240219027",
+    (3, 2, 2): "b425a9d71e79ede49b4635cec2985876d9abfa52e552953c2735036874179fda",
+    (3, 2, 3): "500c244e0ccbf1d984bac64897b2d6027f3be88107b01c7d16c1c4c263021bc3",
+    (2, 4, 1): "8e12c5f5d3354e6030ffda6fbad1d4e18bbef9a0bf1b12d9f288581e279684e5",
+    (2, 4, 2): "85e7022d1aa4678ec5ff09fc77524fbee162a2d3c93f06e3d850a705e66fc0ea",
+    (2, 4, 3): "f95e799249667ffe392aa0c7bee8a10baf120c3b805aa612b400e2a988361768",
+    (2, 10, 1): "ab5869056d04d2348b8115792ecefafe472cecb861c4fbe3a1794dcc3c26a975",
+    (2, 10, 2): "f751c6106bd0db45e5eebf4e3e2c110ecbddba825733e52a8c7f8a1c34f179d1",
+    (2, 10, 3): "1f4ced9f9d8977d9a139c78ffed26153b2d4290e18272aea48a70bc8adc52d86",
+}
+
+
+@pytest.mark.parametrize("p,k,c", sorted(RANDOM_SYMPLECTIC_DIGESTS))
+def test_random_symplectic_bytes_are_pinned(p, k, c):
+    space = SymplecticSpace(field(p, k), c)
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        g = random_symplectic(space, seed)
+        assert g.dtype == np.int32 and g.shape == (2 * c, 2 * c)
+        digest.update(np.ascontiguousarray(g, dtype="<i4").tobytes())
+    assert digest.hexdigest() == RANDOM_SYMPLECTIC_DIGESTS[(p, k, c)]

@@ -6,7 +6,6 @@ from dlstrata import weyl
 from dlstrata.weyl import (
     WeylElement,
     canonical_word_IW,
-    cayley_distances,
     class_c,
     compose,
     enumerate_IW,
@@ -19,7 +18,6 @@ from dlstrata.weyl import (
     length,
     longest_element,
     min_double_coset_rep,
-    parabolic_subgroup,
     r_map,
     r_map_inv,
     r_w,
@@ -28,6 +26,7 @@ from dlstrata.weyl import (
     simple_reflection,
     support,
 )
+from tests.reference import cayley_distances, parabolic_subgroup
 
 
 def s(i, n):

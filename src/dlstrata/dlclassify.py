@@ -5,13 +5,15 @@ refinement of the flag {0, U, L} against its p^2-twist: the chain grows
 until it stops, and the relative position of the stable flag with its
 twist is the fine label, an element of the minimal-representative set
 for the Lagrangian (Siegel) type.  Each ``symplectic.refine`` step
-returns the next flag and the relative position it starts from, read
-off the same rank table, which also tells which joins need an
-elimination; a stable flag comes back as the same object, which ends
-the chain.  The per-step positions must reproduce the stabilizing
-sequence attached to the label, and ``classify_fine`` asserts that
-(and self-duality of every flag, by pairing products) unless
-``check=False``.
+returns the next flag and the relative position it starts from, both
+read off one rank table of ranks of sums, which also tells which joins
+must be built; a stable flag comes back as the same object, with no
+meet taken, which ends the chain.  The per-step positions must
+reproduce the stabilizing sequence attached to the label, and
+``classify_fine`` asserts that (and self-duality of every flag, by
+pairing products) unless ``check=False``.  The point pairs itself with
+the form once: its Lagrangian check and the self-duality of every flag
+of its chain, whose middle member it is, share that answer.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised

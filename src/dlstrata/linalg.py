@@ -27,7 +27,10 @@ The cost is one lookup chain per entry touched:
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
   of a times the columns of b, so zero entries cost nothing;
 * ``in_row_space`` reduces each vector against a reduced basis, one
-  pass over the basis per vector and no elimination.
+  pass over the basis per vector and no elimination;
+* ``insertion_ranks`` does the same, keeping each nonzero remainder as
+  a new echelon row, so the ranks of a growing stack cost one pass per
+  vector and no elimination either.
 
 Table-driven row reduction over GF(p^k) follows the ``galois`` package
 (https://github.com/mhostetter/galois).
@@ -195,3 +198,43 @@ def in_row_space(
         if any(rest):
             return False
     return True
+
+
+def insertion_ranks(
+    ctx: FieldCtx,
+    basis: Sequence[Sequence[int]],
+    pivots: Sequence[int],
+    vectors: Sequence[Sequence[int]],
+) -> tuple[int, ...]:
+    """The rank of the basis with vectors[:i + 1] added, for each i.
+
+    ``basis`` must be in reduced row echelon form with these pivots.
+    Each vector is reduced against the rows so far, in the order they
+    were taken, and a nonzero remainder joins them as a new row,
+    normalized at its first nonzero entry, which becomes its pivot.
+    Every row is zero at the pivots of the rows before it (the basis is
+    reduced, and a remainder is zero at every pivot), so that order
+    clears each pivot for good: a vector lies in the span exactly when
+    its remainder is zero.  Once the rows span the whole space, the
+    remaining vectors are not reduced.
+    """
+    add, mul, neg, inv = ctx.add_list, ctx.mul_list, ctx.neg_list, ctx.inv_list
+    rows = list(zip(pivots, basis))
+    out = []
+    for vec in vectors:
+        if len(rows) < len(vec):
+            rest = vec
+            for c, row in rows:
+                f = rest[c]
+                if f:
+                    fneg = mul[neg[f]]
+                    rest = [add[x][fneg[y]] for x, y in zip(rest, row)]
+            for c, x in enumerate(rest):
+                if x:
+                    if x != 1:
+                        scale = mul[inv[x]]
+                        rest = [scale[y] for y in rest]
+                    rows.append((c, rest))
+                    break
+        out.append(len(rows))
+    return tuple(out)

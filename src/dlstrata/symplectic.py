@@ -26,25 +26,31 @@ dim(C_a cap D_b) = r_w(dim D_b, dim C_a): its second differences count
 the positions each block of one flag sends into each block of the
 other, which fixes the minimal double-coset representative; every table
 entry is then re-checked against r_w of the result, in one pass over w
-per table.  The table holds the dimensions of the meets ``refine``
-takes, so a refinement step returns its relative position along with
-the refined flag.  The table also gives the dimension of every join
-that refinement takes, so a join is eliminated for only when its
-dimension lies strictly between the two members it sits between, and
-a flag the table shows stable comes back as it is.
+per table.  The table is read off ranks of sums, dim C_a + dim D_b -
+dim(C_a + D_b), with one insertion pass of D's rows into the reduced
+rows of each proper member of C (``linalg.insertion_ranks``), so no
+meet is built for it.  A refinement step returns its relative position
+along with the refined flag, from the same table.  The table also gives
+the dimension of every join that refinement takes, so a meet and its
+join are built only when the join's dimension lies strictly between the
+two members it sits between, and a flag the table shows stable comes
+back as it is.
 
 Self-duality is checked by pairing products: a flag with symmetric
 dimensions is self-dual iff each member is orthogonal to the member of
 complementary dimension, so no complement is computed; a complement
 already cached (the canonical closure caches one for every member) is
-compared by rows instead.
+compared by rows instead.  A subspace pairs itself with the form once
+and keeps the answer, so the Lagrangian check of a point and the
+self-duality checks of its refinement flags, whose middle member it is,
+share one pairing.
 
 Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
 subspace X: X cap 0 = 0 and X cap V = X, X + 0 = X and X + V = V,
 0 <= X <= V, and 0-perp = V, V-perp = 0 (V the whole space).  Every
-flag holds 0 and V, so most of the meets and joins that refinement
-takes between two flags are of this kind.
+flag holds 0 and V, so many of the meets and joins that refinement
+builds are of this kind.
 
 Containment reduces the rows of the smaller space against the reduced
 rows of the larger (``linalg.in_row_space``), with no elimination.
@@ -53,9 +59,10 @@ Per-point work runs on rows (see ``linalg``).  Schubert cells are built
 in bulk as arrays, and each point's basis is converted to rows once,
 when its ``Subspace`` is made.
 
-Subspaces and flags are immutable values (cached annihilators and
-complements are computed once, a twist's annihilator from its
-source's, and a complement's complement is its source), so everything
+Subspaces and flags are immutable values (cached annihilators,
+complements and isotropy answers are computed once, a twist's
+annihilator from its source's, and a complement's complement is its
+source), so everything
 here can be shared across threads; enumeration output order is
 deterministic.  The twist of a flag is the chain of its members'
 twists, built without re-checking it.
@@ -63,6 +70,7 @@ twists, built without re-checking it.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -142,22 +150,26 @@ class Subspace:
     (dim, 2n), built on each access.
     """
 
-    __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp", "_twist_of")
+    __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp", "_twist_of", "_isotropic")
 
     def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
         """The span of any rows, an array or a sequence of code rows.
 
         Raises ValueError unless the rows form a matrix of width 2n (an
-        empty input is the zero subspace) with every code in [0, q).
+        empty input is the zero subspace) whose every entry is an integer
+        code in [0, q): floats, strings and out-of-range integers of any
+        size are refused, not truncated, parsed or wrapped.
         """
-        mat = np.asarray(rows, dtype=DTYPE)
+        mat = np.asarray(rows)
         if mat.shape == (0,):
             mat = mat.reshape(0, space.dim)
         if mat.ndim != 2 or mat.shape[1] != space.dim:
             raise ValueError(
                 f"rows of shape {mat.shape} do not have width {space.dim}"
             )
-        if mat.size and not (0 <= mat.min() and mat.max() < space.ctx.q):
+        if mat.size and not (
+            mat.dtype.kind in "iu" and 0 <= mat.min() and mat.max() < space.ctx.q
+        ):
             raise ValueError(f"row entries are not codes of F_{space.ctx.q}")
         self._init(space, *linalg.rref(space.ctx, mat.tolist(), space.dim))
 
@@ -184,6 +196,7 @@ class Subspace:
         self._ann = None
         self._perp = None
         self._twist_of = None
+        self._isotropic = None
 
     @property
     def basis(self) -> np.ndarray:
@@ -218,6 +231,7 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         """Whether other lies in self: a larger space never does, and
         otherwise its rows must reduce to zero against ours."""
+        _check_same_space(self, other)
         if other.dim == 0 or self.dim == self.space.dim:
             return True
         if other.dim > self.dim:
@@ -273,9 +287,10 @@ class Subspace:
         the source when it is first asked for: Frobenius is an entrywise
         field automorphism, so it maps the reduced null space of the rows
         to that of the twisted rows, and a twist whose annihilator is
-        never asked for (a twist-fixed point meets its twist by equal
-        rows) costs no null space.  The complement is not carried, since
-        a form from ``from_gram`` need not be Frobenius-fixed.
+        never asked for (a refinement step builds a meet with it only
+        for a join strictly between two members) costs no null space.  The complement is not carried, since
+        a form from ``from_gram`` need not be Frobenius-fixed, and for
+        the same reason neither is the answer of ``is_isotropic``.
         """
         if self.dim == 0 or self.dim == self.space.dim:
             return self
@@ -297,7 +312,10 @@ class Subspace:
         return not any(map(any, prod))
 
     def is_isotropic(self) -> bool:
-        return self.is_orthogonal_to(self)
+        """Whether the form vanishes on self; paired once, then cached."""
+        if self._isotropic is None:
+            self._isotropic = self.is_orthogonal_to(self)
+        return self._isotropic
 
     def is_lagrangian(self) -> bool:
         return self.dim == self.space.n and self.is_isotropic()
@@ -332,6 +350,8 @@ class Flag:
         if not members:
             raise ValueError("empty flag")
         space = members[0].space
+        if any(m.space is not space for m in members):
+            raise ValueError("flag members live in different ambient spaces")
         if members[0].dim != 0:
             members.insert(0, zero_subspace(space))
         if members[-1].dim != space.dim:
@@ -378,7 +398,10 @@ class Flag:
         perp is an involution, so the pairs past the middle follow.  A
         pair where either member has its complement cached (the
         canonical closure caches one for every member) compares it with
-        the other member's rows; any other pair takes two products
+        the other member's rows.  The middle member, paired with itself,
+        asks ``Subspace.is_isotropic``, which pairs it once and keeps the
+        answer: a refinement flag's middle member is the Lagrangian the
+        classifier already checked.  Any other pair takes two products
         (``Subspace.is_orthogonal_to``) and no null space.
         """
         members, dims, full = self.members, self.dims, self.space.dim
@@ -389,6 +412,8 @@ class Flag:
                 dual = low._perp.rows == high.rows
             elif high._perp is not None:
                 dual = high._perp.rows == low.rows
+            elif low is high:
+                dual = low.is_isotropic()
             else:
                 dual = low.is_orthogonal_to(high)
             if not dual:
@@ -423,16 +448,40 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     match the coset machinery: for the standard flag E and a permuted
     standard flag vE it returns v itself, not its inverse (the two
     conventions agree on every self-inverse position, so only genuinely
-    asymmetric pairs are sensitive to it).  The table holds the
-    dimensions of the meets ``refine`` takes.
+    asymmetric pairs are sensitive to it).  The table is read off ranks
+    of sums (see ``_rank_table``), so no meet is built.
     """
-    return _meets_and_position(flag_c, flag_d)[1]
+    return _table_and_position(flag_c, flag_d)[1]
 
 
-def _meets_and_position(
-    flag_c: Flag, flag_d: Flag
-) -> tuple[list[list[Subspace]], WeylElement]:
-    """Every meet C_a cap D_b (row a, column b) and the position they give."""
+def _rank_table(flag_c: Flag, flag_d: Flag) -> list[list[int]]:
+    """T[a][b] = dim(C_a cap D_b) = dim C_a + dim D_b - dim(C_a + D_b).
+
+    The members of flag_d are nested, so C_a + D_b is the span of C_a
+    and the rows of D_1, ..., D_b, and one insertion pass of those rows
+    into the reduced rows of C_a (``linalg.insertion_ranks``) gives
+    dim(C_a + D_b) for every b.  The rows for 0 and for the whole space,
+    and the columns for 0 and for the whole space, need no pass.
+    """
+    ctx = flag_c.space.ctx
+    ddims = flag_d.dims
+    inner = flag_d.members[1:-1]
+    vectors = [row for dm in inner for row in dm.rows]
+    # the index of each D_b's last row among the vectors
+    ends = [total - 1 for total in accumulate(dm.dim for dm in inner)]
+    table = [[0] * len(ddims)]
+    for cm in flag_c.members[1:-1]:
+        ranks = linalg.insertion_ranks(ctx, cm.rows, cm.pivots, vectors)
+        row = [0]
+        row.extend([cm.dim + d - ranks[end] for d, end in zip(ddims[1:-1], ends)])
+        row.append(cm.dim)
+        table.append(row)
+    table.append(list(ddims))
+    return table
+
+
+def _table_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[int]], WeylElement]:
+    """The rank table (row a, column b) and the position it gives."""
     if flag_c.space is not flag_d.space:
         raise ValueError("flags live in different spaces")
     space = flag_c.space
@@ -440,8 +489,7 @@ def _meets_and_position(
         dims = set(flag.dims)
         if any(space.dim - d not in dims for d in dims):
             raise ValueError(f"dimension set {flag.dims} is not symmetric")
-    grid = [[cm.intersect(dm) for dm in flag_d.members] for cm in flag_c.members]
-    table = [[meet.dim for meet in row] for row in grid]
+    table = _rank_table(flag_c, flag_d)
     cdims, ddims = flag_c.dims, flag_d.dims
     used = list(cdims[:-1])  # last value taken from each flag_c block
     perm: list[int] = []
@@ -476,32 +524,32 @@ def _meets_and_position(
                     f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
                     f"from r_w = {below[a]} for w = {w.perm}"
                 )
-    return grid, w
+    return table, w
 
 
 def refine(flag_c: Flag, flag_d: Flag) -> tuple[Flag, WeylElement]:
     """The chain generated by (C_{i+1} cap D_j) + C_i, which refines
-    flag_c, and relpos(flag_c, flag_d), both from one grid of meets.
+    flag_c, and relpos(flag_c, flag_d), both from one rank table.
 
-    The rank table fixes the dimension of each join: C_i lies in
-    C_{i+1}, so (C_{i+1} cap D_j) cap C_i = C_i cap D_j and the join has
-    dimension T(C_{i+1}, D_j) + dim C_i - T(C_i, D_j).  A join of
-    dimension dim C_i is C_i, one of dimension dim C_{i+1} is C_{i+1},
-    and for a fixed i the joins grow with j, so two of the same
-    dimension are equal.  Only the first join of each dimension strictly
-    between is eliminated for; when there is none, flag_c is stable and
-    comes back as it is.
+    The table fixes the dimension of each join: C_i lies in C_{i+1}, so
+    (C_{i+1} cap D_j) cap C_i = C_i cap D_j and the join has dimension
+    T(C_{i+1}, D_j) + dim C_i - T(C_i, D_j).  A join of dimension
+    dim C_i is C_i, one of dimension dim C_{i+1} is C_{i+1}, and for a
+    fixed i the joins grow with j, so two of the same dimension are
+    equal.  Only the first join of each dimension strictly between is
+    built, with its meet; when there is none, flag_c is stable and
+    comes back as it is, with no meet taken.
     """
-    grid, position = _meets_and_position(flag_c, flag_d)
+    table, position = _table_and_position(flag_c, flag_d)
     members = flag_c.members
     joins = []
-    for lower, upper, lower_row, row in zip(members, members[1:], grid, grid[1:]):
+    for lower, upper, lower_row, upper_row in zip(members, members[1:], table, table[1:]):
         seen = {lower.dim, upper.dim}
-        for lower_meet, meet in zip(lower_row, row):
-            dim = meet.dim + lower.dim - lower_meet.dim
+        for dm, lower_meet, upper_meet in zip(flag_d.members, lower_row, upper_row):
+            dim = upper_meet + lower.dim - lower_meet
             if dim not in seen:
                 seen.add(dim)
-                joins.append(meet + lower)
+                joins.append(upper.intersect(dm) + lower)
     if not joins:
         return flag_c, position
     return Flag(members + tuple(joins)), position

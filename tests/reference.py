@@ -2,8 +2,9 @@
 
 Scans and constructions the pipeline has replaced or never needs: the
 Weyl-group scans that ``bedard`` and ``relpos`` build directly, a matrix
-inverse and the change of basis of a Dieudonné module, and random
-self-dual flags for the relative-position laws.
+inverse and the change of basis of a Dieudonné module, random self-dual
+flags for the relative-position laws, and the grid of meets that the
+rank table of ``relpos`` and ``refine`` replaced.
 """
 
 from __future__ import annotations
@@ -106,3 +107,43 @@ def random_self_dual_flag(space: SymplecticSpace, rng: np.random.Generator) -> F
     dims = sorted({d for i in picks for d in (i, 2 * n - i)})
     g = random_symplectic(space, rng)
     return flag_apply(standard_flag(space, dims), g)
+
+
+def meets_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[Subspace]], WeylElement]:
+    """Every meet C_a cap D_b (row a, column b), each built as a subspace,
+    and the position their dimensions give, by the same second
+    differences and re-check as ``symplectic.relpos``."""
+    if flag_c.space is not flag_d.space:
+        raise ValueError("flags live in different spaces")
+    space = flag_c.space
+    for flag in (flag_c, flag_d):
+        dims = set(flag.dims)
+        if any(space.dim - d not in dims for d in dims):
+            raise ValueError(f"dimension set {flag.dims} is not symmetric")
+    grid = [[cm.intersect(dm) for dm in flag_d.members] for cm in flag_c.members]
+    table = [[meet.dim for meet in row] for row in grid]
+    cdims, ddims = flag_c.dims, flag_d.dims
+    used = list(cdims[:-1])  # last value taken from each flag_c block
+    perm: list[int] = []
+    for k, (d0, d1) in enumerate(zip(ddims, ddims[1:])):
+        for l, (c0, c1) in enumerate(zip(cdims, cdims[1:])):
+            count = table[l + 1][k + 1] - table[l + 1][k] - table[l][k + 1] + table[l][k]
+            if count < 0:
+                raise RuntimeError(
+                    f"rank table gives {count} positions from block "
+                    f"({d0}, {d1}] into block ({c0}, {c1}]"
+                )
+            perm.extend(range(used[l] + 1, used[l] + count + 1))
+            used[l] += count
+    try:
+        w = WeylElement(space.n, tuple(perm))
+    except ValueError as exc:
+        raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
+    for k, d in enumerate(ddims):
+        for a, c in enumerate(cdims):
+            if table[a][k] != weyl.r_w(w, d, c):
+                raise RuntimeError(
+                    f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
+                    f"from r_w = {weyl.r_w(w, d, c)} for w = {w.perm}"
+                )
+    return grid, w

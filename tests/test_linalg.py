@@ -349,3 +349,30 @@ def test_nullspace_matches_the_two_elimination_reference(case):
     want = reference_nullspace(ctx, mat)
     assert_rows(got, want.shape[0], ncols)
     assert got == linalg.as_rows(want)
+
+
+@PROPERTY
+@given(
+    field_matrices(fields=[(2, 1), (3, 2), (2, 4), (5, 2), (2, 10)], max_rows=12, max_cols=10),
+    st.integers(0, 12),
+    st.integers(1, 1023),
+)
+@example((field(3, 2), np.array([[0, 0, 1], [0, 2, 1]], dtype=linalg.DTYPE)), 1, 4)
+def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar):
+    """Rows after a split are inserted into the reduced rows of those
+    before it, followed by a nonzero multiple of each, which must reduce
+    to zero against the row it made; the rank after each insertion is
+    that of the stack."""
+    ctx, mat = case
+    ncols = mat.shape[1]
+    rows = linalg.as_rows(mat)
+    split = min(split, len(rows))
+    basis, pivots = linalg.rref(ctx, rows[:split], ncols)
+    scale = ctx.mul_list[scalar % (ctx.q - 1) + 1]
+    vectors = rows[split:]
+    vectors += tuple(tuple(scale[x] for x in vec) for vec in vectors)
+    got = linalg.insertion_ranks(ctx, basis, pivots, vectors)
+    want = tuple(
+        linalg.rank(ctx, basis + vectors[: i + 1], ncols) for i in range(len(vectors))
+    )
+    assert type(got) is tuple and got == want

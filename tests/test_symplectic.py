@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlstrata import linalg, weyl
+from dlstrata import linalg, symplectic, weyl
 from dlstrata.gf import field
 from dlstrata.symplectic import (
     Flag,
@@ -25,6 +25,7 @@ from tests import eye, tables, zeros
 from tests.reference import (
     flag_apply,
     inverse,
+    meets_and_position,
     min_double_reps,
     random_self_dual_flag,
     standard_flag,
@@ -96,6 +97,7 @@ def test_subspaces_under_a_general_form(space9):
     # the form S^T J S in the basis x = S x', for random invertible S
     ctx = space9.ctx
     rng = np.random.default_rng(12)
+    broken = 0  # isotropic subspaces whose twist is not
     for _ in range(5):
         while True:
             s = linalg.as_rows(rng.integers(0, ctx.q, size=(4, 4)))
@@ -113,6 +115,13 @@ def test_subspaces_under_a_general_form(space9):
         for u in enumerate_lagrangians(space9)[:10]:
             moved = Subspace(space, linalg.matmul(ctx, u.rows, tuple(zip(*s_inv)), 4))
             assert moved.is_lagrangian() and moved.perp() == moved
+            # this form need not be Frobenius-fixed, so a twist pairs
+            # itself afresh instead of taking its source's answer
+            twisted = moved.twist(1)
+            fresh = Subspace(space, twisted.rows)
+            assert twisted.is_isotropic() == fresh.is_orthogonal_to(fresh)
+            broken += not twisted.is_isotropic()
+    assert broken
 
 
 def test_subspace_rejects_bad_shapes_and_codes(space4):
@@ -132,6 +141,12 @@ def test_subspace_rejects_bad_shapes_and_codes(space4):
         Subspace(line, np.array([[1, 7]]))
     with pytest.raises(ValueError):
         Subspace(line, [[-1, 0]])
+    # entries that are not integer codes are neither truncated nor
+    # parsed, and a huge integer is refused like any other out of range
+    for bad in ([[1.7, 0, 0, 0]], [["1", 0, 0, 0]], [[2**40, 0, 0, 0]],
+                [[2**70, 0, 0, 0]], np.array([[1.0, 0, 0, 0]])):
+        with pytest.raises(ValueError):
+            Subspace(space4, bad)
 
 
 def test_subspace_accepts_arrays_row_tuples_and_empty_inputs(space4):
@@ -442,6 +457,21 @@ def test_flag_validation(space4):
             Flag([line, other])
 
 
+def test_containment_and_flags_refuse_mixed_spaces(space4):
+    """A line of a 4-dimensional space is not compared with a plane of a
+    6-dimensional one, and no flag holds members of two spaces."""
+    big = SymplecticSpace(field(2, 4), 3)
+    line = Subspace(space4, eye(4)[:1])
+    plane = Subspace(big, eye(6)[:2])
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        plane.contains(line)
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        line.contains(plane)
+    other16 = SymplecticSpace(field(2, 4), 2)
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        Flag([line, Subspace(other16, eye(4)[:2])])
+
+
 def test_flag_type_reads_dimension_cuts(space4):
     full = standard_flag(space4, [1, 2, 3])
     assert flag_type(full) == frozenset()
@@ -525,17 +555,17 @@ def test_relpos_rejects_invalid_flag_pairs(space4):
 def test_relpos_rechecks_every_table_entry(space4, monkeypatch):
     """A table whose second differences give a Weyl element but whose
     entries are not its ranks is refused: here every meet with 0 is
-    made a line, which shifts a whole border row of the table and leaves
-    every second difference as it was."""
-    unit = eye(4)
-    line = Subspace(space4, unit[:1])
+    counted as a line, which shifts a whole border row of the table and
+    leaves every second difference as it was."""
     flag = standard_flag(space4, [1, 2, 3])
-    real = Subspace.intersect
+    real = symplectic._rank_table
 
-    def intersect(self, other):
-        return line if self.dim == 0 else real(self, other)
+    def rank_table(flag_c, flag_d):
+        table = real(flag_c, flag_d)
+        table[0] = [dim + 1 for dim in table[0]]
+        return table
 
-    monkeypatch.setattr(Subspace, "intersect", intersect)
+    monkeypatch.setattr(symplectic, "_rank_table", rank_table)
     for c, d in ((flag, flag), (flag, standard_flag(space4, [2]))):
         with pytest.raises(RuntimeError, match=r"dim\(C_0 cap D_0\) = 1 differs from r_w = 0"):
             relpos(c, d)
@@ -606,6 +636,10 @@ def _assert_refine_matches_all_joins(flag_c, flag_d):
     got, position = refine(flag_c, flag_d)
     want, want_position = _refine_by_all_joins(flag_c, flag_d)
     assert got == want and position.perm == want_position.perm
+    # the rank table and the position are those of the grid of meets
+    grid, grid_position = meets_and_position(flag_c, flag_d)
+    assert symplectic._rank_table(flag_c, flag_d) == [[m.dim for m in row] for row in grid]
+    assert position.perm == grid_position.perm
     # a stable flag comes back as it is, with no rebuilt Flag
     assert (got is flag_c) == (want == flag_c)
     return got

@@ -397,13 +397,8 @@ def _label_of_final_type(psi: tuple[int, ...], g: int) -> WeylElement:
     the final type of any such w raises RuntimeError.
     """
     flat = [i for i in range(1, 2 * g + 1) if psi[i] == psi[i - 1]]
-    perm = [0] * (2 * g)
-    if len(flat) == g:
-        for j, pos in enumerate(flat, start=1):
-            perm[pos - 1] = j
-            perm[2 * g - pos] = 2 * g + 1 - j
     try:
-        w = WeylElement(g, tuple(perm))
+        w = weyl.siegel_rep(flat, g)
     except ValueError as exc:
         raise RuntimeError(f"no label has the measured final type {list(psi)}") from exc
     if final_type_of(w, g) != tuple(psi):

@@ -133,13 +133,21 @@ CENSUS_POINT_LIMIT = 5_000_000
 
 
 def bounded_total(c: int, p: int, m: int, what: str) -> int:
-    """The point count over F_{p^{2m}}; ValueError above CENSUS_POINT_LIMIT."""
-    expected = symplectic.expected_total(c, p ** (2 * m))
-    if expected > CENSUS_POINT_LIMIT:
-        raise ValueError(
-            f"{what} of {expected} points exceeds the desk-scale limit"
-        )
-    return expected
+    """The point count over F_{p^{2m}}; ValueError above CENSUS_POINT_LIMIT.
+
+    The count prod_{i=1..c} (q^i + 1) is multiplied up factor by factor
+    and refused as soon as it passes the limit, so refusing a huge rank
+    takes a few multiplications.
+    """
+    q = p ** (2 * m)
+    total = 1
+    for i in range(1, c + 1):
+        total *= q**i + 1
+        if total > CENSUS_POINT_LIMIT:
+            raise ValueError(
+                f"{what} of more than {CENSUS_POINT_LIMIT} points exceeds the desk-scale limit"
+            )
+    return total
 
 
 def census(c: int, p: int, m: int) -> list[CensusRecord]:

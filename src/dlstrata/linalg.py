@@ -26,11 +26,11 @@ The cost is one lookup chain per entry touched:
   whose null vectors are already the canonical basis;
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
   of a times the columns of b, so zero entries cost nothing;
-* ``in_row_space`` reduces each vector against a reduced basis, one
-  pass over the basis per vector and no elimination;
-* ``insertion_ranks`` does the same, keeping each nonzero remainder as
-  a new echelon row, so the ranks of a growing stack cost one pass per
-  vector and no elimination either.
+* ``insertion_ranks`` reduces each vector against a reduced basis and
+  keeps each nonzero remainder as a new echelon row, so the ranks of a
+  growing stack cost one pass per vector and no elimination; a vector
+  lies in the span exactly when it adds no row, which is how
+  ``Subspace.contains`` tests containment.
 
 Table-driven row reduction over GF(p^k) follows the ``galois`` package
 (https://github.com/mhostetter/galois).
@@ -172,32 +172,6 @@ def frob_map(ctx: FieldCtx, rows: Sequence[Sequence[int]], r: int) -> Rows:
     """Entrywise p^r-power; exact and bijective for any integer r."""
     table = ctx.frob_lists[r % ctx.k].__getitem__
     return tuple([tuple(map(table, row)) for row in rows])
-
-
-def in_row_space(
-    ctx: FieldCtx,
-    basis: Sequence[Sequence[int]],
-    pivots: Sequence[int],
-    vectors: Sequence[Sequence[int]],
-) -> bool:
-    """Whether every vector lies in the row span of a reduced basis.
-
-    ``basis`` must be in reduced row echelon form with these pivots.
-    Each basis row is the only one nonzero at its pivot column, so a
-    vector v lies in the span exactly when v minus v[pivot] times each
-    row is zero.
-    """
-    add, mul, neg = ctx.add_list, ctx.mul_list, ctx.neg_list
-    for vec in vectors:
-        rest = vec
-        for row, c in zip(basis, pivots):
-            f = rest[c]
-            if f:
-                fneg = mul[neg[f]]
-                rest = [add[x][fneg[y]] for x, y in zip(rest, row)]
-        if any(rest):
-            return False
-    return True
 
 
 def insertion_ranks(

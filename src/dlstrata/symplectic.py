@@ -52,19 +52,22 @@ subspace X: X cap 0 = 0 and X cap V = X, X + 0 = X and X + V = V,
 flag holds 0 and V, so many of the meets and joins that refinement
 builds are of this kind.
 
-Containment reduces the rows of the smaller space against the reduced
-rows of the larger (``linalg.in_row_space``), with no elimination.
+A subspace is its reduced rows and nothing else: a meet is one
+elimination of the stacked rows (x | x), x in the one, and (y | 0), y in
+the other (Zassenhaus), whose rows with zero left half are the reduced
+rows of the meet, and containment is one insertion pass of the smaller
+space's rows into the larger's reduced rows (``linalg.insertion_ranks``),
+which holds when no row is added.  Neither takes a null space.
 
 Per-point work runs on rows (see ``linalg``).  Schubert cells are built
 in bulk as arrays, and each point's basis is converted to rows once,
 when its ``Subspace`` is made.
 
-Subspaces and flags are immutable values (cached annihilators,
-complements and isotropy answers are computed once, a twist's
-annihilator from its source's, and a complement's complement is its
-source), so everything
-here can be shared across threads; enumeration output order is
-deterministic.  The twist of a flag is the chain of its members'
+Subspaces and flags are immutable values (complements and isotropy
+answers are computed once, and a complement's complement is its
+source), so everything here can be shared across threads; enumeration
+output order is deterministic.  A twist is its Frobenius-mapped rows
+and pivots, and the twist of a flag is the chain of its members'
 twists, built without re-checking it.
 """
 
@@ -150,7 +153,7 @@ class Subspace:
     (dim, 2n), built on each access.
     """
 
-    __slots__ = ("space", "rows", "pivots", "dim", "_ann", "_perp", "_twist_of", "_isotropic")
+    __slots__ = ("space", "rows", "pivots", "dim", "_perp", "_isotropic")
 
     def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
         """The span of any rows, an array or a sequence of code rows.
@@ -193,9 +196,7 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self.dim = len(rows)
-        self._ann = None
         self._perp = None
-        self._twist_of = None
         self._isotropic = None
 
     @property
@@ -204,20 +205,6 @@ class Subspace:
         out = linalg.as_array(self.rows, self.space.dim)
         out.flags.writeable = False
         return out
-
-    # annihilator under the standard dot product, cached (not the form);
-    # a twist's is the twist of its source's (see ``twist``)
-    @property
-    def ann(self) -> linalg.Rows:
-        if self._ann is None:
-            twist_of = self._twist_of
-            if twist_of is None:
-                self._ann = linalg.nullspace(self.space.ctx, self.rows, self.space.dim)
-            else:
-                source, r = twist_of
-                self._ann = linalg.frob_map(self.space.ctx, source.ann, r)
-                self._twist_of = None  # the source is no longer needed
-        return self._ann
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Subspace) and self.rows == other.rows
@@ -236,17 +223,34 @@ class Subspace:
             return True
         if other.dim > self.dim:
             return False
-        return linalg.in_row_space(self.space.ctx, self.rows, self.pivots, other.rows)
+        ranks = linalg.insertion_ranks(self.space.ctx, self.rows, self.pivots, other.rows)
+        return ranks[-1] == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The meet, by one elimination (Zassenhaus).
+
+        Reduce the rows (x | x) for x in self and (y | 0) for y in
+        other.  A combination with zero left half has a right half that
+        lies in both spaces, and every vector of both arises so; the
+        rows whose left half reduced to zero come last, and their right
+        halves are already the reduced rows of the meet, with its pivots
+        shifted by the width.
+        """
         _check_same_space(self, other)
         full = self.space.dim
         if self.rows == other.rows or self.dim == 0 or other.dim == full:
             return self
         if other.dim == 0 or self.dim == full:
             return other
-        joint = linalg.nullspace(self.space.ctx, self.ann + other.ann, full)
-        return Subspace._from_rref(self.space, joint)
+        zero = (0,) * full
+        stacked = [x + x for x in self.rows] + [y + zero for y in other.rows]
+        rows, pivots = linalg.rref(self.space.ctx, stacked, 2 * full)
+        cut = sum(c < full for c in pivots)
+        return Subspace._from_rref(
+            self.space,
+            tuple([row[full:] for row in rows[cut:]]),
+            tuple([c - full for c in pivots[cut:]]),
+        )
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
@@ -283,22 +287,15 @@ class Subspace:
         """Entrywise p^r power of the basis (echelon form and pivots are kept).
 
         0 and the whole space are their own twists, and come back as
-        they are.  A proper subspace's twist takes its annihilator from
-        the source when it is first asked for: Frobenius is an entrywise
-        field automorphism, so it maps the reduced null space of the rows
-        to that of the twisted rows, and a twist whose annihilator is
-        never asked for (a refinement step builds a meet with it only
-        for a join strictly between two members) costs no null space.  The complement is not carried, since
-        a form from ``from_gram`` need not be Frobenius-fixed, and for
-        the same reason neither is the answer of ``is_isotropic``.
+        they are.  The complement is not carried, since a form from
+        ``from_gram`` need not be Frobenius-fixed, and for the same
+        reason neither is the answer of ``is_isotropic``.
         """
         if self.dim == 0 or self.dim == self.space.dim:
             return self
-        out = Subspace._from_rref(
+        return Subspace._from_rref(
             self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
         )
-        out._twist_of = (self, r)
-        return out
 
     def is_orthogonal_to(self, other: "Subspace") -> bool:
         """Whether the form pairs every vector of self with every vector

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -239,19 +239,31 @@ def enumerate_IW(n: int) -> tuple[WeylElement, ...]:
             i if not flip else 2 * n + 1 - i
             for i, flip in zip(range(1, n + 1), choice)
         )
-        perm = [0] * (2 * n)
-        for j, pos in enumerate(positions, start=1):
-            perm[pos - 1] = j
-            perm[2 * n - pos] = 2 * n + 1 - j
-        out.append(WeylElement(n, tuple(perm)))
+        out.append(siegel_rep(positions, n))
     assert len({w.perm for w in out}) == 2**n
     return tuple(sorted(out, key=WeylElement.sort_key))
 
 
+def siegel_rep(positions: Sequence[int], n: int) -> WeylElement:
+    """The element w with w^{-1}(1) < ... < w^{-1}(n) at these positions.
+
+    ``positions`` are increasing and hold one member of each pair
+    {i, 2n+1-i}: w sends the j-th of them to j and, by symmetry, its
+    mirror to 2n+1-j.  ValueError unless there are n of them from n
+    distinct pairs.
+    """
+    if len(positions) != n:
+        raise ValueError(f"{len(positions)} positions for rank {n}")
+    perm = [0] * (2 * n)
+    for j, pos in enumerate(positions, start=1):
+        perm[pos - 1] = j
+        perm[2 * n - pos] = 2 * n + 1 - j
+    return WeylElement(n, tuple(perm))
+
+
 def in_IW(w: WeylElement) -> bool:
-    inv = w.inverse()
-    pre = [inv(j) for j in range(1, w.n + 1)]
-    return pre == sorted(pre)
+    """Whether w is a minimal left coset representative for the Siegel type."""
+    return is_min_left_rep(w, siegel_type(w.n))
 
 
 def canonical_word_IW(subset: Iterable[int], n: int) -> tuple[int, ...]:

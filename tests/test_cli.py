@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,15 +153,21 @@ def test_census_config_errors(capsys):
     assert run(["census", "--c", "1", "--p", "4", "--m", "1"]) == 2
     assert run(["census", "--c", "1", "--p", "2", "--m", "11"]) == 2
     capsys.readouterr()
-    # a huge prime and a huge degree are refused at once, in one line
-    for argv in (
-        ["--c", "1", "--p", "1000000000000000003", "--m", "1"],
-        ["--c", "1", "--p", "3", "--m", "100000000"],
+    # a huge prime, a huge degree and a huge rank are refused at once,
+    # in one line; the rank is refused before its whole point count is
+    # multiplied out
+    for argv, message in (
+        (["--c", "1", "--p", "1000000000000000003", "--m", "1"], "exceeds the table limit"),
+        (["--c", "1", "--p", "3", "--m", "100000000"], "exceeds the table limit"),
+        (["--c", "100000", "--p", "2", "--m", "1"], "desk-scale limit"),
+        (["--c", "200", "--p", "2", "--m", "1"], "desk-scale limit"),
     ):
+        start = time.perf_counter()
         assert run(["census"] + argv) == 2, argv
+        assert time.perf_counter() - start < 5, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
-        assert "exceeds the table limit" in captured.err, argv
+        assert message in captured.err, argv
 
 
 def test_verify_exit_codes(capsys):

@@ -547,6 +547,7 @@ def test_final_type_inversion_rejects_other_sequences():
         (0, 1, 2, 3, 4),  # no flat step
         (0, 1, 1, 1, 2),  # flat steps at a symmetric pair of positions
         (0, 0, 1, 1, 5),  # right flat steps, wrong values
+        (0, 0, 0, 0, 1),  # more flat steps than the genus
     ):
         with pytest.raises(RuntimeError):
             _label_of_final_type(psi, 2)

@@ -95,14 +95,15 @@ def test_frob_map_is_bijective_entrywise(f4):
 
 
 def test_in_row_space(f4):
+    # a vector lies in the row span exactly when its insertion adds no row
     m = [[1, 0, 2, 3], [0, 1, 1, 1]]
     r, piv = linalg.rref(f4, m, 4)
-    assert linalg.in_row_space(f4, r, piv, [(1, 1, 3, 2)])  # row0 + row1
-    assert not linalg.in_row_space(f4, r, piv, [(0, 0, 1, 0)])
-    assert not linalg.in_row_space(f4, r, piv, [(1, 1, 3, 2), (0, 0, 1, 0)])
-    assert linalg.in_row_space(f4, r, piv, [])
-    assert linalg.in_row_space(f4, (), (), [(0, 0, 0, 0)])
-    assert not linalg.in_row_space(f4, (), (), [(0, 0, 0, 1)])
+    assert linalg.insertion_ranks(f4, r, piv, [(1, 1, 3, 2)]) == (2,)  # row0 + row1
+    assert linalg.insertion_ranks(f4, r, piv, [(0, 0, 1, 0)]) == (3,)
+    assert linalg.insertion_ranks(f4, r, piv, [(1, 1, 3, 2), (0, 0, 1, 0)]) == (2, 3)
+    assert linalg.insertion_ranks(f4, r, piv, []) == ()
+    assert linalg.insertion_ranks(f4, (), (), [(0, 0, 0, 0)]) == (0,)
+    assert linalg.insertion_ranks(f4, (), (), [(0, 0, 0, 1)]) == (1,)
 
 
 def test_as_rows_and_as_array_round_trip(f4):

@@ -216,8 +216,14 @@ def test_perp_is_an_involution_on_cached_complements(pk, n, seed):
 # -- trivial meets, joins and complements against the generic route --------
 
 
+def _ann(a):
+    """The annihilator of a's rows under the standard dot product."""
+    return linalg.nullspace(a.space.ctx, a.rows, a.space.dim)
+
+
 def _generic_intersect(a, b):
-    return linalg.nullspace(a.space.ctx, a.ann + b.ann, a.space.dim)
+    """The meet as the null space of both annihilators stacked."""
+    return linalg.nullspace(a.space.ctx, _ann(a) + _ann(b), a.space.dim)
 
 
 def _generic_sum(a, b):
@@ -265,7 +271,7 @@ def test_trivial_cases_match_the_generic_computation(pair):
 def _subspace_pair(draw):
     """Two subspaces of one space; b is often spanned by combinations of
     a's rows (so a contains it), otherwise drawn on its own."""
-    p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 4)]))
+    p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 4), (5, 2)]))
     n = draw(st.integers(1, 3))
     space = SymplecticSpace(field(p, k), n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -286,8 +292,17 @@ def test_contains_matches_the_rank_of_the_stacked_bases(pair):
     for x, y in ((a, b), (b, a), (a, a), (b, b)):
         want = _generic_contains(x, y)
         assert x.contains(y) == want
-        assert linalg.in_row_space(x.space.ctx, x.rows, x.pivots, y.rows) == want
+        ranks = linalg.insertion_ranks(x.space.ctx, x.rows, x.pivots, y.rows)
+        assert all(r == x.dim for r in ranks) == want
     assert a.contains(a.intersect(b)) and a.contains(a + b) == (a + b == a)
+    # the meet: the annihilator route, symmetric, the dimension formula,
+    # and pivots at each reduced row's leading 1
+    meet = a.intersect(b)
+    assert meet.rows == _generic_intersect(a, b)
+    assert b.intersect(a) == meet
+    assert meet.dim + (a + b).dim == a.dim + b.dim
+    for row, c in zip(meet.rows, meet.pivots):
+        assert not any(row[:c]) and row[c] == 1
 
 
 def test_subspace_basis_is_the_read_only_array_of_its_rows():
@@ -309,14 +324,14 @@ def test_subspace_basis_is_the_read_only_array_of_its_rows():
                 basis[...] = 0
             assert basis is not u.basis and np.array_equal(basis, u.basis)
             # kernels return tuples, so rows shared between subspaces are immutable
-            for rows in (u.rows, u.ann, u.perp().rows, u.twist(1).rows):
+            v = Subspace(space, rng.integers(0, p**k, size=(n, 2 * n)))
+            for rows in (u.rows, _ann(u), u.perp().rows, u.intersect(v).rows, u.twist(1).rows):
                 assert type(rows) is tuple and all(type(r) is tuple for r in rows)
             if u.dim:
                 with pytest.raises(TypeError):
                     u.rows[0][0] = 1
             assert Subspace(space, u.rows) == u and Subspace(space, list(u.rows)) == u
             # every route keeps the pivots of its reduced rows
-            v = Subspace(space, rng.integers(0, p**k, size=(n, 2 * n)))
             for x in (u.perp(), u.intersect(v), u + v, u.twist(1), v.perp().perp()):
                 want, pivots = reference_rref(space.ctx, x.basis)
                 assert x.basis.tobytes() == want.tobytes() and x.pivots == pivots
@@ -343,40 +358,17 @@ def test_twist_properties(space4):
     # rational subspaces are fixed
     u = Subspace(big, np.array([[1, 0, 1, 1]]))
     assert u.twist(1) == u
-
-
-@st.composite
-def _subspace_and_exponent(draw):
-    p, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 4)]))
-    n = draw(st.integers(1, 3))
-    space = SymplecticSpace(field(p, k), n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = Subspace(space, rng.integers(0, p**k, size=(draw(st.integers(0, 2 * n)), 2 * n)))
-    return u, draw(st.integers(-3, 3))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_subspace_and_exponent())
-def test_twist_carries_the_annihilator(pair):
-    u, r = pair
-    space = u.space
-    t = u.twist(r)
-    if u.dim in (0, space.dim):
-        assert t is u  # 0 and the whole space are their own twists
-    else:
-        # a proper subspace's twist asks for its annihilator only when its
-        # own is asked for, and then takes it from the source's
-        assert t._ann is None and u._ann is None
-        real, calls = linalg.nullspace, []
-        linalg.nullspace = lambda *args: calls.append(args) or real(*args)
-        try:
-            ann = t.ann
-        finally:
-            linalg.nullspace = real
-        assert calls == [(space.ctx, u.rows, space.dim)] and u._ann is not None
-        assert ann == linalg.frob_map(space.ctx, u.ann, r)
-    assert t.ann == linalg.nullspace(space.ctx, t.rows, space.dim)
-    assert t.twist(-r) == u and t.twist(-r).ann == u.ann
+    # 0 and the whole space are their own twists, and every twist is
+    # undone by the opposite one, over odd p too
+    for pk, n in (((2, 2), 2), ((3, 2), 2), ((2, 4), 3), ((5, 2), 1)):
+        space = SymplecticSpace(field(*pk), n)
+        for u in (zero_subspace(space), full_subspace(space)):
+            assert all(u.twist(r) is u for r in range(-3, 4))
+        for dim in range(1, 2 * n):
+            u = rand_subspace(space, rng, dim)
+            for r in range(-3, 4):
+                t = u.twist(r)
+                assert t.pivots == u.pivots and t.twist(-r) == u
 
 
 LAGRANGIAN_GRID = [

@@ -10,9 +10,10 @@ bedard   dump every stabilizing sequence for the Lagrangian type.
 
 Exit codes: 0 success, 1 verification or partition failure, 2 bad
 configuration or an unwritable ``--out`` (``census`` checks the path
-before it classifies).  Output is deterministic for a fixed command
-line, and each file embeds a header describing the tool version, the
-echoed configuration, and the field modulus in use.
+before it classifies); each exit 2 comes with one line on stderr.
+Output is deterministic for a fixed command line, and each file embeds
+a header describing the tool version, the echoed configuration, and
+the field modulus in use.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def cmd_verify(args) -> int:
     passed: dict[tuple[int, ...], list[int]] = {}
     ok = True
     for u in points:
-        fine = dlclassify.classify_fine(u, check=False)
+        fine = dlclassify.classify_fine(u)
         good = dieudonne.verify_pullback(u, args.g, fine=fine)
         ok &= good
         tally = passed.setdefault(fine.perm, [0, 0])
@@ -202,8 +203,20 @@ def cmd_bedard(args) -> int:
     return _emit_json({"header": _header(config), "rows": rows}, args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one stderr line and exit 2.
+
+    Argparse prints a usage block before each error; here the error
+    line stands alone.  The subcommand parsers are of this class too,
+    since ``add_subparsers`` makes them with the parent's class.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlstrata",
         description="stratum tables, censuses and module-label verification",
     )

@@ -440,7 +440,7 @@ def verify_pullback(
     module = build_from_lagrangian(u, g)
     eo = eo_type(module)
     if fine is None:
-        fine = dlclassify.classify_fine(u, check=False)
+        fine = dlclassify.classify_fine(u)
     return eo.w.perm == weyl.r_map_inv(fine, g).perm
 
 

@@ -11,9 +11,13 @@ must be built; a stable flag comes back as the same object, with no
 meet taken, which ends the chain.  The per-step positions must
 reproduce the stabilizing sequence attached to the label, and
 ``classify_fine`` asserts that (and self-duality of every flag, by
-pairing products) unless ``check=False``.  The point pairs itself with
-the form once: its Lagrangian check and the self-duality of every flag
-of its chain, whose middle member it is, share that answer.
+pairing products) unless ``check=False``.  Self-duality is checked on
+every point.  The sequence check reads only integers, each step's
+dimensions and position, so it runs once per distinct trace of them
+and is kept; a failing trace is not kept, and fails each time it is
+met.  The point pairs itself with the form once: its Lagrangian check
+and the self-duality of every flag of its chain, whose middle member
+it is, share that answer.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised
@@ -90,21 +94,35 @@ def classify_fine(
 def _check_against_sequence(steps: list[tuple[Flag, WeylElement]], c: int) -> None:
     if not all(flag.is_self_dual() for flag, _ in steps):
         raise RuntimeError("refinement chain left the self-dual flags")
-    label = steps[-1][1]
+    _check_trace(c, tuple([(flag.dims, pos.perm) for flag, pos in steps]))
+
+
+@lru_cache(maxsize=None)
+def _check_trace(
+    c: int, trace: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+) -> None:
+    """Each step's (dimensions, position) against the label's sequence.
+
+    The label is the last position; it must be a minimal coset
+    representative, and step k's flag type (read off its dimensions) and
+    position must be the sequence's.  Only passing traces are kept, so a
+    failing one raises RuntimeError again on every call.
+    """
+    label = WeylElement(c, trace[-1][1])
     I, F = _siegel_frobenius(c)
     if not weyl.in_IW(label):
         raise RuntimeError("fine label escaped the minimal coset representatives")
     seq = bedard.sequence_for(label, I, F)
-    for k, (flag, pos) in enumerate(steps):
-        typ = symplectic.flag_type(flag)
+    for k, (dims, perm) in enumerate(trace):
+        typ = symplectic._type_of_dims(c, dims)
         if typ != seq.type_at(k):
             raise RuntimeError(
                 f"step {k}: flag type {sorted(typ)} differs from the "
                 f"sequence type {sorted(seq.type_at(k))}"
             )
-        if pos.perm != seq.u_at(k).perm:
+        if perm != seq.u_at(k).perm:
             raise RuntimeError(
-                f"step {k}: relative position {pos.perm} differs from the "
+                f"step {k}: relative position {perm} differs from the "
                 f"sequence value {seq.u_at(k).perm}"
             )
 

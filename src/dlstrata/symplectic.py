@@ -25,8 +25,11 @@ Relative position is built directly from the rank table
 dim(C_a cap D_b) = r_w(dim D_b, dim C_a): its second differences count
 the positions each block of one flag sends into each block of the
 other, which fixes the minimal double-coset representative; every table
-entry is then re-checked against r_w of the result, in one pass over w
-per table.  The table is read off ranks of sums, dim C_a + dim D_b -
+entry is then re-checked against r_w of the result.  The position
+depends on the table and the two dimension sets alone, so it is read
+and re-checked once per distinct table and kept; a table that fails is
+not kept, and fails again each time it is met.  The table itself is
+read per pair of flags, off ranks of sums, dim C_a + dim D_b -
 dim(C_a + D_b), with one insertion pass of D's rows into the reduced
 rows of each proper member of C (``linalg.insertion_ranks``), so no
 meet is built for it.  A refinement step returns its relative position
@@ -73,6 +76,7 @@ twists, built without re-checking it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -420,11 +424,13 @@ class Flag:
 
 def flag_type(flag: Flag) -> frozenset[int]:
     """Generator indices not cut by the flag's dimension set."""
-    n = flag.space.n
-    dims = set(flag.dims)
-    return frozenset(
-        i for i in range(1, n + 1) if i not in dims and 2 * n - i not in dims
-    )
+    return _type_of_dims(flag.space.n, flag.dims)
+
+
+def _type_of_dims(n: int, dims: Sequence[int]) -> frozenset[int]:
+    """Generator indices of rank n not cut by the dimension set dims."""
+    cuts = set(dims)
+    return frozenset(i for i in range(1, n + 1) if i not in cuts and 2 * n - i not in cuts)
 
 
 def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
@@ -439,7 +445,9 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     of both, which is the minimal one.  Every table entry is then
     re-checked as dim(C_a cap D_b) = r_w(dim D_b, dim C_a); a table that
     is not the table of a Weyl element (a negative count, a permutation
-    that is not symmetric, or a mismatched entry) raises RuntimeError.
+    that is not symmetric, or a mismatched entry) raises RuntimeError,
+    on every call.  The reading and the re-check run once per distinct
+    table and pair of dimension sets, which is all they depend on.
     Both flags must have symmetric dimension sets, as self-dual flags
     do.  The argument order in r_w is what makes the normalization
     match the coset machinery: for the standard flag E and a permuted
@@ -478,16 +486,31 @@ def _rank_table(flag_c: Flag, flag_d: Flag) -> list[list[int]]:
 
 
 def _table_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[int]], WeylElement]:
-    """The rank table (row a, column b) and the position it gives."""
+    """The rank table (row a, column b) and the position it gives.
+
+    The table is read per pair of flags; the position is a function of
+    the table and the two dimension sets alone, so it is read and
+    re-checked once per distinct table (``_position_of_table``).
+    """
     if flag_c.space is not flag_d.space:
         raise ValueError("flags live in different spaces")
-    space = flag_c.space
-    for flag in (flag_c, flag_d):
-        dims = set(flag.dims)
-        if any(space.dim - d not in dims for d in dims):
-            raise ValueError(f"dimension set {flag.dims} is not symmetric")
     table = _rank_table(flag_c, flag_d)
-    cdims, ddims = flag_c.dims, flag_d.dims
+    key = tuple(map(tuple, table))
+    return table, _position_of_table(flag_c.space.n, flag_c.dims, flag_d.dims, key)
+
+
+@lru_cache(maxsize=None)
+def _position_of_table(
+    n: int, cdims: tuple[int, ...], ddims: tuple[int, ...], table: tuple[tuple[int, ...], ...]
+) -> WeylElement:
+    """The position a rank table of flags with these dimensions gives.
+
+    A table that is not the table of a Weyl element raises, and raises
+    again on every call: only returned positions are kept.
+    """
+    for dims in (cdims, ddims):
+        if any(2 * n - d not in dims for d in dims):
+            raise ValueError(f"dimension set {dims} is not symmetric")
     used = list(cdims[:-1])  # last value taken from each flag_c block
     perm: list[int] = []
     for k, (d0, d1) in enumerate(zip(ddims, ddims[1:])):
@@ -501,7 +524,7 @@ def _table_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[int]], We
             perm.extend(range(used[l] + 1, used[l] + count + 1))
             used[l] += count
     try:
-        w = WeylElement(space.n, tuple(perm))
+        w = WeylElement(n, tuple(perm))
     except ValueError as exc:
         raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
     # re-check every entry against r_w(d, c) = #{x <= d : w(x) <= c}, in
@@ -521,7 +544,7 @@ def _table_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[int]], We
                     f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
                     f"from r_w = {below[a]} for w = {w.perm}"
                 )
-    return table, w
+    return w
 
 
 def refine(flag_c: Flag, flag_d: Flag) -> tuple[Flag, WeylElement]:

@@ -270,7 +270,20 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["rows"]
 
 
-def test_bad_flags_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--c", "1"])  # missing required flags
-    assert exc.value.code == 2
+def test_bad_flags_exit_two(capsys):
+    # argument errors, type errors included, are one stderr line each
+    for argv, message in (
+        (["census", "--c", "1"], "dlstrata census: error: the following arguments are required"),
+        (["census", "--c", "x", "--p", "2", "--m", "1"], "dlstrata census: error: argument --c"),
+        (["verify", "--c", "1", "--g", "2", "--p", "2", "--m", "1", "--trials", "1.5"],
+         "dlstrata verify: error: argument --trials"),
+        (["census", "--c", "1", "--m", "1"], "dlstrata census: error: the following arguments are required: --p"),
+        (["nonsense"], "dlstrata: error:"),
+        ([], "dlstrata: error:"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.count("\n") == 1 and captured.err.startswith(message), captured.err

@@ -3,6 +3,7 @@ import pytest
 
 from dlstrata import dlclassify as dc, symplectic as sp, weyl
 from dlstrata.bedard import FrobeniusAction, sequence_for
+from dlstrata.dieudonne import verify_pullback
 from dlstrata.dlclassify import (
     census,
     census_csv_rows,
@@ -12,6 +13,8 @@ from dlstrata.dlclassify import (
 )
 from dlstrata.gf import field
 from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, flag_type
+from dlstrata.weyl import WeylElement
+from tests.test_acceptance import CENSUS_CONFIGS
 
 
 def test_rank_one_examples():
@@ -330,3 +333,95 @@ def test_twist_fixed_points_take_no_null_space(monkeypatch):
     for u in points:
         assert classify_fine(_fresh(u)).is_identity()
     assert null_spaces[0] == 0 and eliminations[0] == 0
+
+
+# Seeded sweeps at odd p and at c = 4: (c, p, k, points, seed) -> the
+# labels, as reduced words, that the seed meets.  The sets were recorded
+# before classification cached its integer checks.
+SWEEPS = {
+    (2, 3, 4, 100, 3): {(), (2,), (2, 1, 2)},
+    (2, 5, 4, 100, 6): {(), (2,), (2, 1, 2)},
+    (4, 2, 4, 60, 0): {(4, 3, 4), (4, 3, 4, 2, 3, 4), (4, 3, 4, 2, 3, 4, 1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWEEPS), ids=lambda k: f"c{k[0]}-p{k[1]}-k{k[2]}")
+def test_seeded_sweep_classifies_checked_and_verifies(key):
+    """Random points over F_81, F_625 (c = 2) and F_16 (c = 4): each is
+    classified with every check on and passes the pullback identity at
+    g = 2c."""
+    c, p, k, points, seed = key
+    space = SymplecticSpace(field(p, k), c)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(points):
+        u = sp.random_lagrangian(space, rng)
+        label = classify_fine(u)
+        assert verify_pullback(u, 2 * c, fine=label), u.rows
+        seen.add(weyl.reduced_word(label))
+    assert seen == SWEEPS[key]
+
+
+S2 = (1, 3, 2, 4)  # the label s2 of rank 2
+
+
+def _s2_steps():
+    """The refinement trace of an s2 point over F_16, classified first so
+    that the tables and the trace it meets are kept."""
+    u = next(u for u in dc._cached_lagrangians(2, 2, 2) if classify_fine(u).perm == S2)
+    steps = dc._refine_to_stable(u, 2)
+    assert [(flag.dims, pos.perm) for flag, pos in steps] == [((0, 2, 4), S2), ((0, 1, 2, 3, 4), S2)]
+    return steps
+
+
+def _raises_twice(steps, message):
+    """A failing trace is not kept: it fails on every call."""
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=message):
+            dc._check_against_sequence(steps, 2)
+
+
+def test_sequence_check_refuses_a_changed_position():
+    (f0, _), step1 = _s2_steps()
+    _raises_twice([(f0, weyl.identity(2)), step1], "differs from the sequence value")
+
+
+def test_sequence_check_refuses_a_changed_flag_type():
+    # the second flag swapped for the first, which is self-dual but of type {1}
+    (f0, p0), (_, p1) = _s2_steps()
+    _raises_twice([(f0, p0), (f0, p1)], "differs from the sequence type")
+
+
+def test_sequence_check_refuses_a_label_outside_the_minimal_representatives():
+    (f0, p0), (f1, p1) = _s2_steps()
+    s1 = WeylElement(2, (2, 1, 4, 3))  # 1 is a left descent, 1 lies in the Siegel type
+    _raises_twice([(f0, p0), (f1, s1)], "escaped the minimal coset representatives")
+
+
+def test_sequence_check_refuses_a_chain_that_is_not_self_dual():
+    (f0, p0), (_, p1) = _s2_steps()
+    space = f0.space
+    unit = np.eye(4, dtype=np.int32)
+    # symmetric dimensions; e1-perp is <e1, e2, e3>, not <e1, e2, e4>
+    skew = Flag([Subspace(space, unit[:1]), Subspace(space, unit[[0, 1, 3]])])
+    _raises_twice([(f0, p0), (skew, p1)], "left the self-dual flags")
+
+
+def test_cold_and_warm_caches_give_the_same_labels():
+    """Every point of every census configuration gets the same label with
+    the kept tables and traces as with both caches emptied before it; the
+    F_16 census keeps one trace per non-empty stratum."""
+    caches = (sp._position_of_table, dc._check_trace)
+    for c, p, m in CENSUS_CONFIGS:
+        points = dc._cached_lagrangians(c, p, m)
+        warm = [classify_fine(u).perm for u in points]
+        cold = []
+        for u in points:
+            for cache in caches:
+                cache.cache_clear()
+            cold.append(classify_fine(u).perm)
+        assert cold == warm, (c, p, m)
+    dc._check_trace.cache_clear()
+    records = census(2, 2, 2)
+    assert sum(r.count > 0 for r in records) == 3
+    assert dc._check_trace.cache_info().currsize == 3

@@ -44,6 +44,6 @@ print("\nsampling random Lagrangians over F_64 (too many to enumerate):")
 labels = {}
 for _ in range(60):
     u = sp.random_lagrangian(space, rng)
-    w = dc.classify_fine(u, check=False)
+    w = dc.classify_fine(u)
     labels[weyl.reduced_word(w) or "e"] = labels.get(weyl.reduced_word(w) or "e", 0) + 1
 print(f"  observed label frequencies: {labels}")

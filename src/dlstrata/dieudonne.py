@@ -8,13 +8,19 @@ natural filtration, five slots of dimensions
 
 with the semilinear operators acting two slots forward:
 
-* V (twist -1) acts by the inclusion of U into L, the identity on K,
-  and the projection L -> L/U;
+* V (twist -1) acts by the inclusion of U into L, the identity on K
+  written in the coordinates K'_i = -K_{k-1-i} of its twist (k =
+  g-2c), and the projection L -> L/U written in the coordinates
+  y_j = -<u_{c-1-j}, x>, well defined because U is Lagrangian;
 * F (twist +1) acts by minus the same three maps, with the Frobenius
-  twists forced by semilinearity;
-* the pairing couples slot 0 with slot 4 through the symplectic form
-  (well defined because U is Lagrangian), slot 2 with itself by minus
-  the form, and the K slots by an antisymmetrized identity block.
+  twists forced by semilinearity.
+
+These coordinates are chosen so that the pairing is exactly the
+standard form J of ``SymplecticSpace(ctx, g)``: slot 0 with slot 4,
+slot 1 with slot 3 and slot 2 with itself, each by the antidiagonal
+block J puts there.  The slot-2 -> slot-4 rows are U . J, U's rows
+reversed with their first c entries negated, so writing them takes no
+product.
 
 The minus signs and twist placements are pinned by three independent
 requirements, all asserted at construction: F and V compose to zero
@@ -24,33 +30,33 @@ adjunction <F x, y> = <x, V y>^p holds on the nose.  Any residual sign
 freedom is harmless and is demonstrated to be so in the tests.  Since
 both products vanish, the images lie in the kernels, and rank-nullity
 turns the two equalities into dim ker F = dim ker V = g, so checking a
-module takes three eliminations: ker F, ker V and the pairing's rank.
+module takes two eliminations: ker F and ker V.  J is F_p-rational, so
+the adjunction is F^T . J = J . Vlin, two signed reversals compared
+entry by entry.
 
-The module's 2g-dimensional space is a ``symplectic.SymplecticSpace``
-whose Gram matrix is the pairing (``SymplecticSpace.from_gram`` checks
-that it is alternating and nondegenerate), so every subspace here is a
+Every module of genus g over a field shares one ``SymplecticSpace``,
+built on first use, so every subspace here is a
 ``symplectic.Subspace``: canonical, immutable, with its complement
-under the pairing cached (and perp is an involution: a complement
-knows its source).  The canonical flag is the smallest chain
+read off its reduced rows and cached (and perp is an involution: a
+complement knows its source).  The canonical flag is the smallest chain
 containing ker V that is stable under V-preimage and complement (Oort
 2001).  The adjunction gives V^{-1}(C) = F(C-perp)-perp for every
 subspace C, and ker V = F(M), so that is also the least set holding 0
 and M that is stable under F-image and complement, and it is closed
 that way: with a worklist, so each member's F-image is computed once,
-one elimination each, a member and its complement share one
-elimination, and a closure that grows past 2g+1 members (the longest
-chain in a 2g-dimensional space) is refused at once.  The members are
-then a ``symplectic.Flag``, which checks the chain, and the flag must
-be self-dual.  Each member's F-image
-dimension is read off the image the closure kept for it; these
-interpolate to the final type psi, and the EO label is the minimal
-Siegel representative w with psi(i) = i - r_w(i, g), read off the
-positions where psi does not jump.
+one elimination each, a complement takes no elimination, and a closure
+that grows past 2g+1 members (the longest chain in a 2g-dimensional
+space) is refused at once.  The members are then a
+``symplectic.Flag``, which checks the chain, and the flag must be
+self-dual.  Each member's F-image dimension is read off the image the
+closure kept for it; these interpolate to the final type psi, and the
+EO label is the minimal Siegel representative w with psi(i) = i -
+r_w(i, g), read off the positions where psi does not jump.
 
-The module is built on rows (see ``linalg``): F, V and the pairing are
-written entry by entry from the point's reduced rows and pivots and
-frozen once, and no numpy runs per point.  ``fmat``, ``vmat`` and
-``pairing`` are read-only arrays of the same matrices, built on access.
+The module is built on rows (see ``linalg``): F and V are written entry
+by entry from the point's reduced rows and pivots and frozen once, and
+no numpy runs per point.  ``fmat``, ``vmat`` and ``pairing`` are
+read-only arrays of the same matrices, built on access.
 
 Modules are immutable after construction (every constructor runs the
 full invariant battery, and ker F and ker V are computed once), so
@@ -60,6 +66,7 @@ label verification over many points can be parallelized trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,14 +83,15 @@ def _read_only(rows: linalg.Rows, ncols: int) -> np.ndarray:
 
 
 class DieudonneModule:
-    """A 2g-dimensional space with semilinear F, V and an alternating pairing.
+    """A 2g-dimensional space with semilinear F, V and the form J_g.
 
     ``f_rows`` and ``v_rows`` are the rows of the matrices of F (twist
     +1) and V (twist -1): F(x) = F . x^[p] and V(x) = V . x^[1/p].  The
-    module's space is a ``SymplecticSpace`` whose Gram rows are the
-    pairing, so its subspaces are ``Subspace`` values with cached
-    complements.  ``fmat``, ``vmat`` and ``pairing`` are the same
-    matrices as read-only int32 arrays, built on each access.
+    pairing is the standard form of ``SymplecticSpace(ctx, g)``, one
+    space per field and genus shared by every module, so its subspaces
+    are ``Subspace`` values with cached complements.  ``fmat``, ``vmat``
+    and ``pairing`` are the same matrices as read-only int32 arrays,
+    built on each access.
     """
 
     def __init__(
@@ -93,7 +101,6 @@ class DieudonneModule:
         c: int,
         f_rows: linalg.Rows,
         v_rows: linalg.Rows,
-        pairing: linalg.Rows,
         slot_bounds: tuple[int, ...],
         point: Subspace | None = None,
     ):
@@ -103,7 +110,7 @@ class DieudonneModule:
         self.dim = 2 * g
         self.f_rows = f_rows
         self.v_rows = v_rows
-        self.space = SymplecticSpace.from_gram(ctx, pairing)
+        self.space = _module_space(ctx, g)
         self.slot_bounds = tuple(slot_bounds)
         self.point = point
         self._ft_rows = tuple(zip(*f_rows))
@@ -168,20 +175,20 @@ class DieudonneModule:
     # -- construction-time checks -------------------------------------------
 
     def _validate(self) -> None:
-        """Every Dieudonné condition, with three eliminations in all.
+        """Every Dieudonné condition, with two eliminations in all.
 
         F.V = 0 and V.F = 0 put im V in ker F and im F in ker V.  With
         dim ker F = g, rank F is g, so ker V = im F exactly when dim
         ker V = g, and then rank V is g too, so ker F = im V: the two
         kernel dimensions decide both equalities, and the images are
-        never eliminated for.  The pairing's rank (``from_gram``) is the
-        third elimination.
+        never eliminated for.  The pairing is J, which is F_p-rational,
+        so the adjunction is F^T . J = J . Vlin, two signed reversals
+        compared entry by entry.
         """
         ctx, dim, g = self.ctx, self.dim, self.g
-        if (self.space.dim != dim
-                or any(len(rows) != dim or any(len(row) != dim for row in rows)
-                       for rows in (self.f_rows, self.v_rows))):
-            raise ValueError("operator and pairing matrices must be 2g x 2g")
+        if any(len(rows) != dim or any(len(row) != dim for row in rows)
+               for rows in (self.f_rows, self.v_rows)):
+            raise ValueError("operator matrices must be 2g x 2g")
         f, vlin = self.f_rows, self._vlin_rows
         if any(map(any, linalg.matmul(ctx, f, vlin, dim))):
             raise RuntimeError("F after V is not zero")
@@ -196,10 +203,7 @@ class DieudonneModule:
             raise RuntimeError(
                 f"dim ker V = {ker_v.dim} != g = {g}: ker V != im F and ker F != im V"
             )
-        omega = self.space.gram_rows
-        lhs = linalg.matmul(ctx, self._ft_rows, omega, dim)
-        rhs = linalg.matmul(ctx, linalg.frob_map(ctx, omega, 1), vlin, dim)
-        if lhs != rhs:
+        if self.space.times_form(self._ft_rows) != self.space.form_times(vlin):
             raise RuntimeError("adjunction <Fx, y> = <x, Vy>^p fails")
         if self.point is not None:
             self._check_kernel_shapes()
@@ -230,22 +234,26 @@ class DieudonneModule:
         )
 
 
+@lru_cache(maxsize=None)
+def _module_space(ctx: FieldCtx, g: int) -> SymplecticSpace:
+    """The space of every genus-g module over the field, built on first use."""
+    return SymplecticSpace(ctx, g)
+
+
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     """The split graded module of a Lagrangian point, for genus g >= 2c.
 
-    F, V and the pairing are written entry by entry from the point's
-    reduced rows and pivots into zero rows, and each is frozen once.
+    F and V are written entry by entry from the point's reduced rows
+    and U . J, a signed reversal of them, into zero rows, and each is
+    frozen once.
     """
     space = u.space
     ctx, c = space.ctx, space.n
     if 2 * c > g:
         raise ValueError("genus must be at least twice the point rank")
-    # the rows of U times the form give both the Lagrangian check and
-    # the pairing of slot 0 with slot 4
-    ug = linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c)
-    if u.dim != c or any(map(any, linalg.matmul(ctx, ug, tuple(zip(*u.rows)), c))):
+    if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
-    dim = 2 * g
+    dim, k = 2 * g, g - 2 * c
     bounds = (0, c, g - c, g + c, 2 * g - c, 2 * g)
     _, s1, s2, s3, s4, _ = bounds  # where slots 1..4 start
     neg = ctx.neg_list
@@ -253,41 +261,24 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     up, down = ctx.frob_lists[1 % ctx.k], ctx.frob_lists[-1 % ctx.k]
     f = [[0] * dim for _ in range(dim)]
     v = [[0] * dim for _ in range(dim)]
-    omega = [[0] * dim for _ in range(dim)]
 
     # slot 0 -> slot 2: U into L, its basis vectors as columns
     for j, row in enumerate(u.rows):
         for r, x in enumerate(row):
             f[s2 + r][j] = neg[up[x]]
             v[s2 + r][j] = down[x]
-    # slot 1 -> slot 3: the identity on K, and K paired with its twist
-    for i in range(g - 2 * c):
-        f[s3 + i][s1 + i] = minus_one
-        v[s3 + i][s1 + i] = 1
-        omega[s1 + i][s3 + i] = 1
-        omega[s3 + i][s1 + i] = minus_one
-    # slot 2 -> slot 4: L -> L/U, in the coordinates of the non-pivot
-    # columns W, x -> x[W] minus the U-part, and slot 0 paired with
-    # slot 4 through the form
-    nonpivots = [col for col in range(2 * c) if col not in u.pivots]
-    for j, col in enumerate(nonpivots):
-        target_f, target_v = f[s4 + j], v[s4 + j]
-        target_f[s2 + col] = minus_one
-        target_v[s2 + col] = 1
-        for row, pcol in zip(u.rows, u.pivots):
-            target_f[s2 + pcol] = row[col]
-            target_v[s2 + pcol] = neg[row[col]]
-        for i, urow in enumerate(ug):
-            omega[i][s4 + j] = urow[col]
-            omega[s4 + j][i] = neg[urow[col]]
-    # slot 2 with itself: minus the form
-    for r, grow in enumerate(space.gram_rows):
-        omega[s2 + r][s2 : s2 + 2 * c] = [neg[x] for x in grow]
+    # slot 1 -> slot 3: the identity on K, into reversed, negated
+    # coordinates of its twist
+    for i in range(k):
+        f[s3 + i][s1 + k - 1 - i] = 1
+        v[s3 + i][s1 + k - 1 - i] = minus_one
+    # slot 2 -> slot 4: L -> L/U, in the coordinates y_j = -<u_{c-1-j}, x>
+    for j, urow in enumerate(reversed(space.times_form(u.rows))):
+        f[s4 + j][s2 : s2 + 2 * c] = urow
+        v[s4 + j][s2 : s2 + 2 * c] = [neg[x] for x in urow]
 
     freeze = lambda mat: tuple(map(tuple, mat))
-    return DieudonneModule(
-        ctx, g, c, freeze(f), freeze(v), freeze(omega), bounds, point=u
-    )
+    return DieudonneModule(ctx, g, c, freeze(f), freeze(v), bounds, point=u)
 
 
 @dataclass(frozen=True)
@@ -315,14 +306,15 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     V^{-1}(C) = F(C-perp)-perp for every subspace C, so a set closed
     under complement is closed under V-preimage exactly when it is
     closed under F-image, and F(M) = ker V = V^{-1}(0).  The closure
-    runs as a worklist: each new member gets its F-image once and its
-    complement once (cached on the member, so the self-duality check
-    reuses it; a complement knows its source, so the complement of a
-    complement costs nothing), and the images are kept, so each
-    member's F-image dimension is read off its image.  The result is the least closed
-    set, whatever the order of the work.  A chain in a 2g-dimensional
-    space has at most 2g+1 members, so a closure that grows past that
-    raises RuntimeError at once.  The members must form a ``Flag`` that
+    runs as a worklist: each new member gets its F-image once, one
+    elimination, and its complement once, read off its reduced rows
+    with no elimination (cached on the member, so the self-duality
+    check reuses it; a complement knows its source, so the complement
+    of a complement costs nothing), and the images are kept, so each
+    member's F-image dimension is read off its image.  The result is
+    the least closed set, whatever the order of the work.  A chain in a
+    2g-dimensional space has at most 2g+1 members, so a closure that
+    grows past that raises RuntimeError at once.  The members must form a ``Flag`` that
     is self-dual, and on each gap the F-image dimension must grow by
     zero or by the full gap (the dichotomy the final type is read
     from).  Violations raise RuntimeError.

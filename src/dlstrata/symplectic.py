@@ -3,17 +3,14 @@
 Conventions (recorded here because any symplectic change of basis
 conjugates everything):
 
-* the Gram matrix of ``SymplecticSpace(ctx, n)`` is antidiagonal, +1
-  in rows 1..n and -1 in rows n+1..2n, with entries in the prime field,
-  so the standard coordinate flag is self-dual and Frobenius twisting
-  commutes with perp;
-* ``SymplecticSpace.from_gram`` gives a space any other alternating
-  nondegenerate form, given as code rows (the pairing of a Dieudonné
-  module); the space keeps the rows and ``gram`` is a read-only array
-  of them, built on access; subspaces,
-  complements and flags work in it alike, while Lagrangian enumeration
-  and the twist-perp commutation assume the antidiagonal
-  form;
+* there is one form: the Gram matrix J of ``SymplecticSpace(ctx, n)``
+  is antidiagonal, +1 in rows 1..n and -1 in rows n+1..2n, with entries
+  in the prime field, so the standard coordinate flag is self-dual and
+  Frobenius twisting commutes with perp; the Dieudonné modules are
+  written in coordinates where their pairing is this J too, so a
+  product with J anywhere is a signed reversal of rows
+  (``SymplecticSpace.times_form``, ``form_times``), and a complement is
+  read off reduced rows and pivots by index work alone;
 * subspaces are row spans stored as their reduced row echelon rows, a
   tuple of tuples of codes with the pivot columns beside it; the rows
   are the equality and hash key, and ``Subspace.basis`` is the same
@@ -39,9 +36,10 @@ join are built only when the join's dimension lies strictly between the
 two members it sits between, and a flag the table shows stable comes
 back as it is.
 
-Self-duality is checked by pairing products: a flag with symmetric
-dimensions is self-dual iff each member is orthogonal to the member of
-complementary dimension, so no complement is computed; a complement
+Self-duality is checked by pairing products (one each, since C . J is
+a signed reversal): a flag with symmetric dimensions is self-dual iff
+each member is orthogonal to the member of complementary dimension, so
+no complement is computed; a complement
 already cached (the canonical closure caches one for every member) is
 compared by rows instead.  A subspace pairs itself with the form once
 and keeps the answer, so the Lagrangian check of a point and the
@@ -89,12 +87,13 @@ from .weyl import WeylElement
 
 
 class SymplecticSpace:
-    """F_q^{2n} with an alternating nondegenerate form.
+    """F_q^{2n} with the fixed antidiagonal alternating form J.
 
-    ``SymplecticSpace(ctx, n)`` carries the fixed antidiagonal form; any
-    other form comes through ``from_gram``.  ``gram_rows`` is the Gram
-    matrix as rows, and ``gram`` the same as a read-only int32 array,
-    built on each access.
+    ``gram_rows`` is J as rows, and ``gram`` the same as a read-only
+    int32 array, built on each access.  J is +1 at (i, 2n-1-i) for
+    i < n and -1 for i >= n, so a product with it is a signed reversal
+    (``times_form``, ``form_times``) and takes no arithmetic beyond
+    negation.
     """
 
     def __init__(self, ctx: FieldCtx, n: int):
@@ -107,35 +106,10 @@ class SymplecticSpace:
             row = [0] * dim
             row[dim - 1 - i] = 1 if i < n else minus_one
             rows.append(tuple(row))
-        self._init_from_gram(ctx, tuple(rows))
-
-    @classmethod
-    def from_gram(cls, ctx: FieldCtx, gram: Sequence[Sequence[int]]) -> "SymplecticSpace":
-        """The space whose form has the Gram matrix with these code rows.
-
-        The matrix must be square of positive even size, alternating
-        (antisymmetric with zero diagonal) and nondegenerate (one
-        elimination); otherwise ValueError.
-        """
-        rows = tuple(map(tuple, gram))
-        dim = len(rows)
-        if dim == 0 or dim % 2 or any(len(row) != dim for row in rows):
-            raise ValueError("Gram matrix must be square of positive even size")
-        neg = ctx.neg_list
-        if any(row[i] or any(x != neg[y] for x, y in zip(row, col))
-               for i, (row, col) in enumerate(zip(rows, zip(*rows)))):
-            raise ValueError("pairing is not alternating")
-        if linalg.rank(ctx, rows, dim) != dim:
-            raise ValueError("pairing is degenerate")
-        obj = cls.__new__(cls)
-        obj._init_from_gram(ctx, rows)
-        return obj
-
-    def _init_from_gram(self, ctx: FieldCtx, rows: linalg.Rows) -> None:
         self.ctx = ctx
-        self.n = len(rows) // 2
-        self.dim = len(rows)
-        self.gram_rows = rows
+        self.n = n
+        self.dim = dim
+        self.gram_rows = tuple(rows)
 
     @property
     def gram(self) -> np.ndarray:
@@ -143,6 +117,21 @@ class SymplecticSpace:
         out = linalg.as_array(self.gram_rows, self.dim)
         out.flags.writeable = False
         return out
+
+    def times_form(self, rows: Sequence[Sequence[int]]) -> linalg.Rows:
+        """rows . J: each row reversed, with its first n entries negated."""
+        neg, n = self.ctx.neg_list, self.n
+        out = []
+        for row in rows:
+            rev = tuple(row[::-1])
+            out.append(tuple([neg[x] for x in rev[:n]]) + rev[n:])
+        return tuple(out)
+
+    def form_times(self, rows: Sequence[Sequence[int]]) -> linalg.Rows:
+        """J . rows: the rows in reverse order, the last n of them negated."""
+        neg, n = self.ctx.neg_list, self.n
+        rev = [tuple(row) for row in rows[::-1]]
+        return tuple(rev[:n]) + tuple([tuple([neg[x] for x in row]) for row in rev[n:]])
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(F_{self.ctx.q}, 2n={self.dim})"
@@ -270,6 +259,13 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Orthogonal complement under the symplectic form; computed once.
 
+        Read off the reduced rows and pivots, with no product and no
+        elimination: C-perp is J^{-1} of the null space of C, and for
+        each free column f of C, taken in decreasing order, its row is
+        1 at 2n-1-f and +-C[r][f] at 2n-1-p_r for every pivot p_r < f,
+        with the sign -1 when p_r and f lie on the same side of n.
+        Those rows lead at the mirrored free columns and are zero at
+        each other's leading columns, so they are the reduced rows.
         The form is nondegenerate, so perp is an involution: the
         complement records this subspace as its own complement, and
         asking it back costs nothing.
@@ -281,8 +277,23 @@ class Subspace:
             elif self.dim == space.dim:
                 out = zero_subspace(space)
             else:
-                prod = linalg.matmul(space.ctx, self.rows, space.gram_rows, space.dim)
-                out = Subspace._from_rref(space, linalg.nullspace(space.ctx, prod, space.dim))
+                neg, n, last = space.ctx.neg_list, space.n, space.dim - 1
+                pivot_set = set(self.pivots)
+                rows, pivots = [], []
+                for f in range(last, -1, -1):
+                    if f in pivot_set:
+                        continue
+                    vec = [0] * space.dim
+                    vec[last - f] = 1
+                    for row, p in zip(self.rows, self.pivots):
+                        if p > f:
+                            break
+                        x = row[f]
+                        if x:
+                            vec[last - p] = neg[x] if (p < n) == (f < n) else x
+                    rows.append(tuple(vec))
+                    pivots.append(last - f)
+                out = Subspace._from_rref(space, tuple(rows), tuple(pivots))
             out._perp = self
             self._perp = out
         return self._perp
@@ -291,9 +302,9 @@ class Subspace:
         """Entrywise p^r power of the basis (echelon form and pivots are kept).
 
         0 and the whole space are their own twists, and come back as
-        they are.  The complement is not carried, since a form from
-        ``from_gram`` need not be Frobenius-fixed, and for the same
-        reason neither is the answer of ``is_isotropic``.
+        they are.  The form is F_p-rational, so the twist of the
+        complement is the complement of the twist; neither that nor the
+        answer of ``is_isotropic`` is carried over.
         """
         if self.dim == 0 or self.dim == self.space.dim:
             return self
@@ -303,13 +314,15 @@ class Subspace:
 
     def is_orthogonal_to(self, other: "Subspace") -> bool:
         """Whether the form pairs every vector of self with every vector
-        of other to zero: two products, and no elimination."""
+        of other to zero: self . J by signed reversal, one product, and
+        no elimination."""
         _check_same_space(self, other)
         if self.dim == 0 or other.dim == 0:
             return True
         space = self.space
-        g = linalg.matmul(space.ctx, self.rows, space.gram_rows, space.dim)
-        prod = linalg.matmul(space.ctx, g, tuple(zip(*other.rows)), other.dim)
+        prod = linalg.matmul(
+            space.ctx, space.times_form(self.rows), tuple(zip(*other.rows)), other.dim
+        )
         return not any(map(any, prod))
 
     def is_isotropic(self) -> bool:
@@ -402,7 +415,7 @@ class Flag:
         the other member's rows.  The middle member, paired with itself,
         asks ``Subspace.is_isotropic``, which pairs it once and keeps the
         answer: a refinement flag's middle member is the Lagrangian the
-        classifier already checked.  Any other pair takes two products
+        classifier already checked.  Any other pair takes one product
         (``Subspace.is_orthogonal_to``) and no null space.
         """
         members, dims, full = self.members, self.dims, self.space.dim
@@ -717,7 +730,7 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
         lam = int(rng.integers(1, ctx.q))
         # t = 1 + lam v a^T with a = G^T v: row i is unit row i plus
         # (lam v_i) a
-        (a,) = linalg.matmul(ctx, [v], space.gram_rows, two_n)
+        (a,) = space.times_form([v])
         t = tuple(
             tuple([add[e][scale[x]] for e, x in zip(unit, a)])
             for unit, scale in zip(linalg.identity(two_n), (mul[mul[lam][vi]] for vi in v))
@@ -725,7 +738,7 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
         g = linalg.matmul(ctx, t, g, two_n)
         factors += 1
     gt = tuple(zip(*g))
-    prod = linalg.matmul(ctx, linalg.matmul(ctx, gt, space.gram_rows, two_n), g, two_n)
+    prod = linalg.matmul(ctx, space.times_form(gt), g, two_n)
     if prod != space.gram_rows:
         raise RuntimeError("transvection product failed to preserve the form")
     return linalg.as_array(g, two_n)

@@ -64,18 +64,23 @@ def inverse(ctx, rows: Sequence[Sequence[int]]) -> linalg.Rows:
 
 
 def transport(mod: DieudonneModule, s: np.ndarray) -> DieudonneModule:
-    """The isomorphic module in the basis x = S x'."""
+    """The isomorphic module in the basis x = S x', for S in Sp(2g).
+
+    The pairing becomes S^T J S, which must be J again, since every
+    module's pairing is the standard form; ValueError otherwise.
+    """
     ctx, dim = mod.ctx, mod.dim
     s_rows = linalg.as_rows(s)
+    s_t = linalg.as_rows(s.T)
+    gram = mod.space.gram_rows
+    if linalg.matmul(ctx, linalg.matmul(ctx, s_t, gram, dim), s_rows, dim) != gram:
+        raise ValueError("S^T J S != J: the matrix is not symplectic")
     s_inv = inverse(ctx, s_rows)
     f2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, mod.f_rows, dim),
                        linalg.frob_map(ctx, s_rows, 1), dim)
     v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, mod.v_rows, dim),
                        linalg.frob_map(ctx, s_rows, -1), dim)
-    s_t = linalg.as_rows(s.T)
-    w2 = linalg.matmul(ctx, linalg.matmul(ctx, s_t, mod.space.gram_rows, dim),
-                       s_rows, dim)
-    return DieudonneModule(ctx, mod.g, mod.c, f2, v2, w2, mod.slot_bounds, point=None)
+    return DieudonneModule(ctx, mod.g, mod.c, f2, v2, mod.slot_bounds, point=None)
 
 
 # -- flags ----------------------------------------------------------------------

@@ -8,11 +8,11 @@ import pytest
 
 from tests import ROOT, src_env
 
-# sha256 of each demo's stdout.  03_lagrangian_census.py is left out: it
-# takes seconds, and the acceptance suite already runs its census path.
+# sha256 of each demo's stdout.
 DEMO_DIGESTS = {
     "01_weyl_group_tour.py": "e5a25f3833450b1a943c540186ee1dce62e0c2aa8f9a26de4d092604ebd5eab9",
     "02_fine_strata_tables.py": "ba60cd0605fe59d839fb2a72aedc6fc7ebe17b163fa17cf4a3dd75b3ca88e96c",
+    "03_lagrangian_census.py": "a205a766940ab49694f38a4af6fd81aab7e0d8931abc6b1c0ed3b84d11b29303",
     "04_eo_types.py": "831b4a06fc50979dd6e333962488cfd8c827836676c35b0a24ffffd26acfb779",
 }
 

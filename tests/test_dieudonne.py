@@ -74,10 +74,13 @@ def _complement(mod, rows):
 
 
 def _build_by_arrays(u, g):
-    """The numpy block assembly that ``build_from_lagrangian`` replaced.
+    """The module's matrices, assembled as int32 arrays by slice assignment.
 
-    Kept as the reference: the operator and pairing blocks are written
-    into int32 arrays by slice assignment.  Returns (F, V, pairing).
+    Kept as the reference for ``build_from_lagrangian``: the blocks are
+    written from their definitions (K into the twist's coordinates
+    K'_i = -K_{k-1-i}, L/U into y_j = -<u_{c-1-j}, x> with U . J a
+    product with the Gram matrix, and the pairing J_g unit by unit),
+    with no signed reversal.  Returns (F, V, pairing).
     """
     space = u.space
     ctx, c = space.ctx, space.n
@@ -85,18 +88,11 @@ def _build_by_arrays(u, g):
     s0, s1, s2 = slice(0, c), slice(c, g - c), slice(g - c, g + c)
     s3, s4 = slice(g + c, 2 * g - c), slice(2 * g - c, 2 * g)
 
-    basis, pivots = u.basis, u.pivots
-    nonpiv = [j for j in range(2 * c) if j not in pivots]
-    m_u = basis.T.copy()  # 2c x c, columns are the point's basis vectors
-    m_w = zeros(2 * c, c)
-    for j, col in enumerate(nonpiv):
-        m_w[col, j] = 1
-    # W-coordinates of x: x[nonpivot] minus the U-part contribution
-    p_w = zeros(c, 2 * c)
-    for j, col in enumerate(nonpiv):
-        p_w[j, col] = 1
-        for i, pcol in enumerate(pivots):
-            p_w[j, pcol] = ctx.neg[basis[i, col]]
+    m_u = u.basis.T.copy()  # 2c x c, columns are the point's basis vectors
+    # row j: x -> <u_{c-1-j}, x>, the rows of U . J in reverse order
+    uj = linalg.as_array(linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c), 2 * c)
+    pair_u = uj[::-1].copy()
+    swap = eye(k)[::-1].copy()  # K_{k-1-i} -> position i
 
     neg = lambda mat: ctx.neg[mat]
     frob = lambda mat, r: tables(ctx).frob[r % ctx.k][mat]
@@ -104,24 +100,19 @@ def _build_by_arrays(u, g):
     a = zeros(dim, dim)
     a[s2, s0] = neg(frob(m_u, 1))
     if k:
-        a[s3, s1] = neg(eye(k))
-    a[s4, s2] = neg(p_w)
+        a[s3, s1] = swap
+    a[s4, s2] = pair_u
 
     b = zeros(dim, dim)
     b[s2, s0] = frob(m_u, -1)
     if k:
-        b[s3, s1] = eye(k)
-    b[s4, s2] = p_w
+        b[s3, s1] = neg(swap)
+    b[s4, s2] = neg(pair_u)
 
-    ug = linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c)
-    p04 = linalg.as_array(linalg.matmul(ctx, ug, linalg.as_rows(m_w), c), c)
+    # J_g: +1 at (i, 2g-1-i) for i < g, -1 below
     omega = zeros(dim, dim)
-    omega[s0, s4] = p04
-    omega[s4, s0] = neg(p04.T)
-    if k:
-        omega[s1, s3] = eye(k)
-        omega[s3, s1] = neg(eye(k))
-    omega[s2, s2] = neg(space.gram)
+    for i in range(dim):
+        omega[i, dim - 1 - i] = 1 if i < g else ctx.neg[1]
     return a, b, omega
 
 
@@ -183,13 +174,12 @@ def test_matrices_are_read_only_arrays_of_the_rows(f16_line):
             mat[0, 0] = 1
 
 
-def _edited(mod, f_rows=None, v_rows=None, pairing=None):
+def _edited(mod, f_rows=None, v_rows=None):
     """The module's data with some matrices replaced, as a new module."""
     return DieudonneModule(
         mod.ctx, mod.g, mod.c,
         mod.f_rows if f_rows is None else f_rows,
         mod.v_rows if v_rows is None else v_rows,
-        mod.space.gram_rows if pairing is None else pairing,
         mod.slot_bounds, point=None,
     )
 
@@ -209,7 +199,6 @@ def test_each_failed_check_raises_its_own_message(f16_line):
         (dict(f_rows=zero, v_rows=zero), r"dim ker F = 6 != g = 3"),
         # V = 0 passes both products and ker F, and must fail at ker V
         (dict(v_rows=zero), r"dim ker V = 6 != g = 3"),
-        (dict(pairing=zero), "degenerate"),
         (dict(f_rows=mod.f_rows[:-1]), "2g x 2g"),
     ):
         with pytest.raises((RuntimeError, ValueError), match=match):
@@ -510,9 +499,12 @@ def test_final_type_is_the_r_w_definition():
             assert final_type_of(w, g) == want
 
 
-def test_build_and_closure_take_at_most_eleven_eliminations(monkeypatch):
-    # three to build and check a module (the pairing's rank, ker F and
-    # ker V), and one per F-image and per complement pair in the closure
+def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
+    # two to build and check a module (ker F and ker V), one per F-image
+    # of a proper member in the closure, and none per complement; every
+    # complement read off reduced rows is the null space of C . J
+    from .test_symplectic import _generic_perp
+
     calls = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or rref(*args))
@@ -520,10 +512,13 @@ def test_build_and_closure_take_at_most_eleven_eliminations(monkeypatch):
     for u in dc._cached_lagrangians(2, 2, 2):
         calls.clear()
         mod = build_from_lagrangian(u, 5)
-        assert len(calls) == 3
-        canonical_flag(mod)
+        assert len(calls) == 2
+        flag = canonical_flag(mod)
+        assert len(calls) == 2 + len(flag.members) - 2
         counts.append(len(calls))
-    assert len(counts) == 4369 and max(counts) <= 11
+        for m in flag.members:
+            assert m.perp().rows == _generic_perp(m)
+    assert len(counts) == 4369 and max(counts) == 7
 
 
 def test_final_type_map_is_injective_on_representatives():
@@ -566,17 +561,23 @@ def test_psi_duality_and_flag_self_duality(f16_line, f16_rational_line):
 
 
 def test_eo_type_is_basis_independent(f16_line):
-    mod = build_from_lagrangian(f16_line, 2)
-    eo = eo_type(mod)
-    rng = np.random.default_rng(8)
-    ctx = mod.ctx
-    for _ in range(5):
-        while True:
-            s = rng.integers(0, ctx.q, size=(mod.dim, mod.dim)).astype(np.int32)
-            if linalg.rank(ctx, linalg.as_rows(s), mod.dim) == mod.dim:
-                break
-        moved = transport(mod, s)
-        assert eo_type(moved).w.perm == eo.w.perm
+    # random Sp(2g) elements keep the pairing J, so the moved module is
+    # a module of the same shared space
+    import dlstrata.symplectic as sp
+
+    for g in (2, 3):
+        mod = build_from_lagrangian(f16_line, g)
+        eo = eo_type(mod)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            moved = transport(mod, sp.random_symplectic(mod.space, rng))
+            assert moved.space is mod.space
+            assert eo_type(moved).w.perm == eo.w.perm
+    # an invertible matrix that is not symplectic is refused
+    s = eye(mod.dim)
+    s[0, 1] = 1
+    with pytest.raises(ValueError, match="not symplectic"):
+        transport(mod, s)
 
 
 def test_sign_freedom_in_the_middle_blocks(f16_line):
@@ -594,9 +595,7 @@ def test_sign_freedom_in_the_middle_blocks(f16_line):
         f2[lo3:hi3, lo1:hi1] = ctx.neg[f2[lo3:hi3, lo1:hi1]]
         v2[lo3:hi3, lo1:hi1] = ctx.neg[v2[lo3:hi3, lo1:hi1]]
         f2, v2 = linalg.as_rows(f2), linalg.as_rows(v2)
-        flipped = DieudonneModule(
-            ctx, mod.g, mod.c, f2, v2, mod.space.gram_rows, mod.slot_bounds, point=mod.point
-        )
+        flipped = DieudonneModule(ctx, mod.g, mod.c, f2, v2, mod.slot_bounds, point=mod.point)
         assert eo_type(flipped).w.perm == eo_type(mod).w.perm
         if ctx.p != 2:  # at p = 2 the flip is the identity
             with pytest.raises(RuntimeError, match="adjunction"):

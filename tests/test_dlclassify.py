@@ -293,9 +293,10 @@ def test_top_stratum_classifies_with_two_eliminations(monkeypatch):
     rows and its join U + U' one more, the refined flag's two
     containment checks are one insertion pass each, and the next rank
     table is one insertion pass per proper member, three in all.  No
-    point takes a null space.  U is paired with itself once, in two
-    products, for its Lagrangian check and every self-duality check; an
-    s2 point's second flag pairs its line with U + U' in two more.
+    point takes a null space.  U is paired with itself once, in one
+    product (U . J is a signed reversal), for its Lagrangian check and
+    every self-duality check; an s2 point's second flag pairs its line
+    with U + U' in one more.
     Counted with the check on; every reduction pass counts, ``rref``
     and insertion passes alike, containment included."""
     passes = [_counting(monkeypatch, "rref"), _counting(monkeypatch, "insertion_ranks")]
@@ -303,7 +304,7 @@ def test_top_stratum_classifies_with_two_eliminations(monkeypatch):
     products = _counting(monkeypatch, "matmul")
     top = max(weyl.enumerate_IW(2), key=weyl.length).perm
     # most reduction passes, null spaces and products per point of a stratum
-    bounds = {top: (1, 0, 2), (1, 3, 2, 4): (8, 0, 4), (1, 2, 3, 4): (1, 0, 2)}
+    bounds = {top: (1, 0, 1), (1, 3, 2, 4): (8, 0, 2), (1, 2, 3, 4): (1, 0, 1)}
     seen = dict.fromkeys(bounds, 0)
     all_null_spaces = 0
     for u in dc._cached_lagrangians(2, 2, 2):
@@ -336,20 +337,25 @@ def test_twist_fixed_points_take_no_null_space(monkeypatch):
 
 
 # Seeded sweeps at odd p and at c = 4: (c, p, k, points, seed) -> the
-# labels, as reduced words, that the seed meets.  The sets were recorded
-# before classification cached its integer checks.
+# labels, as reduced words, that the seed meets.  The c = 2 and c = 4
+# sets were recorded before classification cached its integer checks,
+# the c = 3 sets before the modules were written in the basis where
+# their pairing is the standard form.
 SWEEPS = {
     (2, 3, 4, 100, 3): {(), (2,), (2, 1, 2)},
     (2, 5, 4, 100, 6): {(), (2,), (2, 1, 2)},
+    (3, 3, 4, 100, 2): {(3,), (3, 2, 3), (3, 2, 3, 1, 2, 3)},
+    (3, 5, 4, 100, 1): {(3, 2, 3), (3, 2, 3, 1, 2, 3)},
     (4, 2, 4, 60, 0): {(4, 3, 4), (4, 3, 4, 2, 3, 4), (4, 3, 4, 2, 3, 4, 1, 2, 3, 4)},
 }
 
 
 @pytest.mark.parametrize("key", sorted(SWEEPS), ids=lambda k: f"c{k[0]}-p{k[1]}-k{k[2]}")
 def test_seeded_sweep_classifies_checked_and_verifies(key):
-    """Random points over F_81, F_625 (c = 2) and F_16 (c = 4): each is
-    classified with every check on and passes the pullback identity at
-    g = 2c."""
+    """Random points over F_81, F_625 (c = 2 and 3) and F_16 (c = 4):
+    each is classified with every check on and passes the pullback
+    identity at g = 2c and at g = 2c + 1, where the K slots are not
+    empty."""
     c, p, k, points, seed = key
     space = SymplecticSpace(field(p, k), c)
     rng = np.random.default_rng(seed)
@@ -357,7 +363,8 @@ def test_seeded_sweep_classifies_checked_and_verifies(key):
     for _ in range(points):
         u = sp.random_lagrangian(space, rng)
         label = classify_fine(u)
-        assert verify_pullback(u, 2 * c, fine=label), u.rows
+        for g in (2 * c, 2 * c + 1):
+            assert verify_pullback(u, g, fine=label), (g, u.rows)
         seen.add(weyl.reduced_word(label))
     assert seen == SWEEPS[key]
 

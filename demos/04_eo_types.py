@@ -42,7 +42,7 @@ u = pts[500]
 module = dd.build_from_lagrangian(u, 5)
 eo = dd.eo_type(module)
 fine = dc.classify_fine(u)
-print(f"  point basis rows {u.basis.tolist()}")
+print(f"  point basis rows {[list(r) for r in u.rows]}")
 print(f"  fine label word {weyl.reduced_word(fine) or 'e'}")
 print(f"  psi = {eo.psi}")
 print(f"  identity holds: {eo.w.perm == weyl.r_map_inv(fine, 5).perm}")

@@ -25,14 +25,19 @@ product.
 The minus signs and twist placements are pinned by three independent
 requirements, all asserted at construction: F and V compose to zero
 with matching kernels and images (the mod-p Dieudonné conditions), the
-kernels project onto U and its p-twist inside the middle slot, and the
-adjunction <F x, y> = <x, V y>^p holds on the nose.  Any residual sign
+kernels project inside the middle slot onto the twists sigma^{-1} U
+(ker F) and sigma U (ker V), sigma the p-power, and the adjunction
+<F x, y> = <x, V y>^p holds on the nose.  Any residual sign
 freedom is harmless and is demonstrated to be so in the tests.  Since
 both products vanish, the images lie in the kernels, and rank-nullity
 turns the two equalities into dim ker F = dim ker V = g, so checking a
-module takes two eliminations: ker F and ker V.  J is F_p-rational, so
-the adjunction is F^T . J = J . Vlin, two signed reversals compared
-entry by entry.
+module takes two eliminations: the null spaces of the matrices F and
+Vlin = V^(p).  The second is ker V.  The first is sigma(ker F), since
+F(x) = F . x^(p) vanishes exactly when x^(p) is a null vector, so the
+construction checks it against the pull-back of U itself, and ker F
+is its sigma^{-1}-twist, taken on first call with no elimination.  J
+is F_p-rational, so the adjunction is F^T . J = J . Vlin, two signed
+reversals compared entry by entry.
 
 Every module of genus g over a field shares one ``SymplecticSpace``,
 built on first use, so every subspace here is a
@@ -55,12 +60,11 @@ r_w(i, g), read off the positions where psi does not jump.
 
 The module is built on rows (see ``linalg``): F and V are written entry
 by entry from the point's reduced rows and pivots and frozen once, and
-no numpy runs per point.  ``fmat``, ``vmat`` and ``pairing`` are
-read-only arrays of the same matrices, built on access.
+no numpy runs per point.  Rows are the module's only matrix form.
 
 Modules are immutable after construction (every constructor runs the
-full invariant battery, and ker F and ker V are computed once), so
-label verification over many points can be parallelized trivially.
+full invariant battery, and each kernel is computed once), so label
+verification over many points can be parallelized trivially.
 """
 
 from __future__ import annotations
@@ -68,18 +72,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import dlclassify, linalg, weyl
 from .gf import FieldCtx
 from .symplectic import Flag, Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
-
-
-def _read_only(rows: linalg.Rows, ncols: int) -> np.ndarray:
-    out = linalg.as_array(rows, ncols)
-    out.flags.writeable = False
-    return out
 
 
 class DieudonneModule:
@@ -89,9 +85,7 @@ class DieudonneModule:
     +1) and V (twist -1): F(x) = F . x^[p] and V(x) = V . x^[1/p].  The
     pairing is the standard form of ``SymplecticSpace(ctx, g)``, one
     space per field and genus shared by every module, so its subspaces
-    are ``Subspace`` values with cached complements.  ``fmat``, ``vmat``
-    and ``pairing`` are the same matrices as read-only int32 arrays,
-    built on each access.
+    are ``Subspace`` values with cached complements.
     """
 
     def __init__(
@@ -116,45 +110,17 @@ class DieudonneModule:
         self._ft_rows = tuple(zip(*f_rows))
         self._vlin_rows = linalg.frob_map(ctx, v_rows, 1)
         self._ker_f: Subspace | None = None
-        self._ker_v: Subspace | None = None
         self._validate()
 
-    @property
-    def fmat(self) -> np.ndarray:
-        return _read_only(self.f_rows, self.dim)
-
-    @property
-    def vmat(self) -> np.ndarray:
-        return _read_only(self.v_rows, self.dim)
-
-    @property
-    def pairing(self) -> np.ndarray:
-        return self.space.gram
-
     def kernel_of_F(self) -> Subspace:
-        """ker F; computed once."""
+        """ker F = sigma^{-1} of the matrix null space; twisted on first call."""
         if self._ker_f is None:
-            self._ker_f = Subspace._from_rref(
-                self.space, linalg.nullspace(self.ctx, self.f_rows, self.dim)
-            )
+            self._ker_f = self._sigma_ker_f.twist(-1)
         return self._ker_f
 
     def kernel_of_V(self) -> Subspace:
-        """ker V; computed once."""
-        if self._ker_v is None:
-            self._ker_v = Subspace._from_rref(
-                self.space, linalg.nullspace(self.ctx, self._vlin_rows, self.dim)
-            )
+        """ker V, the null space of Vlin; computed at construction."""
         return self._ker_v
-
-    def image_of_F(self) -> Subspace:
-        return Subspace._from_rref(
-            self.space, *linalg.rref(self.ctx, self._ft_rows, self.dim)
-        )
-
-    def image_of_V(self) -> Subspace:
-        columns = tuple(zip(*self._vlin_rows))
-        return Subspace._from_rref(self.space, *linalg.rref(self.ctx, columns, self.dim))
 
     def f_image(self, sub: Subspace) -> Subspace:
         """F(C) = F . C^(p), one product and one elimination.
@@ -185,7 +151,7 @@ class DieudonneModule:
         so the adjunction is F^T . J = J . Vlin, two signed reversals
         compared entry by entry.
         """
-        ctx, dim, g = self.ctx, self.dim, self.g
+        ctx, dim, g, space = self.ctx, self.dim, self.g, self.space
         if any(len(rows) != dim or any(len(row) != dim for row in rows)
                for rows in (self.f_rows, self.v_rows)):
             raise ValueError("operator matrices must be 2g x 2g")
@@ -195,23 +161,24 @@ class DieudonneModule:
         # V(F x) = (Vlin . F . x)^(1/p), so V.F = 0 iff Vlin . F = 0
         if any(map(any, linalg.matmul(ctx, vlin, f, dim))):
             raise RuntimeError("V after F is not zero")
-        ker_f = self.kernel_of_F()
-        if ker_f.dim != g:
-            raise RuntimeError(f"dim ker F = {ker_f.dim} != g = {g}")
-        ker_v = self.kernel_of_V()
+        # the matrix null space of F is sigma(ker F), of the same dimension
+        self._sigma_ker_f = Subspace._from_rref(space, linalg.nullspace(ctx, f, dim))
+        if self._sigma_ker_f.dim != g:
+            raise RuntimeError(f"dim ker F = {self._sigma_ker_f.dim} != g = {g}")
+        self._ker_v = ker_v = Subspace._from_rref(space, linalg.nullspace(ctx, vlin, dim))
         if ker_v.dim != g:
             raise RuntimeError(
                 f"dim ker V = {ker_v.dim} != g = {g}: ker V != im F and ker F != im V"
             )
-        if self.space.times_form(self._ft_rows) != self.space.form_times(vlin):
+        if space.times_form(self._ft_rows) != space.form_times(vlin):
             raise RuntimeError("adjunction <Fx, y> = <x, Vy>^p fails")
         if self.point is not None:
             self._check_kernel_shapes()
 
     def _check_kernel_shapes(self) -> None:
-        """ker F = pr_2^{-1}(U) and ker V = pr_2^{-1}(U twisted)."""
+        """sigma(ker F) = pr_2^{-1}(U) and ker V = pr_2^{-1}(sigma U)."""
         u = self.point
-        if self.kernel_of_F() != self._middle_pullback(u.rows, u.pivots):
+        if self._sigma_ker_f != self._middle_pullback(u.rows, u.pivots):
             raise RuntimeError("ker F does not project onto the point")
         twisted = linalg.frob_map(self.ctx, u.rows, 1)
         if self.kernel_of_V() != self._middle_pullback(twisted, u.pivots):

@@ -10,13 +10,11 @@ A :class:`FieldCtx` carries one layout of lookup tables: nested Python
 lists (``add_list``, ``mul_list``, ``neg_list``, ``inv_list`` and
 ``frob_lists``, one list per Frobenius power), which the row-based
 linear algebra indexes one entry at a time without numpy dispatch.
-Negation is also kept as the int32 array ``neg``, because Schubert
-cells negate whole columns of codes at once.  The tables are built with
-numpy a block of rows at a time, and only the lists are kept.  Orders
-above ``TABLE_LIMIT`` are refused, before any primality test or power
-is computed, so every context has its tables and no input makes
-construction unbounded.  Contexts are immutable after construction and
-safe to share across threads.
+The tables are built with numpy a block of rows at a time, and only
+the lists are kept.  Orders above ``TABLE_LIMIT`` are refused, before
+any primality test or power is computed, so every context has its
+tables and no input makes construction unbounded.  Contexts are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -139,7 +137,7 @@ class FieldCtx:
             coeffs[:, i] = rest % p
             rest //= p
         weights = p ** np.arange(k, dtype=np.int32)
-        self.neg = ((-coeffs % p) @ weights).astype(np.int32)
+        neg = (-coeffs % p) @ weights
 
         # The tables are nested lists whose entries are shared int
         # objects (indexing an object array copies references), so each
@@ -168,7 +166,7 @@ class FieldCtx:
             self.mul_list += shared[mul].tolist()
         inv = np.zeros(q, dtype=np.int32)
         inv[1:] = exp[(-lo) % n]
-        self.neg_list = shared[self.neg].tolist()
+        self.neg_list = shared[neg].tolist()
         self.inv_list = shared[inv].tolist()
 
         # Frobenius through the logs, x^p = exp[p log x mod (q-1)]; the

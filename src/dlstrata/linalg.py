@@ -12,16 +12,16 @@ The routines index the field's tables, which are nested lists
 (``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time.
 The matrices met here are tiny and sparse, at most about 10 x 20 (a
 2c-dimensional space, a 2g-dimensional module), and a point makes tens
-of them, so numpy dispatch and array conversion
-would cost more than the lookups.  Arrays stay where work is bulk
-(Schubert cells, see ``symplectic``, which negate through the int32
-array ``FieldCtx.neg``) and as read-only views built on
-access (``Subspace.basis``, the module matrices in ``dieudonne``):
-``as_rows`` and ``as_array`` are the two conversions at that boundary.
-The cost is one lookup chain per entry touched:
+of them, so numpy dispatch and array conversion would cost more than
+the lookups.  Rows are the only matrix form the pipeline keeps: arrays
+meet it only at the edges, in the symplectic group elements that move
+points (``symplectic.random_symplectic``, ``Subspace.apply``) and in
+the read-only ``Subspace.basis``, and ``as_rows`` and ``as_array`` are
+the two conversions there.  The cost is one lookup chain per entry
+touched:
 
-* ``rref`` costs about rank x rows x columns, and so does ``rank``, one
-  elimination;
+* ``rref`` costs about rank x rows x columns; a rank is the number of
+  its pivots;
 * ``nullspace`` is one elimination too, of the column-reversed matrix,
   whose null vectors are already the canonical basis;
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
@@ -98,12 +98,6 @@ def rref(
         pivots.append(c)
         r += 1
     return tuple(map(tuple, rows[:r])), tuple(pivots)
-
-
-def rank(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> int:
-    if not rows or not ncols:
-        return 0
-    return len(rref(ctx, rows, ncols)[1])
 
 
 def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> Rows:

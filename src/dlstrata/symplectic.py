@@ -60,9 +60,9 @@ rows of the meet, and containment is one insertion pass of the smaller
 space's rows into the larger's reduced rows (``linalg.insertion_ranks``),
 which holds when no row is added.  Neither takes a null space.
 
-Per-point work runs on rows (see ``linalg``).  Schubert cells are built
-in bulk as arrays, and each point's basis is converted to rows once,
-when its ``Subspace`` is made.
+Per-point work runs on rows (see ``linalg``), and so does enumeration:
+each point of a Schubert cell has its reduced rows written straight
+from a template of the cell (``_cell_rows``), with no array between.
 
 Subspaces and flags are immutable values (complements and isotropy
 answers are computed once, and a complement's complement is its
@@ -75,23 +75,21 @@ twists, built without re-checking it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import linalg
 from .gf import FieldCtx, embed_table
-from .linalg import DTYPE
 from .weyl import WeylElement
 
 
 class SymplecticSpace:
     """F_q^{2n} with the fixed antidiagonal alternating form J.
 
-    ``gram_rows`` is J as rows, and ``gram`` the same as a read-only
-    int32 array, built on each access.  J is +1 at (i, 2n-1-i) for
-    i < n and -1 for i >= n, so a product with it is a signed reversal
+    ``gram_rows`` is J as rows.  J is +1 at (i, 2n-1-i) for i < n and
+    -1 for i >= n, so a product with it is a signed reversal
     (``times_form``, ``form_times``) and takes no arithmetic beyond
     negation.
     """
@@ -110,13 +108,6 @@ class SymplecticSpace:
         self.n = n
         self.dim = dim
         self.gram_rows = tuple(rows)
-
-    @property
-    def gram(self) -> np.ndarray:
-        """The Gram matrix as a read-only int32 array, shape (2n, 2n)."""
-        out = linalg.as_array(self.gram_rows, self.dim)
-        out.flags.writeable = False
-        return out
 
     def times_form(self, rows: Sequence[Sequence[int]]) -> linalg.Rows:
         """rows . J: each row reversed, with its first n entries negated."""
@@ -602,17 +593,18 @@ def _admissible_pivot_sets(n: int) -> list[tuple[int, ...]]:
     return sorted(set(sets))
 
 
+@lru_cache(maxsize=None)
 def _cell_descriptors(
-    space: SymplecticSpace,
-) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+    n: int,
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]], ...]:
     """Per admissible pivot set, the free-parameter slots (row, col, mate).
 
     Both pivot columns of a Gram pair cannot carry pivots of an isotropic
     subspace, and on the admissible patterns the isotropy constraints
     pair each above-antidiagonal entry with its mirror, one free
-    parameter per pair, so every cell is an affine space.
+    parameter per pair, so every cell is an affine space.  The cells
+    depend on n alone, so they are built once per rank.
     """
-    n = space.n
     two_n = 2 * n
     out = []
     for pivots in _admissible_pivot_sets(n):
@@ -624,56 +616,44 @@ def _cell_descriptors(
                 col = mirror[s]
                 if col > pivots[r] and col not in pivot_row:
                     param_slots.append((r, col, s))
-        out.append((pivots, param_slots))
-    return out
+        out.append((pivots, tuple(param_slots)))
+    return tuple(out)
 
 
-def _fill_cell(
+def _cell_rows(
     space: SymplecticSpace,
     pivots: tuple[int, ...],
-    param_slots: list[tuple[int, int, int]],
-    combos: np.ndarray,
-) -> np.ndarray:
-    """Canonical bases from parameter rows; isotropy is built in."""
-    ctx = space.ctx
-    n = space.n
-    two_n = 2 * n
+    param_slots: Sequence[tuple[int, int, int]],
+    params: Iterable[Sequence[int]],
+) -> Iterator[linalg.Rows]:
+    """The reduced rows of the cell's point for each parameter tuple.
 
-    def eps(c: int) -> int:
-        return 1 if c < n else -1
-
-    mirror = {r: two_n - 1 - p for r, p in enumerate(pivots)}
-    block = np.zeros((combos.shape[0], n, two_n), dtype=DTYPE)
-    for r, p in enumerate(pivots):
-        block[:, r, p] = 1
-    for idx, (r, col, s) in enumerate(param_slots):
-        block[:, r, col] = combos[:, idx]
-        if s < r:
-            # mirrored entry in the earlier row is determined
-            vals = combos[:, idx]
-            coeff = -eps(pivots[s]) * eps(mirror[r])
-            block[:, s, mirror[r]] = vals if coeff == 1 else ctx.neg[vals]
-    return block
-
-
-def lagrangian_cells(
-    space: SymplecticSpace,
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (pivots, bulk array of RREF bases) per Schubert cell.
-
-    Every Lagrangian appears exactly once, already in canonical echelon
-    form, so no deduplication is needed downstream.
+    Each point is written into a flat template of its n rows: 1 at each
+    pivot, each parameter at its slot, and, when the slot's mate is an
+    earlier row s, the parameter again at (s, 2n-1-p_r), negated exactly
+    when p_s and that column lie on the same side of n, which makes the
+    rows isotropic.
     """
-    ctx = space.ctx
-    q = ctx.q
-    for pivots, param_slots in _cell_descriptors(space):
-        d = len(param_slots)
-        if d:
-            grids = np.meshgrid(*[np.arange(q, dtype=DTYPE)] * d, indexing="ij")
-            combos = np.stack([g.reshape(-1) for g in grids], axis=1)
-        else:
-            combos = np.zeros((1, 0), dtype=DTYPE)
-        yield pivots, _fill_cell(space, pivots, param_slots, combos)
+    n, two_n = space.n, space.dim
+    template = [0] * (n * two_n)
+    for r, p in enumerate(pivots):
+        template[r * two_n + p] = 1
+    plain, negated = [], []  # (parameter index, flat position)
+    for i, (r, col, s) in enumerate(param_slots):
+        plain.append((i, r * two_n + col))
+        if s < r:
+            mirror = two_n - 1 - pivots[r]
+            same_side = (pivots[s] < n) == (mirror < n)
+            (negated if same_side else plain).append((i, s * two_n + mirror))
+    neg = space.ctx.neg_list
+    starts = range(0, n * two_n, two_n)
+    for values in params:
+        flat = template[:]
+        for i, pos in plain:
+            flat[pos] = values[i]
+        for i, pos in negated:
+            flat[pos] = neg[values[i]]
+        yield tuple([tuple(flat[a : a + two_n]) for a in starts])
 
 
 def expected_total(c: int, q: int) -> int:
@@ -686,21 +666,24 @@ def expected_total(c: int, q: int) -> int:
 
 def count_lagrangians(space: SymplecticSpace) -> int:
     q = space.ctx.q
-    return sum(q ** len(slots) for _, slots in _cell_descriptors(space))
+    return sum(q ** len(slots) for _, slots in _cell_descriptors(space.n))
 
 
 def enumerate_lagrangians(space: SymplecticSpace) -> list[Subspace]:
     """All maximal isotropic subspaces, in a fixed deterministic order.
 
-    The count is checked against prod(q^i + 1) before returning.
+    Every Lagrangian appears exactly once, already in reduced form: the
+    cells in descriptor order, and within a cell the parameter tuples
+    in lexicographic order, the last slot fastest.  The count is checked
+    against prod(q^i + 1) before returning.
     """
+    q = space.ctx.q
     out = []
-    for pivots, block in lagrangian_cells(space):
-        # one basis at a time: a whole cell as nested lists would be a
-        # second copy of the cell at once
-        for basis in block:
-            out.append(Subspace._from_rref(space, linalg.as_rows(basis), pivots))
-    expected = expected_total(space.n, space.ctx.q)
+    for pivots, slots in _cell_descriptors(space.n):
+        params = product(range(q), repeat=len(slots))
+        for rows in _cell_rows(space, pivots, slots, params):
+            out.append(Subspace._from_rref(space, rows, pivots))
+    expected = expected_total(space.n, q)
     if len(out) != expected:
         raise RuntimeError(
             f"enumerated {len(out)} Lagrangians, expected {expected}"
@@ -746,7 +729,7 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
 
 def embed_matrix(mat: np.ndarray, src: FieldCtx, dst: FieldCtx) -> np.ndarray:
     """Apply the fixed field embedding entrywise."""
-    return embed_table(src, dst)[np.asarray(mat, dtype=DTYPE)]
+    return embed_table(src, dst)[np.asarray(mat, dtype=linalg.DTYPE)]
 
 
 def _randbelow(rng: np.random.Generator, n: int) -> int:
@@ -764,18 +747,18 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
 def random_lagrangian(space: SymplecticSpace, rng: np.random.Generator) -> Subspace:
     """A uniformly random Lagrangian: weighted random cell, random point.
 
-    Only one basis is materialized, so this scales to spaces whose full
-    enumeration would not fit in memory (cell weights are exact Python
-    integers, so large ranks do not overflow).
+    Only one point's rows are written, so this scales to spaces whose
+    full enumeration would not fit in memory (cell weights are exact
+    Python integers, so large ranks do not overflow).
     """
     q = space.ctx.q
-    cells = _cell_descriptors(space)
+    cells = _cell_descriptors(space.n)
     weights = [q ** len(slots) for _, slots in cells]
     pick = _randbelow(rng, sum(weights))
     for (pivots, slots), w in zip(cells, weights):
         if pick < w:
-            combo = rng.integers(0, q, size=(1, len(slots))).astype(DTYPE)
-            basis = _fill_cell(space, pivots, slots, combo)[0]
-            return Subspace._from_rref(space, linalg.as_rows(basis), pivots)
+            params = rng.integers(0, q, size=(1, len(slots))).tolist()
+            (rows,) = _cell_rows(space, pivots, slots, params)
+            return Subspace._from_rref(space, rows, pivots)
         pick -= w
     raise AssertionError("unreachable")

@@ -23,7 +23,7 @@ def tables(ctx) -> SimpleNamespace:
 
     ``add`` and ``mul`` are q x q, ``neg`` and ``inv`` length q, and
     ``frob[r]`` the code table of x -> x^(p^r).  The field keeps only the
-    lists (and ``neg`` as an array); these copies are built once per field.
+    lists; these copies are built once per field.
     """
     return SimpleNamespace(
         add=np.array(ctx.add_list, dtype=np.int32),

@@ -153,15 +153,16 @@ def test_c08_module_invariants():
     ok = True
     for u, g in _module_sweep():
         mod = dd.build_from_lagrangian(u, g)  # constructor re-checks everything
+        ctx, dim, omega = mod.ctx, mod.dim, mod.space.gram_rows
         ok &= mod.kernel_of_F().dim == g
-        ok &= np.array_equal(mod.kernel_of_F().basis, mod.image_of_V().basis)
-        ok &= np.array_equal(mod.kernel_of_V().basis, mod.image_of_F().basis)
-        ctx, dim, omega = mod.ctx, mod.dim, linalg.as_rows(mod.pairing)
-        lhs = linalg.matmul(ctx, linalg.as_rows(mod.fmat.T), omega, dim)
+        # ker F = im V and ker V = im F, each image the span of the columns
+        ok &= mod.kernel_of_F().rows == linalg.rref(ctx, tuple(zip(*mod.v_rows)), dim)[0]
+        ok &= mod.kernel_of_V().rows == linalg.rref(ctx, tuple(zip(*mod.f_rows)), dim)[0]
+        lhs = linalg.matmul(ctx, tuple(zip(*mod.f_rows)), omega, dim)
         rhs = linalg.matmul(
             ctx,
             linalg.frob_map(ctx, omega, 1),
-            linalg.frob_map(ctx, linalg.as_rows(mod.vmat), 1),
+            linalg.frob_map(ctx, mod.v_rows, 1),
             dim,
         )
         ok &= lhs == rhs
@@ -175,7 +176,7 @@ def test_c09_canonical_flag_behavior():
         flag = dd.canonical_flag(mod)  # enforces the 2g+1 member bound and the dichotomy
         keys = {m.basis.tobytes() for m in flag.members}
         # each complement by one null space, not the cached one
-        omega = linalg.as_rows(mod.pairing)
+        omega = mod.space.gram_rows
         perps = [
             linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, m.rows, omega, mod.dim), mod.dim)
             for m in flag.members

@@ -34,9 +34,9 @@ def test_field_axioms_exhaustive(p, k):
     # identities
     assert np.array_equal(add[0], codes)
     assert np.array_equal(mul[1], codes)
-    # inverses, from the lists and from the array the cells negate with
-    assert np.array_equal(ctx.neg, t.neg)
-    assert np.array_equal(add[codes, t.neg[codes]], np.zeros(q, dtype=add.dtype))
+    # inverses, with negation as an array built from the list
+    neg = np.array(ctx.neg_list)
+    assert np.array_equal(add[codes, neg[codes]], np.zeros(q, dtype=add.dtype))
     nz = codes[1:]
     assert np.array_equal(mul[nz, t.inv[nz]], np.ones(q - 1, dtype=mul.dtype))
     assert ctx.inv_list[0] == 0
@@ -149,7 +149,6 @@ def test_list_tables_equal_the_arrays(p, k):
         add += (coeffs[:, None, i] + coeffs[None, :, i]) % p * weights[i]
     assert ctx.add_list == add.tolist()
     assert ctx.neg_list == ((-coeffs % p) @ weights).tolist()
-    assert ctx.neg.dtype == np.int32 and ctx.neg.tolist() == ctx.neg_list
     exp, log = _powers_by_polynomials(ctx)
     n = ctx.q - 1
     mul = np.zeros((ctx.q, ctx.q), dtype=np.int64)

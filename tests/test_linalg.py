@@ -50,7 +50,7 @@ def test_nullspace_annihilates(f4):
     for _ in range(40):
         m = linalg.as_rows(_random_matrix(f4, rng, 3, 6))
         ns = linalg.nullspace(f4, m, 6)
-        assert len(ns) == 6 - linalg.rank(f4, m, 6)
+        assert len(ns) == 6 - len(linalg.rref(f4, m, 6)[1])
         if ns:
             prod = linalg.matmul(f4, m, tuple(zip(*ns)), len(ns))
             assert not any(map(any, prod))
@@ -72,7 +72,7 @@ def test_inverse(f4):
     found = 0
     while found < 10:
         m = linalg.as_rows(_random_matrix(f4, rng, 4, 4))
-        if linalg.rank(f4, m, 4) < 4:
+        if len(linalg.rref(f4, m, 4)[1]) < 4:
             continue
         inv = reference.inverse(f4, m)
         assert_rows(inv, 4, 4)
@@ -240,7 +240,7 @@ def test_nullspace_is_exact(case):
     ncols = mat.shape[1]
     rows = linalg.as_rows(mat)
     ns = linalg.nullspace(ctx, rows, ncols)
-    assert_rows(ns, ncols - linalg.rank(ctx, rows, ncols), ncols)
+    assert_rows(ns, ncols - len(linalg.rref(ctx, rows, ncols)[1]), ncols)
     # a canonical basis of vectors that mat annihilates
     arr = linalg.as_array(ns, ncols)
     assert ns == linalg.as_rows(reference_rref(ctx, arr)[0])
@@ -374,6 +374,6 @@ def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar):
     vectors += tuple(tuple(scale[x] for x in vec) for vec in vectors)
     got = linalg.insertion_ranks(ctx, basis, pivots, vectors)
     want = tuple(
-        linalg.rank(ctx, basis + vectors[: i + 1], ncols) for i in range(len(vectors))
+        len(linalg.rref(ctx, basis + vectors[: i + 1], ncols)[1]) for i in range(len(vectors))
     )
     assert type(got) is tuple and got == want

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dlstrata.symplectic import (
     enumerate_lagrangians,
     expected_total,
     flag_type,
-    lagrangian_cells,
+    random_lagrangian,
     random_symplectic,
     refine,
     relpos,
@@ -52,9 +53,8 @@ def rand_subspace(space, rng, dim):
 def test_gram_is_alternating_and_invertible(space4, space9):
     for space in (space4, space9):
         ctx = space.ctx
-        g = space.gram
-        assert linalg.rank(ctx, space.gram_rows, space.dim) == space.dim
-        assert space.gram_rows == linalg.as_rows(g)
+        g = linalg.as_array(space.gram_rows, space.dim)
+        assert len(linalg.rref(ctx, space.gram_rows, space.dim)[1]) == space.dim
         t = tables(ctx)
         assert not t.add[g, g.T].any()
         assert not g.diagonal().any()
@@ -177,7 +177,7 @@ def _generic_sum(a, b):
 
 def _generic_contains(a, b):
     """The rank of the stacked bases, the check ``contains`` replaced."""
-    return linalg.rank(a.space.ctx, a.rows + b.rows, a.space.dim) == a.dim
+    return len(linalg.rref(a.space.ctx, a.rows + b.rows, a.space.dim)[1]) == a.dim
 
 
 def _generic_perp(a):
@@ -358,6 +358,53 @@ def test_enumerate_lagrangians_count_and_validity(n, p, k, expected):
         assert Subspace(space, u.basis) == u
 
 
+def _points_digest(points) -> str:
+    """sha256 of each point's (rows, pivots), in the order given."""
+    digest = hashlib.sha256()
+    for u in points:
+        digest.update(repr((u.rows, u.pivots)).encode())
+    return digest.hexdigest()
+
+
+# (c, p, k) -> _points_digest of enumerate_lagrangians over F_{p^k}^{2c}:
+# the rows, pivots and order of every point
+ENUMERATION_DIGESTS = {
+    (1, 2, 10): "30d283234826a7722adc4833d10dbd3db7d55528c963445507b98672878dd3d3",
+    (2, 2, 4): "017caa8e56d0d0ca30ab589bfa2064fa9bc6cbc5d83f00c44cbf375e7e074fd3",
+    (2, 5, 2): "2c26dd3a619cfea0512a2dca311e5bca4712e110faea0a7239c320a2315ea7f6",
+    (2, 3, 4): "64eb576206f8107b4c5fe8f8754bc87b894f326f635e847c07e8bafb2d063c83",
+    (3, 2, 2): "49dcff3d41d45a97be0772272ac0ac2e88b4f82e622f305c17f97a4bf391a305",
+    (3, 3, 2): "205a1f47ca6a11f29fedc194b76c3fa0e3d91476601b3a028afa83c90b00d2ba",
+}
+
+
+@pytest.mark.parametrize("c,p,k", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_order_is_pinned(c, p, k):
+    points = enumerate_lagrangians(SymplecticSpace(field(p, k), c))
+    assert _points_digest(points) == ENUMERATION_DIGESTS[(c, p, k)]
+
+
+# (c, p, k, seed) -> _points_digest of 400 random_lagrangian draws from
+# one default_rng(seed)
+RANDOM_LAGRANGIAN_DIGESTS = {
+    (3, 2, 4, 0): "abfc5d1b28fbee33e9f199d5f4f83126685e9978ecd4180f321c5ddeecb57233",
+    (3, 2, 4, 1): "a15db126cb8ea3b9ad3d337f4972b326df00fd9a9738e3fb49b103e8d1b2918a",
+    (3, 2, 4, 2): "736ef7047329c1207e4927ecbb7299bdfae1a61f24bffa9228e177618439b0ed",
+    (3, 2, 4, 3): "ba78d47e254164f8994ecfbad397d28c59e0dbb65ff137d2aca726234b702316",
+    (2, 5, 4, 0): "992f8436f7a0076f805e6f6d75592b331bc8cdb4aee70b2d572537721dce90ee",
+    (4, 2, 4, 0): "23c10dfb459803c2705488d6f7608cb18be06e33d3ef6de42489565888246931",
+}
+
+
+@pytest.mark.parametrize("c,p,k,seed", sorted(RANDOM_LAGRANGIAN_DIGESTS))
+def test_random_lagrangian_draws_are_pinned(c, p, k, seed):
+    space = SymplecticSpace(field(p, k), c)
+    rng = np.random.default_rng(seed)
+    points = [random_lagrangian(space, rng) for _ in range(400)]
+    assert all(u.is_lagrangian() for u in points)
+    assert _points_digest(points) == RANDOM_LAGRANGIAN_DIGESTS[(c, p, k, seed)]
+
+
 @pytest.mark.parametrize("n,p,k", [(3, 2, 2), (3, 5, 1), (3, 3, 2)])
 def test_lagrangian_count_formula_large(n, p, k):
     q = p**k
@@ -366,18 +413,27 @@ def test_lagrangian_count_formula_large(n, p, k):
         prod *= q**i + 1
     space = SymplecticSpace(field(p, k), n)
     assert count_lagrangians(space) == prod
-    # the generated cells account for exactly the same number of bases
-    generated = sum(block.shape[0] for _, block in lagrangian_cells(space))
-    assert generated == prod
+    # the row generator writes exactly the same number of bases
+    assert sum(1 for _ in _all_cell_rows(space)) == prod
+
+
+def _all_cell_rows(space):
+    """The rows of every point, cell by cell, as enumeration writes them."""
+    for pivots, slots in symplectic._cell_descriptors(space.n):
+        params = itertools.product(range(space.ctx.q), repeat=len(slots))
+        yield from symplectic._cell_rows(space, pivots, slots, params)
 
 
 def test_lagrangian_cells_are_isotropic_in_bulk():
-    # verify every generated basis satisfies B G B^T = 0, vectorized
+    # every point the row generator writes satisfies B G B^T = 0,
+    # checked against the Gram rows in chunks of stacked bases
     space = SymplecticSpace(field(3, 2), 3)
     t = tables(space.ctx)
-    g = space.gram
+    g = linalg.as_array(space.gram_rows, space.dim)
+    points = _all_cell_rows(space)
     total = 0
-    for _, block in lagrangian_cells(space):
+    while chunk := list(itertools.islice(points, 50_000)):
+        block = np.array(chunk, dtype=np.int32)
         nmat, rows, cols = block.shape
         bg = np.zeros_like(block)
         for j in range(cols):
@@ -448,7 +504,7 @@ def _relpos_by_scan(flag_c, flag_d):
     space = flag_c.space
     table = {
         (cm.dim, dm.dim): cm.dim + dm.dim
-        - linalg.rank(space.ctx, cm.rows + dm.rows, space.dim)
+        - len(linalg.rref(space.ctx, cm.rows + dm.rows, space.dim)[1])
         for cm in flag_c.members
         for dm in flag_d.members
     }
@@ -698,7 +754,7 @@ def _flag_with_symmetric_dims(draw):
     if draw(st.booleans()):
         while True:
             g = rng.integers(0, p**k, size=(space.dim, space.dim)).astype(np.int32)
-            if linalg.rank(space.ctx, linalg.as_rows(g), space.dim) == space.dim:
+            if len(linalg.rref(space.ctx, linalg.as_rows(g), space.dim)[1]) == space.dim:
                 break
         flag = flag_apply(flag, g)
     return flag

@@ -25,10 +25,10 @@ product.
 The minus signs and twist placements are pinned by three independent
 requirements, all asserted at construction: F and V compose to zero
 with matching kernels and images (the mod-p Dieudonné conditions), the
-kernels project inside the middle slot onto the twists sigma^{-1} U
-(ker F) and sigma U (ker V), sigma the p-power, and the adjunction
-<F x, y> = <x, V y>^p holds on the nose.  Any residual sign
-freedom is harmless and is demonstrated to be so in the tests.  Since
+kernels project inside the middle slot onto twists of U, ker F onto
+sigma^{-1} U and ker V onto sigma U (sigma the entrywise p-power), and
+the adjunction <F x, y> = <x, V y>^p holds on the nose.  Any residual
+sign freedom is harmless and is demonstrated to be so in the tests.  Since
 both products vanish, the images lie in the kernels, and rank-nullity
 turns the two equalities into dim ker F = dim ker V = g, so checking a
 module takes two eliminations: the null spaces of the matrices F and

@@ -453,7 +453,8 @@ def _round_closure(module):
     else:
         raise RuntimeError("reference closure did not stabilize")
     chain = sorted(members, key=lambda m: m.dim)
-    fdims = (len(linalg.rref(ctx, _f_product(module, sub.rows), module.dim)[1]) for sub in chain)
+    dim = module.dim
+    fdims = (len(linalg.rref(ctx, _f_product(module, sub.rows), dim)[1]) for sub in chain)
     return chain, tuple(fdims)
 
 

@@ -11,13 +11,13 @@ must be built; a stable flag comes back as the same object, with no
 meet taken, which ends the chain.  The per-step positions must
 reproduce the stabilizing sequence attached to the label, and
 ``classify_fine`` asserts that (and self-duality of every flag, by
-pairing products) unless ``check=False``.  Self-duality is checked on
-every point.  The sequence check reads only integers, each step's
-dimensions and position, so it runs once per distinct trace of them
-and is kept; a failing trace is not kept, and fails each time it is
-met.  The point pairs itself with the form once: its Lagrangian check
-and the self-duality of every flag of its chain, whose middle member
-it is, share that answer.
+comparing complements with rows) unless ``check=False``.  Self-duality
+is checked on every point.  The sequence check reads only integers,
+each step's dimensions and position, so it runs once per distinct trace
+of them and is kept; a failing trace is not kept, and fails each time
+it is met.  A Lagrangian point is its own complement, so its
+Lagrangian check and the self-duality of every flag of its chain, whose
+middle member it is, read that one complement.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised

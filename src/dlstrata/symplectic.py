@@ -36,40 +36,39 @@ join are built only when the join's dimension lies strictly between the
 two members it sits between, and a flag the table shows stable comes
 back as it is.
 
-Self-duality is checked by pairing products (one each, since C . J is
-a signed reversal): a flag with symmetric dimensions is self-dual iff
-each member is orthogonal to the member of complementary dimension, so
-no complement is computed; a complement
-already cached (the canonical closure caches one for every member) is
-compared by rows instead.  A subspace pairs itself with the form once
-and keeps the answer, so the Lagrangian check of a point and the
+The complement is the one duality primitive.  It is read off reduced
+rows and pivots by index work alone, kept on the subspace, and
+involutive: a complement records its source as its own complement, and
+a Lagrangian is its own complement.  A meet is the complement of the
+join of the complements, so it costs the one elimination of that join;
+a subspace is Lagrangian when it has dimension n and is its own
+complement; and a flag with symmetric dimensions is self-dual when the
+complement of each member of its lower half has the rows of the member
+of complementary dimension.  The Lagrangian check of a point and the
 self-duality checks of its refinement flags, whose middle member it is,
-share one pairing.
+share its one complement, which is the point itself.
 
 Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
-subspace X: X cap 0 = 0 and X cap V = X, X + 0 = X and X + V = V,
-0 <= X <= V, and 0-perp = V, V-perp = 0 (V the whole space).  Every
-flag holds 0 and V, so many of the meets and joins that refinement
-builds are of this kind.
-
-A subspace is its reduced rows and nothing else: a meet is one
-elimination of the stacked rows (x | x), x in the one, and (y | 0), y in
-the other (Zassenhaus), whose rows with zero left half are the reduced
-rows of the meet, and containment is one insertion pass of the smaller
-space's rows into the larger's reduced rows (``linalg.insertion_ranks``),
-which holds when no row is added.  Neither takes a null space.
+subspace X: X + 0 = X, X + X = X and X + V = V, 0 <= X <= V, and
+0-perp = V, V-perp = 0 (V the whole space), so X cap 0 = 0, X cap X = X
+and X cap V = X come back as the subspaces they are.  Every flag holds
+0 and V, so many of the meets and joins that refinement builds are of
+this kind.  Containment is one insertion pass of the smaller space's
+rows into the larger's reduced rows (``linalg.insertion_ranks``), which
+holds when no row is added.  No meet, containment or complement takes a
+null space.
 
 Per-point work runs on rows (see ``linalg``), and so does enumeration:
 each point of a Schubert cell has its reduced rows written straight
 from a template of the cell (``_cell_rows``), with no array between.
 
-Subspaces and flags are immutable values (complements and isotropy
-answers are computed once, and a complement's complement is its
-source), so everything here can be shared across threads; enumeration
-output order is deterministic.  A twist is its Frobenius-mapped rows
-and pivots, and the twist of a flag is the chain of its members'
-twists, built without re-checking it.
+Subspaces and flags are immutable values (complements are computed
+once, and a complement's complement is its source), so everything here
+can be shared across threads; enumeration output order is
+deterministic.  A twist is its Frobenius-mapped rows and pivots, and
+the twist of a flag is the chain of its members' twists, built without
+re-checking it.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ class Subspace:
     (dim, 2n), built on each access.
     """
 
-    __slots__ = ("space", "rows", "pivots", "dim", "_perp", "_isotropic")
+    __slots__ = ("space", "rows", "pivots", "dim", "_perp")
 
     def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
         """The span of any rows, an array or a sequence of code rows.
@@ -181,7 +180,6 @@ class Subspace:
         self.pivots = pivots
         self.dim = len(rows)
         self._perp = None
-        self._isotropic = None
 
     @property
     def basis(self) -> np.ndarray:
@@ -211,30 +209,14 @@ class Subspace:
         return ranks[-1] == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The meet, by one elimination (Zassenhaus).
+        """The meet, as the complement of the join of the complements.
 
-        Reduce the rows (x | x) for x in self and (y | 0) for y in
-        other.  A combination with zero left half has a right half that
-        lies in both spaces, and every vector of both arises so; the
-        rows whose left half reduced to zero come last, and their right
-        halves are already the reduced rows of the meet, with its pivots
-        shifted by the width.
+        The form is nondegenerate, so (A-perp + B-perp)-perp = A cap B;
+        each complement is index work, and the join is the one
+        elimination.  The trivial meets X cap 0, X cap V and X cap X
+        take none: the join and the complements answer them.
         """
-        _check_same_space(self, other)
-        full = self.space.dim
-        if self.rows == other.rows or self.dim == 0 or other.dim == full:
-            return self
-        if other.dim == 0 or self.dim == full:
-            return other
-        zero = (0,) * full
-        stacked = [x + x for x in self.rows] + [y + zero for y in other.rows]
-        rows, pivots = linalg.rref(self.space.ctx, stacked, 2 * full)
-        cut = sum(c < full for c in pivots)
-        return Subspace._from_rref(
-            self.space,
-            tuple([row[full:] for row in rows[cut:]]),
-            tuple([c - full for c in pivots[cut:]]),
-        )
+        return (self.perp() + other.perp()).perp()
 
     def __add__(self, other: "Subspace") -> "Subspace":
         _check_same_space(self, other)
@@ -259,7 +241,9 @@ class Subspace:
         each other's leading columns, so they are the reduced rows.
         The form is nondegenerate, so perp is an involution: the
         complement records this subspace as its own complement, and
-        asking it back costs nothing.
+        asking it back costs nothing.  A subspace whose complement has
+        its rows, a Lagrangian, is its own complement, with nothing new
+        built.
         """
         if self._perp is None:
             space = self.space
@@ -284,7 +268,11 @@ class Subspace:
                             vec[last - p] = neg[x] if (p < n) == (f < n) else x
                     rows.append(tuple(vec))
                     pivots.append(last - f)
-                out = Subspace._from_rref(space, tuple(rows), tuple(pivots))
+                rows = tuple(rows)
+                if rows == self.rows:
+                    out = self
+                else:
+                    out = Subspace._from_rref(space, rows, tuple(pivots))
             out._perp = self
             self._perp = out
         return self._perp
@@ -294,8 +282,8 @@ class Subspace:
 
         0 and the whole space are their own twists, and come back as
         they are.  The form is F_p-rational, so the twist of the
-        complement is the complement of the twist; neither that nor the
-        answer of ``is_isotropic`` is carried over.
+        complement is the complement of the twist, but a complement
+        is not carried over.
         """
         if self.dim == 0 or self.dim == self.space.dim:
             return self
@@ -303,27 +291,9 @@ class Subspace:
             self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
         )
 
-    def is_orthogonal_to(self, other: "Subspace") -> bool:
-        """Whether the form pairs every vector of self with every vector
-        of other to zero: self . J by signed reversal, one product, and
-        no elimination."""
-        _check_same_space(self, other)
-        if self.dim == 0 or other.dim == 0:
-            return True
-        space = self.space
-        prod = linalg.matmul(
-            space.ctx, space.times_form(self.rows), tuple(zip(*other.rows)), other.dim
-        )
-        return not any(map(any, prod))
-
-    def is_isotropic(self) -> bool:
-        """Whether the form vanishes on self; paired once, then cached."""
-        if self._isotropic is None:
-            self._isotropic = self.is_orthogonal_to(self)
-        return self._isotropic
-
     def is_lagrangian(self) -> bool:
-        return self.dim == self.space.n and self.is_isotropic()
+        """Whether self has dimension n and is its own complement."""
+        return self.dim == self.space.n and self.perp() is self
 
     def apply(self, matrix: np.ndarray) -> "Subspace":
         """Image under an invertible matrix (column-vector convention)."""
@@ -398,32 +368,20 @@ class Flag:
         """Whether the complement of every member is a member.
 
         With dimensions d_0 < ... < d_k symmetric about n that holds iff
-        C_{d_i} is orthogonal to C_{d_{k-i}} for every i <= k/2: that
-        member then lies in C_{d_i}-perp, which has its dimension, and
-        perp is an involution, so the pairs past the middle follow.  A
-        pair where either member has its complement cached (the
-        canonical closure caches one for every member) compares it with
-        the other member's rows.  The middle member, paired with itself,
-        asks ``Subspace.is_isotropic``, which pairs it once and keeps the
-        answer: a refinement flag's middle member is the Lagrangian the
-        classifier already checked.  Any other pair takes one product
-        (``Subspace.is_orthogonal_to``) and no null space.
+        C_{d_i}-perp has the rows of C_{d_{k-i}} for every i <= k/2, and
+        perp is an involution, so the pairs past the middle follow.  Each
+        complement is read off reduced rows and kept on its member (see
+        ``Subspace.perp``): a refinement flag's middle member is the
+        Lagrangian the classifier already checked, its own complement,
+        and the canonical closure has every member's complement already.
         """
         members, dims, full = self.members, self.dims, self.space.dim
         if any(a + b != full for a, b in zip(dims, reversed(dims))):
             return False
-        for low, high in zip(members[1 : (len(members) + 1) // 2], members[-2::-1]):
-            if low._perp is not None:
-                dual = low._perp.rows == high.rows
-            elif high._perp is not None:
-                dual = high._perp.rows == low.rows
-            elif low is high:
-                dual = low.is_isotropic()
-            else:
-                dual = low.is_orthogonal_to(high)
-            if not dual:
-                return False
-        return True
+        return all(
+            low.perp().rows == high.rows
+            for low, high in zip(members[1 : (len(members) + 1) // 2], members[-2::-1])
+        )
 
 
 def flag_type(flag: Flag) -> frozenset[int]:

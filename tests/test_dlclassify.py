@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlstrata import dlclassify as dc, symplectic as sp, weyl
+from dlstrata import dlclassify as dc, linalg, symplectic as sp, weyl
 from dlstrata.bedard import FrobeniusAction, sequence_for
 from dlstrata.dieudonne import verify_pullback
 from dlstrata.dlclassify import (
@@ -11,7 +11,7 @@ from dlstrata.dlclassify import (
     classify_fine,
     equivariance_check,
 )
-from dlstrata.gf import field
+from dlstrata.gf import embed_table, field
 from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, flag_type
 from dlstrata.weyl import WeylElement
 from tests.test_acceptance import CENSUS_CONFIGS
@@ -336,26 +336,39 @@ def test_twist_fixed_points_take_no_null_space(monkeypatch):
     assert null_spaces[0] == 0 and eliminations[0] == 0
 
 
-# Seeded sweeps at odd p and at c = 4: (c, p, k, points, seed) -> the
-# labels, as reduced words, that the seed meets.  The c = 2 and c = 4
-# sets were recorded before classification cached its integer checks,
-# the c = 3 sets before the modules were written in the basis where
-# their pairing is the standard form.
+# Seeded sweeps at odd p, at m = 3 and at c = 4 to 6: (c, p, k, points,
+# seed) -> the labels, as reduced words, that the seed meets.  The c = 2
+# and c = 4 sets over F_81, F_625 and F_16 were recorded before
+# classification cached its integer checks, the c = 3 sets before the
+# modules were written in the basis where their pairing is the standard
+# form, and the F_729, c = 5 and c = 6 sets while a meet was still one
+# elimination of stacked rows (Zassenhaus).
 SWEEPS = {
     (2, 3, 4, 100, 3): {(), (2,), (2, 1, 2)},
     (2, 5, 4, 100, 6): {(), (2,), (2, 1, 2)},
+    (2, 3, 6, 100, 0): {(2, 1, 2)},
     (3, 3, 4, 100, 2): {(3,), (3, 2, 3), (3, 2, 3, 1, 2, 3)},
     (3, 5, 4, 100, 1): {(3, 2, 3), (3, 2, 3, 1, 2, 3)},
     (4, 2, 4, 60, 0): {(4, 3, 4), (4, 3, 4, 2, 3, 4), (4, 3, 4, 2, 3, 4, 1, 2, 3, 4)},
+    (5, 2, 4, 40, 1): {
+        (5, 4, 5, 3, 4, 5),
+        (5, 4, 5, 3, 4, 5, 2, 3, 4, 5),
+        (5, 4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5),
+    },
+    (6, 2, 4, 10, 0): {
+        (6, 5, 6, 4, 5, 6, 3, 4, 5, 6),
+        (6, 5, 6, 4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6),
+        (6, 5, 6, 4, 5, 6, 3, 4, 5, 6, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6),
+    },
 }
 
 
 @pytest.mark.parametrize("key", sorted(SWEEPS), ids=lambda k: f"c{k[0]}-p{k[1]}-k{k[2]}")
 def test_seeded_sweep_classifies_checked_and_verifies(key):
-    """Random points over F_81, F_625 (c = 2 and 3) and F_16 (c = 4):
-    each is classified with every check on and passes the pullback
-    identity at g = 2c and at g = 2c + 1, where the K slots are not
-    empty."""
+    """Random points over F_81, F_625 (c = 2 and 3), F_729 (c = 2) and
+    F_16 (c = 4 to 6): each is classified with every check on and passes
+    the pullback identity at g = 2c and at g = 2c + 1, where the K slots
+    are not empty."""
     c, p, k, points, seed = key
     space = SymplecticSpace(field(p, k), c)
     rng = np.random.default_rng(seed)
@@ -432,3 +445,42 @@ def test_cold_and_warm_caches_give_the_same_labels():
     records = census(2, 2, 2)
     assert sum(r.count > 0 for r in records) == 3
     assert dc._check_trace.cache_info().currsize == 3
+
+
+def test_labels_are_invariant_under_absolute_frobenius():
+    """The form is F_p-rational and the p-power map commutes with the
+    p^2-twist, so phi(U), the entrywise p-th power of U, has U's label,
+    on every point of every census configuration."""
+    for c, p, m in CENSUS_CONFIGS:
+        for u in dc._cached_lagrangians(c, p, m):
+            rows = linalg.frob_map(u.space.ctx, u.rows, 1)
+            phi = Subspace._from_rref(u.space, rows, u.pivots)
+            assert classify_fine(phi).perm == classify_fine(u).perm, (c, p, m, u.rows)
+
+
+# (c, p, m, step, k) -> the labels met when every step-th point of the
+# census over F_{p^{2m}} is read in F_{p^k} through the fixed embedding
+TOWERS = {
+    (2, 2, 2, 8, 8): {(), (2,), (2, 1, 2)},
+    (2, 3, 1, 1, 4): {()},
+}
+
+
+@pytest.mark.parametrize("key", sorted(TOWERS), ids=lambda k: f"c{k[0]}-p{k[1]}-m{k[2]}-in-k{k[4]}")
+def test_labels_and_pullback_survive_a_subfield_embedding(key):
+    """A point over a subfield, read in the larger field, keeps its label
+    (the embedding commutes with the p^2-twist) and passes the pullback
+    identity at g = 2c there."""
+    c, p, m, step, k = key
+    points = dc._cached_lagrangians(c, p, m)[::step]
+    small, big = dc.census_space(c, p, m), SymplecticSpace(field(p, k), c)
+    table = embed_table(small.ctx, big.ctx).tolist()
+    seen = set()
+    for u in points:
+        rows = tuple([tuple([table[x] for x in row]) for row in u.rows])
+        v = Subspace._from_rref(big, rows, u.pivots)
+        label = classify_fine(u)
+        assert classify_fine(v).perm == label.perm, u.rows
+        assert verify_pullback(v, 2 * c, fine=label), u.rows
+        seen.add(weyl.reduced_word(label))
+    assert seen == TOWERS[key]

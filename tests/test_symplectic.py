@@ -247,7 +247,7 @@ def test_contains_matches_the_rank_of_the_stacked_bases(pair):
     for x, y in ((a, b), (b, a), (a, a), (b, b)):
         want = _generic_contains(x, y)
         assert x.contains(y) == want
-        assert x.is_orthogonal_to(y) == _generic_orthogonal(x, y)
+        assert x.perp().contains(y) == _generic_orthogonal(x, y)
         # the signed reversals are the products with the Gram rows
         ctx, gram, dim = x.space.ctx, x.space.gram_rows, x.space.dim
         assert x.space.times_form(x.rows) == linalg.matmul(ctx, x.rows, gram, dim)
@@ -303,6 +303,20 @@ def test_lagrangian_is_self_perp(space4):
     for u in enumerate_lagrangians(space4)[:25]:
         assert u.perp() == u
         assert u.is_lagrangian()
+
+
+def test_every_census_lagrangian_is_its_own_complement():
+    # a Lagrangian's complement is the subspace itself, not a copy of it,
+    # and it agrees with the null space of u . J
+    from dlstrata import dlclassify
+
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        for u in dlclassify._cached_lagrangians(c, p, m):
+            fresh = Subspace._from_rref(u.space, u.rows, u.pivots)
+            assert fresh.perp() is fresh and fresh.rows == _generic_perp(fresh)
+            assert u.perp() is u
 
 
 def test_twist_properties(space4):
@@ -661,17 +675,34 @@ def _assert_refine_matches_all_joins(flag_c, flag_d):
     return got
 
 
-def test_refine_matches_all_joins_on_every_census_refinement_step():
+def test_refine_matches_all_joins_on_every_census_refinement_step(monkeypatch):
     from dlstrata import dlclassify
 
     from .test_acceptance import CENSUS_CONFIGS
+
+    # every meet refine takes, with its two arguments
+    meets = []
+    intersect = Subspace.intersect
+
+    def recording(a, b):
+        meet = intersect(a, b)
+        meets.append((a, b, meet))
+        return meet
 
     for c, p, m in CENSUS_CONFIGS:
         if c != 2:
             continue
         for u in dlclassify._cached_lagrangians(c, p, m):
             for flag, _ in dlclassify._refine_to_stable(u, 2):
-                _assert_refine_matches_all_joins(flag, flag.twist(2))
+                twist = flag.twist(2)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Subspace, "intersect", recording)
+                    refine(flag, twist)
+                _assert_refine_matches_all_joins(flag, twist)
+    # the meets against the annihilator null-space route
+    assert meets
+    for a, b, meet in meets:
+        assert meet.rows == _generic_intersect(a, b)
 
 
 def _assert_twist_matches_rebuilt(flag, r):
@@ -764,10 +795,9 @@ def _flag_with_symmetric_dims(draw):
 @given(_flag_with_symmetric_dims())
 def test_is_self_dual_matches_the_perp_definition(flag):
     want = _self_dual_by_perp(flag)
-    # no complement cached: pairing products only
+    # no complement cached
     fresh = _fresh(flag)
     assert fresh.is_self_dual() == want
-    assert all(m._perp is None for m in fresh.members)
     # every complement cached, then only the lower half, then the upper
     half = len(flag.members) // 2
     for cached in (slice(None), slice(None, half), slice(half, None)):

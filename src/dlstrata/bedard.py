@@ -11,7 +11,8 @@ and stabilizes once the pair (u, I) repeats.  Each minimal left coset
 representative w for I is the stabilized u of exactly one sequence, and
 that sequence is read off w: the double cosets W_{I_n} u_n W_{F(I_n)}
 shrink along the sequence, so each contains w and u_n is the minimal
-representative of W_{I_n} w W_{F(I_n)}.
+representative of W_{I_n} w W_{F(I_n)}, which ``weyl.min_double_coset_rep``
+reads off w's block table; no descent is stripped.
 
 For Sp the Frobenius acts trivially on the generators; the action is
 kept as a parameter so the twisted variants remain expressible.
@@ -63,6 +64,13 @@ class FrobeniusAction:
         return FrobeniusAction(n, tuple(range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
+def siegel_frobenius(c: int) -> tuple[frozenset[int], FrobeniusAction]:
+    """The Siegel type of rank c with the trivial Frobenius action: the
+    (I, F) that every Lagrangian label is read against."""
+    return weyl.siegel_type(c), FrobeniusAction.trivial(c)
+
+
 def conjugate_type(w: WeylElement, subset: frozenset[int]) -> frozenset[int]:
     """Generator indices i with s_i = w s_j w^{-1} for some j in the subset."""
     n = w.n
@@ -100,40 +108,12 @@ class BedardSequence:
         return self.steps[min(k, len(self.steps) - 1)][1]
 
 
-def _IW_for(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
-    """Minimal left coset representatives for an arbitrary type.
-
-    They are the elements with no left descent in the type, found by
-    breadth-first search upward from the identity: a reduced prefix of
-    such an element has none either, so every one is reached through
-    steps w -> w s_i that lengthen w (i not a right descent) and keep
-    the left descents outside the type.  Ordered by length, then one-line
-    form.
-    """
-    gens = [weyl.simple_reflection(i, n) for i in range(1, n + 1)]
-    found = {weyl.identity(n)}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            descents = weyl.right_descents(w)
-            for i, s in enumerate(gens, start=1):
-                if i in descents:
-                    continue
-                ws = weyl.compose(w, s)
-                if ws not in found and weyl.is_min_left_rep(ws, subset):
-                    found.add(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    return tuple(sorted(found, key=WeylElement.sort_key))
-
-
 @lru_cache(maxsize=None)
 def enumerate_sequences(
     n: int, I: frozenset[int], F: FrobeniusAction
 ) -> tuple[BedardSequence, ...]:
     """All stabilizing sequences for (I, F), one per coset representative."""
-    seqs = (sequence_for(w, I, F) for w in _IW_for(n, I))
+    seqs = (sequence_for(w, I, F) for w in weyl.min_left_reps(n, I))
     return tuple(sorted(seqs, key=lambda s: s.u_inf.sort_key()))
 
 
@@ -169,9 +149,8 @@ def sequence_for(
 
 
 def flag_variety_dim(n: int, subset: frozenset[int]) -> int:
-    """Dimension of the variety of parabolics of the given type."""
-    full = weyl.length(weyl.longest_element(n))
-    return full - weyl.length(weyl.longest_parabolic_element(n, subset))
+    """Dimension of G/P_J, l(w0) - l(w0,J): the length of the shortest element of W_J w0."""
+    return weyl.length(weyl.min_double_coset_rep(weyl.longest_element(n), subset, ()))
 
 
 def stratum_dimension(
@@ -209,8 +188,7 @@ def is_irreducible(
 
 def stratum_table(c: int, g: int | None = None) -> list[dict]:
     """One row per fine stratum label of the rank-c Lagrangian space."""
-    I = weyl.siegel_type(c)
-    F = FrobeniusAction.trivial(c)
+    I, F = siegel_frobenius(c)
     rows = []
     for w in weyl.enumerate_IW(c):
         seq = sequence_for(w, I, F)

@@ -186,8 +186,7 @@ def cmd_bedard(args) -> int:
     if not 1 <= args.c <= 5:
         print("bedard requires 1 <= c <= 5", file=sys.stderr)
         return 2
-    I = weyl.siegel_type(args.c)
-    F = bedard.FrobeniusAction.trivial(args.c)
+    I, F = bedard.siegel_frobenius(args.c)
     rows = []
     for seq in bedard.enumerate_sequences(args.c, I, F):
         rows.append(

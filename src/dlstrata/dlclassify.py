@@ -36,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import bedard, symplectic, weyl
-from .bedard import FrobeniusAction
 from .gf import field
 from .symplectic import Flag, Subspace, SymplecticSpace
 from .weyl import WeylElement
@@ -49,11 +48,6 @@ class CensusRecord:
     c: int
     label: WeylElement
     count: int
-
-
-@lru_cache(maxsize=None)
-def _siegel_frobenius(c: int) -> tuple[frozenset[int], FrobeniusAction]:
-    return weyl.siegel_type(c), FrobeniusAction.trivial(c)
 
 
 def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, WeylElement]]:
@@ -109,12 +103,12 @@ def _check_trace(
     failing one raises RuntimeError again on every call.
     """
     label = WeylElement(c, trace[-1][1])
-    I, F = _siegel_frobenius(c)
+    I, F = bedard.siegel_frobenius(c)
     if not weyl.in_IW(label):
         raise RuntimeError("fine label escaped the minimal coset representatives")
     seq = bedard.sequence_for(label, I, F)
     for k, (dims, perm) in enumerate(trace):
-        typ = symplectic._type_of_dims(c, dims)
+        typ = weyl._type_of_dims(c, dims)
         if typ != seq.type_at(k):
             raise RuntimeError(
                 f"step {k}: flag type {sorted(typ)} differs from the "
@@ -128,13 +122,16 @@ def _check_trace(
 
 
 def classify_coarse(u: Subspace, qexp: int = 2) -> WeylElement:
-    """Coarse label: the double-coset class of the unrefined position."""
+    """Coarse label: the double-coset class of the unrefined position.
+
+    The flag {0, U, V} and its twist both have the Siegel type, so the
+    position ``relpos`` reads is already the shortest element of its
+    (Siegel, Siegel) double coset.
+    """
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
     flag = Flag([u])
-    pos = symplectic.relpos(flag, flag.twist(qexp))
-    I, F = _siegel_frobenius(u.space.n)
-    return weyl.min_double_coset_rep(pos, I, F.apply_subset(I))
+    return symplectic.relpos(flag, flag.twist(qexp))
 
 
 @lru_cache(maxsize=None)

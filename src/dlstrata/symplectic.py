@@ -19,13 +19,12 @@ conjugates everything):
   space; the classifier only ever produces self-dual flags.
 
 Relative position is built directly from the rank table
-dim(C_a cap D_b) = r_w(dim D_b, dim C_a): its second differences count
-the positions each block of one flag sends into each block of the
-other, which fixes the minimal double-coset representative; every table
-entry is then re-checked against r_w of the result.  The position
-depends on the table and the two dimension sets alone, so it is read
-and re-checked once per distinct table and kept; a table that fails is
-not kept, and fails again each time it is met.  The table itself is
+dim(C_a cap D_b) = r_w(dim D_b, dim C_a) by ``weyl._position_of_table``,
+the one reader of minimal double-coset representatives: its second
+differences count the positions each block of one flag sends into each
+block of the other, and every entry is re-checked against r_w of the
+result.  The reader keeps each position per distinct table and pair of
+dimension sets; a table that fails is not kept.  The table itself is
 read per pair of flags, off ranks of sums, dim C_a + dim D_b -
 dim(C_a + D_b), with one insertion pass of D's rows into the reduced
 rows of each proper member of C (``linalg.insertion_ranks``), so no
@@ -79,7 +78,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, weyl
 from .gf import FieldCtx, embed_table
 from .weyl import WeylElement
 
@@ -142,21 +141,9 @@ class Subspace:
         """The span of any rows, an array or a sequence of code rows.
 
         Raises ValueError unless the rows form a matrix of width 2n (an
-        empty input is the zero subspace) whose every entry is an integer
-        code in [0, q): floats, strings and out-of-range integers of any
-        size are refused, not truncated, parsed or wrapped.
+        empty input is the zero subspace) of codes (``_code_matrix``).
         """
-        mat = np.asarray(rows)
-        if mat.shape == (0,):
-            mat = mat.reshape(0, space.dim)
-        if mat.ndim != 2 or mat.shape[1] != space.dim:
-            raise ValueError(
-                f"rows of shape {mat.shape} do not have width {space.dim}"
-            )
-        if mat.size and not (
-            mat.dtype.kind in "iu" and 0 <= mat.min() and mat.max() < space.ctx.q
-        ):
-            raise ValueError(f"row entries are not codes of F_{space.ctx.q}")
+        mat = _code_matrix(space, rows)
         self._init(space, *linalg.rref(space.ctx, mat.tolist(), space.dim))
 
     @classmethod
@@ -295,11 +282,36 @@ class Subspace:
         """Whether self has dimension n and is its own complement."""
         return self.dim == self.space.n and self.perp() is self
 
-    def apply(self, matrix: np.ndarray) -> "Subspace":
-        """Image under an invertible matrix (column-vector convention)."""
+    def apply(self, matrix: np.ndarray | Sequence) -> "Subspace":
+        """Image under an invertible matrix (column-vector convention);
+        ValueError unless it is 2n x 2n of codes and keeps self's dimension."""
         space = self.space
-        image = linalg.matmul(space.ctx, self.rows, linalg.as_rows(matrix.T), space.dim)
-        return Subspace._from_rref(space, *linalg.rref(space.ctx, image, space.dim))
+        mat = _code_matrix(space, matrix, space.dim)
+        image = linalg.matmul(space.ctx, self.rows, linalg.as_rows(mat.T), space.dim)
+        out = Subspace._from_rref(space, *linalg.rref(space.ctx, image, space.dim))
+        if out.dim < self.dim:
+            raise ValueError(f"singular matrix: a {self.dim}-dimensional image has {out.dim}")
+        return out
+
+
+def _code_matrix(
+    space: SymplecticSpace, data: np.ndarray | Sequence, height: int | None = None
+) -> np.ndarray:
+    """data as an array of width 2n (and of the given height); ValueError
+    on any other shape and unless every entry is an integer code in [0, q):
+    floats, strings and out-of-range integers are refused, not truncated,
+    parsed or wrapped."""
+    mat = np.asarray(data)
+    if mat.shape == (0,):
+        mat = mat.reshape(0, space.dim)
+    if mat.ndim != 2 or mat.shape[1] != space.dim or height not in (None, mat.shape[0]):
+        want = f"{height} x {space.dim}" if height is not None else f"k x {space.dim}"
+        raise ValueError(f"array of shape {mat.shape} is not {want}")
+    if mat.size and not (
+        mat.dtype.kind in "iu" and 0 <= mat.min() and mat.max() < space.ctx.q
+    ):
+        raise ValueError(f"row entries are not codes of F_{space.ctx.q}")
+    return mat
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -386,30 +398,18 @@ class Flag:
 
 def flag_type(flag: Flag) -> frozenset[int]:
     """Generator indices not cut by the flag's dimension set."""
-    return _type_of_dims(flag.space.n, flag.dims)
-
-
-def _type_of_dims(n: int, dims: Sequence[int]) -> frozenset[int]:
-    """Generator indices of rank n not cut by the dimension set dims."""
-    cuts = set(dims)
-    return frozenset(i for i in range(1, n + 1) if i not in cuts and 2 * n - i not in cuts)
+    return weyl._type_of_dims(flag.space.n, flag.dims)
 
 
 def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     """The minimal double-coset representative matching the rank table.
 
-    With T(a, b) = dim(C_a cap D_b), the second difference of T over a
-    block (d_{k-1}, d_k] of flag_d dimensions and a block (c_{l-1}, c_l]
-    of flag_c dimensions counts the positions of the first block that w
-    sends into the second (Fulton, Duke 1992).  Filling each flag_d
-    block in increasing order with the next unused values of each
-    flag_c block gives the representative that increases on every block
-    of both, which is the minimal one.  Every table entry is then
-    re-checked as dim(C_a cap D_b) = r_w(dim D_b, dim C_a); a table that
-    is not the table of a Weyl element (a negative count, a permutation
-    that is not symmetric, or a mismatched entry) raises RuntimeError,
-    on every call.  The reading and the re-check run once per distinct
-    table and pair of dimension sets, which is all they depend on.
+    With T(a, b) = dim(C_a cap D_b) = r_w(dim D_b, dim C_a), the
+    position is read off T and every entry re-checked by
+    ``weyl._position_of_table``; a table that is not the table of a Weyl
+    element raises RuntimeError, on every call.  The reading and the
+    re-check run once per distinct table and pair of dimension sets,
+    which is all they depend on.
     Both flags must have symmetric dimension sets, as self-dual flags
     do.  The argument order in r_w is what makes the normalization
     match the coset machinery: for the standard flag E and a permuted
@@ -452,61 +452,13 @@ def _table_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[int]], We
 
     The table is read per pair of flags; the position is a function of
     the table and the two dimension sets alone, so it is read and
-    re-checked once per distinct table (``_position_of_table``).
+    re-checked once per distinct table (``weyl._position_of_table``).
     """
     if flag_c.space is not flag_d.space:
         raise ValueError("flags live in different spaces")
     table = _rank_table(flag_c, flag_d)
     key = tuple(map(tuple, table))
-    return table, _position_of_table(flag_c.space.n, flag_c.dims, flag_d.dims, key)
-
-
-@lru_cache(maxsize=None)
-def _position_of_table(
-    n: int, cdims: tuple[int, ...], ddims: tuple[int, ...], table: tuple[tuple[int, ...], ...]
-) -> WeylElement:
-    """The position a rank table of flags with these dimensions gives.
-
-    A table that is not the table of a Weyl element raises, and raises
-    again on every call: only returned positions are kept.
-    """
-    for dims in (cdims, ddims):
-        if any(2 * n - d not in dims for d in dims):
-            raise ValueError(f"dimension set {dims} is not symmetric")
-    used = list(cdims[:-1])  # last value taken from each flag_c block
-    perm: list[int] = []
-    for k, (d0, d1) in enumerate(zip(ddims, ddims[1:])):
-        for l, (c0, c1) in enumerate(zip(cdims, cdims[1:])):
-            count = table[l + 1][k + 1] - table[l + 1][k] - table[l][k + 1] + table[l][k]
-            if count < 0:
-                raise RuntimeError(
-                    f"rank table gives {count} positions from block "
-                    f"({d0}, {d1}] into block ({c0}, {c1}]"
-                )
-            perm.extend(range(used[l] + 1, used[l] + count + 1))
-            used[l] += count
-    try:
-        w = WeylElement(n, tuple(perm))
-    except ValueError as exc:
-        raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
-    # re-check every entry against r_w(d, c) = #{x <= d : w(x) <= c}, in
-    # one pass along w: below[a] is that count for c = cdims[a] and the
-    # flag_d dimension d reached so far
-    below = [0] * len(cdims)
-    done = 0
-    for k, d in enumerate(ddims):
-        for x in perm[done:d]:
-            for a, c in enumerate(cdims):
-                if x <= c:
-                    below[a] += 1
-        done = d
-        for a, c in enumerate(cdims):
-            if table[a][k] != below[a]:
-                raise RuntimeError(
-                    f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
-                    f"from r_w = {below[a]} for w = {w.perm}"
-                )
-    return w
+    return table, weyl._position_of_table(flag_c.space.n, flag_c.dims, flag_d.dims, key)
 
 
 def refine(flag_c: Flag, flag_d: Flag) -> tuple[Flag, WeylElement]:

@@ -12,6 +12,11 @@ stated for that convention.
 >>> length(s2 * s1 * s2)
 3
 
+A minimal double-coset representative has one computation: the reader
+``_position_of_table`` takes it off a table of block counts, w's own in
+``min_double_coset_rep`` and a pair of flags' rank table in
+``symplectic``.  Nothing strips descents to find one.
+
 Everything here is a pure value; enumeration results are cached,
 immutable tuples shared read-only.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 
@@ -94,26 +98,14 @@ def left_descents(w: WeylElement) -> frozenset[int]:
     return right_descents(w.inverse())
 
 
-@lru_cache(maxsize=None)
 def length(w: WeylElement) -> int:
-    """Coxeter length, by greedy right-descent stripping.
-
-    A symmetric permutation that increases on 1..n+1 is the identity, so
-    the loop below runs exactly length(w) times; agreement with the
-    Cayley-graph distance is checked in the test suite.
-    """
-    a = list(w.perm)
-    n = w.n
-    steps = 0
-    while True:
-        i = next((i for i in range(1, n + 1) if a[i - 1] > a[i]), None)
-        if i is None:
-            return steps
-        a[i - 1], a[i] = a[i], a[i - 1]
-        if i < n:
-            j = 2 * n - i
-            a[j - 1], a[j] = a[j], a[j - 1]
-        steps += 1
+    """Coxeter length, (inv(w) + #{i <= n : w(i) > n}) / 2, with inv(w)
+    the inversions of w on 2n letters: along a reduced word each s_i,
+    i < n, adds two inversions, and each s_n one and one value above n
+    in the positions 1..n."""
+    perm, n = w.perm, w.n
+    inversions = sum(1 for i, a in enumerate(perm) for b in perm[i + 1 :] if a > b)
+    return (inversions + sum(1 for v in perm[:n] if v > n)) // 2
 
 
 def reduced_word(w: WeylElement, smallest_first: bool = True) -> tuple[int, ...]:
@@ -157,19 +149,92 @@ def is_min_left_rep(w: WeylElement, subset: Iterable[int]) -> bool:
 def min_double_coset_rep(
     w: WeylElement, left: Iterable[int], right: Iterable[int]
 ) -> WeylElement:
-    """The unique shortest element of W_left * w * W_right."""
-    left, right = frozenset(left), frozenset(right)
-    cur = w
-    while True:
-        lds = left_descents(cur) & left
-        if lds:
-            cur = compose(simple_reflection(min(lds), w.n), cur)
-            continue
-        rds = right_descents(cur) & right
-        if rds:
-            cur = compose(cur, simple_reflection(min(rds), w.n))
-            continue
-        return cur
+    """The unique shortest element of W_left * w * W_right, read off w's
+    own block table for the two types' dimension sets: the table is
+    constant on the double coset, and the re-check keeps the result in it."""
+    n = w.n
+    cdims, ddims = _dims_of_type(n, left), _dims_of_type(n, right)
+    return _position_of_table(n, cdims, ddims, _block_table(w.perm, cdims, ddims))
+
+
+def _type_of_dims(n: int, dims: Sequence[int]) -> frozenset[int]:
+    """Generator indices of rank n not cut by the dimension set dims."""
+    cuts = set(dims)
+    return frozenset(i for i in range(1, n + 1) if i not in cuts and 2 * n - i not in cuts)
+
+
+def _dims_of_type(n: int, subset: Iterable[int]) -> tuple[int, ...]:
+    """The symmetric dimension set of a type (inverse to ``_type_of_dims``)."""
+    kept = set(subset)
+    cuts = {d for i in range(1, n + 1) if i not in kept for d in (i, 2 * n - i)}
+    return tuple(sorted(cuts | {0, 2 * n}))
+
+
+def _block_table(
+    perm: Sequence[int], cdims: Sequence[int], ddims: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """T[a][b] = r_w(ddims[b], cdims[a]) = #{x <= ddims[b] : w(x) <= cdims[a]},
+    in one pass along w."""
+    below = [0] * len(cdims)
+    columns = []
+    done = 0
+    for d in ddims:
+        for v in perm[done:d]:
+            for a, c in enumerate(cdims):
+                if v <= c:
+                    below[a] += 1
+        done = d
+        columns.append(tuple(below))
+    return tuple(zip(*columns))
+
+
+@lru_cache(maxsize=None)
+def _position_of_table(
+    n: int, cdims: tuple[int, ...], ddims: tuple[int, ...], table: tuple[tuple[int, ...], ...]
+) -> WeylElement:
+    """The shortest element whose block table for these dimensions is table.
+
+    Row a of the table belongs to cdims[a] and column b to ddims[b],
+    and T[a][b] = r_w(ddims[b], cdims[a]).  The second difference of T
+    over a block (d_{k-1}, d_k] of ddims and a block (c_{l-1}, c_l] of
+    cdims counts the positions of the first block that w sends into the
+    second (Fulton, Duke 1992).  Filling each ddims block in increasing
+    order with the next unused values of each cdims block gives the
+    element that increases on every block of both, which is the shortest
+    one.  Every entry is then re-checked against r_w of the result.
+    Both dimension sets must be symmetric (ValueError).  A table that is
+    not the table of a Weyl element (a negative count, a permutation that
+    is not symmetric, or a mismatched entry) raises RuntimeError, and
+    raises again on every call: only returned positions are kept.
+    """
+    for dims in (cdims, ddims):
+        if any(2 * n - d not in dims for d in dims):
+            raise ValueError(f"dimension set {dims} is not symmetric")
+    used = list(cdims[:-1])  # last value taken from each cdims block
+    perm: list[int] = []
+    for k, (d0, d1) in enumerate(zip(ddims, ddims[1:])):
+        for l, (c0, c1) in enumerate(zip(cdims, cdims[1:])):
+            count = table[l + 1][k + 1] - table[l + 1][k] - table[l][k + 1] + table[l][k]
+            if count < 0:
+                raise RuntimeError(
+                    f"rank table gives {count} positions from block "
+                    f"({d0}, {d1}] into block ({c0}, {c1}]"
+                )
+            perm.extend(range(used[l] + 1, used[l] + count + 1))
+            used[l] += count
+    try:
+        w = WeylElement(n, tuple(perm))
+    except ValueError as exc:
+        raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
+    below = _block_table(perm, cdims, ddims)
+    for k, d in enumerate(ddims):
+        for a, c in enumerate(cdims):
+            if table[a][k] != below[a][k]:
+                raise RuntimeError(
+                    f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
+                    f"from r_w = {below[a][k]} for w = {w.perm}"
+                )
+    return w
 
 
 def _bfs(n: int, subset: Iterable[int]) -> dict[WeylElement, int]:
@@ -199,23 +264,6 @@ def enumerate_group(n: int) -> tuple[WeylElement, ...]:
     return tuple(sorted(_bfs(n, range(1, n + 1)), key=WeylElement.sort_key))
 
 
-@lru_cache(maxsize=None)
-def longest_parabolic_element(n: int, subset: frozenset[int]) -> WeylElement:
-    """Longest element of W_J, by greedy ascent (no enumeration needed)."""
-    cur = identity(n)
-    while True:
-        up = [i for i in sorted(subset) if i not in right_descents(cur)]
-        step = None
-        for i in up:
-            cand = compose(cur, simple_reflection(i, n))
-            if length(cand) > length(cur):
-                step = cand
-                break
-        if step is None:
-            return cur
-        cur = step
-
-
 def longest_element(n: int) -> WeylElement:
     return WeylElement(n, tuple(range(2 * n, 0, -1)))
 
@@ -225,23 +273,39 @@ def siegel_type(n: int) -> frozenset[int]:
     return frozenset(range(1, n))
 
 
+def min_left_reps(n: int, subset: Iterable[int]) -> tuple[WeylElement, ...]:
+    """Minimal left coset representatives for a type.
+
+    They are the elements with no left descent in the type, found by
+    breadth-first search upward from the identity: a reduced prefix of
+    such an element has none either, so every one is reached through
+    steps w -> w s_i that lengthen w (i not a right descent) and keep
+    the left descents outside the type.  Ordered by length, then one-line
+    form.
+    """
+    subset = frozenset(subset)
+    gens = [simple_reflection(i, n) for i in range(1, n + 1)]
+    found = {identity(n)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            descents = right_descents(w)
+            for i, s in enumerate(gens, start=1):
+                if i in descents:
+                    continue
+                ws = compose(w, s)
+                if ws not in found and is_min_left_rep(ws, subset):
+                    found.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return tuple(sorted(found, key=WeylElement.sort_key))
+
+
 @lru_cache(maxsize=None)
 def enumerate_IW(n: int) -> tuple[WeylElement, ...]:
-    """The 2^n minimal left coset representatives for the Siegel type.
-
-    An element with w^{-1}(1) < ... < w^{-1}(n) is determined by the set
-    of those n preimage positions, which picks one member from each pair
-    {i, 2n+1-i}; conversely every such set yields one element.
-    """
-    out = []
-    for choice in product((False, True), repeat=n):
-        positions = sorted(
-            i if not flip else 2 * n + 1 - i
-            for i, flip in zip(range(1, n + 1), choice)
-        )
-        out.append(siegel_rep(positions, n))
-    assert len({w.perm for w in out}) == 2**n
-    return tuple(sorted(out, key=WeylElement.sort_key))
+    """The 2^n minimal left coset representatives for the Siegel type."""
+    return min_left_reps(n, siegel_type(n))
 
 
 def siegel_rep(positions: Sequence[int], n: int) -> WeylElement:
@@ -267,32 +331,13 @@ def in_IW(w: WeylElement) -> bool:
 
 
 def canonical_word_IW(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    """The canonical reduced word for the Siegel coset rep of a subset.
-
-    For i_1 < ... < i_l in {1..n} the word is the concatenation of the
-    descending runs (s_n s_{n-1} ... s_{i_*}), one run per subset member.
-    Both run orders are tried; exactly one evaluates to a reduced word
-    lying in the minimal-representative set, and that one is returned.
-    """
+    """The canonical reduced word for the Siegel coset rep of a subset:
+    for i_1 < ... < i_l in {1..n}, the runs (s_n ... s_{i_1}) ... (s_n ...
+    s_{i_l}) in that order (the tests check the bijection onto IW)."""
     idx = sorted(set(subset))
     if any(i < 1 or i > n for i in idx):
         raise ValueError("subset must lie in 1..n")
-    if not idx:
-        return ()
-    runs = [tuple(range(n, i - 1, -1)) for i in idx]
-    ascending = tuple(x for run in runs for x in run)
-    descending = tuple(x for run in reversed(runs) for x in run)
-    candidates = {ascending, descending}
-    good = []
-    for word in candidates:
-        w = evaluate_word(word, n)
-        if length(w) == len(word) and in_IW(w):
-            good.append(word)
-    if len(good) != 1:
-        raise RuntimeError(
-            f"run-order convention failure for subset {idx}: {len(good)} valid orders"
-        )
-    return good[0]
+    return tuple(x for i in idx for x in range(n, i - 1, -1))
 
 
 def r_w(w: WeylElement, i: int, j: int) -> int:

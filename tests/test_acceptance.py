@@ -49,7 +49,7 @@ def test_c02_sequence_bijection():
             for sub in combinations(range(1, n + 1), r):
                 I = frozenset(sub)
                 seqs = bedard.enumerate_sequences(n, I, F)  # raises if broken
-                reps = bedard._IW_for(n, I)
+                reps = weyl.min_left_reps(n, I)
                 ok &= sorted(s.u_inf.perm for s in seqs) == sorted(w.perm for w in reps)
     report(2, ok, "stabilizing sequences biject onto coset representatives (n <= 4)")
 

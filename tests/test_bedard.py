@@ -88,7 +88,7 @@ def test_coset_representatives_match_the_group_scan(n):
     """The upward search lists exactly the group elements that the scan
     ``min_double_reps`` keeps, in the same order, for every type."""
     for I in all_subsets(n):
-        reps = bedard._IW_for(n, I)
+        reps = weyl.min_left_reps(n, I)
         assert reps == min_double_reps(n, I, frozenset()), sorted(I)
         assert len(reps) * len(parabolic_subgroup(n, I)) == 2**n * factorial(n)
 
@@ -98,7 +98,7 @@ def test_bijection_and_step_conditions_all_types(n):
     F = FrobeniusAction.trivial(n)
     for I in all_subsets(n):
         seqs = enumerate_sequences(n, I, F)
-        reps = {w.perm for w in bedard._IW_for(n, I)}
+        reps = {w.perm for w in weyl.min_left_reps(n, I)}
         # bijection onto the minimal left coset representatives
         assert sorted(s.u_inf.perm for s in seqs) == sorted(reps)
         for seq in seqs:
@@ -176,6 +176,11 @@ def test_flag_variety_dimensions():
     assert flag_variety_dim(1, frozenset()) == 1
     assert flag_variety_dim(2, frozenset({1})) == 3
     assert flag_variety_dim(3, frozenset()) == 9  # full flag variety of Sp_6
+    for n in (1, 2, 3, 4):
+        full = length(weyl.longest_element(n))
+        for J in all_subsets(n):
+            longest = max(length(w) for w in parabolic_subgroup(n, J))
+            assert flag_variety_dim(n, J) == full - longest, (n, sorted(J))
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -203,7 +208,7 @@ def test_twisted_frobenius_still_bijects():
     flip = FrobeniusAction(2, (2, 1))
     for I in all_subsets(2):
         seqs = enumerate_sequences(2, I, flip)
-        reps = sorted(w.perm for w in bedard._IW_for(2, I))
+        reps = sorted(w.perm for w in weyl.min_left_reps(2, I))
         assert sorted(s.u_inf.perm for s in seqs) == reps
     s2 = simple_reflection(2, 2)
     # under the flip no proper subset is stable, so the closure saturates

@@ -431,7 +431,7 @@ def test_cold_and_warm_caches_give_the_same_labels():
     """Every point of every census configuration gets the same label with
     the kept tables and traces as with both caches emptied before it; the
     F_16 census keeps one trace per non-empty stratum."""
-    caches = (sp._position_of_table, dc._check_trace)
+    caches = (weyl._position_of_table, dc._check_trace)
     for c, p, m in CENSUS_CONFIGS:
         points = dc._cached_lagrangians(c, p, m)
         warm = [classify_fine(u).perm for u in points]

@@ -104,6 +104,39 @@ def test_subspace_accepts_arrays_row_tuples_and_empty_inputs(space4):
         assert Subspace(space4, empty) == zero
 
 
+def test_apply_refuses_bad_and_singular_matrices():
+    """A matrix is applied only when it is 2n x 2n with integer codes in
+    [0, q), and only when the image keeps the subspace's dimension."""
+    space = SymplecticSpace(field(2, 4), 2)
+    u = enumerate_lagrangians(space)[-1]
+    assert u.dim == 2
+    unit = eye(4)
+    assert u.apply(unit) == u
+    g = random_symplectic(space, 5)
+    assert u.apply(g).dim == 2 and u.apply(g).is_lagrangian()
+    coded = unit.copy()
+    coded[0, 3] = 99
+    bad = [
+        -np.ones((4, 4), dtype=np.int32),  # would index the tables from the end
+        1.7 * unit,  # would be truncated to the identity
+        unit.astype(float),
+        coded,  # past the field's q = 16 codes
+        unit[:3],
+        np.eye(5, dtype=np.int32),
+        unit.ravel(),
+        [["1", 0, 0, 0]] * 4,
+    ]
+    for matrix in bad:
+        with pytest.raises(ValueError, match="is not 4 x 4|not codes of F_16"):
+            u.apply(matrix)
+    # singular matrices: the zero matrix, and a projection onto one line
+    line = zeros(4, 4)
+    line[0, 0] = 1
+    for matrix in (zeros(4, 4), line):
+        with pytest.raises(ValueError, match="singular"):
+            u.apply(matrix)
+
+
 def test_subspace_canonical_form(space4):
     rows = np.array([[1, 2, 3, 0], [0, 1, 1, 1]])
     u = Subspace(space4, rows)
@@ -743,7 +776,7 @@ def _self_dual_flag_pair(draw):
 @given(_self_dual_flag_pair())
 def test_refine_matches_all_joins_on_random_flag_pairs(pair):
     # every example reads its tables from scratch, not from earlier ones
-    symplectic._position_of_table.cache_clear()
+    weyl._position_of_table.cache_clear()
     c, d = pair
     for a, b in ((c, d), (d, c), (c, c)):
         # refine a against b until it stops, checking every step

@@ -1,3 +1,4 @@
+import doctest
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,7 @@ from dlstrata.weyl import (
     simple_reflection,
     support,
 )
-from tests.reference import cayley_distances, parabolic_subgroup
+from tests.reference import cayley_distances, min_double_reps, parabolic_subgroup
 
 
 def s(i, n):
@@ -85,7 +86,7 @@ def test_compose_convention():
 # -- length, descents, words ----------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_length_agrees_with_cayley_graph_distance(n):
     dist = cayley_distances(n)
     for w in enumerate_group(n):
@@ -195,6 +196,17 @@ def _strip_right_first(w, left, right):
 
 
 def test_min_double_coset_rep_is_constant_on_cosets():
+    # every (w, left, right) at n <= 3: the table reading agrees with the
+    # right-first stripping order and is one of the scanned representatives
+    for n in (1, 2, 3):
+        subsets = [frozenset(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
+        for left in subsets:
+            for right in subsets:
+                reps = {v.perm for v in min_double_reps(n, left, right)}
+                for w in enumerate_group(n):
+                    rep = min_double_coset_rep(w, left, right)
+                    assert _strip_right_first(w, left, right).perm == rep.perm
+                    assert rep.perm in reps
     for n, cases in [
         (2, [({1}, {1}), ({1}, {2}), ({2}, set()), ({1, 2}, {1})]),
         (3, [({1, 2}, {1, 2}), ({1}, {3}), ({2, 3}, {1, 2, 3})]),
@@ -205,7 +217,6 @@ def test_min_double_coset_rep_is_constant_on_cosets():
             for w in enumerate_group(n):
                 rep = min_double_coset_rep(w, left, right)
                 assert min_double_coset_rep(rep, left, right).perm == rep.perm
-                assert _strip_right_first(w, left, right).perm == rep.perm
                 for a in wl:
                     for b in wr:
                         assert (
@@ -327,3 +338,9 @@ def test_class_c():
     assert class_c(r_map_inv(simple_reflection(1, 1), 4)) == 1
     with pytest.raises(ValueError):
         class_c(s(1, 2))  # not a minimal representative
+
+
+def test_module_doctest_runs():
+    result = doctest.testmod(weyl)
+    assert result.attempted >= 3
+    assert result.failed == 0

@@ -148,8 +148,10 @@ def sequence_for(
         cur_type = next_type
 
 
+@lru_cache(maxsize=None)
 def flag_variety_dim(n: int, subset: frozenset[int]) -> int:
-    """Dimension of G/P_J, l(w0) - l(w0,J): the length of the shortest element of W_J w0."""
+    """Dimension of G/P_J, l(w0) - l(w0,J): the length of the shortest
+    element of W_J w0; kept per (n, J), as stratum tables ask for few."""
     return weyl.length(weyl.min_double_coset_rep(weyl.longest_element(n), subset, ()))
 
 

@@ -23,8 +23,10 @@ immutable tuples shared read-only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 
@@ -95,7 +97,9 @@ def right_descents(w: WeylElement) -> frozenset[int]:
 
 
 def left_descents(w: WeylElement) -> frozenset[int]:
-    return right_descents(w.inverse())
+    """{i in 1..n : w^{-1}(i) > w^{-1}(i+1)}: i+1 stands before i in w's one-line form."""
+    pos = w.perm.index
+    return frozenset(i for i in range(1, w.n + 1) if pos(i) > pos(i + 1))
 
 
 def length(w: WeylElement) -> int:
@@ -175,16 +179,14 @@ def _block_table(
 ) -> tuple[tuple[int, ...], ...]:
     """T[a][b] = r_w(ddims[b], cdims[a]) = #{x <= ddims[b] : w(x) <= cdims[a]},
     in one pass along w."""
-    below = [0] * len(cdims)
+    first = [0] * len(cdims)  # values so far, by the first cdims[a] >= them
     columns = []
     done = 0
     for d in ddims:
         for v in perm[done:d]:
-            for a, c in enumerate(cdims):
-                if v <= c:
-                    below[a] += 1
+            first[bisect_left(cdims, v)] += 1
         done = d
-        columns.append(tuple(below))
+        columns.append(tuple(accumulate(first)))
     return tuple(zip(*columns))
 
 
@@ -212,28 +214,35 @@ def _position_of_table(
             raise ValueError(f"dimension set {dims} is not symmetric")
     used = list(cdims[:-1])  # last value taken from each cdims block
     perm: list[int] = []
-    for k, (d0, d1) in enumerate(zip(ddims, ddims[1:])):
-        for l, (c0, c1) in enumerate(zip(cdims, cdims[1:])):
-            count = table[l + 1][k + 1] - table[l + 1][k] - table[l][k + 1] + table[l][k]
+    for k in range(1, len(ddims)):
+        # positions of this ddims block sent to values <= each cdims[a]
+        below = [row[k] - row[k - 1] for row in table]
+        for l in range(1, len(cdims)):
+            count = below[l] - below[l - 1]
             if count < 0:
                 raise RuntimeError(
                     f"rank table gives {count} positions from block "
-                    f"({d0}, {d1}] into block ({c0}, {c1}]"
+                    f"({ddims[k - 1]}, {ddims[k]}] into block ({cdims[l - 1]}, {cdims[l]}]"
                 )
-            perm.extend(range(used[l] + 1, used[l] + count + 1))
-            used[l] += count
+            if count:
+                perm.extend(range(used[l - 1] + 1, used[l - 1] + count + 1))
+                used[l - 1] += count
     try:
         w = WeylElement(n, tuple(perm))
     except ValueError as exc:
         raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
     below = _block_table(perm, cdims, ddims)
-    for k, d in enumerate(ddims):
-        for a, c in enumerate(cdims):
-            if table[a][k] != below[a][k]:
-                raise RuntimeError(
-                    f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
-                    f"from r_w = {below[a][k]} for w = {w.perm}"
-                )
+    if below != table:
+        c, d, a, k = next(
+            (c, d, a, k)
+            for k, d in enumerate(ddims)
+            for a, c in enumerate(cdims)
+            if table[a][k] != below[a][k]
+        )
+        raise RuntimeError(
+            f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
+            f"from r_w = {below[a][k]} for w = {w.perm}"
+        )
     return w
 
 

@@ -23,8 +23,9 @@ dim(C_a cap D_b) = r_w(dim D_b, dim C_a) by ``weyl._position_of_table``,
 the one reader of minimal double-coset representatives: its second
 differences count the positions each block of one flag sends into each
 block of the other, and every entry is re-checked against r_w of the
-result.  The reader keeps each position per distinct table and pair of
-dimension sets; a table that fails is not kept.  The table itself is
+result; no representative is found by stripping descents.  The reader
+keeps each position per distinct table and pair of dimension sets; a
+table that fails is not kept.  The table itself is
 read per pair of flags, off ranks of sums, dim C_a + dim D_b -
 dim(C_a + D_b), with one insertion pass of D's rows into the reduced
 rows of each proper member of C (``linalg.insertion_ranks``), so no

@@ -216,9 +216,9 @@ def _position_of_table(
     perm: list[int] = []
     for k in range(1, len(ddims)):
         # positions of this ddims block sent to values <= each cdims[a]
-        below = [row[k] - row[k - 1] for row in table]
+        sent = [row[k] - row[k - 1] for row in table]
         for l in range(1, len(cdims)):
-            count = below[l] - below[l - 1]
+            count = sent[l] - sent[l - 1]
             if count < 0:
                 raise RuntimeError(
                     f"rank table gives {count} positions from block "
@@ -231,17 +231,17 @@ def _position_of_table(
         w = WeylElement(n, tuple(perm))
     except ValueError as exc:
         raise RuntimeError(f"rank table is not the table of a Weyl element: {exc}") from exc
-    below = _block_table(perm, cdims, ddims)
-    if below != table:
+    rw = _block_table(perm, cdims, ddims)
+    if rw != table:
         c, d, a, k = next(
             (c, d, a, k)
             for k, d in enumerate(ddims)
             for a, c in enumerate(cdims)
-            if table[a][k] != below[a][k]
+            if table[a][k] != rw[a][k]
         )
         raise RuntimeError(
             f"rank table entry dim(C_{c} cap D_{d}) = {table[a][k]} differs "
-            f"from r_w = {below[a][k]} for w = {w.perm}"
+            f"from r_w = {rw[a][k]} for w = {w.perm}"
         )
     return w
 

@@ -22,24 +22,24 @@ from dlstrata.weyl import (
 n = 3
 print(f"generators of the rank-{n} group:")
 for i in range(1, n + 1):
-    print(f"  s{i} = {simple_reflection(i, n).one_line}")
+    print(f"  s{i} = {simple_reflection(i, n).perm}")
 
 w = simple_reflection(3, n) * simple_reflection(2, n) * simple_reflection(3, n)
-print(f"\ns3 s2 s3 = {w.one_line}, length {length(w)}, word {reduced_word(w)}")
+print(f"\ns3 s2 s3 = {w.perm}, length {length(w)}, word {reduced_word(w)}")
 
 print(f"\nthe group has {len(weyl.enumerate_group(n))} elements (2^n n!)")
 
 print("\nminimal Siegel coset representatives (one per stratum label):")
 for v in enumerate_IW(n):
-    print(f"  {v.one_line}  length {length(v)}  word {reduced_word(v) or '()'}")
+    print(f"  {v.perm}  length {length(v)}  word {reduced_word(v) or '()'}")
 
 print("\neach representative is the value of a canonical word, one per subset:")
 for subset in ([], [2], [1, 3], [1, 2, 3]):
     word = canonical_word_IW(subset, n)
-    print(f"  subset {subset!r:12} -> word {word} -> {evaluate_word(word, n).one_line}")
+    print(f"  subset {subset!r:12} -> word {word} -> {evaluate_word(word, n).perm}")
 
 print("\nthe restriction map drops fixed leading letters:")
 lifted = r_map_inv(simple_reflection(1, 1), 3)
-print(f"  lifting the rank-1 reflection to rank 3 gives {lifted.one_line}")
+print(f"  lifting the rank-1 reflection to rank 3 gives {lifted.perm}")
 print(f"  its class (smallest c with all earlier letters fixed) is {class_c(lifted)}")
-print(f"  restricting back: {r_map(lifted, 1).one_line}")
+print(f"  restricting back: {r_map(lifted, 1).perm}")

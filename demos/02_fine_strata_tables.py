@@ -36,7 +36,7 @@ for g in (4, 6, 8):
         if c and c == g // 2:
             rw = weyl.r_map(w, c)
             print(
-                f"  g={g}: label {w.one_line} restricts to rank {c} with "
+                f"  g={g}: label {w.perm} restricts to rank {c} with "
                 f"support {sorted(weyl.support(rw))}"
             )
             break

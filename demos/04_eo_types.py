@@ -31,8 +31,8 @@ for name, row in [("rational", [1, 0]), ("wild", [1, s])]:
         print(f"  genus {g}: canonical dims {flag.dims}, F-image dims {flag.fdims}")
         print(f"           psi = {eo.psi}")
         print(
-            f"           EO label {eo.w.one_line} == lifted fine label "
-            f"{lifted.one_line}: {eo.w.perm == lifted.perm}"
+            f"           EO label {eo.w.perm} == lifted fine label "
+            f"{lifted.perm}: {eo.w.perm == lifted.perm}"
         )
     print()
 

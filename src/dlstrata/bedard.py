@@ -14,6 +14,10 @@ shrink along the sequence, so each contains w and u_n is the minimal
 representative of W_{I_n} w W_{F(I_n)}, which ``weyl.min_double_coset_rep``
 reads off w's block table; no descent is stripped.
 
+The next type needs only two entries of u_n per generator: for j in
+F(I_n), u_n s_j u_n^{-1} is simple exactly when u_n(j) and u_n(j+1)
+differ by one, and with a the smaller it is s_{min(a, 2n-a)}.
+
 For Sp the Frobenius acts trivially on the generators; the action is
 kept as a parameter so the twisted variants remain expressible.
 """
@@ -72,16 +76,19 @@ def siegel_frobenius(c: int) -> tuple[frozenset[int], FrobeniusAction]:
 
 
 def conjugate_type(w: WeylElement, subset: frozenset[int]) -> frozenset[int]:
-    """Generator indices i with s_i = w s_j w^{-1} for some j in the subset."""
-    n = w.n
-    simples = {weyl.simple_reflection(i, n).perm: i for i in range(1, n + 1)}
-    w_inv = w.inverse()
+    """Generator indices i with s_i = w s_j w^{-1} for some j in the subset.
+
+    w s_j w^{-1} swaps the values w(j) and w(j+1) (with their mirrors),
+    so it is simple exactly when they differ by one; with a the smaller,
+    it is s_a for a <= n and s_{2n-a} above.
+    """
+    n, perm = w.n, w.perm
     out = set()
     for j in subset:
-        conj = weyl.compose(weyl.compose(w, weyl.simple_reflection(j, n)), w_inv)
-        i = simples.get(conj.perm)
-        if i is not None:
-            out.add(i)
+        a, b = perm[j - 1], perm[j]
+        if abs(a - b) == 1:
+            a = min(a, b)
+            out.add(min(a, 2 * n - a))
     return frozenset(out)
 
 

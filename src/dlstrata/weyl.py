@@ -7,10 +7,16 @@ first": (a*b)(i) = a(b(i)); all descent and length formulas below are
 stated for that convention.
 
 >>> s1, s2 = simple_reflection(1, 2), simple_reflection(2, 2)
->>> (s2 * s1).one_line
+>>> (s2 * s1).perm
 (3, 1, 4, 2)
 >>> length(s2 * s1 * s2)
 3
+
+A step through the group is a swap of positions in a one-line form:
+right multiplication by s_i exchanges positions i and i+1 and, for
+i < n, positions 2n-i and 2n+1-i.  Words, reduced words and the upward
+coset search make those swaps on plain lists and tuples, and build a
+(validated) ``WeylElement`` only for a value they return.
 
 A minimal double-coset representative has one computation: the reader
 ``_position_of_table`` takes it off a table of block counts, w's own in
@@ -48,10 +54,6 @@ class WeylElement:
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
 
-    @property
-    def one_line(self) -> tuple[int, ...]:
-        return self.perm
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return compose(self, other)
 
@@ -74,14 +76,20 @@ def identity(n: int) -> WeylElement:
 
 def simple_reflection(i: int, n: int) -> WeylElement:
     """s_n = (n, n+1); s_i = (i, i+1)(2n-i, 2n+1-i) for i < n."""
+    perm = list(range(1, 2 * n + 1))
+    _swap_step(perm, i, n)
+    return WeylElement(n, tuple(perm))
+
+
+def _swap_step(perm: list[int], i: int, n: int) -> None:
+    """Right-multiply the one-line form perm by s_i in place: swap
+    positions i and i+1 and, for i < n, 2n-i and 2n+1-i."""
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
-    perm = list(range(1, 2 * n + 1))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
     if i < n:
         j = 2 * n - i
         perm[j - 1], perm[j] = perm[j], perm[j - 1]
-    return WeylElement(n, tuple(perm))
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -98,8 +106,20 @@ def right_descents(w: WeylElement) -> frozenset[int]:
 
 def left_descents(w: WeylElement) -> frozenset[int]:
     """{i in 1..n : w^{-1}(i) > w^{-1}(i+1)}: i+1 stands before i in w's one-line form."""
-    pos = w.perm.index
-    return frozenset(i for i in range(1, w.n + 1) if pos(i) > pos(i + 1))
+    return _left_descents(w.perm, range(1, w.n + 1))
+
+
+def _left_descents(perm: Sequence[int], among: Iterable[int]) -> frozenset[int]:
+    """The left descents in ``among`` of the one-line form perm; ValueError
+    for an index outside 1..n."""
+    n, pos = len(perm) // 2, perm.index
+    out = set()
+    for i in among:
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} out of range 1..{n}")
+        if pos(i) > pos(i + 1):
+            out.add(i)
+    return frozenset(out)
 
 
 def length(w: WeylElement) -> int:
@@ -112,31 +132,32 @@ def length(w: WeylElement) -> int:
     return (inversions + sum(1 for v in perm[:n] if v > n)) // 2
 
 
-def reduced_word(w: WeylElement, smallest_first: bool = True) -> tuple[int, ...]:
+def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """A reduced word for w (deterministic: smallest descent index first).
 
     Stripping a right descent shortens the element by one, and a
     symmetric permutation with no right descent is the identity, so the
-    loop terminates with a word of minimal length.
+    loop terminates with a word of minimal length.  Each strip is a
+    swap on w's one-line form.
     """
+    n, perm = w.n, list(w.perm)
     letters: list[int] = []
-    cur = w
     while True:
-        ds = right_descents(cur)
-        if not ds:
+        i = next((i for i in range(1, n + 1) if perm[i - 1] > perm[i]), None)
+        if i is None:
             break
-        i = min(ds) if smallest_first else max(ds)
         letters.append(i)
-        cur = compose(cur, simple_reflection(i, w.n))
+        _swap_step(perm, i, n)
     letters.reverse()
     return tuple(letters)
 
 
 def evaluate_word(letters: Iterable[int], n: int) -> WeylElement:
-    out = identity(n)
+    """The product of the simple reflections s_i, i in letters, left to right."""
+    perm = list(range(1, 2 * n + 1))
     for i in letters:
-        out = compose(out, simple_reflection(i, n))
-    return out
+        _swap_step(perm, i, n)
+    return WeylElement(n, tuple(perm))
 
 
 def support(w: WeylElement) -> frozenset[int]:
@@ -146,8 +167,7 @@ def support(w: WeylElement) -> frozenset[int]:
 
 def is_min_left_rep(w: WeylElement, subset: Iterable[int]) -> bool:
     """True iff w has no left descent in the given generator subset."""
-    lds = left_descents(w)
-    return all(i not in lds for i in subset)
+    return not _left_descents(w.perm, subset)
 
 
 def min_double_coset_rep(
@@ -246,31 +266,11 @@ def _position_of_table(
     return w
 
 
-def _bfs(n: int, subset: Iterable[int]) -> dict[WeylElement, int]:
-    """Breadth-first search from the identity over the given generators.
-
-    Maps each element of the generated subgroup to its distance in the
-    Cayley graph, in the order the search reaches them.
-    """
-    gens = [simple_reflection(i, n) for i in sorted(subset)]
-    dist = {identity(n): 0}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = compose(w, s)
-                if ws not in dist:
-                    dist[ws] = dist[w] + 1
-                    nxt.append(ws)
-        frontier = nxt
-    return dist
-
-
 @lru_cache(maxsize=None)
 def enumerate_group(n: int) -> tuple[WeylElement, ...]:
-    """All of W_n by breadth-first search from the identity (2^n n! elements)."""
-    return tuple(sorted(_bfs(n, range(1, n + 1)), key=WeylElement.sort_key))
+    """All of W_n (2^n n! elements): every element is a minimal left
+    coset representative for the empty type."""
+    return min_left_reps(n, ())
 
 
 def longest_element(n: int) -> WeylElement:
@@ -286,29 +286,33 @@ def min_left_reps(n: int, subset: Iterable[int]) -> tuple[WeylElement, ...]:
     """Minimal left coset representatives for a type.
 
     They are the elements with no left descent in the type, found by
-    breadth-first search upward from the identity: a reduced prefix of
-    such an element has none either, so every one is reached through
-    steps w -> w s_i that lengthen w (i not a right descent) and keep
-    the left descents outside the type.  Ordered by length, then one-line
-    form.
+    breadth-first search upward from the identity on one-line tuples: a
+    reduced prefix of such an element has none either, so every one is
+    reached through steps w -> w s_i that lengthen w (i not a right
+    descent) and keep the left descents outside the type.  Each such
+    step adds one to the length, so the search meets the elements level
+    by level; they come out ordered by length, then one-line form.
     """
-    subset = frozenset(subset)
-    gens = [simple_reflection(i, n) for i in range(1, n + 1)]
-    found = {identity(n)}
-    frontier = list(found)
+    subset = tuple(subset)
+    frontier = [tuple(range(1, 2 * n + 1))]
+    found = set(frontier)
+    reps: list[tuple[int, ...]] = []
     while frontier:
+        frontier.sort()
+        reps.extend(frontier)
         nxt = []
-        for w in frontier:
-            descents = right_descents(w)
-            for i, s in enumerate(gens, start=1):
-                if i in descents:
+        for perm in frontier:
+            for i in range(1, n + 1):
+                if perm[i - 1] > perm[i]:
                     continue
-                ws = compose(w, s)
-                if ws not in found and is_min_left_rep(ws, subset):
+                step = list(perm)
+                _swap_step(step, i, n)
+                ws = tuple(step)
+                if ws not in found and not _left_descents(ws, subset):
                     found.add(ws)
                     nxt.append(ws)
         frontier = nxt
-    return tuple(sorted(found, key=WeylElement.sort_key))
+    return tuple(WeylElement(n, perm) for perm in reps)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use.
 
 Scans and constructions the pipeline has replaced or never needs: the
-Weyl-group scans that ``bedard`` and ``relpos`` build directly, a matrix
-inverse and the change of basis of a Dieudonné module, random self-dual
-flags for the relative-position laws, and the grid of meets that the
-rank table of ``relpos`` and ``refine`` replaced.
+Cayley-graph breadth-first search over ``WeylElement`` products (the
+independent oracle for lengths, parabolic subgroups and the group
+itself), conjugation and largest-first words by products, the Weyl-group
+scans that ``bedard`` and ``relpos`` build directly, a matrix inverse
+and the change of basis of a Dieudonné module, random self-dual flags
+for the relative-position laws, and the grid of meets that the rank
+table of ``relpos`` and ``refine`` replaced.
 """
 
 from __future__ import annotations
@@ -27,16 +30,65 @@ def is_min_double_rep(w: WeylElement, left: Iterable[int], right: Iterable[int])
     return all(i not in lds for i in left) and all(i not in rds for i in right)
 
 
+def _bfs(n: int, subset: Iterable[int]) -> dict[WeylElement, int]:
+    """Breadth-first search from the identity over the given generators.
+
+    Maps each element of the generated subgroup to its distance in the
+    Cayley graph, in the order the search reaches them.
+    """
+    gens = [weyl.simple_reflection(i, n) for i in sorted(subset)]
+    dist = {weyl.identity(n): 0}
+    frontier = [weyl.identity(n)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                ws = weyl.compose(w, s)
+                if ws not in dist:
+                    dist[ws] = dist[w] + 1
+                    nxt.append(ws)
+        frontier = nxt
+    return dist
+
+
 @lru_cache(maxsize=None)
 def cayley_distances(n: int) -> dict[tuple[int, ...], int]:
     """BFS distance from the identity; the independent oracle for length()."""
-    return {w.perm: d for w, d in weyl._bfs(n, range(1, n + 1)).items()}
+    return {w.perm: d for w, d in _bfs(n, range(1, n + 1)).items()}
 
 
 @lru_cache(maxsize=None)
 def parabolic_subgroup(n: int, subset: frozenset[int]) -> tuple[WeylElement, ...]:
     """The standard parabolic subgroup W_J, J a set of generator indices."""
-    return tuple(sorted(weyl._bfs(n, subset), key=WeylElement.sort_key))
+    return tuple(sorted(_bfs(n, subset), key=WeylElement.sort_key))
+
+
+def group(n: int) -> tuple[WeylElement, ...]:
+    """All of W_n by the Cayley-graph search, ordered by length, then one-line form."""
+    return parabolic_subgroup(n, frozenset(range(1, n + 1)))
+
+
+def conjugate_type(w: WeylElement, subset: Iterable[int]) -> frozenset[int]:
+    """{i : s_i = w s_j w^{-1} for some j in subset}, by products."""
+    n = w.n
+    simples = {weyl.simple_reflection(i, n).perm: i for i in range(1, n + 1)}
+    w_inv = w.inverse()
+    conj = (
+        weyl.compose(weyl.compose(w, weyl.simple_reflection(j, n)), w_inv).perm
+        for j in subset
+    )
+    return frozenset(simples[c] for c in conj if c in simples)
+
+
+def reduced_word_largest_first(w: WeylElement) -> tuple[int, ...]:
+    """A reduced word stripping the largest right descent first, by products."""
+    letters: list[int] = []
+    cur = w
+    while ds := weyl.right_descents(cur):
+        i = max(ds)
+        letters.append(i)
+        cur = weyl.compose(cur, weyl.simple_reflection(i, w.n))
+    return tuple(reversed(letters))
 
 
 @lru_cache(maxsize=None)
@@ -44,9 +96,7 @@ def min_double_reps(
     n: int, left: frozenset[int], right: frozenset[int]
 ) -> tuple[WeylElement, ...]:
     """All minimal double-coset representatives, by scanning the group."""
-    return tuple(
-        w for w in weyl.enumerate_group(n) if is_min_double_rep(w, left, right)
-    )
+    return tuple(w for w in group(n) if is_min_double_rep(w, left, right))
 
 
 # -- matrices and modules -----------------------------------------------------

@@ -14,6 +14,7 @@ from dlstrata.bedard import (
     stratum_dimension,
 )
 from dlstrata.weyl import identity, length, simple_reflection
+from tests import reference
 from tests.reference import is_min_double_rep, min_double_reps, parabolic_subgroup
 
 
@@ -75,6 +76,38 @@ def test_conjugate_type_examples():
     # conjugation by the longest element permutes the generators
     w0 = weyl.longest_element(2)
     assert conjugate_type(w0, frozenset({1, 2})) == frozenset({1, 2})
+    # the two-entry rule against w s_j w^{-1} by products, exhaustively
+    for n in (1, 2, 3, 4):
+        types = list(all_subsets(n))
+        for w in reference.group(n):
+            for J in types:
+                assert conjugate_type(w, J) == reference.conjugate_type(w, J), (w.perm, J)
+
+
+def test_cold_stratum_table_builds_few_elements(monkeypatch):
+    # steps through the group are swaps on one-line tuples, so a Weyl
+    # element is built (and validated) only for a value handed back
+    for cached in (
+        weyl._position_of_table,
+        weyl.enumerate_IW,
+        bedard.sequence_for,
+        bedard.enumerate_sequences,
+        bedard.flag_variety_dim,
+        bedard.siegel_frobenius,
+    ):
+        cached.cache_clear()
+    built = 0
+    validate = weyl.WeylElement.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        validate(self)
+
+    monkeypatch.setattr(weyl.WeylElement, "__post_init__", counting)
+    rows = bedard.stratum_table(6)
+    assert len(rows) == 64
+    assert built <= 500
 
 
 def test_sequence_counts_examples():

@@ -27,7 +27,13 @@ from dlstrata.weyl import (
     simple_reflection,
     support,
 )
-from tests.reference import cayley_distances, min_double_reps, parabolic_subgroup
+from tests.reference import (
+    cayley_distances,
+    group,
+    min_double_reps,
+    parabolic_subgroup,
+    reduced_word_largest_first,
+)
 
 
 def s(i, n):
@@ -38,9 +44,9 @@ def s(i, n):
 
 
 def test_simple_reflections_match_the_stated_permutations():
-    assert s(2, 2).one_line == (1, 3, 2, 4)       # (c, c+1)
-    assert s(1, 2).one_line == (2, 1, 4, 3)       # (i, i+1)(2c-i, 2c+1-i)
-    assert s(1, 1).one_line == (2, 1)
+    assert s(2, 2).perm == (1, 3, 2, 4)       # (c, c+1)
+    assert s(1, 2).perm == (2, 1, 4, 3)       # (i, i+1)(2c-i, 2c+1-i)
+    assert s(1, 1).perm == (2, 1)
     with pytest.raises(ValueError):
         s(3, 2)
 
@@ -62,10 +68,10 @@ def test_invalid_elements_rejected():
 def test_compose_convention():
     e = identity(2)
     w = s(2, 2) * s(1, 2)
-    assert compose(e, w).one_line == w.one_line
-    assert compose(s(1, 1), s(1, 1)).one_line == identity(1).one_line
+    assert compose(e, w).perm == w.perm
+    assert compose(s(1, 1), s(1, 1)).perm == identity(1).perm
     # apply-right-first: (s2 s1)(1) = s2(s1(1)) = s2(2) = 3
-    assert w.one_line == (3, 1, 4, 2)
+    assert w.perm == (3, 1, 4, 2)
     # permutation-matrix oracle: with column convention M[v][v(i)][i] = 1,
     # matrices multiply in the same order as the group elements
     def mat(v):
@@ -104,7 +110,7 @@ def test_length_examples():
     assert length(identity(2)) == 0
     assert all(length(s(i, 3)) == 1 for i in (1, 2, 3))
     assert length(s(2, 2) * s(1, 2) * s(2, 2)) == 3
-    assert longest_element(2).one_line == (4, 3, 2, 1)
+    assert longest_element(2).perm == (4, 3, 2, 1)
     assert length(longest_element(2)) == 4
     assert length(longest_element(4)) == 16
 
@@ -122,10 +128,11 @@ def test_right_descents_match_length_drops():
 def test_reduced_word_reevaluates():
     assert reduced_word(identity(3)) == ()
     assert reduced_word(s(1, 2)) == (1,)
-    for w in enumerate_group(3):
-        word = reduced_word(w)
-        assert len(word) == length(w)
-        assert evaluate_word(word, 3).perm == w.perm
+    for n in (3, 4):
+        for w in enumerate_group(n):
+            word = reduced_word(w)
+            assert len(word) == length(w)
+            assert evaluate_word(word, n).perm == w.perm
     w0 = longest_element(2)
     assert len(reduced_word(w0)) == 4
     assert evaluate_word(reduced_word(w0), 2).perm == w0.perm
@@ -133,8 +140,8 @@ def test_reduced_word_reevaluates():
 
 def test_support_is_word_independent():
     for w in enumerate_group(3):
-        a = frozenset(reduced_word(w, smallest_first=True))
-        b = frozenset(reduced_word(w, smallest_first=False))
+        a = frozenset(reduced_word(w))
+        b = frozenset(reduced_word_largest_first(w))
         assert a == b == support(w)
     assert support(s(2, 2) * s(1, 2)) == frozenset({1, 2})
 
@@ -162,13 +169,21 @@ def test_min_left_rep_equals_increasing_preimage_criterion():
 
 def test_min_left_rep_filter_in_rank_two():
     got = {
-        w.one_line
+        w.perm
         for w in enumerate_group(2)
         if is_min_left_rep(w, {1})
     }
     e, s1, s2 = identity(2), s(1, 2), s(2, 2)
-    expected = {e.one_line, s2.one_line, (s2 * s1).one_line, (s2 * s1 * s2).one_line}
+    expected = {e.perm, s2.perm, (s2 * s1).perm, (s2 * s1 * s2).perm}
     assert got == expected
+    # a type index outside 1..n is refused, as a word letter is
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            is_min_left_rep(e, {bad})
+        with pytest.raises(ValueError):
+            weyl.min_left_reps(2, {bad})
+        with pytest.raises(ValueError):
+            evaluate_word([1, bad], 2)
 
 
 def test_min_double_coset_rep_examples():
@@ -235,6 +250,18 @@ def test_enumerate_IW_matches_brute_force_filter(n):
     )
     direct = sorted(w.perm for w in enumerate_IW(n))
     assert brute == direct
+    # every type, order included, against the Cayley-graph group filtered
+    # by "no left descent in J", read off the inverse
+    ref = group(n)
+    assert [w.perm for w in enumerate_group(n)] == [w.perm for w in ref]
+    for r in range(n + 1):
+        for J in combinations(range(1, n + 1), r):
+            kept = []
+            for w in ref:
+                inv = w.inverse()
+                if all(inv(j) < inv(j + 1) for j in J):
+                    kept.append(w.perm)
+            assert [w.perm for w in weyl.min_left_reps(n, J)] == kept, J
 
 
 def test_enumerate_IW_cardinality_and_order():
@@ -243,7 +270,7 @@ def test_enumerate_IW_cardinality_and_order():
         assert len(iw) == 2**n
         keys = [w.sort_key() for w in iw]
         assert keys == sorted(keys)
-    assert [w.one_line for w in enumerate_IW(1)] == [(1, 2), (2, 1)]
+    assert [w.perm for w in enumerate_IW(1)] == [(1, 2), (2, 1)]
     assert [length(w) for w in enumerate_IW(2)] == [0, 1, 2, 3]
 
 
@@ -308,9 +335,9 @@ def test_r_w_shift_identity():
 
 def test_r_map_examples_and_roundtrip():
     swap23 = WeylElement(2, (1, 3, 2, 4))
-    assert r_map(swap23, 1).one_line == (2, 1)
-    assert r_map_inv(simple_reflection(1, 1), 2).one_line == (1, 3, 2, 4)
-    assert r_map(identity(3), 1).one_line == (1, 2)
+    assert r_map(swap23, 1).perm == (2, 1)
+    assert r_map_inv(simple_reflection(1, 1), 2).perm == (1, 3, 2, 4)
+    assert r_map(identity(3), 1).perm == (1, 2)
     with pytest.raises(ValueError):
         r_map(simple_reflection(1, 2), 1)  # does not fix letter 1
     for c in (1, 2, 3):

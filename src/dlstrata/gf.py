@@ -10,24 +10,24 @@ A :class:`FieldCtx` carries one layout of lookup tables: nested Python
 lists (``add_list``, ``mul_list``, ``neg_list``, ``inv_list`` and
 ``frob_lists``, one list per Frobenius power), which the row-based
 linear algebra indexes one entry at a time without numpy dispatch.
-The tables are built with numpy a block of rows at a time, and only
-the lists are kept.  Orders above ``TABLE_LIMIT`` are refused, before
-any primality test or power is computed, so every context has its
-tables and no input makes construction unbounded.  Contexts are
-immutable after construction and safe to share across threads.
+The module uses the standard library only.  Adding p^t and multiplying
+by a generator permute the codes, so each row of the sum and product
+tables is an earlier row read through one of those permutations, and
+every entry is an object of one ``list(range(q))``.  Orders above
+``TABLE_LIMIT`` are refused, before any primality test or power is
+computed, so every context has its tables and no input makes
+construction unbounded.  Contexts are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from operator import itemgetter
+from typing import Callable, Sequence
 
 TABLE_LIMIT = 2**10  # largest order: q x q add and mul tables are built for every field
 
 _CTX_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
-
-_ROW_BLOCK = 64  # rows of a q x q table built per numpy step
 
 
 def _is_prime(p: int) -> bool:
@@ -95,6 +95,20 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")
 
 
+def _digitwise(p: int, zero, moves: Sequence[Callable]) -> list:
+    """The values f(0), ..., f(p^k - 1), k = len(moves), of a map with
+    f(c + p^t) = moves[t](f(c)) whenever digit t of c is below p - 1.
+
+    Codes are taken in order, one digit at a time: each block of p^t
+    values gives the next through ``moves[t]``.
+    """
+    values = [zero]
+    for t, move in enumerate(moves):
+        for _ in range(p - 1):
+            values += map(move, values[-(p**t):])
+    return values
+
+
 def _decode_int(code: int, p: int, k: int) -> list[int]:
     digits = []
     for _ in range(k):
@@ -122,62 +136,47 @@ class FieldCtx:
         self.k = k
         self.q = p**k
         self.modulus: tuple[int, ...] = _first_irreducible(p, k)
-        self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._embed_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._build_tables()
 
     # -- tables ---------------------------------------------------------
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
-        # digit matrix: coeffs[code] = coefficient vector of that code
-        codes = np.arange(q)
-        coeffs = np.empty((q, k), dtype=np.int32)
-        rest = codes.copy()
-        for i in range(k):
-            coeffs[:, i] = rest % p
-            rest //= p
-        weights = p ** np.arange(k, dtype=np.int32)
-        neg = (-coeffs % p) @ weights
+        # Every entry is an object of ``codes``, so each q x q table costs
+        # q*q pointers, not q*q separate ints.
+        codes = list(range(q))
 
-        # The tables are nested lists whose entries are shared int
-        # objects (indexing an object array copies references), so each
-        # q x q table costs q*q pointers, not q*q separate ints.  They are
-        # built a block of rows at a time, so no q x q array is ever held.
-        shared = np.empty(q, dtype=object)
-        shared[:] = range(q)
-        blocks = [codes[i : i + _ROW_BLOCK] for i in range(0, q, _ROW_BLOCK)]
-        self.add_list = []
-        for rows in blocks:
-            add = np.zeros((len(rows), q), dtype=np.int32)
-            for i in range(k):  # addition is digit-wise mod p
-                add += (coeffs[rows, i, None] + coeffs[None, :, i]) % p * weights[i]
-            self.add_list += shared[add].tolist()
+        # Adding p^t raises digit t by one mod p, a permutation of the
+        # codes; the row of a + p^t is the row of a read through it.
+        shifts = [
+            itemgetter(*[c + step if c // step % p < p - 1 else c - (p - 1) * step for c in codes])
+            for step in [p**t for t in range(k)]
+        ]
+        self.add_list = _digitwise(
+            p, codes, [lambda row, shift=shift: list(shift(row)) for shift in shifts]
+        )
 
-        # multiplicative structure through a generator; the log of 0 is
-        # a placeholder, so row and column 0 are set to 0 afterwards
+        # Multiplying by the generator g is a permutation of the codes too;
+        # the row of g^(a+1) is the row of g^a read through it.
         exp, log = self._discrete_logs()
         n = q - 1
-        lo = log[1:]
-        self.mul_list = []
-        for rows in blocks:
-            mul = exp[(log[rows, None] + log[None, :]) % n]
-            mul[:, 0] = 0
-            mul[rows == 0] = 0
-            self.mul_list += shared[mul].tolist()
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = exp[(-lo) % n]
-        self.neg_list = shared[neg].tolist()
-        self.inv_list = shared[inv].tolist()
+        times_g = itemgetter(0, *[exp[(i + 1) % n] for i in log[1:]])
+        self.mul_list = [[0] * q] * q  # every row but row 0 is replaced below
+        self.mul_list[1] = row = list(codes)
+        for x in exp[1:]:
+            self.mul_list[x] = row = list(times_g(row))
+        self.neg_list = list(self.mul_list[p - 1])  # -x = (p - 1) x; the code of -1 is p - 1
+        self.inv_list = [0] + [exp[-i % n] for i in log[1:]]
 
         # Frobenius through the logs, x^p = exp[p log x mod (q-1)]; the
         # higher powers compose its code table
-        frob1 = np.zeros(q, dtype=np.int32)
-        frob1[1:] = exp[(p * lo) % n]
+        frob1 = [0] + [exp[p * i % n] for i in log[1:]]
         table = codes
-        self.frob_lists = [shared[table].tolist()]
+        self.frob_lists = [list(codes)]
         for _ in range(1, k):
-            table = frob1[table]
-            self.frob_lists.append(shared[table].tolist())
+            table = [frob1[x] for x in table]
+            self.frob_lists.append(table)
 
     def _scalar_mul(self, a: int, b: int) -> int:
         pa = _ptrim(_decode_int(a, self.p, self.k))
@@ -185,24 +184,25 @@ class FieldCtx:
         poly = _pmod(_pmul(pa, pb, self.p), self.modulus, self.p)
         return sum(c * self.p**i for i, c in enumerate(poly))
 
-    def _discrete_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q
+    def _discrete_logs(self) -> tuple[list[int], list[int]]:
+        """exp and log of the least generator g: exp[i] = g^i, log[g^i] = i.
+
+        Needs ``add_list``; the entries of exp are objects of its rows.
+        """
+        p, q, add = self.p, self.q, self.add_list
         n = q - 1
-        if n == 1:
-            return np.array([1], dtype=np.int32), np.zeros(2, dtype=np.int32)
-        for g in range(2, q):
-            exp = np.empty(n, dtype=np.int32)
-            x = 1
-            ok = True
-            for i in range(n):
-                exp[i] = x
-                x = self._scalar_mul(x, g)
-                if x == 1 and i != n - 1:
-                    ok = False
-                    break
-            if ok and x == 1:
-                log = np.zeros(q, dtype=np.int32)
-                log[exp] = np.arange(n, dtype=np.int32)
+        for g in range(1, q):
+            # b -> g b is F_p-linear: g (c + p^t) = g c + g p^t
+            gx = [self._scalar_mul(g, p**t) for t in range(self.k)]
+            times = _digitwise(p, 0, [add[v].__getitem__ for v in gx])
+            exp, x = [1], times[1]
+            while x != 1:
+                exp.append(x)
+                x = times[x]
+            if len(exp) == n:
+                log = [0] * q
+                for i, x in enumerate(exp):
+                    log[x] = i
                 return exp, log
         raise RuntimeError("no generator found (not a field?)")
 
@@ -223,7 +223,7 @@ def field(p: int, k: int) -> FieldCtx:
     return ctx
 
 
-def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
+def embed_table(src: FieldCtx, dst: FieldCtx) -> tuple[int, ...]:
     """Code table of the fixed ring embedding F_{p^k} -> F_{p^(km)}.
 
     The generator of the source is sent to the first root (in code
@@ -237,7 +237,7 @@ def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
     if cached is not None:
         return cached
     if src is dst:
-        table = np.arange(src.q, dtype=np.int32)
+        table = tuple(range(src.q))
         src._embed_cache[key] = table
         return table
     add, mul = dst.add_list, dst.mul_list
@@ -253,13 +253,10 @@ def embed_table(src: FieldCtx, dst: FieldCtx) -> np.ndarray:
             break
     if root is None:
         raise RuntimeError("source modulus has no root in destination field")
-    table = np.zeros(src.q, dtype=np.int32)
-    for code in range(src.q):
-        acc, powr = 0, 1
-        for c in src.coeffs_of(code):
-            if c:
-                acc = add[acc][mul[c][powr]]
-            powr = mul[powr][root]
-        table[code] = acc
+    # the embedding is F_p-linear and sends the code p^t to root^t
+    powers = [1]
+    for _ in range(1, src.k):
+        powers.append(mul[powers[-1]][root])
+    table = tuple(_digitwise(src.p, 0, [add[r].__getitem__ for r in powers]))
     src._embed_cache[key] = table
     return table

@@ -640,7 +640,8 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
 
 def embed_matrix(mat: np.ndarray, src: FieldCtx, dst: FieldCtx) -> np.ndarray:
     """Apply the fixed field embedding entrywise."""
-    return embed_table(src, dst)[np.asarray(mat, dtype=linalg.DTYPE)]
+    table = np.asarray(embed_table(src, dst), dtype=linalg.DTYPE)
+    return table[np.asarray(mat, dtype=linalg.DTYPE)]
 
 
 def _randbelow(rng: np.random.Generator, n: int) -> int:

@@ -474,7 +474,7 @@ def test_labels_and_pullback_survive_a_subfield_embedding(key):
     c, p, m, step, k = key
     points = dc._cached_lagrangians(c, p, m)[::step]
     small, big = dc.census_space(c, p, m), SymplecticSpace(field(p, k), c)
-    table = embed_table(small.ctx, big.ctx).tolist()
+    table = list(embed_table(small.ctx, big.ctx))
     seen = set()
     for u in points:
         rows = tuple([tuple([table[x] for x in row]) for row in u.rows])

@@ -1,10 +1,13 @@
 import hashlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from dlstrata.gf import _pmod, _pmul, embed_table, field
-from tests import tables
+from tests import ROOT, tables
 
 
 def test_modulus_is_lex_first_irreducible():
@@ -135,7 +138,9 @@ def _powers_by_polynomials(ctx):
     raise AssertionError("no generator")
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (2, 10), (31, 2), (1021, 1)])
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (2, 4), (3, 2), (2, 10), (31, 2), (1021, 1), (3, 6), (5, 4), (7, 3)]
+)
 def test_list_tables_equal_the_arrays(p, k):
     """The list tables equal arrays built here by an independent route:
     addition and negation digit by digit, products and inverses through
@@ -214,15 +219,14 @@ EMBED_DIGESTS = {
 @pytest.mark.parametrize("p,k,K", sorted(EMBED_DIGESTS))
 def test_embed_table_bytes_are_pinned(p, k, K):
     table = embed_table(field(p, k), field(p, K))
-    assert table.dtype == np.int32
-    digest = hashlib.sha256(np.ascontiguousarray(table, dtype="<i4").tobytes()).hexdigest()
+    digest = hashlib.sha256(np.asarray(table, dtype="<i4").tobytes()).hexdigest()
     assert digest == EMBED_DIGESTS[(p, k, K)]
 
 
 def test_embed_is_ring_homomorphism():
     for p, k, K in sorted(EMBED_DIGESTS):
         src, dst = field(p, k), field(p, K)
-        table = embed_table(src, dst).tolist()
+        table = list(embed_table(src, dst))
         assert table[0] == 0 and table[1] == 1
         assert len(set(table)) == src.q  # injective
         for a in range(src.q):
@@ -236,8 +240,32 @@ def test_embed_is_ring_homomorphism():
 
 def test_embed_identity_and_errors():
     f4 = field(2, 2)
-    assert np.array_equal(embed_table(f4, f4), np.arange(4))
+    assert embed_table(f4, f4) == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         embed_table(f4, field(2, 3))
     with pytest.raises(ValueError):
         embed_table(f4, field(3, 2))
+
+
+def test_embed_table_is_immutable():
+    # a cached table handed out writable could be corrupted by any caller
+    src, dst = field(2, 2), field(2, 4)
+    table = embed_table(src, dst)
+    with pytest.raises(TypeError):
+        table[1] = 7
+    assert embed_table(src, dst) == table
+    assert len(set(table)) == src.q
+
+
+def test_gf_builds_without_numpy():
+    # gf.py imports only the standard library; load it alone, outside the package
+    code = textwrap.dedent(f"""
+        import importlib.util, sys
+        spec = importlib.util.spec_from_file_location("gf", {str(ROOT / "src" / "dlstrata" / "gf.py")!r})
+        gf = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gf)
+        gf.FieldCtx(2, 10)
+        gf.embed_table(gf.field(3, 2), gf.FieldCtx(3, 6))
+        assert "numpy" not in sys.modules, "gf imported numpy"
+    """)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

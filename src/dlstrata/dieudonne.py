@@ -51,12 +51,15 @@ and M that is stable under F-image and complement, and it is closed
 that way: with a worklist, so each member's F-image is computed once,
 one elimination each, a complement takes no elimination, and a closure
 that grows past 2g+1 members (the longest chain in a 2g-dimensional
-space) is refused at once.  The members are then a
-``symplectic.Flag``, which checks the chain, and the flag must be
-self-dual.  Each member's F-image dimension is read off the image the
-closure kept for it; these interpolate to the final type psi, and the
-EO label is the minimal Siegel representative w with psi(i) = i -
-r_w(i, g), read off the positions where psi does not jump.
+space) is refused at once.  The members, sorted by dimension, must
+then pass the chain check that refinement uses, and be self-dual.  Each
+member's F-image dimension is read off the image the closure kept for
+it; these interpolate to the final type psi, and the EO label is the
+minimal Siegel representative w with psi(i) = i - r_w(i, g), read off
+the positions where psi does not jump.  The two label maps of the
+verify path, psi to its label and a fine label to its lift
+(``weyl.r_map_inv``), build and validate each label once per argument
+pair.
 
 The module is built on rows (see ``linalg``): F and V are written entry
 by entry from the point's reduced rows and pivots and frozen once, and
@@ -72,9 +75,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import dlclassify, linalg, weyl
+from . import dlclassify, linalg, symplectic, weyl
 from .gf import FieldCtx
-from .symplectic import Flag, Subspace, SymplecticSpace, full_subspace, zero_subspace
+from .symplectic import Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
 
 
@@ -250,19 +253,13 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
 
 @dataclass(frozen=True)
 class CanonicalFlag:
-    """The stabilized chain with its F-image dimensions."""
+    """The stabilized chain in increasing dimension, with its dimensions
+    and F-image dimensions."""
 
     module: DieudonneModule
-    flag: Flag
+    members: tuple[Subspace, ...]
+    dims: tuple[int, ...]
     fdims: tuple[int, ...]
-
-    @property
-    def members(self) -> tuple[Subspace, ...]:
-        return self.flag.members
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.flag.dims
 
 
 def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
@@ -281,10 +278,14 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     member's F-image dimension is read off its image.  The result is
     the least closed set, whatever the order of the work.  A chain in a
     2g-dimensional space has at most 2g+1 members, so a closure that
-    grows past that raises RuntimeError at once.  The members must form a ``Flag`` that
-    is self-dual, and on each gap the F-image dimension must grow by
-    zero or by the full gap (the dichotomy the final type is read
-    from).  Violations raise RuntimeError.
+    grows past that raises RuntimeError at once.  The closure starts
+    from the space's one 0 and one V, whose complements are each other.
+    The members, sorted by dimension, must pass the ordered chain check
+    (``symplectic._check_chain``: dimensions strictly increase and each
+    member contains the one before) and be self-dual, and on each gap
+    the F-image dimension must grow by zero or by the full gap (the
+    dichotomy the final type is read from).  Violations raise
+    RuntimeError.
     """
     space = module.space
     limit = module.dim + 1
@@ -312,22 +313,23 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
         add(images[sub])
         add(sub.perp())
 
+    chain = tuple(sorted(members, key=lambda m: m.dim))
     try:
-        flag = Flag(members)
+        symplectic._check_chain(chain)
     except ValueError as exc:
         raise RuntimeError(f"canonical members are not a chain: {exc}") from exc
-    if not flag.is_self_dual():
+    if not symplectic._is_self_dual(chain):
         raise RuntimeError("canonical flag is not self-dual")
 
-    fdims = tuple(images[m].dim for m in flag.members)
-    dims = flag.dims
+    dims = tuple([m.dim for m in chain])
+    fdims = tuple([images[m].dim for m in chain])
     for (d0, f0), (d1, f1) in zip(zip(dims, fdims), zip(dims[1:], fdims[1:])):
         if f1 - f0 not in (0, d1 - d0):
             raise RuntimeError(
                 f"F-image dimension dichotomy fails on gap {d0}..{d1}: "
                 f"{f0} -> {f1}"
             )
-    return CanonicalFlag(module, flag, fdims)
+    return CanonicalFlag(module, chain, dims, fdims)
 
 
 @dataclass(frozen=True)
@@ -347,13 +349,15 @@ def final_type_of(w: WeylElement, g: int) -> tuple[int, ...]:
     return tuple(psi)
 
 
+@lru_cache(maxsize=None)
 def _label_of_final_type(psi: tuple[int, ...], g: int) -> WeylElement:
     """The minimal Siegel representative w with final type psi.
 
     psi(i) - psi(i-1) = 1 - [w(i) <= g], so the g positions where psi
     does not jump are w^{-1}(1) < ... < w^{-1}(g) (Oort 2001); they fix w
     on those positions and symmetry fixes the rest.  A psi that is not
-    the final type of any such w raises RuntimeError.
+    the final type of any such w raises RuntimeError, on every call: the
+    label is kept per (psi, g), and only when it passes.
     """
     flat = [i for i in range(1, 2 * g + 1) if psi[i] == psi[i - 1]]
     try:

@@ -4,18 +4,21 @@ The stratum of a Lagrangian U over F_{p^{2m}} is read off the iterated
 refinement of the flag {0, U, L} against its p^2-twist: the chain grows
 until it stops, and the relative position of the stable flag with its
 twist is the fine label, an element of the minimal-representative set
-for the Lagrangian (Siegel) type.  Each ``symplectic.refine`` step
-returns the next flag and the relative position it starts from, both
-read off one rank table of ranks of sums, which also tells which joins
-must be built; a stable flag comes back as the same object, with no
-meet taken, which ends the chain.  The per-step positions must
-reproduce the stabilizing sequence attached to the label, and
-``classify_fine`` asserts that (and self-duality of every flag, by
-comparing complements with rows) unless ``check=False``.  Self-duality
-is checked on every point.  The sequence check reads only integers,
-each step's dimensions and position, so it runs once per distinct trace
-of them and is kept; a failing trace is not kept, and fails each time
-it is met.  A Lagrangian point is its own complement, so its
+for the Lagrangian (Siegel) type.  The loop runs on chains, member
+tuples in increasing dimension, with no ``Flag`` built: the first is
+(0, U, V) with the space's one 0 and one V, and its twist is the tuple
+of the members' twists.  Each ``symplectic.refine`` step returns the
+next chain, already in order and checked as a chain, and the relative
+position it starts from, both read off one rank table of ranks of
+sums, which also tells which joins must be built; a stable chain comes
+back as the same tuple, with no meet taken, which ends the loop.  The
+per-step positions must reproduce the stabilizing sequence attached to
+the label, and ``classify_fine`` asserts that (and self-duality of every
+chain, by comparing complements with rows) unless ``check=False``.
+Self-duality is checked on every point.  The sequence check reads only
+integers, each step's dimensions and position, so it runs once per
+distinct trace of them and is kept; a failing trace is not kept, and
+fails each time it is met.  A Lagrangian point is its own complement, so its
 Lagrangian check and the self-duality of every flag of its chain, whose
 middle member it is, read that one complement.
 
@@ -50,23 +53,30 @@ class CensusRecord:
     count: int
 
 
-def _refine_to_stable(u: Subspace, qexp: int) -> list[tuple[Flag, WeylElement]]:
-    """Each flag of the refinement chain D_0, D_1, ... with its position.
+def _refine_to_stable(
+    u: Subspace, qexp: int
+) -> list[tuple[tuple[Subspace, ...], WeylElement]]:
+    """Each chain of the refinement D_0, D_1, ... with its position.
 
-    The chain ends at the stable flag; the position of D_k is
-    relpos(D_k, twist of D_k), which the same ``refine`` call returns.
+    A chain is its member tuple in increasing dimension, from the
+    space's one 0 and one V; D_0 = (0, U, V) needs no containment check,
+    as 0 and V hold every U.  The steps end at the stable chain; the
+    position of D_k is its relative position with its twist, which the
+    same ``refine`` call returns along with D_{k+1}, and ``refine``
+    hands back D_k itself when D_k is stable.
     """
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
-    c = u.space.n
-    flag = Flag([u])
+    space = u.space
+    c = space.n
+    chain = (symplectic.zero_subspace(space), u, symplectic.full_subspace(space))
     steps = []
     for _ in range(2 * c * (c + 1) + 2):
-        nxt, position = symplectic.refine(flag, flag.twist(qexp))
-        steps.append((flag, position))
-        if nxt is flag:
+        nxt, position = symplectic.refine(chain, tuple([m.twist(qexp) for m in chain]))
+        steps.append((chain, position))
+        if nxt is chain:
             return steps
-        flag = nxt
+        chain = nxt
     raise RuntimeError("flag refinement failed to stabilize")
 
 
@@ -75,9 +85,9 @@ def classify_fine(
 ) -> WeylElement:
     """Fine stratum label of a Lagrangian point.
 
-    With ``check``, every flag of the chain must be self-dual and the
-    (position, type) of each step must follow the label's stabilizing
-    sequence; RuntimeError otherwise.
+    With ``check``, every chain of the refinement must be self-dual and
+    the (position, type) of each step must follow the label's
+    stabilizing sequence; RuntimeError otherwise.
     """
     steps = _refine_to_stable(u, qexp)
     if check:
@@ -85,10 +95,14 @@ def classify_fine(
     return steps[-1][1]
 
 
-def _check_against_sequence(steps: list[tuple[Flag, WeylElement]], c: int) -> None:
-    if not all(flag.is_self_dual() for flag, _ in steps):
+def _check_against_sequence(
+    steps: list[tuple[tuple[Subspace, ...], WeylElement]], c: int
+) -> None:
+    if not all(symplectic._is_self_dual(chain) for chain, _ in steps):
         raise RuntimeError("refinement chain left the self-dual flags")
-    _check_trace(c, tuple([(flag.dims, pos.perm) for flag, pos in steps]))
+    _check_trace(
+        c, tuple([(tuple([m.dim for m in chain]), pos.perm) for chain, pos in steps])
+    )
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,14 @@ conjugates everything):
   tuple of tuples of codes with the pivot columns beside it; the rows
   are the equality and hash key, and ``Subspace.basis`` is the same
   basis as a read-only int32 array, built on access;
-* a flag is a strictly increasing chain containing 0 and the full
-  space; the classifier only ever produces self-dual flags.
+* a chain is a tuple of subspaces in strictly increasing dimension,
+  each containing the one before, from 0 to the full space V; a
+  ``Flag`` is the validated public value of one, built from members in
+  any order, and ``Flag.members`` is its chain; the classifier only
+  ever produces self-dual chains;
+* each space has one 0 and one V (``zero_subspace``, ``full_subspace``),
+  each the other's complement, and every chain the classifier builds
+  starts and ends with them.
 
 Relative position is built directly from the rank table
 dim(C_a cap D_b) = r_w(dim D_b, dim C_a) by ``weyl._position_of_table``,
@@ -26,15 +32,18 @@ block of the other, and every entry is re-checked against r_w of the
 result; no representative is found by stripping descents.  The reader
 keeps each position per distinct table and pair of dimension sets; a
 table that fails is not kept.  The table itself is
-read per pair of flags, off ranks of sums, dim C_a + dim D_b -
+read per pair of chains, off ranks of sums, dim C_a + dim D_b -
 dim(C_a + D_b), with one insertion pass of D's rows into the reduced
 rows of each proper member of C (``linalg.insertion_ranks``), so no
-meet is built for it.  A refinement step returns its relative position
-along with the refined flag, from the same table.  The table also gives
-the dimension of every join that refinement takes, so a meet and its
-join are built only when the join's dimension lies strictly between the
-two members it sits between, and a flag the table shows stable comes
-back as it is.
+meet is built for it.  ``relpos`` reads it for two flags, and
+``refine``, the one refinement step, for two chains: it returns its
+relative position along with the refined chain, from the same table.
+The table also gives the dimension of every join that refinement takes,
+so a meet and its join are built only when the join's dimension lies
+strictly between the two members it sits between; each distinct sum is
+eliminated once per step, the refined chain comes out already in order
+and is checked as a chain with no sorting, and a chain the table shows
+stable comes back as the same tuple.
 
 The complement is the one duality primitive.  It is read off reduced
 rows and pivots by index work alone, kept on the subspace, and
@@ -52,7 +61,7 @@ Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
 subspace X: X + 0 = X, X + X = X and X + V = V, 0 <= X <= V, and
 0-perp = V, V-perp = 0 (V the whole space), so X cap 0 = 0, X cap X = X
-and X cap V = X come back as the subspaces they are.  Every flag holds
+and X cap V = X come back as the subspaces they are.  Every chain holds
 0 and V, so many of the meets and joins that refinement builds are of
 this kind.  Containment is one insertion pass of the smaller space's
 rows into the larger's reduced rows (``linalg.insertion_ranks``), which
@@ -64,10 +73,12 @@ each point of a Schubert cell has its reduced rows written straight
 from a template of the cell (``_cell_rows``), with no array between.
 
 Subspaces and flags are immutable values (complements are computed
-once, and a complement's complement is its source), so everything here
-can be shared across threads; enumeration output order is
-deterministic.  A twist is its Frobenius-mapped rows and pivots, and
-the twist of a flag is the chain of its members' twists, built without
+once, and a complement's complement is its source; the shared 0 and V
+hold each other from the start, and no complement is ever re-pointed at
+another 0 or V), so everything here can be shared across threads;
+enumeration output order is deterministic.  A twist is its
+Frobenius-mapped rows and pivots, 0 and V are their own twists, and the
+twist of a chain is the tuple of its members' twists, built without
 re-checking it.
 """
 
@@ -107,6 +118,10 @@ class SymplecticSpace:
         self.n = n
         self.dim = dim
         self.gram_rows = tuple(rows)
+        # the one 0 and the one V of this space, each the other's complement
+        self._zero = Subspace._from_rref(self, (), ())
+        self._full = Subspace._from_rref(self, linalg.identity(dim), tuple(range(dim)))
+        self._zero._perp, self._full._perp = self._full, self._zero
 
     def times_form(self, rows: Sequence[Sequence[int]]) -> linalg.Rows:
         """rows . J: each row reversed, with its first n entries negated."""
@@ -231,14 +246,16 @@ class Subspace:
         complement records this subspace as its own complement, and
         asking it back costs nothing.  A subspace whose complement has
         its rows, a Lagrangian, is its own complement, with nothing new
-        built.
+        built.  The complement of any 0 or V is the space's one V or 0
+        (``zero_subspace``, ``full_subspace``), whose own complements
+        stay each other.
         """
         if self._perp is None:
             space = self.space
             if self.dim == 0:
-                out = full_subspace(space)
+                self._perp = space._full
             elif self.dim == space.dim:
-                out = zero_subspace(space)
+                self._perp = space._zero
             else:
                 neg, n, last = space.ctx.neg_list, space.n, space.dim - 1
                 pivot_set = set(self.pivots)
@@ -261,8 +278,8 @@ class Subspace:
                     out = self
                 else:
                     out = Subspace._from_rref(space, rows, tuple(pivots))
-            out._perp = self
-            self._perp = out
+                out._perp = self
+                self._perp = out
         return self._perp
 
     def twist(self, r: int) -> "Subspace":
@@ -321,15 +338,56 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 
 
 def zero_subspace(space: SymplecticSpace) -> Subspace:
-    return Subspace._from_rref(space, (), ())
+    """The one 0 of the space, shared; its complement is the one V."""
+    return space._zero
 
 
 def full_subspace(space: SymplecticSpace) -> Subspace:
-    return Subspace._from_rref(space, linalg.identity(space.dim), tuple(range(space.dim)))
+    """The one V of the space, shared; its complement is the one 0."""
+    return space._full
+
+
+def _check_chain(members: Sequence[Subspace]) -> None:
+    """ValueError unless the dimensions strictly increase and each member
+    contains the one before: one insertion pass per pair, none when the
+    smaller is 0 or the larger is V (``Subspace.contains``)."""
+    for small, big in zip(members, members[1:]):
+        if small.dim == big.dim:
+            raise ValueError("two distinct members share a dimension: not a chain")
+        if small.dim > big.dim:
+            raise ValueError("member dimensions do not increase")
+        if not big.contains(small):
+            raise ValueError("members are not totally ordered by inclusion")
+
+
+def _is_self_dual(members: Sequence[Subspace]) -> bool:
+    """Whether the complement of every member of a chain is a member.
+
+    With dimensions d_0 < ... < d_k symmetric about n that holds iff
+    C_{d_i}-perp has the rows of C_{d_{k-i}} for every i <= k/2, and
+    perp is an involution, so the pairs past the middle follow.  Each
+    complement is read off reduced rows and kept on its member (see
+    ``Subspace.perp``): a refinement chain's middle member is the
+    Lagrangian the classifier already checked, its own complement, and
+    the canonical closure has every member's complement already.
+    """
+    full = members[0].space.dim
+    if any(a.dim + b.dim != full for a, b in zip(members, reversed(members))):
+        return False
+    return all(
+        low.perp().rows == high.rows
+        for low, high in zip(members[1 : (len(members) + 1) // 2], members[-2::-1])
+    )
 
 
 class Flag:
-    """A strictly increasing chain of subspaces from 0 to the full space."""
+    """A strictly increasing chain of subspaces from 0 to the full space.
+
+    The validated public form of a chain: the members may come in any
+    order, 0 and V are added when missing, and the chain is checked by
+    ``_check_chain``.  ``members`` is the chain as a tuple in increasing
+    dimension, the form ``refine`` takes and returns.
+    """
 
     __slots__ = ("space", "members", "dims", "_key")
 
@@ -344,15 +402,10 @@ class Flag:
             members.insert(0, zero_subspace(space))
         if members[-1].dim != space.dim:
             members.append(full_subspace(space))
-        dims = [m.dim for m in members]
-        if len(set(dims)) != len(dims):
-            raise ValueError("two distinct members share a dimension: not a chain")
-        for small, big in zip(members, members[1:]):
-            if not big.contains(small):
-                raise ValueError("members are not totally ordered by inclusion")
+        _check_chain(members)
         self.space = space
         self.members = tuple(members)
-        self.dims = tuple(dims)
+        self.dims = tuple([m.dim for m in members])
         self._key = tuple(m.rows for m in members)
 
     def __eq__(self, other: object) -> bool:
@@ -378,23 +431,8 @@ class Flag:
         return out
 
     def is_self_dual(self) -> bool:
-        """Whether the complement of every member is a member.
-
-        With dimensions d_0 < ... < d_k symmetric about n that holds iff
-        C_{d_i}-perp has the rows of C_{d_{k-i}} for every i <= k/2, and
-        perp is an involution, so the pairs past the middle follow.  Each
-        complement is read off reduced rows and kept on its member (see
-        ``Subspace.perp``): a refinement flag's middle member is the
-        Lagrangian the classifier already checked, its own complement,
-        and the canonical closure has every member's complement already.
-        """
-        members, dims, full = self.members, self.dims, self.space.dim
-        if any(a + b != full for a, b in zip(dims, reversed(dims))):
-            return False
-        return all(
-            low.perp().rows == high.rows
-            for low, high in zip(members[1 : (len(members) + 1) // 2], members[-2::-1])
-        )
+        """Whether the complement of every member is a member (``_is_self_dual``)."""
+        return _is_self_dual(self.members)
 
 
 def flag_type(flag: Flag) -> frozenset[int]:
@@ -419,75 +457,119 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     asymmetric pairs are sensitive to it).  The table is read off ranks
     of sums (see ``_rank_table``), so no meet is built.
     """
-    return _table_and_position(flag_c, flag_d)[1]
+    return _table_and_position(flag_c.members, flag_d.members)[1]
 
 
-def _rank_table(flag_c: Flag, flag_d: Flag) -> list[list[int]]:
+def _rank_table(
+    chain_c: Sequence[Subspace], chain_d: Sequence[Subspace]
+) -> list[list[int]]:
     """T[a][b] = dim(C_a cap D_b) = dim C_a + dim D_b - dim(C_a + D_b).
 
-    The members of flag_d are nested, so C_a + D_b is the span of C_a
+    The members of chain_d are nested, so C_a + D_b is the span of C_a
     and the rows of D_1, ..., D_b, and one insertion pass of those rows
     into the reduced rows of C_a (``linalg.insertion_ranks``) gives
     dim(C_a + D_b) for every b.  The rows for 0 and for the whole space,
     and the columns for 0 and for the whole space, need no pass.
     """
-    ctx = flag_c.space.ctx
-    ddims = flag_d.dims
-    inner = flag_d.members[1:-1]
+    ctx = chain_c[0].space.ctx
+    ddims = [dm.dim for dm in chain_d]
+    inner = chain_d[1:-1]
     vectors = [row for dm in inner for row in dm.rows]
     # the index of each D_b's last row among the vectors
-    ends = [total - 1 for total in accumulate(dm.dim for dm in inner)]
+    ends = [total - 1 for total in accumulate(ddims[1:-1])]
     table = [[0] * len(ddims)]
-    for cm in flag_c.members[1:-1]:
+    for cm in chain_c[1:-1]:
         ranks = linalg.insertion_ranks(ctx, cm.rows, cm.pivots, vectors)
         row = [0]
         row.extend([cm.dim + d - ranks[end] for d, end in zip(ddims[1:-1], ends)])
         row.append(cm.dim)
         table.append(row)
-    table.append(list(ddims))
+    table.append(ddims)
     return table
 
 
-def _table_and_position(flag_c: Flag, flag_d: Flag) -> tuple[list[list[int]], WeylElement]:
-    """The rank table (row a, column b) and the position it gives.
+def _table_and_position(
+    chain_c: Sequence[Subspace], chain_d: Sequence[Subspace]
+) -> tuple[list[list[int]], WeylElement]:
+    """The rank table (row a, column b) of two chains and the position it gives.
 
-    The table is read per pair of flags; the position is a function of
+    The table is read per pair of chains; the position is a function of
     the table and the two dimension sets alone, so it is read and
     re-checked once per distinct table (``weyl._position_of_table``).
     """
-    if flag_c.space is not flag_d.space:
+    space = chain_c[0].space
+    if space is not chain_d[0].space:
         raise ValueError("flags live in different spaces")
-    table = _rank_table(flag_c, flag_d)
+    table = _rank_table(chain_c, chain_d)
     key = tuple(map(tuple, table))
-    return table, weyl._position_of_table(flag_c.space.n, flag_c.dims, flag_d.dims, key)
+    cdims = tuple([cm.dim for cm in chain_c])
+    # the last row of the table is the dimensions of chain_d
+    return table, weyl._position_of_table(space.n, cdims, key[-1], key)
 
 
-def refine(flag_c: Flag, flag_d: Flag) -> tuple[Flag, WeylElement]:
+def _join(a: Subspace, b: Subspace, sums: dict) -> Subspace:
+    """a + b, kept in ``sums`` so that each distinct sum is eliminated once."""
+    key = frozenset((a, b))
+    out = sums.get(key)
+    if out is None:
+        out = sums[key] = a + b
+    return out
+
+
+def _meet(a: Subspace, b: Subspace, sums: dict) -> Subspace:
+    """a cap b = (a-perp + b-perp)-perp (``Subspace.intersect``), with its
+    sum kept in ``sums``."""
+    return _join(a.perp(), b.perp(), sums).perp()
+
+
+def refine(
+    chain_c: tuple[Subspace, ...], chain_d: tuple[Subspace, ...]
+) -> tuple[tuple[Subspace, ...], WeylElement]:
     """The chain generated by (C_{i+1} cap D_j) + C_i, which refines
-    flag_c, and relpos(flag_c, flag_d), both from one rank table.
+    chain_c, and the relative position of the two chains, both from one
+    rank table.
 
-    The table fixes the dimension of each join: C_i lies in C_{i+1}, so
-    (C_{i+1} cap D_j) cap C_i = C_i cap D_j and the join has dimension
-    T(C_{i+1}, D_j) + dim C_i - T(C_i, D_j).  A join of dimension
-    dim C_i is C_i, one of dimension dim C_{i+1} is C_{i+1}, and for a
-    fixed i the joins grow with j, so two of the same dimension are
-    equal.  Only the first join of each dimension strictly between is
-    built, with its meet; when there is none, flag_c is stable and
-    comes back as it is, with no meet taken.
+    A chain is a tuple of members from 0 to V in increasing dimension
+    (``Flag.members``, or a chain this returns).  The table fixes the
+    dimension of each join: C_i lies in C_{i+1}, so (C_{i+1} cap D_j)
+    cap C_i = C_i cap D_j and the join has dimension T(C_{i+1}, D_j) +
+    dim C_i - T(C_i, D_j).  A join of dimension dim C_i is C_i, one of
+    dimension dim C_{i+1} is C_{i+1}, and for a fixed i the joins grow
+    with j, so two of the same dimension are equal.  Only the first join
+    of each dimension strictly between is built, with its meet, and the
+    refined chain comes out in order: C_i, its joins by increasing
+    dimension, C_{i+1}.  Each distinct sum, of complements for a meet or
+    of a meet and C_i for a join, is eliminated once per call, so U + U'
+    serves both the meet U cap U' and the join U' + U.  Each join must
+    have the table's dimension, and the refined chain must pass
+    ``_check_chain``; RuntimeError otherwise.  When no join lies
+    strictly between, chain_c is stable and comes back as the same
+    tuple, with no meet taken.
     """
-    table, position = _table_and_position(flag_c, flag_d)
-    members = flag_c.members
-    joins = []
-    for lower, upper, lower_row, upper_row in zip(members, members[1:], table, table[1:]):
-        seen = {lower.dim, upper.dim}
-        for dm, lower_meet, upper_meet in zip(flag_d.members, lower_row, upper_row):
+    table, position = _table_and_position(chain_c, chain_d)
+    sums: dict = {}
+    out = [chain_c[0]]
+    for lower, upper, lower_row, upper_row in zip(chain_c, chain_c[1:], table, table[1:]):
+        last = lower.dim
+        for dm, lower_meet, upper_meet in zip(chain_d, lower_row, upper_row):
             dim = upper_meet + lower.dim - lower_meet
-            if dim not in seen:
-                seen.add(dim)
-                joins.append(upper.intersect(dm) + lower)
-    if not joins:
-        return flag_c, position
-    return Flag(members + tuple(joins)), position
+            if dim != last and dim != upper.dim:
+                join = _join(_meet(upper, dm, sums), lower, sums)
+                if join.dim != dim:
+                    raise RuntimeError(
+                        f"a join has dimension {join.dim}, the rank table says {dim}"
+                    )
+                out.append(join)
+                last = dim
+        out.append(upper)
+    if len(out) == len(chain_c):
+        return chain_c, position
+    out = tuple(out)
+    try:
+        _check_chain(out)
+    except ValueError as exc:
+        raise RuntimeError(f"refined members are not a chain: {exc}") from exc
+    return out, position
 
 
 # -- Lagrangian enumeration ----------------------------------------------

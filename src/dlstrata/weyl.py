@@ -382,8 +382,12 @@ def r_map(w: WeylElement, c: int) -> WeylElement:
     return WeylElement(c, perm)
 
 
+@lru_cache(maxsize=None)
 def r_map_inv(w: WeylElement, g: int) -> WeylElement:
-    """The unique preimage in W_g fixing 1..g-c, for w in W_c."""
+    """The unique preimage in W_g fixing 1..g-c, for w in W_c.
+
+    Kept per (w, g), so each lift is built and validated once; a target
+    rank below c raises ValueError on every call."""
     c = w.n
     if c > g:
         raise ValueError("target rank too small")

@@ -576,6 +576,28 @@ def test_final_type_inversion_rejects_other_sequences():
             _label_of_final_type(psi, 2)
 
 
+def test_label_maps_of_the_verify_path_are_kept_per_argument():
+    """``_label_of_final_type`` and ``weyl.r_map_inv`` build and validate
+    each label once per argument pair, so repeated calls return the same
+    object; a psi that is no final type, or a target rank below c, is
+    not kept and raises on every call."""
+    for g in (1, 2, 3, 4):
+        for w in weyl.enumerate_IW(g):
+            psi = final_type_of(w, g)
+            label = _label_of_final_type(psi, g)
+            assert label.perm == w.perm and _label_of_final_type(psi, g) is label
+    for c in (1, 2, 3):
+        for w in weyl.enumerate_IW(c):
+            for g in (c, 2 * c + 1):
+                lift = weyl.r_map_inv(w, g)
+                assert lift.n == g and weyl.r_map_inv(w, g) is lift
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no label has the measured final type"):
+            _label_of_final_type((0, 1, 1, 1, 2), 2)
+        with pytest.raises(ValueError, match="target rank too small"):
+            weyl.r_map_inv(weyl.identity(3), 2)
+
+
 def test_psi_duality_and_flag_self_duality(f16_line, f16_rational_line):
     for u, g in [(f16_line, 2), (f16_line, 3), (f16_rational_line, 2)]:
         mod = build_from_lagrangian(u, g)

@@ -71,6 +71,59 @@ def test_middle_stratum_count_matches_component_formula():
     assert by_word[()] == rational_lines  # twist-fixed points are rational
 
 
+def _isotropic_count(k, c, Q):
+    """N(k; c, Q) = prod_{i<k} (Q^{2(c-i)} - 1)/(Q^{i+1} - 1), the number
+    of k-dimensional totally isotropic subspaces of F_Q^{2c}."""
+    num = den = 1
+    for i in range(k):
+        num *= Q ** (2 * (c - i)) - 1
+        den *= Q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def closed_form_counts(c, p, m):
+    """Stratum counts by reduced word from the rational-part recursion,
+    with Q = p^2 and q = Q^m, for c = 1 and for c = 2 with m < 4.
+
+    c = 1: e = Q + 1 (the rational lines) and s1 = q - Q.  c = 2:
+    e = N(2; 2, Q) (the rational Lagrangians), s2 = N(1; 2, Q) (q - Q),
+    s2*s1 = 0 below the Coxeter number 4, and the top stratum holds the
+    rest of prod (q^i + 1).
+    """
+    Q = p * p
+    q = Q**m
+    total = sp.expected_total(c, q)
+    if c == 1:
+        counts = {(): Q + 1, (1,): q - Q}
+    else:
+        assert c == 2 and m < 4
+        counts = {(): _isotropic_count(2, 2, Q), (2,): _isotropic_count(1, 2, Q) * (q - Q)}
+        counts[(2, 1)] = 0
+        counts[(2, 1, 2)] = total - sum(counts.values())
+    assert sum(counts.values()) == total and min(counts.values()) >= 0
+    return counts
+
+
+# Full c = 2 censuses too long for Tier 1, by reduced word, as printed by
+#   python -m dlstrata census --c 2 --p 2 --m 3 --format csv   (F_64, 266,305 points)
+#   python -m dlstrata census --c 2 --p 3 --m 2 --format csv   (F_81, 538,084 points)
+RECORDED_CENSUSES = {
+    (2, 2, 3): {(): 85, (2,): 5100, (2, 1): 0, (2, 1, 2): 261120},
+    (2, 3, 2): {(): 820, (2,): 59040, (2, 1): 0, (2, 1, 2): 478224},
+}
+
+
+def test_census_counts_match_the_closed_forms():
+    """Every census configuration, and the recorded F_64 and F_81
+    censuses, against the closed forms of ``closed_form_counts``."""
+    for c, p, m in CENSUS_CONFIGS:
+        got = {weyl.reduced_word(r.label): r.count for r in census(c, p, m)}
+        assert got == closed_form_counts(c, p, m), (c, p, m)
+    for (c, p, m), counts in RECORDED_CENSUSES.items():
+        assert counts == closed_form_counts(c, p, m), (c, p, m)
+
+
 def test_coarse_refines_fine():
     I = weyl.siegel_type(1)
     for u in dc._cached_lagrangians(1, 2, 2):
@@ -88,9 +141,9 @@ def test_trace_matches_sequence_on_every_rank_two_point_over_f16():
         label = steps[-1][1]
         assert label.perm == classify_fine(u).perm
         seq = sequence_for(label, I, F)
-        for k, (flag, pos) in enumerate(steps):
+        for k, (chain, pos) in enumerate(steps):
             assert pos.perm == seq.u_at(k).perm
-            assert flag_type(flag) == seq.type_at(k)
+            assert flag_type(Flag(chain)) == seq.type_at(k)
 
 
 def test_odd_twist_exponent():
@@ -188,7 +241,7 @@ def test_equivalent_definition_route():
         flag0 = Flag([u])
         primed = flag0
         for _ in range(12):
-            nxt = sp.refine(flag0, primed.twist(2))[0]
+            nxt = Flag(sp.refine(flag0.members, primed.twist(2).members)[0])
             if nxt == primed:
                 break
             primed = nxt
@@ -234,7 +287,7 @@ def test_frozen_wild_point_label_and_trace():
     steps = dc._refine_to_stable(u, 2)
     assert weyl.reduced_word(label) == (2, 1)
     assert steps[-1][1].perm == label.perm
-    assert [sorted(flag_type(flag)) for flag, _ in steps] == [[1], []]
+    assert [sorted(flag_type(Flag(chain))) for chain, _ in steps] == [[1], []]
     assert [weyl.reduced_word(pos) for _, pos in steps] == [(2,), (2, 1)]
 
 
@@ -248,7 +301,8 @@ def test_refinement_steps_return_the_relative_position():
     sample.append(f256_wild_point()[2])
     for u in sample:
         steps = dc._refine_to_stable(u, 2)
-        for flag, pos in steps:
+        for chain, pos in steps:
+            flag = Flag(chain)
             assert pos.perm == sp.relpos(flag, flag.twist(2)).perm
         label = classify_fine(u)
         assert classify_fine(u, check=False).perm == label.perm == steps[-1][1].perm
@@ -289,11 +343,11 @@ def test_top_stratum_classifies_with_two_eliminations(monkeypatch):
     """A top-stratum point U over F_16 meets its twist in 0, so {0, U, L}
     is stable: its rank table is one insertion pass of the twist's rows
     into U's, and no meet or null space is taken.  An s2 point takes one
-    refinement step: its meet U cap U' is one elimination of the stacked
-    rows and its join U + U' one more, the refined flag's two
-    containment checks are one insertion pass each, and the next rank
-    table is one insertion pass per proper member, three in all.  No
-    point takes a null space.  U is paired with itself once, in one
+    refinement step: its meet U cap U' is the complement of U + U', one
+    elimination of the stacked rows, and its join U' + U is that same
+    sum, the refined chain's two containment checks are one insertion
+    pass each, and the next rank table is one insertion pass per proper
+    member, three in all.  No point takes a null space.  U is paired with itself once, in one
     product (U . J is a signed reversal), for its Lagrangian check and
     every self-duality check; an s2 point's second flag pairs its line
     with U + U' in one more.
@@ -304,7 +358,7 @@ def test_top_stratum_classifies_with_two_eliminations(monkeypatch):
     products = _counting(monkeypatch, "matmul")
     top = max(weyl.enumerate_IW(2), key=weyl.length).perm
     # most reduction passes, null spaces and products per point of a stratum
-    bounds = {top: (1, 0, 1), (1, 3, 2, 4): (8, 0, 2), (1, 2, 3, 4): (1, 0, 1)}
+    bounds = {top: (1, 0, 1), (1, 3, 2, 4): (7, 0, 2), (1, 2, 3, 4): (1, 0, 1)}
     seen = dict.fromkeys(bounds, 0)
     all_null_spaces = 0
     for u in dc._cached_lagrangians(2, 2, 2):
@@ -320,6 +374,32 @@ def test_top_stratum_classifies_with_two_eliminations(monkeypatch):
         seen[label.perm] += 1
     assert seen == {top: 3264, (1, 3, 2, 4): 1020, (1, 2, 3, 4): 85}
     assert all_null_spaces == 0
+
+
+def test_census_points_build_few_subspaces(monkeypatch):
+    """Subspace objects built per classified F_16 census point, at most:
+    on a top-stratum or rational point the twist U' of U, as its chain
+    (0, U, V) holds the space's one 0 and one V; on an s2 point the
+    twist of U in each of its two steps, the sum U + U', built once for
+    the meet and the join, the meet, and the twists of the meet and of
+    the sum, six in all."""
+    built = [0]
+    init = Subspace._init
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    top = max(weyl.enumerate_IW(2), key=weyl.length).perm
+    bounds = {top: 1, (1, 3, 2, 4): 6, (1, 2, 3, 4): 1}
+    most = dict.fromkeys(bounds, 0)
+    monkeypatch.setattr(Subspace, "_init", counted)
+    for u in dc._cached_lagrangians(2, 2, 2):
+        u = _fresh(u)
+        built[0] = 0
+        label = classify_fine(u)
+        most[label.perm] = max(most[label.perm], built[0])
+    assert all(most[label] <= bound for label, bound in bounds.items()), most
 
 
 def test_twist_fixed_points_take_no_null_space(monkeypatch):
@@ -390,7 +470,10 @@ def _s2_steps():
     that the tables and the trace it meets are kept."""
     u = next(u for u in dc._cached_lagrangians(2, 2, 2) if classify_fine(u).perm == S2)
     steps = dc._refine_to_stable(u, 2)
-    assert [(flag.dims, pos.perm) for flag, pos in steps] == [((0, 2, 4), S2), ((0, 1, 2, 3, 4), S2)]
+    assert [(Flag(chain).dims, pos.perm) for chain, pos in steps] == [
+        ((0, 2, 4), S2),
+        ((0, 1, 2, 3, 4), S2),
+    ]
     return steps
 
 
@@ -420,11 +503,11 @@ def test_sequence_check_refuses_a_label_outside_the_minimal_representatives():
 
 def test_sequence_check_refuses_a_chain_that_is_not_self_dual():
     (f0, p0), (_, p1) = _s2_steps()
-    space = f0.space
+    space = f0[0].space
     unit = np.eye(4, dtype=np.int32)
     # symmetric dimensions; e1-perp is <e1, e2, e3>, not <e1, e2, e4>
     skew = Flag([Subspace(space, unit[:1]), Subspace(space, unit[[0, 1, 3]])])
-    _raises_twice([(f0, p0), (skew, p1)], "left the self-dual flags")
+    _raises_twice([(f0, p0), (skew.members, p1)], "left the self-dual flags")
 
 
 def test_cold_and_warm_caches_give_the_same_labels():

@@ -633,7 +633,7 @@ def test_relpos_rechecks_every_table_entry(space4, monkeypatch):
             with pytest.raises(RuntimeError, match=r"dim\(C_0 cap D_0\) = 1 differs from r_w = 0"):
                 relpos(c, d)
             with pytest.raises(RuntimeError, match="differs from r_w"):
-                refine(c, d)
+                refine(c.members, d.members)
 
 
 def test_relpos_examples(space4):
@@ -671,10 +671,11 @@ def test_refine_idempotence_and_type(space4, space9):
         for _ in range(25):
             c = random_self_dual_flag(space, rng)
             d = random_self_dual_flag(space, rng)
-            r, w = refine(c, d)
-            assert refine(r, d)[0] == r
-            same, e = refine(c, c)
-            assert same == c and e.is_identity()
+            chain, w = refine(c.members, d.members)
+            r = Flag(chain)
+            assert refine(chain, d.members)[0] == chain == r.members
+            same, e = refine(c.members, c.members)
+            assert same == c.members and e.is_identity()
             assert all(m in r.members for m in c.members)
             assert r.is_self_dual()
             assert w.perm == relpos(c, d).perm
@@ -696,16 +697,21 @@ def _refine_by_all_joins(flag_c, flag_d):
 
 
 def _assert_refine_matches_all_joins(flag_c, flag_d):
-    got, position = refine(flag_c, flag_d)
+    """refine on the member tuples against the reference; returns flag_c
+    when it is stable, else the refined flag."""
+    got, position = refine(flag_c.members, flag_d.members)
     want, want_position = _refine_by_all_joins(flag_c, flag_d)
-    assert got == want and position.perm == want_position.perm
+    # the refined chain comes out in increasing dimension, as the Flag sorts it
+    assert got == want.members and position.perm == want_position.perm
     # the rank table and the position are those of the grid of meets
     grid, grid_position = meets_and_position(flag_c, flag_d)
-    assert symplectic._rank_table(flag_c, flag_d) == [[m.dim for m in row] for row in grid]
+    assert symplectic._rank_table(flag_c.members, flag_d.members) == [
+        [m.dim for m in row] for row in grid
+    ]
     assert position.perm == grid_position.perm
-    # a stable flag comes back as it is, with no rebuilt Flag
-    assert (got is flag_c) == (want == flag_c)
-    return got
+    # a stable chain comes back as the same tuple, with nothing rebuilt
+    assert (got is flag_c.members) == (want == flag_c)
+    return flag_c if got is flag_c.members else Flag(got)
 
 
 def test_refine_matches_all_joins_on_every_census_refinement_step(monkeypatch):
@@ -715,10 +721,10 @@ def test_refine_matches_all_joins_on_every_census_refinement_step(monkeypatch):
 
     # every meet refine takes, with its two arguments
     meets = []
-    intersect = Subspace.intersect
+    real_meet = symplectic._meet
 
-    def recording(a, b):
-        meet = intersect(a, b)
+    def recording(a, b, sums):
+        meet = real_meet(a, b, sums)
         meets.append((a, b, meet))
         return meet
 
@@ -726,11 +732,12 @@ def test_refine_matches_all_joins_on_every_census_refinement_step(monkeypatch):
         if c != 2:
             continue
         for u in dlclassify._cached_lagrangians(c, p, m):
-            for flag, _ in dlclassify._refine_to_stable(u, 2):
+            for chain, _ in dlclassify._refine_to_stable(u, 2):
+                flag = Flag(chain)
                 twist = flag.twist(2)
                 with monkeypatch.context() as patch:
-                    patch.setattr(Subspace, "intersect", recording)
-                    refine(flag, twist)
+                    patch.setattr(symplectic, "_meet", recording)
+                    refine(chain, twist.members)
                 _assert_refine_matches_all_joins(flag, twist)
     # the meets against the annihilator null-space route
     assert meets
@@ -759,9 +766,9 @@ def test_twist_matches_the_rebuilt_flag_on_every_census_refinement_step():
         if c != 2:
             continue
         for u in dlclassify._cached_lagrangians(c, p, m):
-            for flag, _ in dlclassify._refine_to_stable(u, 2):
+            for chain, _ in dlclassify._refine_to_stable(u, 2):
                 for r in (2, -2, 1):
-                    _assert_twist_matches_rebuilt(flag, r)
+                    _assert_twist_matches_rebuilt(Flag(chain), r)
 
 
 @st.composite
@@ -857,13 +864,51 @@ def test_is_self_dual_on_fixed_examples(space4, space9):
         assert flag.is_self_dual()
 
 
+def test_zero_and_full_are_one_object_per_space(space4, space9):
+    """Each space has one 0 and one V, each the other's complement; the
+    complement of any other 0 or V is the shared one, and taking it
+    leaves the shared objects' complements as they are."""
+    zero, full = zero_subspace(space4), full_subspace(space4)
+    assert zero_subspace(space4) is zero and full_subspace(space4) is full
+    assert zero.perp() is full and full.perp() is zero
+    assert zero.twist(2) is zero and full.twist(2) is full
+    other_zero, other_full = Subspace(space4, []), Subspace(space4, eye(4))
+    assert other_zero is not zero and other_zero == zero
+    assert other_full is not full and other_full == full
+    assert other_zero.perp() is full and other_full.perp() is zero
+    assert zero.perp() is full and full.perp() is zero
+    assert zero_subspace(space9) is not zero and zero_subspace(space9).space is space9
+
+
+def test_refine_emits_the_chain_in_order_and_refuses_a_bad_join(space4, monkeypatch):
+    """Refining (0, <e1, e2>, V) against (0, <e1, e3>, V) inserts the meet
+    <e1> and the join <e1, e2, e3> in place.  A meet that gives a join of
+    another dimension than the table's, or a join of the table's
+    dimension that breaks the chain, raises RuntimeError."""
+    unit = eye(4)
+    c = (zero_subspace(space4), Subspace(space4, unit[:2]), full_subspace(space4))
+    d = (zero_subspace(space4), Subspace(space4, unit[[0, 2]]), full_subspace(space4))
+    got, position = refine(c, d)
+    want = (c[0], Subspace(space4, unit[:1]), c[1], Subspace(space4, unit[:3]), c[2])
+    assert got == want and got[0] is c[0] and got[2] is c[1] and got[4] is c[2]
+    assert position.perm == relpos(Flag(c), Flag(d)).perm
+    monkeypatch.setattr(symplectic, "_meet", lambda a, b, sums: a)
+    with pytest.raises(RuntimeError, match="the rank table says"):
+        refine(c, d)
+    # <e4> has the meet's dimension, but <e4> does not lie in <e1, e2>
+    stray = Subspace(space4, unit[3:])
+    monkeypatch.setattr(symplectic, "_meet", lambda a, b, sums: stray)
+    with pytest.raises(RuntimeError, match="not a chain"):
+        refine(c, d)
+
+
 def test_refine_rejects_flags_with_non_symmetric_dimensions(space4):
     unit = eye(4)
     line = Flag([Subspace(space4, unit[:1])])  # dimensions {0, 1, 4}
     full = standard_flag(space4, [1, 2, 3])
     for a, b in ((line, full), (full, line), (line, line)):
         with pytest.raises(ValueError):
-            refine(a, b)
+            refine(a.members, b.members)
 
 
 def test_random_symplectic_properties(space9):

@@ -36,8 +36,10 @@ Vlin = V^(p).  The second is ker V.  The first is sigma(ker F), since
 F(x) = F . x^(p) vanishes exactly when x^(p) is a null vector, so the
 construction checks it against the pull-back of U itself, and ker F
 is its sigma^{-1}-twist, taken on first call with no elimination.  J
-is F_p-rational, so the adjunction is F^T . J = J . Vlin, two signed
-reversals compared entry by entry.
+is F_p-rational, so the adjunction is F^T . J = J . Vlin, and since J
+is a signed reversal that is an equality of entry sets: each nonzero
+F[a][b] sits, signed, at Vlin[2g-1-b][2g-1-a], and Vlin has no other
+entries.
 
 Every module of genus g over a field shares one ``SymplecticSpace``,
 built on first use, so every subspace here is a
@@ -61,9 +63,17 @@ verify path, psi to its label and a fine label to its lift
 (``weyl.r_map_inv``), build and validate each label once per argument
 pair.
 
-The module is built on rows (see ``linalg``): F and V are written entry
-by entry from the point's reduced rows and pivots and frozen once, and
-no numpy runs per point.  Rows are the module's only matrix form.
+A module keeps its operators by their nonzero entries, at most 4c^2 +
+g - 2c of the 4g^2: F by rows and by columns, and V by the rows of
+Vlin, the forward twist of V's entries.  ``build_from_lagrangian``
+writes them entry by entry from the point's reduced rows, and no numpy
+runs per point.  Every per-point step touches only those entries: the
+products F . Vlin and Vlin . F, the adjunction, and each F-image, which
+sums F's nonzero columns scaled by a row's twisted entries before its
+one elimination.  The two null spaces, of F and of Vlin, are the only
+steps that still read dense rows, built for them; ``f_rows`` and
+``v_rows`` build dense rows on access, for ``module_to_json`` and the
+tests.
 
 Modules are immutable after construction (every constructor runs the
 full invariant battery, and each kernel is computed once), so label
@@ -81,14 +91,26 @@ from .symplectic import Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
 
 
+# An operator kept by its nonzero entries: for each row (or column) of its
+# matrix, the (column, value) (or (row, value)) pairs, values nonzero codes.
+Entries = tuple[tuple[tuple[int, int], ...], ...]
+
+
 class DieudonneModule:
     """A 2g-dimensional space with semilinear F, V and the form J_g.
 
-    ``f_rows`` and ``v_rows`` are the rows of the matrices of F (twist
-    +1) and V (twist -1): F(x) = F . x^[p] and V(x) = V . x^[1/p].  The
-    pairing is the standard form of ``SymplecticSpace(ctx, g)``, one
-    space per field and genus shared by every module, so its subspaces
-    are ``Subspace`` values with cached complements.
+    The operators are F (twist +1) and V (twist -1): F(x) = F . x^[p]
+    and V(x) = V . x^[1/p].  They are kept by their nonzero entries: F
+    by rows and by columns, and V by the rows of Vlin = V^(p), so that
+    V(F x) = (Vlin . F . x)^(1/p).  ``f_rows`` and ``v_rows`` are the
+    dense rows of F and V, built on each access.  The pairing is the
+    standard form of ``SymplecticSpace(ctx, g)``, one space per field
+    and genus shared by every module, so its subspaces are ``Subspace``
+    values with cached complements.
+
+    The constructor takes dense rows and keeps their nonzero entries;
+    ``build_from_lagrangian`` writes the entries directly.  Either way
+    the module passes the same checks.
     """
 
     def __init__(
@@ -101,19 +123,57 @@ class DieudonneModule:
         slot_bounds: tuple[int, ...],
         point: Subspace | None = None,
     ):
+        dim = 2 * g
+        if any(len(rows) != dim or any(len(row) != dim for row in rows)
+               for rows in (f_rows, v_rows)):
+            raise ValueError("operator matrices must be 2g x 2g")
+        up = ctx.frob_lists[1 % ctx.k]
+        vlin = tuple([tuple([(j, up[x]) for j, x in row]) for row in _entries(v_rows)])
+        self._init(ctx, g, c, _entries(f_rows), _entries(zip(*f_rows)), vlin,
+                   slot_bounds, point)
+
+    @classmethod
+    def _from_entries(
+        cls,
+        ctx: FieldCtx,
+        g: int,
+        c: int,
+        f: Entries,
+        f_cols: Entries,
+        vlin: Entries,
+        slot_bounds: tuple[int, ...],
+        point: Subspace | None = None,
+    ) -> "DieudonneModule":
+        """The module of F by rows and by columns and of Vlin by rows."""
+        obj = cls.__new__(cls)
+        obj._init(ctx, g, c, f, f_cols, vlin, slot_bounds, point)
+        return obj
+
+    def _init(self, ctx, g, c, f, f_cols, vlin, slot_bounds, point) -> None:
         self.ctx = ctx
         self.g = g
         self.c = c
         self.dim = 2 * g
-        self.f_rows = f_rows
-        self.v_rows = v_rows
         self.space = _module_space(ctx, g)
         self.slot_bounds = tuple(slot_bounds)
         self.point = point
-        self._ft_rows = tuple(zip(*f_rows))
-        self._vlin_rows = linalg.frob_map(ctx, v_rows, 1)
+        self._f = f
+        # the nonzero columns of F, each with its index: all an image reads
+        self._f_cols = tuple([(j, col) for j, col in enumerate(f_cols) if col])
+        self._vlin = vlin
         self._ker_f: Subspace | None = None
         self._validate()
+
+    @property
+    def f_rows(self) -> linalg.Rows:
+        """The dense rows of F, built on each access."""
+        return _dense(self._f, self.dim)
+
+    @property
+    def v_rows(self) -> linalg.Rows:
+        """The dense rows of V = Vlin^(1/p), built on each access."""
+        down = self.ctx.frob_lists[-1 % self.ctx.k]
+        return _dense([[(j, down[x]) for j, x in row] for row in self._vlin], self.dim)
 
     def kernel_of_F(self) -> Subspace:
         """ker F = sigma^{-1} of the matrix null space; twisted on first call."""
@@ -126,19 +186,35 @@ class DieudonneModule:
         return self._ker_v
 
     def f_image(self, sub: Subspace) -> Subspace:
-        """F(C) = F . C^(p), one product and one elimination.
+        """F(C): row by row, sigma(x) summed over F's nonzero columns, then
+        one elimination.
 
-        F(0) is 0, and F of the whole space is the cached ker V (the two
-        are equal by the checks at construction), so neither needs
-        elimination.
+        The image of a row x is the sum of sigma(x_j) F[:, j] over its
+        nonzero x_j, which touches only F's nonzero entries.  F(0) is 0,
+        and F of the whole space is the cached ker V (the two are equal
+        by the checks at construction), so neither needs elimination.
         """
         if sub.dim == 0:
             return sub
         if sub.dim == self.dim:
             return self.kernel_of_V()
         ctx, dim = self.ctx, self.dim
-        powered = linalg.frob_map(ctx, sub.rows, 1)
-        image = linalg.matmul(ctx, powered, self._ft_rows, dim)
+        add, mul = ctx.add_list, ctx.mul_list
+        up = ctx.frob_lists[1 % ctx.k]
+        image = []
+        for row in sub.rows:
+            acc = [0] * dim
+            for j, col in self._f_cols:
+                x = row[j]
+                if x:
+                    if x == 1:
+                        for i, y in col:
+                            acc[i] = add[acc[i]][y]
+                    else:
+                        scale = mul[up[x]]
+                        for i, y in col:
+                            acc[i] = add[acc[i]][scale[y]]
+            image.append(acc)
         return Subspace._from_rref(self.space, *linalg.rref(ctx, image, dim))
 
     # -- construction-time checks -------------------------------------------
@@ -150,30 +226,35 @@ class DieudonneModule:
         dim ker F = g, rank F is g, so ker V = im F exactly when dim
         ker V = g, and then rank V is g too, so ker F = im V: the two
         kernel dimensions decide both equalities, and the images are
-        never eliminated for.  The pairing is J, which is F_p-rational,
-        so the adjunction is F^T . J = J . Vlin, two signed reversals
-        compared entry by entry.
+        never eliminated for.  The products run over nonzero entries;
+        the two null spaces are eliminations of the dense rows.  The
+        pairing is J, which is F_p-rational, so the adjunction is F^T .
+        J = J . Vlin, an equality of entry sets (``_adjoint_entries``).
         """
         ctx, dim, g, space = self.ctx, self.dim, self.g, self.space
-        if any(len(rows) != dim or any(len(row) != dim for row in rows)
-               for rows in (self.f_rows, self.v_rows)):
-            raise ValueError("operator matrices must be 2g x 2g")
-        f, vlin = self.f_rows, self._vlin_rows
-        if any(map(any, linalg.matmul(ctx, f, vlin, dim))):
+        f, vlin = self._f, self._vlin
+        if not _product_vanishes(ctx, f, vlin):
             raise RuntimeError("F after V is not zero")
         # V(F x) = (Vlin . F . x)^(1/p), so V.F = 0 iff Vlin . F = 0
-        if any(map(any, linalg.matmul(ctx, vlin, f, dim))):
+        if not _product_vanishes(ctx, vlin, f):
             raise RuntimeError("V after F is not zero")
-        # the matrix null space of F is sigma(ker F), of the same dimension
-        self._sigma_ker_f = Subspace._from_rref(space, linalg.nullspace(ctx, f, dim))
+        # the matrix null space of F is sigma(ker F), of the same dimension;
+        # zero rows constrain nothing, so only the nonzero rows are written
+        self._sigma_ker_f = Subspace._from_rref(
+            space, linalg.nullspace(ctx, _dense([row for row in f if row], dim), dim)
+        )
         if self._sigma_ker_f.dim != g:
             raise RuntimeError(f"dim ker F = {self._sigma_ker_f.dim} != g = {g}")
-        self._ker_v = ker_v = Subspace._from_rref(space, linalg.nullspace(ctx, vlin, dim))
+        self._ker_v = ker_v = Subspace._from_rref(
+            space, linalg.nullspace(ctx, _dense([row for row in vlin if row], dim), dim)
+        )
         if ker_v.dim != g:
             raise RuntimeError(
                 f"dim ker V = {ker_v.dim} != g = {g}: ker V != im F and ker F != im V"
             )
-        if space.times_form(self._ft_rows) != space.form_times(vlin):
+        if _adjoint_entries(ctx, f, g) != {
+            (i, j): x for i, row in enumerate(vlin) for j, x in row
+        }:
             raise RuntimeError("adjunction <Fx, y> = <x, Vy>^p fails")
         if self.point is not None:
             self._check_kernel_shapes()
@@ -204,6 +285,57 @@ class DieudonneModule:
         )
 
 
+def _entries(rows) -> Entries:
+    """The nonzero (index, value) pairs of each row."""
+    return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
+
+
+def _dense(entries, dim: int) -> linalg.Rows:
+    """The dense rows of a matrix kept by its nonzero entries per row."""
+    out = []
+    for row in entries:
+        vec = [0] * dim
+        for j, x in row:
+            vec[j] = x
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _product_vanishes(ctx: FieldCtx, a: Entries, b: Entries) -> bool:
+    """Whether a . b = 0, for matrices kept by their nonzero entries per row.
+
+    Row i of the product is the sum of the rows b[j] scaled by the
+    nonzero a[i][j]; only products of nonzero entries are summed.
+    """
+    add, mul = ctx.add_list, ctx.mul_list
+    for arow in a:
+        if not arow:
+            continue
+        acc: dict[int, int] = {}
+        for j, x in arow:
+            scale = mul[x]
+            for k, y in b[j]:
+                acc[k] = add[acc.get(k, 0)][scale[y]]
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _adjoint_entries(ctx: FieldCtx, f: Entries, g: int) -> dict[tuple[int, int], int]:
+    """The entries Vlin must have for F^T . J = J . Vlin, by position.
+
+    J is +1 at (i, 2g-1-i) for i < g and -1 below, so the equation reads
+    Vlin[2g-1-b][2g-1-a] = F[a][b] for a and b on one side of g, and
+    -F[a][b] for a and b on opposite sides; every other entry is zero.
+    """
+    neg, last = ctx.neg_list, 2 * g - 1
+    return {
+        (last - b, last - a): neg[x] if (a < g) != (b < g) else x
+        for a, row in enumerate(f)
+        for b, x in row
+    }
+
+
 @lru_cache(maxsize=None)
 def _module_space(ctx: FieldCtx, g: int) -> SymplecticSpace:
     """The space of every genus-g module over the field, built on first use."""
@@ -213,9 +345,11 @@ def _module_space(ctx: FieldCtx, g: int) -> SymplecticSpace:
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     """The split graded module of a Lagrangian point, for genus g >= 2c.
 
-    F and V are written entry by entry from the point's reduced rows
-    and U . J, a signed reversal of them, into zero rows, and each is
-    frozen once.
+    F (by rows and by columns) and Vlin (by rows) are written entry by
+    entry from the point's reduced rows and U . J, a signed reversal of
+    them; only nonzero entries are written, and no matrix is built.
+    Vlin = V^(p) twists V's entries forward: its slot 0 -> slot 2 block
+    is U itself, and -1 is F_p-rational.
     """
     space = u.space
     ctx, c = space.ctx, space.n
@@ -223,32 +357,36 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
         raise ValueError("genus must be at least twice the point rank")
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
-    dim, k = 2 * g, g - 2 * c
+    k = g - 2 * c
     bounds = (0, c, g - c, g + c, 2 * g - c, 2 * g)
     _, s1, s2, s3, s4, _ = bounds  # where slots 1..4 start
     neg = ctx.neg_list
     minus_one = neg[1]
-    up, down = ctx.frob_lists[1 % ctx.k], ctx.frob_lists[-1 % ctx.k]
-    f = [[0] * dim for _ in range(dim)]
-    v = [[0] * dim for _ in range(dim)]
+    up = ctx.frob_lists[1 % ctx.k]
 
-    # slot 0 -> slot 2: U into L, its basis vectors as columns
-    for j, row in enumerate(u.rows):
-        for r, x in enumerate(row):
-            f[s2 + r][j] = neg[up[x]]
-            v[s2 + r][j] = down[x]
+    # slot 0 -> slot 2: U into L, its basis vectors as columns; F is
+    # -sigma(U[j][r]) and Vlin is U[j][r] at (s2 + r, j)
+    cols_u = tuple(zip(*u.rows))
+    f_u = [tuple([(j, neg[up[x]]) for j, x in enumerate(col) if x]) for col in cols_u]
+    v_u = [tuple([(j, x) for j, x in enumerate(col) if x]) for col in cols_u]
+    f_u_cols = [tuple([(s2 + r, neg[up[x]]) for r, x in enumerate(row) if x]) for row in u.rows]
     # slot 1 -> slot 3: the identity on K, into reversed, negated
     # coordinates of its twist
-    for i in range(k):
-        f[s3 + i][s1 + k - 1 - i] = 1
-        v[s3 + i][s1 + k - 1 - i] = minus_one
-    # slot 2 -> slot 4: L -> L/U, in the coordinates y_j = -<u_{c-1-j}, x>
-    for j, urow in enumerate(reversed(space.times_form(u.rows))):
-        f[s4 + j][s2 : s2 + 2 * c] = urow
-        v[s4 + j][s2 : s2 + 2 * c] = [neg[x] for x in urow]
+    f_k = [((s1 + k - 1 - i, 1),) for i in range(k)]
+    v_k = [((s1 + k - 1 - i, minus_one),) for i in range(k)]
+    f_k_cols = [((s3 + k - 1 - i, 1),) for i in range(k)]
+    # slot 2 -> slot 4: L -> L/U, in the coordinates y_j = -<u_{c-1-j}, x>:
+    # row j of this block of F is row c-1-j of U . J, and Vlin is minus its twist
+    uj = space.times_form(u.rows)[::-1]
+    f_l = [tuple([(s2 + t, x) for t, x in enumerate(row) if x]) for row in uj]
+    v_l = [tuple([(s2 + t, neg[up[x]]) for t, x in enumerate(row) if x]) for row in uj]
+    f_l_cols = [tuple([(s4 + j, x) for j, x in enumerate(col) if x]) for col in zip(*uj)]
 
-    freeze = lambda mat: tuple(map(tuple, mat))
-    return DieudonneModule(ctx, g, c, freeze(f), freeze(v), bounds, point=u)
+    before, after = [()] * s2, [()] * (2 * g - s3)
+    f = tuple(before + f_u + f_k + f_l)
+    vlin = tuple(before + v_u + v_k + v_l)
+    f_cols = tuple(f_u_cols + f_k_cols + f_l_cols + after)
+    return DieudonneModule._from_entries(ctx, g, c, f, f_cols, vlin, bounds, point=u)
 
 
 @dataclass(frozen=True)

@@ -63,19 +63,25 @@ def _refine_to_stable(
     as 0 and V hold every U.  The steps end at the stable chain; the
     position of D_k is its relative position with its twist, which the
     same ``refine`` call returns along with D_{k+1}, and ``refine``
-    hands back D_k itself when D_k is stable.
+    hands back D_k itself when D_k is stable.  A member that ``refine``
+    keeps is the same object in D_{k+1}, so its twist is carried over,
+    looked up by identity, and only new members are twisted.
     """
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
     space = u.space
     c = space.n
     chain = (symplectic.zero_subspace(space), u, symplectic.full_subspace(space))
+    twists: dict[int, Subspace] = {}
     steps = []
     for _ in range(2 * c * (c + 1) + 2):
-        nxt, position = symplectic.refine(chain, tuple([m.twist(qexp) for m in chain]))
+        twisted = tuple([twists.get(id(m)) or m.twist(qexp) for m in chain])
+        nxt, position = symplectic.refine(chain, twisted)
         steps.append((chain, position))
         if nxt is chain:
             return steps
+        # the members of chain stay alive in steps, so their ids stay theirs
+        twists = {id(m): t for m, t in zip(chain, twisted)}
         chain = nxt
     raise RuntimeError("flag refinement failed to stabilize")
 

@@ -13,7 +13,9 @@ The routines index the field's tables, which are nested lists
 The matrices met here are tiny and sparse, at most about 10 x 20 (a
 2c-dimensional space, a 2g-dimensional module), and a point makes tens
 of them, so numpy dispatch and array conversion would cost more than
-the lookups.  Rows are the only matrix form the pipeline keeps: arrays
+the lookups.  Rows are the only dense matrix form the pipeline keeps
+(a Dieudonné module keeps its operators by their nonzero entries, see
+``dieudonne``, and builds rows only for its two null spaces): arrays
 meet it only at the edges, in the symplectic group elements that move
 points (``symplectic.random_symplectic``, ``Subspace.apply``) and in
 the read-only ``Subspace.basis``, and ``as_rows`` and ``as_array`` are
@@ -26,9 +28,14 @@ touched:
   whose null vectors are already the canonical basis;
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
   of a times the columns of b, so zero entries cost nothing;
-* ``insertion_ranks`` reduces each vector against a reduced basis and
-  keeps each nonzero remainder as a new echelon row, so the ranks of a
-  growing stack cost one pass per vector and no elimination; a vector
+* ``insertion_ranks`` removes from each vector its part in the span of
+  a reduced basis, one combination of the basis rows with the vector's
+  entries at their pivots as coefficients (reduced rows vanish at each
+  other's pivots), and reduces what is left against the rows the call
+  appended; each nonzero remainder becomes a new echelon row.  So the
+  ranks of a growing stack cost one pass per vector and no
+  elimination, and a vector equal to its combination, as every vector
+  of a contained subspace is, costs one comparison after it.  A vector
   lies in the span exactly when it adds no row, which is how
   ``Subspace.contains`` tests containment.
 
@@ -177,22 +184,43 @@ def insertion_ranks(
     """The rank of the basis with vectors[:i + 1] added, for each i.
 
     ``basis`` must be in reduced row echelon form with these pivots.
-    Each vector is reduced against the rows so far, in the order they
-    were taken, and a nonzero remainder joins them as a new row,
-    normalized at its first nonzero entry, which becomes its pivot.
-    Every row is zero at the pivots of the rows before it (the basis is
-    reduced, and a remainder is zero at every pivot), so that order
-    clears each pivot for good: a vector lies in the span exactly when
-    its remainder is zero.  Once the rows span the whole space, the
+    Its rows vanish at each other's pivots and are 1 at their own, so a
+    vector's part in their span is one combination, read off the
+    vector's entries at the pivots; a first coefficient of 1 takes the
+    row as it is, with no arithmetic.  A vector equal to that
+    combination lies in the span and adds no row.  Any other vector
+    leaves the difference, which is zero at every pivot of the basis;
+    it is reduced against the rows this call appended, in the order
+    they were taken (each is zero at the pivots of those before it, so
+    that order clears each pivot for good), and a nonzero remainder
+    joins them as a new row, normalized at its first nonzero entry,
+    which becomes its pivot.  Once the rows span the whole space, the
     remaining vectors are not reduced.
     """
     add, mul, neg, inv = ctx.add_list, ctx.mul_list, ctx.neg_list, ctx.inv_list
-    rows = list(zip(pivots, basis))
+    base = list(zip(pivots, basis))
+    added: list[tuple[int, list[int]]] = []
+    rank = len(base)
     out = []
     for vec in vectors:
-        if len(rows) < len(vec):
-            rest = vec
-            for c, row in rows:
+        if rank < len(vec):
+            comb = None
+            for c, row in base:
+                f = vec[c]
+                if f:
+                    if comb is None:
+                        comb = row if f == 1 else [mul[f][y] for y in row]
+                    else:
+                        scale = mul[f]
+                        comb = [add[x][scale[y]] for x, y in zip(comb, row)]
+            if comb is None:
+                rest = vec
+            elif comb == vec or (type(comb) is not type(vec) and list(comb) == list(vec)):
+                out.append(rank)
+                continue
+            else:
+                rest = [add[x][neg[y]] for x, y in zip(vec, comb)]
+            for c, row in added:
                 f = rest[c]
                 if f:
                     fneg = mul[neg[f]]
@@ -202,7 +230,8 @@ def insertion_ranks(
                     if x != 1:
                         scale = mul[inv[x]]
                         rest = [scale[y] for y in rest]
-                    rows.append((c, rest))
+                    added.append((c, rest))
+                    rank += 1
                     break
-        out.append(len(rows))
+        out.append(rank)
     return tuple(out)

@@ -9,7 +9,7 @@ conjugates everything):
   Frobenius twisting commutes with perp; the Dieudonné modules are
   written in coordinates where their pairing is this J too, so a
   product with J anywhere is a signed reversal of rows
-  (``SymplecticSpace.times_form``, ``form_times``), and a complement is
+  (``SymplecticSpace.times_form``), and a complement is
   read off reduced rows and pivots by index work alone;
 * subspaces are row spans stored as their reduced row echelon rows, a
   tuple of tuples of codes with the pivot columns beside it; the rows
@@ -100,8 +100,7 @@ class SymplecticSpace:
 
     ``gram_rows`` is J as rows.  J is +1 at (i, 2n-1-i) for i < n and
     -1 for i >= n, so a product with it is a signed reversal
-    (``times_form``, ``form_times``) and takes no arithmetic beyond
-    negation.
+    (``times_form``) and takes no arithmetic beyond negation.
     """
 
     def __init__(self, ctx: FieldCtx, n: int):
@@ -131,12 +130,6 @@ class SymplecticSpace:
             rev = tuple(row[::-1])
             out.append(tuple([neg[x] for x in rev[:n]]) + rev[n:])
         return tuple(out)
-
-    def form_times(self, rows: Sequence[Sequence[int]]) -> linalg.Rows:
-        """J . rows: the rows in reverse order, the last n of them negated."""
-        neg, n = self.ctx.neg_list, self.n
-        rev = [tuple(row) for row in rows[::-1]]
-        return tuple(rev[:n]) + tuple([tuple([neg[x] for x in row]) for row in rev[n:]])
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(F_{self.ctx.q}, 2n={self.dim})"

@@ -5,7 +5,9 @@ Cayley-graph breadth-first search over ``WeylElement`` products (the
 independent oracle for lengths, parabolic subgroups and the group
 itself), conjugation and largest-first words by products, the Weyl-group
 scans that ``bedard`` and ``relpos`` build directly, a matrix inverse
-and the change of basis of a Dieudonné module, random self-dual flags
+and the change of basis of a Dieudonné module, the dense products,
+adjunction and F-image that the module's entry form replaced, random
+self-dual flags
 for the relative-position laws, and the grid of meets that the rank
 table of ``relpos`` and ``refine`` replaced.
 """
@@ -131,6 +133,29 @@ def transport(mod: DieudonneModule, s: np.ndarray) -> DieudonneModule:
     v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, mod.v_rows, dim),
                        linalg.frob_map(ctx, s_rows, -1), dim)
     return DieudonneModule(ctx, mod.g, mod.c, f2, v2, mod.slot_bounds, point=None)
+
+
+def dense_products(ctx, f_rows, v_rows) -> tuple[linalg.Rows, linalg.Rows]:
+    """F . Vlin and Vlin . F with Vlin = V^(p), as dense products."""
+    dim = len(f_rows)
+    vlin = linalg.frob_map(ctx, v_rows, 1)
+    return linalg.matmul(ctx, f_rows, vlin, dim), linalg.matmul(ctx, vlin, f_rows, dim)
+
+
+def dense_adjunction_holds(space: SymplecticSpace, f_rows, v_rows) -> bool:
+    """Whether F^T . J = J . V^(p), with J multiplied as the Gram rows."""
+    ctx, dim, gram = space.ctx, space.dim, space.gram_rows
+    f_t = tuple(zip(*f_rows))
+    vlin = linalg.frob_map(ctx, v_rows, 1)
+    return linalg.matmul(ctx, f_t, gram, dim) == linalg.matmul(ctx, gram, vlin, dim)
+
+
+def dense_f_image(mod: DieudonneModule, sub: Subspace) -> Subspace:
+    """F(C) = F . C^(p): the twisted rows times the dense F^T, eliminated."""
+    ctx, dim = mod.ctx, mod.dim
+    powered = linalg.frob_map(ctx, sub.rows, 1)
+    image = linalg.matmul(ctx, powered, tuple(zip(*mod.f_rows)), dim)
+    return Subspace._from_rref(mod.space, *linalg.rref(ctx, image, dim))
 
 
 # -- flags ----------------------------------------------------------------------

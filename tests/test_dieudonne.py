@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from dlstrata import dlclassify as dc, linalg, weyl
 from dlstrata.dieudonne import (
     DieudonneModule,
+    _adjoint_entries,
+    _entries,
     _label_of_final_type,
+    _product_vanishes,
     build_from_lagrangian,
     canonical_flag,
     eo_type,
@@ -21,10 +24,11 @@ from dlstrata.symplectic import (
     SymplecticSpace,
     full_subspace,
     random_lagrangian,
+    random_symplectic,
     zero_subspace,
 )
 from tests import eye, tables, zeros
-from tests.reference import transport
+from tests.reference import dense_adjunction_holds, dense_f_image, dense_products, transport
 
 
 @pytest.fixture(scope="module")
@@ -528,25 +532,94 @@ def test_final_type_is_the_r_w_definition():
 
 
 def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
-    # two to build and check a module (ker F and ker V), one per F-image
-    # of a proper member in the closure, and none per complement; every
-    # complement read off reduced rows is the null space of C . J
+    # two to build and check a module (ker F and ker V, its only null
+    # spaces), one per F-image of a proper member in the closure, none
+    # per complement, and no dense product anywhere; every complement
+    # read off reduced rows is the null space of C . J
+    from .test_dlclassify import _counting
     from .test_symplectic import _generic_perp
 
-    calls = []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or rref(*args))
+    rng = np.random.default_rng(61)
+    space = dc.census_space(3, 2, 2)
+    points = [(u, 5) for u in dc._cached_lagrangians(2, 2, 2)]
+    points += [(random_lagrangian(space, rng), 6) for _ in range(50)]
+    # calls of rref, nullspace and matmul
+    calls = [_counting(monkeypatch, name) for name in ("rref", "nullspace", "matmul")]
     counts = []
-    for u in dc._cached_lagrangians(2, 2, 2):
-        calls.clear()
-        mod = build_from_lagrangian(u, 5)
-        assert len(calls) == 2
+    for u, g in points:
+        for count in calls:
+            count[0] = 0
+        mod = build_from_lagrangian(u, g)
+        assert [count[0] for count in calls] == [2, 2, 0]
         flag = canonical_flag(mod)
-        assert len(calls) == 2 + len(flag.members) - 2
-        counts.append(len(calls))
+        assert [count[0] for count in calls] == [2 + len(flag.members) - 2, 2, 0]
+        counts.append(calls[0][0])
         for m in flag.members:
             assert m.perp().rows == _generic_perp(m)
-    assert len(counts) == 4369 and max(counts) == 7
+    assert len(counts) == 4369 + 50 and max(counts[:4369]) == 7
+
+
+def _assert_f_images_match_the_dense_product(mod):
+    for sub in canonical_flag(mod).members:
+        assert mod.f_image(sub) == dense_f_image(mod, sub)
+
+
+def test_f_images_match_the_dense_product():
+    """Each canonical member's F-image, summed over F's nonzero entries,
+    is the image of the dense product: on every c <= 2 census point at
+    g = 2c and 2c + 1, and on transported modules, whose operators have
+    no zero pattern."""
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        if c <= 2:
+            for u in dc._cached_lagrangians(c, p, m):
+                for g in (2 * c, 2 * c + 1):
+                    _assert_f_images_match_the_dense_product(build_from_lagrangian(u, g))
+    rng = np.random.default_rng(53)
+    for mod in list(_seeded_modules())[::3]:
+        _assert_f_images_match_the_dense_product(
+            transport(mod, random_symplectic(mod.space, rng))
+        )
+
+
+def test_entry_checks_decide_as_the_dense_oracles():
+    """F . Vlin = 0, Vlin . F = 0 and the adjunction, read over nonzero
+    entries, hold exactly when the dense products and the dense
+    adjunction do: on built and transported modules, where all three
+    hold, and after one entry of F or of V is changed."""
+    rng = np.random.default_rng(67)
+    modules = list(_seeded_modules())[::2]
+    modules += [transport(mod, random_symplectic(mod.space, rng)) for mod in modules[::3]]
+    verdicts = set()
+    for mod in modules:
+        ctx, dim, g = mod.ctx, mod.dim, mod.g
+        up = ctx.frob_lists[1 % ctx.k]
+        for trial in range(4):
+            f, v = [list(row) for row in mod.f_rows], [list(row) for row in mod.v_rows]
+            if trial:
+                edited = f if trial % 2 else v
+                i, j = (int(x) for x in rng.integers(dim, size=2))
+                edited[i][j] = int(rng.integers(ctx.q))
+            fe = _entries(f)
+            vlin = tuple(tuple((j, up[x]) for j, x in row) for row in _entries(v))
+            fv, vf = dense_products(ctx, f, v)
+            got = (
+                _product_vanishes(ctx, fe, vlin),
+                _product_vanishes(ctx, vlin, fe),
+                _adjoint_entries(ctx, fe, g) == {
+                    (i, j): x for i, row in enumerate(vlin) for j, x in row
+                },
+            )
+            want = (
+                not any(map(any, fv)),
+                not any(map(any, vf)),
+                dense_adjunction_holds(mod.space, f, v),
+            )
+            assert got == want
+            verdicts.add(want)
+    # both verdicts of every check were met
+    assert all({v[i] for v in verdicts} == {True, False} for i in range(3)), verdicts
 
 
 def test_final_type_map_is_injective_on_representatives():

@@ -380,9 +380,9 @@ def test_census_points_build_few_subspaces(monkeypatch):
     """Subspace objects built per classified F_16 census point, at most:
     on a top-stratum or rational point the twist U' of U, as its chain
     (0, U, V) holds the space's one 0 and one V; on an s2 point the
-    twist of U in each of its two steps, the sum U + U', built once for
-    the meet and the join, the meet, and the twists of the meet and of
-    the sum, six in all."""
+    twist U' of U, built in the first step and carried into the second,
+    the sum U + U', built once for the meet and the join, the meet, and
+    the twists of the meet and of the sum, five in all."""
     built = [0]
     init = Subspace._init
 
@@ -391,7 +391,7 @@ def test_census_points_build_few_subspaces(monkeypatch):
         init(self, *args)
 
     top = max(weyl.enumerate_IW(2), key=weyl.length).perm
-    bounds = {top: 1, (1, 3, 2, 4): 6, (1, 2, 3, 4): 1}
+    bounds = {top: 1, (1, 3, 2, 4): 5, (1, 2, 3, 4): 1}
     most = dict.fromkeys(bounds, 0)
     monkeypatch.setattr(Subspace, "_init", counted)
     for u in dc._cached_lagrangians(2, 2, 2):

@@ -357,13 +357,18 @@ def test_nullspace_matches_the_two_elimination_reference(case):
     field_matrices(fields=[(2, 1), (3, 2), (2, 4), (5, 2), (2, 10)], max_rows=12, max_cols=10),
     st.integers(0, 12),
     st.integers(1, 1023),
+    st.integers(0, 2**32 - 1),
 )
-@example((field(3, 2), np.array([[0, 0, 1], [0, 2, 1]], dtype=linalg.DTYPE)), 1, 4)
-def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar):
+@example((field(3, 2), np.array([[0, 0, 1], [0, 2, 1]], dtype=linalg.DTYPE)), 1, 4, 0)
+@example((field(2, 4), np.array([[1, 2, 3], [0, 1, 5], [4, 4, 4]], dtype=linalg.DTYPE)), 2, 7, 1)
+def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar, seed):
     """Rows after a split are inserted into the reduced rows of those
     before it, followed by a nonzero multiple of each, which must reduce
-    to zero against the row it made; the rank after each insertion is
-    that of the stack."""
+    to zero against the row it made, then by vectors inside the span of
+    the basis (a basis row repeated, a combination leading with
+    coefficient 1, a random combination, each as a tuple and as a list)
+    and by a combination of the basis and an inserted row; the rank
+    after each insertion is that of the stack, by ``rref``."""
     ctx, mat = case
     ncols = mat.shape[1]
     rows = linalg.as_rows(mat)
@@ -372,8 +377,29 @@ def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar):
     scale = ctx.mul_list[scalar % (ctx.q - 1) + 1]
     vectors = rows[split:]
     vectors += tuple(tuple(scale[x] for x in vec) for vec in vectors)
+    rng = np.random.default_rng(seed)
+    add, mul = ctx.add_list, ctx.mul_list
+
+    def combination(coeffs, rows):
+        acc = [0] * ncols
+        for f, row in zip(coeffs, rows):
+            acc = [add[x][mul[f][y]] for x, y in zip(acc, row)]
+        return tuple(acc)
+
+    spanned = []
+    if basis:
+        spanned.append(basis[int(rng.integers(len(basis)))])
+        coeffs = [1] + [int(x) for x in rng.integers(0, ctx.q, size=len(basis) - 1)]
+        spanned.append(combination(coeffs, basis))
+        spanned.append(combination([int(x) for x in rng.integers(0, ctx.q, size=len(basis))], basis))
+    vectors += tuple(spanned) + tuple(list(vec) for vec in spanned)
+    if vectors:
+        # the span grows with the inserted rows: one of them plus the basis
+        coeffs = [int(x) for x in rng.integers(1, ctx.q, size=len(basis) + 1)]
+        vectors += (combination(coeffs, basis + (vectors[0],)),)
     got = linalg.insertion_ranks(ctx, basis, pivots, vectors)
     want = tuple(
-        len(linalg.rref(ctx, basis + vectors[: i + 1], ncols)[1]) for i in range(len(vectors))
+        len(linalg.rref(ctx, basis + tuple(map(tuple, vectors[: i + 1])), ncols)[1])
+        for i in range(len(vectors))
     )
     assert type(got) is tuple and got == want

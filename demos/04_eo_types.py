@@ -10,8 +10,6 @@ The payoff identity, checked exhaustively by the test suite: that
 representative is precisely the lift of the point's fine stratum label.
 """
 
-import numpy as np
-
 from dlstrata import dieudonne as dd, dlclassify as dc, weyl
 from dlstrata.gf import field
 from dlstrata.symplectic import Subspace, SymplecticSpace
@@ -20,7 +18,7 @@ space = SymplecticSpace(field(2, 4), 1)
 s = space.ctx.p  # the code of x, a root of the modulus
 
 for name, row in [("rational", [1, 0]), ("wild", [1, s])]:
-    u = Subspace(space, np.array([row]))
+    u = Subspace(space, [row])
     print(f"{name} line {row} over F_16:")
     for g in (2, 3):
         module = dd.build_from_lagrangian(u, g)
@@ -48,7 +46,7 @@ print(f"  psi = {eo.psi}")
 print(f"  identity holds: {eo.w.perm == weyl.r_map_inv(fine, 5).perm}")
 
 print("\nsweep: the identity on every F_16 point of the rank-1 space")
-plane = [Subspace(space, np.array([[1, a]])) for a in range(16)]
-plane.append(Subspace(space, np.array([[0, 1]])))
+plane = [Subspace(space, [[1, a]]) for a in range(16)]
+plane.append(Subspace(space, [[0, 1]]))
 assert all(dd.verify_pullback(u, 2) for u in plane)
 print(f"  verified on all {len(plane)} lines")

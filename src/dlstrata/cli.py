@@ -24,8 +24,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, bedard, dlclassify, dieudonne, weyl
 from .gf import field
 
@@ -161,6 +159,9 @@ def cmd_verify(args) -> int:
         return 2
     points = dlclassify._cached_lagrangians(args.c, args.p, args.m)
     if args.trials is not None and args.trials < len(points):
+        # the sample is the one draw of the CLI, and the one use of numpy
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         idx = rng.choice(len(points), size=args.trials, replace=False)
         points = [points[int(i)] for i in sorted(idx)]

@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import bedard, symplectic, weyl
 from .gf import field
 from .symplectic import Flag, Subspace, SymplecticSpace
@@ -221,8 +219,11 @@ def equivariance_check(
 
     Matrices are drawn over F_{p^2} and embedded, so they commute with
     the classifying twist; the check returns True iff every trial keeps
-    its label.  ValueError above CENSUS_POINT_LIMIT points.
+    its label.  ValueError above CENSUS_POINT_LIMIT points.  The draws
+    are the one use of numpy here, imported for them.
     """
+    import numpy as np
+
     bounded_total(c, p, m, "equivariance check")
     rng = np.random.default_rng(seed)
     space = census_space(c, p, m)

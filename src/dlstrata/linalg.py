@@ -9,17 +9,15 @@ is the row span of its matrix, and the canonical form of a subspace is
 its reduced row echelon form, so equal subspaces have equal row tuples.
 
 The routines index the field's tables, which are nested lists
-(``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time.
-The matrices met here are tiny and sparse, at most about 10 x 20 (a
-2c-dimensional space, a 2g-dimensional module), and a point makes tens
-of them, so numpy dispatch and array conversion would cost more than
-the lookups.  Rows are the only dense matrix form the pipeline keeps
-(a Dieudonné module keeps its operators by their nonzero entries, see
-``dieudonne``, and builds rows only for its two null spaces): arrays
-meet it only at the edges, in the symplectic group elements that move
-points (``symplectic.random_symplectic``, ``Subspace.apply``) and in
-the read-only ``Subspace.basis``, and ``as_rows`` and ``as_array`` are
-the two conversions there.  The cost is one lookup chain per entry
+(``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time,
+and use only the standard library, like ``gf``.  The matrices met here
+are tiny and sparse, at most about 10 x 20 (a 2c-dimensional space, a
+2g-dimensional module), and a point makes tens of them, so numpy
+dispatch and array conversion would cost more than the lookups.  Rows
+are the one dense matrix form (a Dieudonné module keeps its operators
+by their nonzero entries, see ``dieudonne``, and builds rows only for
+its two null spaces); the one array view is the read-only
+``symplectic.Subspace.basis``.  The cost is one lookup chain per entry
 touched:
 
 * ``rref`` costs about rank x rows x columns; a rank is the number of
@@ -48,23 +46,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .gf import FieldCtx
 
-DTYPE = np.int32
-
 Rows = tuple[tuple[int, ...], ...]
-
-
-def as_rows(mat: np.ndarray) -> Rows:
-    """The rows of a 2-d array as a tuple of tuples of Python ints."""
-    return tuple(map(tuple, np.asarray(mat, dtype=DTYPE).tolist()))
-
-
-def as_array(rows: Sequence[Sequence[int]], ncols: int) -> np.ndarray:
-    """A fresh C-contiguous int32 array of shape (len(rows), ncols)."""
-    return np.array(rows, dtype=DTYPE).reshape(len(rows), ncols)
 
 
 @lru_cache(maxsize=None)

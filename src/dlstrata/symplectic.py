@@ -13,8 +13,10 @@ conjugates everything):
   read off reduced rows and pivots by index work alone;
 * subspaces are row spans stored as their reduced row echelon rows, a
   tuple of tuples of codes with the pivot columns beside it; the rows
-  are the equality and hash key, and ``Subspace.basis`` is the same
-  basis as a read-only int32 array, built on access;
+  are the equality and hash key.  Every function here returns rows
+  (a group element too) and takes any integer rows, arrays included;
+  the one array is ``Subspace.basis``, the same basis read-only, built
+  on access, and numpy is imported for it alone;
 * a chain is a tuple of subspaces in strictly increasing dimension,
   each containing the one before, from 0 to the full space V; a
   ``Flag`` is the validated public value of one, built from members in
@@ -84,11 +86,10 @@ re-checking it.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import linalg, weyl
 from .gf import FieldCtx, embed_table
@@ -146,14 +147,13 @@ class Subspace:
 
     __slots__ = ("space", "rows", "pivots", "dim", "_perp")
 
-    def __init__(self, space: SymplecticSpace, rows: np.ndarray | Sequence):
+    def __init__(self, space: SymplecticSpace, rows: Sequence):
         """The span of any rows, an array or a sequence of code rows.
 
         Raises ValueError unless the rows form a matrix of width 2n (an
-        empty input is the zero subspace) of codes (``_code_matrix``).
+        empty input is the zero subspace) of codes (``_code_rows``).
         """
-        mat = _code_matrix(space, rows)
-        self._init(space, *linalg.rref(space.ctx, mat.tolist(), space.dim))
+        self._init(space, *linalg.rref(space.ctx, _code_rows(space, rows), space.dim))
 
     @classmethod
     def _from_rref(
@@ -178,9 +178,11 @@ class Subspace:
         self._perp = None
 
     @property
-    def basis(self) -> np.ndarray:
+    def basis(self):
         """The reduced basis as a read-only int32 array, shape (dim, 2n)."""
-        out = linalg.as_array(self.rows, self.space.dim)
+        import numpy as np
+
+        out = np.array(self.rows, dtype=np.int32).reshape(self.dim, self.space.dim)
         out.flags.writeable = False
         return out
 
@@ -293,36 +295,50 @@ class Subspace:
         """Whether self has dimension n and is its own complement."""
         return self.dim == self.space.n and self.perp() is self
 
-    def apply(self, matrix: np.ndarray | Sequence) -> "Subspace":
+    def apply(self, matrix: Sequence) -> "Subspace":
         """Image under an invertible matrix (column-vector convention);
         ValueError unless it is 2n x 2n of codes and keeps self's dimension."""
         space = self.space
-        mat = _code_matrix(space, matrix, space.dim)
-        image = linalg.matmul(space.ctx, self.rows, linalg.as_rows(mat.T), space.dim)
+        mat = _code_rows(space, matrix, space.dim)
+        image = linalg.matmul(space.ctx, self.rows, tuple(zip(*mat)), space.dim)
         out = Subspace._from_rref(space, *linalg.rref(space.ctx, image, space.dim))
         if out.dim < self.dim:
             raise ValueError(f"singular matrix: a {self.dim}-dimensional image has {out.dim}")
         return out
 
 
-def _code_matrix(
-    space: SymplecticSpace, data: np.ndarray | Sequence, height: int | None = None
-) -> np.ndarray:
-    """data as an array of width 2n (and of the given height); ValueError
-    on any other shape and unless every entry is an integer code in [0, q):
-    floats, strings and out-of-range integers are refused, not truncated,
-    parsed or wrapped."""
-    mat = np.asarray(data)
-    if mat.shape == (0,):
-        mat = mat.reshape(0, space.dim)
-    if mat.ndim != 2 or mat.shape[1] != space.dim or height not in (None, mat.shape[0]):
-        want = f"{height} x {space.dim}" if height is not None else f"k x {space.dim}"
-        raise ValueError(f"array of shape {mat.shape} is not {want}")
-    if mat.size and not (
-        mat.dtype.kind in "iu" and 0 <= mat.min() and mat.max() < space.ctx.q
+def _code_rows(
+    space: SymplecticSpace, data: Sequence, height: int | None = None
+) -> list[list[int]]:
+    """data (lists, tuples or an array) as list rows of width 2n, and of
+    the given height; ValueError on any other shape, ragged rows and an
+    array of another width without rows included, and unless every entry
+    is an integer code in [0, q) by ``operator.index``: floats, strings,
+    bools and out-of-range integers are refused, not truncated, parsed,
+    read as 0 and 1, or wrapped."""
+    width, q = space.dim, space.ctx.q
+    try:
+        rows = [list(row) for row in data]
+    except TypeError:
+        rows = [[]]
+    if (
+        height not in (None, len(rows))
+        or any(len(row) != width for row in rows)
+        or (not rows and getattr(data, "shape", (0,)) not in ((0,), (0, width)))
     ):
-        raise ValueError(f"row entries are not codes of F_{space.ctx.q}")
-    return mat
+        want = f"{height} x {width}" if height is not None else f"k x {width}"
+        if hasattr(data, "shape"):
+            raise ValueError(f"array of shape {data.shape} is not {want}")
+        raise ValueError(f"input with row lengths {[len(row) for row in rows]} is not {want}")
+    for row in rows:
+        for i, x in enumerate(row):
+            try:
+                row[i] = -1 if isinstance(x, bool) else operator.index(x)
+            except TypeError:
+                row[i] = -1
+            if not 0 <= row[i] < q:
+                raise ValueError(f"row entries are not codes of F_{q}")
+    return rows
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -680,13 +696,9 @@ def enumerate_lagrangians(space: SymplecticSpace) -> list[Subspace]:
 # -- random symplectic transformations -----------------------------------
 
 
-def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
-    """A pseudorandom element of Sp(2n, q) as a product of transvections."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+def random_symplectic(space: SymplecticSpace, rng) -> linalg.Rows:
+    """The rows of a pseudorandom element of Sp(2n, q), a product of
+    transvections drawn from the numpy Generator ``rng``."""
     ctx = space.ctx
     add, mul = ctx.add_list, ctx.mul_list
     two_n = space.dim
@@ -710,16 +722,16 @@ def random_symplectic(space: SymplecticSpace, seed_or_rng) -> np.ndarray:
     prod = linalg.matmul(ctx, space.times_form(gt), g, two_n)
     if prod != space.gram_rows:
         raise RuntimeError("transvection product failed to preserve the form")
-    return linalg.as_array(g, two_n)
+    return g
 
 
-def embed_matrix(mat: np.ndarray, src: FieldCtx, dst: FieldCtx) -> np.ndarray:
-    """Apply the fixed field embedding entrywise."""
-    table = np.asarray(embed_table(src, dst), dtype=linalg.DTYPE)
-    return table[np.asarray(mat, dtype=linalg.DTYPE)]
+def embed_matrix(mat: Sequence[Sequence[int]], src: FieldCtx, dst: FieldCtx) -> linalg.Rows:
+    """The rows of mat with the fixed field embedding applied entrywise."""
+    table = embed_table(src, dst).__getitem__
+    return tuple([tuple(map(table, row)) for row in mat])
 
 
-def _randbelow(rng: np.random.Generator, n: int) -> int:
+def _randbelow(rng, n: int) -> int:
     """Uniform integer in [0, n) for arbitrarily large n (rejection)."""
     bits = n.bit_length()
     while True:
@@ -731,8 +743,9 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
             return r
 
 
-def random_lagrangian(space: SymplecticSpace, rng: np.random.Generator) -> Subspace:
-    """A uniformly random Lagrangian: weighted random cell, random point.
+def random_lagrangian(space: SymplecticSpace, rng) -> Subspace:
+    """A uniformly random Lagrangian: weighted random cell, random point,
+    drawn from the numpy Generator ``rng``.
 
     Only one point's rows are written, so this scales to spaces whose
     full enumeration would not fit in memory (cell weights are exact

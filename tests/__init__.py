@@ -2,8 +2,11 @@ import os
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
+
+from dlstrata.linalg import Rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +35,19 @@ def tables(ctx) -> SimpleNamespace:
         inv=np.array(ctx.inv_list, dtype=np.int32),
         frob=[np.array(t, dtype=np.int32) for t in ctx.frob_lists],
     )
+
+
+DTYPE = np.int32
+
+
+def as_rows(mat: np.ndarray) -> Rows:
+    """The rows of a 2-d array as a tuple of tuples of Python ints."""
+    return tuple(map(tuple, np.asarray(mat, dtype=DTYPE).tolist()))
+
+
+def as_array(rows: Sequence[Sequence[int]], ncols: int) -> np.ndarray:
+    """A fresh C-contiguous int32 array of shape (len(rows), ncols)."""
+    return np.array(rows, dtype=DTYPE).reshape(len(rows), ncols)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from dlstrata import linalg, weyl
 from dlstrata.dieudonne import DieudonneModule
 from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, random_symplectic
 from dlstrata.weyl import WeylElement
+from tests import as_rows
 
 # -- Weyl group scans ---------------------------------------------------------
 
@@ -115,15 +116,15 @@ def inverse(ctx, rows: Sequence[Sequence[int]]) -> linalg.Rows:
     return tuple(row[n:] for row in reduced)
 
 
-def transport(mod: DieudonneModule, s: np.ndarray) -> DieudonneModule:
+def transport(mod: DieudonneModule, s: Sequence[Sequence[int]]) -> DieudonneModule:
     """The isomorphic module in the basis x = S x', for S in Sp(2g).
 
     The pairing becomes S^T J S, which must be J again, since every
     module's pairing is the standard form; ValueError otherwise.
     """
     ctx, dim = mod.ctx, mod.dim
-    s_rows = linalg.as_rows(s)
-    s_t = linalg.as_rows(s.T)
+    s_rows = as_rows(s)
+    s_t = tuple(zip(*s_rows))
     gram = mod.space.gram_rows
     if linalg.matmul(ctx, linalg.matmul(ctx, s_t, gram, dim), s_rows, dim) != gram:
         raise ValueError("S^T J S != J: the matrix is not symplectic")
@@ -172,7 +173,7 @@ def standard_flag(space: SymplecticSpace, dims: Iterable[int]) -> Flag:
     return Flag([Subspace._from_rref(space, eye[:d], tuple(range(d))) for d in dims])
 
 
-def flag_apply(flag: Flag, matrix: np.ndarray) -> Flag:
+def flag_apply(flag: Flag, matrix: Sequence[Sequence[int]]) -> Flag:
     """The image of a flag under an invertible matrix."""
     return Flag(m.apply(matrix) for m in flag.members)
 

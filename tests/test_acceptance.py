@@ -13,6 +13,7 @@ from dlstrata import bedard, dlclassify as dc, dieudonne as dd, linalg, symplect
 from dlstrata.bedard import FrobeniusAction
 from dlstrata.gf import field
 from dlstrata.symplectic import Flag, SymplecticSpace
+from tests import as_array
 from tests.reference import flag_apply, random_self_dual_flag
 
 
@@ -181,7 +182,7 @@ def test_c09_canonical_flag_behavior():
             linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, m.rows, omega, mod.dim), mod.dim)
             for m in flag.members
         ]
-        ok &= all(linalg.as_array(perp, mod.dim).tobytes() in keys for perp in perps)
+        ok &= all(as_array(perp, mod.dim).tobytes() in keys for perp in perps)
         psi = dd.eo_type(mod).psi
         ok &= all(psi[2 * g - i] == psi[i] + g - i for i in range(2 * g + 1))
     report(9, ok, "flag stabilizes, is self-dual, dichotomy holds, psi duality")

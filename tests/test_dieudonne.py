@@ -27,7 +27,7 @@ from dlstrata.symplectic import (
     random_symplectic,
     zero_subspace,
 )
-from tests import eye, tables, zeros
+from tests import as_array, as_rows, eye, tables, zeros
 from tests.reference import dense_adjunction_holds, dense_f_image, dense_products, transport
 
 
@@ -94,7 +94,7 @@ def _build_by_arrays(u, g):
 
     m_u = u.basis.T.copy()  # 2c x c, columns are the point's basis vectors
     # row j: x -> <u_{c-1-j}, x>, the rows of U . J in reverse order
-    uj = linalg.as_array(linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c), 2 * c)
+    uj = as_array(linalg.matmul(ctx, u.rows, space.gram_rows, 2 * c), 2 * c)
     pair_u = uj[::-1].copy()
     swap = eye(k)[::-1].copy()  # K_{k-1-i} -> position i
 
@@ -144,7 +144,7 @@ def _json_by_arrays(mod, arrays):
 def _assert_built_as_by_arrays(u, g):
     mod = build_from_lagrangian(u, g)
     arrays = _build_by_arrays(u, g)
-    assert (mod.f_rows, mod.v_rows, mod.space.gram_rows) == tuple(map(linalg.as_rows, arrays))
+    assert (mod.f_rows, mod.v_rows, mod.space.gram_rows) == tuple(map(as_rows, arrays))
     got = json.dumps(module_to_json(mod)).encode()
     assert got == json.dumps(_json_by_arrays(mod, arrays)).encode()
 
@@ -183,7 +183,7 @@ def _unit(dim, i, j):
 def test_each_failed_check_raises_its_own_message(f16_line):
     mod = build_from_lagrangian(f16_line, 3)
     dim = mod.dim
-    zero = linalg.as_rows(zeros(dim, dim))
+    zero = as_rows(zeros(dim, dim))
     for edit, match in (
         (dict(f_rows=linalg.identity(dim), v_rows=linalg.identity(dim)), "F after V is not zero"),
         # F = E_01 and V = E_20: F.V = 0 but V.F = E_21
@@ -376,7 +376,7 @@ def test_v_preimage_matches_graded_formula(f16_line):
         lo_s, hi_s = bounds[i + 2], bounds[i + 3]
         lo_t, hi_t = bounds[i], bounds[i + 1]
         width = hi_s - lo_s
-        h = linalg.rref(ctx, linalg.as_rows(rng.integers(0, ctx.q, size=(1, width))), width)[0]
+        h = linalg.rref(ctx, as_rows(rng.integers(0, ctx.q, size=(1, width))), width)[0]
         # pr_{i+2}^{-1}(H): embed H at its slot and add all later slots
         eye = linalg.identity(mod.dim)
         rows = [(0,) * lo_s + r + (0,) * (mod.dim - hi_s) for r in h] + list(eye[hi_s:])
@@ -714,11 +714,11 @@ def test_sign_freedom_in_the_middle_blocks(f16_line):
         lo1, hi1 = mod.slot_bounds[1], mod.slot_bounds[2]
         lo3, hi3 = mod.slot_bounds[3], mod.slot_bounds[4]
         neg = tables(ctx).neg
-        f2 = linalg.as_array(mod.f_rows, mod.dim)
-        v2 = linalg.as_array(mod.v_rows, mod.dim)
+        f2 = as_array(mod.f_rows, mod.dim)
+        v2 = as_array(mod.v_rows, mod.dim)
         f2[lo3:hi3, lo1:hi1] = neg[f2[lo3:hi3, lo1:hi1]]
         v2[lo3:hi3, lo1:hi1] = neg[v2[lo3:hi3, lo1:hi1]]
-        f2, v2 = linalg.as_rows(f2), linalg.as_rows(v2)
+        f2, v2 = as_rows(f2), as_rows(v2)
         flipped = DieudonneModule(ctx, mod.g, mod.c, f2, v2, mod.slot_bounds, point=mod.point)
         assert eo_type(flipped).w.perm == eo_type(mod).w.perm
         if ctx.p != 2:  # at p = 2 the flip is the identity

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dlstrata.gf import _pmod, _pmul, embed_table, field
-from tests import ROOT, tables
+from tests import ROOT, src_env, tables
 
 
 def test_modulus_is_lex_first_irreducible():
@@ -269,3 +269,24 @@ def test_gf_builds_without_numpy():
         assert "numpy" not in sys.modules, "gf imported numpy"
     """)
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def test_commands_without_a_draw_leave_numpy_unloaded():
+    # numpy is imported only for the seeded draws: strata, bedard, census
+    # and a full verify run without it, and a sampled verify loads it
+    code = textwrap.dedent("""
+        import sys
+        import dlstrata
+        from dlstrata import cli
+        for argv in (["strata", "--c", "3"], ["bedard", "--c", "3"],
+                     ["census", "--c", "2", "--p", "2", "--m", "1"],
+                     ["verify", "--c", "1", "--g", "2", "--p", "2", "--m", "2"]):
+            assert cli.main(argv) == 0, argv
+            assert "numpy" not in sys.modules, f"{argv[0]} imported numpy"
+        assert cli.main(["verify", "--c", "1", "--g", "2", "--p", "2", "--m", "2", "--trials", "5"]) == 0
+        assert "numpy" in sys.modules, "the sampled verify drew without numpy"
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dlstrata import linalg
 from dlstrata.gf import field
-from tests import eye, reference, tables, zeros
+from tests import DTYPE, as_array, as_rows, eye, reference, tables, zeros
 
 # every field the differential tests cover: characteristic 2 and odd,
 # prime and extension fields, up to the table limit
@@ -22,7 +22,7 @@ def f4():
 
 
 def _random_matrix(ctx, rng, rows, cols):
-    return rng.integers(0, ctx.q, size=(rows, cols)).astype(linalg.DTYPE)
+    return rng.integers(0, ctx.q, size=(rows, cols)).astype(DTYPE)
 
 
 def assert_rows(got, nrows, ncols):
@@ -37,18 +37,18 @@ def test_rref_is_idempotent_and_canonical(f4):
     rng = np.random.default_rng(0)
     for _ in range(40):
         m = _random_matrix(f4, rng, 3, 5)
-        r, piv = linalg.rref(f4, linalg.as_rows(m), 5)
+        r, piv = linalg.rref(f4, as_rows(m), 5)
         r2, piv2 = linalg.rref(f4, r, 5)
         assert r == r2 and piv == piv2
         # scaling a row and permuting rows does not change the canonical form
         shuffled = m[rng.permutation(3)]
-        assert linalg.rref(f4, linalg.as_rows(shuffled), 5)[0] == r
+        assert linalg.rref(f4, as_rows(shuffled), 5)[0] == r
 
 
 def test_nullspace_annihilates(f4):
     rng = np.random.default_rng(1)
     for _ in range(40):
-        m = linalg.as_rows(_random_matrix(f4, rng, 3, 6))
+        m = as_rows(_random_matrix(f4, rng, 3, 6))
         ns = linalg.nullspace(f4, m, 6)
         assert len(ns) == 6 - len(linalg.rref(f4, m, 6)[1])
         if ns:
@@ -60,10 +60,10 @@ def test_matmul_against_scalar_arithmetic(f4):
     rng = np.random.default_rng(2)
     a = _random_matrix(f4, rng, 3, 4)
     b = _random_matrix(f4, rng, 4, 2)
-    got = linalg.matmul(f4, linalg.as_rows(a), linalg.as_rows(b), 2)
-    assert got == linalg.as_rows(scalar_matmul(f4, a, b))
+    got = linalg.matmul(f4, as_rows(a), as_rows(b), 2)
+    assert got == as_rows(scalar_matmul(f4, a, b))
     with pytest.raises(ValueError):
-        linalg.matmul(f4, linalg.as_rows(a), linalg.as_rows(a), 4)
+        linalg.matmul(f4, as_rows(a), as_rows(a), 4)
 
 
 def test_inverse(f4):
@@ -71,7 +71,7 @@ def test_inverse(f4):
     eye = linalg.identity(4)
     found = 0
     while found < 10:
-        m = linalg.as_rows(_random_matrix(f4, rng, 4, 4))
+        m = as_rows(_random_matrix(f4, rng, 4, 4))
         if len(linalg.rref(f4, m, 4)[1]) < 4:
             continue
         inv = reference.inverse(f4, m)
@@ -87,11 +87,11 @@ def test_inverse(f4):
 
 def test_frob_map_is_bijective_entrywise(f4):
     rng = np.random.default_rng(4)
-    m = linalg.as_rows(_random_matrix(f4, rng, 3, 3))
+    m = as_rows(_random_matrix(f4, rng, 3, 3))
     assert linalg.frob_map(f4, linalg.frob_map(f4, m, 1), -1) == m
     assert linalg.frob_map(f4, m, f4.k) == m
     table = tables(f4).frob[1]
-    assert linalg.frob_map(f4, m, 1) == linalg.as_rows(table[np.array(m)])
+    assert linalg.frob_map(f4, m, 1) == as_rows(table[np.array(m)])
 
 
 def test_in_row_space(f4):
@@ -110,10 +110,10 @@ def test_as_rows_and_as_array_round_trip(f4):
     rng = np.random.default_rng(6)
     for shape in ((0, 0), (0, 5), (3, 0), (3, 5)):
         m = _random_matrix(f4, rng, *shape)
-        rows = linalg.as_rows(m)
+        rows = as_rows(m)
         assert_rows(rows, *shape)
-        back = linalg.as_array(rows, shape[1])
-        assert back.dtype == linalg.DTYPE and back.flags.c_contiguous
+        back = as_array(rows, shape[1])
+        assert back.dtype == DTYPE and back.flags.c_contiguous
         assert back.shape == shape and back.tobytes() == m.tobytes()
 
 
@@ -122,7 +122,7 @@ def test_as_rows_and_as_array_round_trip(f4):
 
 def reference_rref(ctx, mat):
     """The former per-column numpy elimination, kept as the reference."""
-    a = np.array(mat, dtype=linalg.DTYPE, copy=True)
+    a = np.array(mat, dtype=DTYPE, copy=True)
     nrows, ncols = a.shape
     t = tables(ctx)
     add, mul, neg, inv = t.add, t.mul, t.neg, t.inv
@@ -155,7 +155,7 @@ def scalar_matmul(ctx, a, b):
     add, mul = ctx.add_list, ctx.mul_list
     n, m = a.shape
     l = b.shape[1]
-    out = np.zeros((n, l), dtype=linalg.DTYPE)
+    out = np.zeros((n, l), dtype=DTYPE)
     for i in range(n):
         for j in range(l):
             acc = 0
@@ -174,15 +174,15 @@ def field_matrices(draw, fields=FIELDS, max_rows=12, max_cols=24):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "zero", "low_rank"]))
     if kind == "zero":
-        mat = np.zeros((rows, cols), dtype=linalg.DTYPE)
+        mat = np.zeros((rows, cols), dtype=DTYPE)
     elif kind == "random":
-        mat = rng.integers(0, ctx.q, size=(rows, cols)).astype(linalg.DTYPE)
+        mat = rng.integers(0, ctx.q, size=(rows, cols)).astype(DTYPE)
     else:
         inner = int(rng.integers(0, min(rows, cols) + 1))
-        left = rng.integers(0, ctx.q, size=(rows, inner)).astype(linalg.DTYPE)
-        right = rng.integers(0, ctx.q, size=(inner, cols)).astype(linalg.DTYPE)
-        product = linalg.matmul(ctx, linalg.as_rows(left), linalg.as_rows(right), cols)
-        mat = linalg.as_array(product, cols)
+        left = rng.integers(0, ctx.q, size=(rows, inner)).astype(DTYPE)
+        right = rng.integers(0, ctx.q, size=(inner, cols)).astype(DTYPE)
+        product = linalg.matmul(ctx, as_rows(left), as_rows(right), cols)
+        mat = as_array(product, cols)
     return ctx, mat
 
 
@@ -205,10 +205,10 @@ def span(ctx, mat):
 @example((field(2, 10), zeros(12, 24)))
 def test_rref_matches_the_numpy_reference(case):
     ctx, mat = case
-    got, pivots = linalg.rref(ctx, linalg.as_rows(mat), mat.shape[1])
+    got, pivots = linalg.rref(ctx, as_rows(mat), mat.shape[1])
     want, want_pivots = reference_rref(ctx, mat)
     assert_rows(got, want.shape[0], mat.shape[1])
-    assert got == linalg.as_rows(want)
+    assert got == as_rows(want)
     assert pivots == want_pivots
 
 
@@ -220,15 +220,15 @@ def test_rref_bytes_are_equal_exactly_when_spans_are(case, data):
     # or is unrelated
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
-        mix = rng.integers(0, ctx.q, size=(a.shape[0], a.shape[0])).astype(linalg.DTYPE)
-        product = linalg.matmul(ctx, linalg.as_rows(mix), linalg.as_rows(a), a.shape[1])
-        b = linalg.as_array(product, a.shape[1])
+        mix = rng.integers(0, ctx.q, size=(a.shape[0], a.shape[0])).astype(DTYPE)
+        product = linalg.matmul(ctx, as_rows(mix), as_rows(a), a.shape[1])
+        b = as_array(product, a.shape[1])
     else:
-        b = rng.integers(0, ctx.q, size=a.shape).astype(linalg.DTYPE)
+        b = rng.integers(0, ctx.q, size=a.shape).astype(DTYPE)
     ncols = a.shape[1]
     same_rows = (
-        linalg.rref(ctx, linalg.as_rows(a), ncols)[0]
-        == linalg.rref(ctx, linalg.as_rows(b), ncols)[0]
+        linalg.rref(ctx, as_rows(a), ncols)[0]
+        == linalg.rref(ctx, as_rows(b), ncols)[0]
     )
     assert same_rows == (span(ctx, a) == span(ctx, b))
 
@@ -238,12 +238,12 @@ def test_rref_bytes_are_equal_exactly_when_spans_are(case, data):
 def test_nullspace_is_exact(case):
     ctx, mat = case
     ncols = mat.shape[1]
-    rows = linalg.as_rows(mat)
+    rows = as_rows(mat)
     ns = linalg.nullspace(ctx, rows, ncols)
     assert_rows(ns, ncols - len(linalg.rref(ctx, rows, ncols)[1]), ncols)
     # a canonical basis of vectors that mat annihilates
-    arr = linalg.as_array(ns, ncols)
-    assert ns == linalg.as_rows(reference_rref(ctx, arr)[0])
+    arr = as_array(ns, ncols)
+    assert ns == as_rows(reference_rref(ctx, arr)[0])
     assert not scalar_matmul(ctx, mat, arr.T).any()
 
 
@@ -252,10 +252,10 @@ def test_nullspace_is_exact(case):
 def test_nullspace_holds_every_solution(case):
     ctx, mat = case
     ncols = mat.shape[1]
-    ns = linalg.as_array(linalg.nullspace(ctx, linalg.as_rows(mat), ncols), ncols)
+    ns = as_array(linalg.nullspace(ctx, as_rows(mat), ncols), ncols)
     solutions = [
         x for x in itertools.product(range(ctx.q), repeat=ncols)
-        if not scalar_matmul(ctx, mat, np.array(x, dtype=linalg.DTYPE).reshape(-1, 1)).any()
+        if not scalar_matmul(ctx, mat, np.array(x, dtype=DTYPE).reshape(-1, 1)).any()
     ]
     assert len(solutions) == ctx.q ** ns.shape[0]
     assert span(ctx, ns) == frozenset(solutions)
@@ -264,7 +264,7 @@ def test_nullspace_holds_every_solution(case):
 def _sparsified(rng, mat):
     """mat with each entry zeroed with probability 1/2, then one whole row
     and one whole column zeroed (when it has any)."""
-    mat = np.where(rng.random(mat.shape) < 0.5, 0, mat).astype(linalg.DTYPE)
+    mat = np.where(rng.random(mat.shape) < 0.5, 0, mat).astype(DTYPE)
     if mat.shape[0]:
         mat[rng.integers(mat.shape[0])] = 0
     if mat.shape[1]:
@@ -289,15 +289,15 @@ def _sparsified(rng, mat):
 def test_matmul_matches_scalar_arithmetic(pk, n, m, l, seed, sparse):
     ctx = field(*pk)
     rng = np.random.default_rng(seed)
-    a = rng.integers(0, ctx.q, size=(n, m)).astype(linalg.DTYPE)
-    b = rng.integers(0, ctx.q, size=(m, l)).astype(linalg.DTYPE)
+    a = rng.integers(0, ctx.q, size=(n, m)).astype(DTYPE)
+    b = rng.integers(0, ctx.q, size=(m, l)).astype(DTYPE)
     if sparse:
         # the product skips zero entries of a, which dense draws over
         # large fields almost never contain
         a, b = _sparsified(rng, a), _sparsified(rng, b)
-    got = linalg.matmul(ctx, linalg.as_rows(a), linalg.as_rows(b), l)
+    got = linalg.matmul(ctx, as_rows(a), as_rows(b), l)
     assert_rows(got, n, l)
-    assert got == linalg.as_rows(scalar_matmul(ctx, a, b))
+    assert got == as_rows(scalar_matmul(ctx, a, b))
 
 
 def test_matmul_memory_is_bounded_by_its_operands():
@@ -305,9 +305,9 @@ def test_matmul_memory_is_bounded_by_its_operands():
     # n x m x l x k int64 digit array, 168 MB here
     ctx = field(2, 10)
     rng = np.random.default_rng(5)
-    a = rng.integers(0, ctx.q, size=(128, 128)).astype(linalg.DTYPE)
-    b = rng.integers(0, ctx.q, size=(128, 128)).astype(linalg.DTYPE)
-    a_rows, b_rows = linalg.as_rows(a), linalg.as_rows(b)
+    a = rng.integers(0, ctx.q, size=(128, 128)).astype(DTYPE)
+    b = rng.integers(0, ctx.q, size=(128, 128)).astype(DTYPE)
+    a_rows, b_rows = as_rows(a), as_rows(b)
     tracemalloc.start()
     try:
         got = linalg.matmul(ctx, a_rows, b_rows, 128)
@@ -315,7 +315,7 @@ def test_matmul_memory_is_bounded_by_its_operands():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert got[:2] == linalg.as_rows(scalar_matmul(ctx, a[:2], b))
+    assert got[:2] == as_rows(scalar_matmul(ctx, a[:2], b))
 
 
 def reference_nullspace(ctx, mat):
@@ -325,7 +325,7 @@ def reference_nullspace(ctx, mat):
     ncols = mat.shape[1]
     if mat.size == 0:
         return eye(ncols)
-    rows, pivots = linalg.rref(ctx, linalg.as_rows(mat), ncols)
+    rows, pivots = linalg.rref(ctx, as_rows(mat), ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -334,22 +334,22 @@ def reference_nullspace(ctx, mat):
         for row, pc in zip(rows, pivots):
             vec[pc] = ctx.neg_list[row[fc]]
         basis.append(vec)
-    return reference_rref(ctx, np.array(basis, dtype=linalg.DTYPE).reshape(len(free), ncols))[0]
+    return reference_rref(ctx, np.array(basis, dtype=DTYPE).reshape(len(free), ncols))[0]
 
 
 @PROPERTY
 @given(field_matrices())
 @example((field(3, 2), zeros(5, 7)))
-@example((field(2, 4), np.array([[1, 2, 3], [0, 1, 5], [0, 0, 7], [4, 4, 4]], dtype=linalg.DTYPE)))
-@example((field(31, 1), np.array([[0], [5], [3]], dtype=linalg.DTYPE)))
+@example((field(2, 4), np.array([[1, 2, 3], [0, 1, 5], [0, 0, 7], [4, 4, 4]], dtype=DTYPE)))
+@example((field(31, 1), np.array([[0], [5], [3]], dtype=DTYPE)))
 @example((field(2, 1), zeros(3, 1)))
 def test_nullspace_matches_the_two_elimination_reference(case):
     ctx, mat = case
     ncols = mat.shape[1]
-    got = linalg.nullspace(ctx, linalg.as_rows(mat), ncols)
+    got = linalg.nullspace(ctx, as_rows(mat), ncols)
     want = reference_nullspace(ctx, mat)
     assert_rows(got, want.shape[0], ncols)
-    assert got == linalg.as_rows(want)
+    assert got == as_rows(want)
 
 
 @PROPERTY
@@ -359,8 +359,8 @@ def test_nullspace_matches_the_two_elimination_reference(case):
     st.integers(1, 1023),
     st.integers(0, 2**32 - 1),
 )
-@example((field(3, 2), np.array([[0, 0, 1], [0, 2, 1]], dtype=linalg.DTYPE)), 1, 4, 0)
-@example((field(2, 4), np.array([[1, 2, 3], [0, 1, 5], [4, 4, 4]], dtype=linalg.DTYPE)), 2, 7, 1)
+@example((field(3, 2), np.array([[0, 0, 1], [0, 2, 1]], dtype=DTYPE)), 1, 4, 0)
+@example((field(2, 4), np.array([[1, 2, 3], [0, 1, 5], [4, 4, 4]], dtype=DTYPE)), 2, 7, 1)
 def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar, seed):
     """Rows after a split are inserted into the reduced rows of those
     before it, followed by a nonzero multiple of each, which must reduce
@@ -371,7 +371,7 @@ def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar, see
     after each insertion is that of the stack, by ``rref``."""
     ctx, mat = case
     ncols = mat.shape[1]
-    rows = linalg.as_rows(mat)
+    rows = as_rows(mat)
     split = min(split, len(rows))
     basis, pivots = linalg.rref(ctx, rows[:split], ncols)
     scale = ctx.mul_list[scalar % (ctx.q - 1) + 1]

@@ -22,7 +22,7 @@ from dlstrata.symplectic import (
     relpos,
     zero_subspace,
 )
-from tests import eye, tables, zeros
+from tests import as_array, as_rows, eye, tables, zeros
 from tests.reference import (
     flag_apply,
     meets_and_position,
@@ -53,7 +53,7 @@ def rand_subspace(space, rng, dim):
 def test_gram_is_alternating_and_invertible(space4, space9):
     for space in (space4, space9):
         ctx = space.ctx
-        g = linalg.as_array(space.gram_rows, space.dim)
+        g = as_array(space.gram_rows, space.dim)
         assert len(linalg.rref(ctx, space.gram_rows, space.dim)[1]) == space.dim
         t = tables(ctx)
         assert not t.add[g, g.T].any()
@@ -92,6 +92,15 @@ def test_subspace_rejects_bad_shapes_and_codes(space4):
                 [[2**70, 0, 0, 0]], np.array([[1.0, 0, 0, 0]])):
         with pytest.raises(ValueError):
             Subspace(space4, bad)
+    # a bool is not a code in any position, in a list or in an array
+    for bad in ([[True, False, False, False]], [[1, True, 0, 0]],
+                np.array([[True, False, False, False]]), [[0, 0, 0, np.True_]]):
+        with pytest.raises(ValueError, match="not codes of F_4"):
+            Subspace(space4, bad)
+    # ragged rows get the module's shape message
+    for ragged in ([[1, 0, 0, 0], [0, 1]], [[1, 0, 0, 0], 3], [[1, 0, 0, 0], []]):
+        with pytest.raises(ValueError, match="is not k x 4"):
+            Subspace(space4, ragged)
 
 
 def test_subspace_accepts_arrays_row_tuples_and_empty_inputs(space4):
@@ -99,8 +108,11 @@ def test_subspace_accepts_arrays_row_tuples_and_empty_inputs(space4):
     assert u.dim == 2
     assert Subspace(space4, u.rows) == u
     assert Subspace(space4, [list(r) for r in u.rows]) == u
+    # an object array of ints is read like the same list
+    assert Subspace(space4, np.array([[0, 1, 1, 0], [1, 0, 0, 3]], dtype=object)) == u
+    assert Subspace(space4, np.array([[0, 1, 1, 0], [1, 0, 0, 3]], dtype=np.uint8)) == u
     zero = zero_subspace(space4)
-    for empty in (np.zeros((0, 4), dtype=np.int32), (), []):
+    for empty in (np.zeros((0, 4), dtype=np.int32), (), [], np.array([])):
         assert Subspace(space4, empty) == zero
 
 
@@ -112,7 +124,7 @@ def test_apply_refuses_bad_and_singular_matrices():
     assert u.dim == 2
     unit = eye(4)
     assert u.apply(unit) == u
-    g = random_symplectic(space, 5)
+    g = random_symplectic(space, np.random.default_rng(5))
     assert u.apply(g).dim == 2 and u.apply(g).is_lagrangian()
     coded = unit.copy()
     coded[0, 3] = 99
@@ -267,7 +279,7 @@ def _subspace_pair(draw):
     rows = draw(st.integers(0, 2 * n))
     if a.dim and draw(st.booleans()):
         mix = rng.integers(0, p**k, size=(rows, a.dim))
-        b = Subspace(space, linalg.matmul(space.ctx, linalg.as_rows(mix), a.rows, 2 * n))
+        b = Subspace(space, linalg.matmul(space.ctx, as_rows(mix), a.rows, 2 * n))
     else:
         b = Subspace(space, rng.integers(0, p**k, size=(rows, 2 * n)))
     return a, b
@@ -473,7 +485,7 @@ def test_lagrangian_cells_are_isotropic_in_bulk():
     # checked against the Gram rows in chunks of stacked bases
     space = SymplecticSpace(field(3, 2), 3)
     t = tables(space.ctx)
-    g = linalg.as_array(space.gram_rows, space.dim)
+    g = as_array(space.gram_rows, space.dim)
     points = _all_cell_rows(space)
     total = 0
     while chunk := list(itertools.islice(points, 50_000)):
@@ -822,7 +834,7 @@ def _flag_with_symmetric_dims(draw):
     if draw(st.booleans()):
         while True:
             g = rng.integers(0, p**k, size=(space.dim, space.dim)).astype(np.int32)
-            if len(linalg.rref(space.ctx, linalg.as_rows(g), space.dim)[1]) == space.dim:
+            if len(linalg.rref(space.ctx, as_rows(g), space.dim)[1]) == space.dim:
                 break
         flag = flag_apply(flag, g)
     return flag
@@ -910,12 +922,13 @@ def test_refine_rejects_flags_with_non_symmetric_dimensions(space4):
 
 def test_random_symplectic_properties(space9):
     ctx = space9.ctx
-    g1 = random_symplectic(space9, 42)
-    g2 = random_symplectic(space9, 42)
-    assert np.array_equal(g1, g2)  # deterministic per seed
-    g3 = random_symplectic(space9, 43)
-    assert g1.dtype == np.int32 and g1.shape == (4, 4)
-    prod = linalg.matmul(ctx, linalg.as_rows(g1), linalg.as_rows(g3), 4)
+    g1 = random_symplectic(space9, np.random.default_rng(42))
+    g2 = random_symplectic(space9, np.random.default_rng(42))
+    assert g1 == g2  # deterministic per seed
+    g3 = random_symplectic(space9, np.random.default_rng(43))
+    assert len(g1) == 4 and all(len(row) == 4 for row in g1)
+    assert all(type(x) is int for row in g1 for x in row)
+    prod = linalg.matmul(ctx, g1, g3, 4)
     check = linalg.matmul(ctx, linalg.matmul(ctx, tuple(zip(*prod)), space9.gram_rows, 4), prod, 4)
     assert check == space9.gram_rows
 
@@ -944,7 +957,7 @@ def test_random_symplectic_bytes_are_pinned(p, k, c):
     space = SymplecticSpace(field(p, k), c)
     digest = hashlib.sha256()
     for seed in (0, 1, 2):
-        g = random_symplectic(space, seed)
-        assert g.dtype == np.int32 and g.shape == (2 * c, 2 * c)
+        g = random_symplectic(space, np.random.default_rng(seed))
+        assert len(g) == 2 * c and all(len(row) == 2 * c for row in g)
         digest.update(np.ascontiguousarray(g, dtype="<i4").tobytes())
     assert digest.hexdigest() == RANDOM_SYMPLECTIC_DIGESTS[(p, k, c)]

@@ -80,11 +80,14 @@ def conjugate_type(w: WeylElement, subset: frozenset[int]) -> frozenset[int]:
 
     w s_j w^{-1} swaps the values w(j) and w(j+1) (with their mirrors),
     so it is simple exactly when they differ by one; with a the smaller,
-    it is s_a for a <= n and s_{2n-a} above.
+    it is s_a for a <= n and s_{2n-a} above.  ValueError for an index
+    outside 1..n.
     """
     n, perm = w.n, w.perm
     out = set()
     for j in subset:
+        if not 1 <= j <= n:
+            raise ValueError(f"generator index {j} out of range 1..{n}")
         a, b = perm[j - 1], perm[j]
         if abs(a - b) == 1:
             a = min(a, b)

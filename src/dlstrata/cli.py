@@ -9,8 +9,9 @@ verify   run the module-label identity over all (or sampled) points.
 bedard   dump every stabilizing sequence for the Lagrangian type.
 
 Exit codes: 0 success, 1 verification or partition failure, 2 bad
-configuration or an unwritable ``--out`` (``census`` checks the path
-before it classifies); each exit 2 comes with one line on stderr.
+configuration, an unwritable ``--out`` (``census`` checks the path
+before it classifies) or a sampled ``verify`` without numpy; each exit
+2 comes with one line on stderr.
 Output is deterministic for a fixed command line, and each file embeds
 a header describing the tool version, the echoed configuration, and
 the field modulus in use.
@@ -153,15 +154,21 @@ def cmd_verify(args) -> int:
         print("verify requires --seed >= 0", file=sys.stderr)
         return 2
     try:
-        dlclassify.bounded_total(args.c, args.p, args.m, "verify")
+        total = dlclassify.bounded_total(args.c, args.p, args.m, "verify")
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    sample = args.trials is not None and args.trials < total
+    if sample:
+        # the sample is the one draw of the CLI, and the one use of numpy,
+        # so a missing numpy is refused before any point is enumerated
+        try:
+            import numpy as np
+        except ImportError:
+            print("verify --trials needs numpy (the 'draws' extra)", file=sys.stderr)
+            return 2
     points = dlclassify._cached_lagrangians(args.c, args.p, args.m)
-    if args.trials is not None and args.trials < len(points):
-        # the sample is the one draw of the CLI, and the one use of numpy
-        import numpy as np
-
+    if sample:
         rng = np.random.default_rng(args.seed)
         idx = rng.choice(len(points), size=args.trials, replace=False)
         points = [points[int(i)] for i in sorted(idx)]

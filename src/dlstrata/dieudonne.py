@@ -64,18 +64,19 @@ verify path, psi to its label and a fine label to its lift
 pair.
 
 A module keeps its operators by their nonzero entries, at most 4c^2 +
-g - 2c of the 4g^2: F by rows and by columns, and V by the rows of
-Vlin, the forward twist of V's entries.  ``build_from_lagrangian``
-writes them entry by entry from the point's reduced rows, and no numpy
-runs per point.  Every per-point step touches only those entries: the
-products F . Vlin and Vlin . F, the adjunction, and each F-image, which
-sums F's nonzero columns scaled by a row's twisted entries before its
-one elimination.  The two null spaces, of F and of Vlin, are the only
-steps that still read dense rows, built for them; ``f_rows`` and
-``v_rows`` build dense rows on access, for ``module_to_json`` and the
-tests.
+g - 2c of the 4g^2: F by rows, and V by the rows of Vlin, the forward
+twist of V's entries.  ``build_from_lagrangian`` writes them entry by
+entry from the point's reduced rows; the one constructor takes them in
+that form and derives the rest, F's nonzero columns and the slot
+bounds, which (g, c) fixes.  Every per-point step touches only those
+entries: the products F . Vlin and Vlin . F, the adjunction, and each
+F-image, which sums F's nonzero columns scaled by a row's twisted
+entries before its one elimination.  The two null spaces, of F and of
+Vlin, are the only steps that still read dense rows, built for them;
+``f_rows`` and ``v_rows`` build dense rows on access, for
+``module_to_json`` and the tests.
 
-Modules are immutable after construction (every constructor runs the
+Modules are immutable after construction (the constructor runs the
 full invariant battery, and each kernel is computed once), so label
 verification over many points can be parallelized trivially.
 """
@@ -91,8 +92,8 @@ from .symplectic import Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
 
 
-# An operator kept by its nonzero entries: for each row (or column) of its
-# matrix, the (column, value) (or (row, value)) pairs, values nonzero codes.
+# An operator kept by its nonzero entries: for each row of its matrix, the
+# (column, value) pairs, values nonzero codes.
 Entries = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -108,9 +109,10 @@ class DieudonneModule:
     and genus shared by every module, so its subspaces are ``Subspace``
     values with cached complements.
 
-    The constructor takes dense rows and keeps their nonzero entries;
-    ``build_from_lagrangian`` writes the entries directly.  Either way
-    the module passes the same checks.
+    The constructor takes F and Vlin by their nonzero entries per row,
+    as ``build_from_lagrangian`` writes them, and derives F's nonzero
+    columns and the five slots' bounds (0, c, g-c, g+c, 2g-c, 2g) from
+    them and (g, c); every module passes the same checks.
     """
 
     def __init__(
@@ -118,48 +120,28 @@ class DieudonneModule:
         ctx: FieldCtx,
         g: int,
         c: int,
-        f_rows: linalg.Rows,
-        v_rows: linalg.Rows,
-        slot_bounds: tuple[int, ...],
+        f: Entries,
+        vlin: Entries,
         point: Subspace | None = None,
     ):
         dim = 2 * g
-        if any(len(rows) != dim or any(len(row) != dim for row in rows)
-               for rows in (f_rows, v_rows)):
+        if any(len(rows) != dim or any(not 0 <= j < dim for row in rows for j, _ in row)
+               for rows in (f, vlin)):
             raise ValueError("operator matrices must be 2g x 2g")
-        up = ctx.frob_lists[1 % ctx.k]
-        vlin = tuple([tuple([(j, up[x]) for j, x in row]) for row in _entries(v_rows)])
-        self._init(ctx, g, c, _entries(f_rows), _entries(zip(*f_rows)), vlin,
-                   slot_bounds, point)
-
-    @classmethod
-    def _from_entries(
-        cls,
-        ctx: FieldCtx,
-        g: int,
-        c: int,
-        f: Entries,
-        f_cols: Entries,
-        vlin: Entries,
-        slot_bounds: tuple[int, ...],
-        point: Subspace | None = None,
-    ) -> "DieudonneModule":
-        """The module of F by rows and by columns and of Vlin by rows."""
-        obj = cls.__new__(cls)
-        obj._init(ctx, g, c, f, f_cols, vlin, slot_bounds, point)
-        return obj
-
-    def _init(self, ctx, g, c, f, f_cols, vlin, slot_bounds, point) -> None:
         self.ctx = ctx
         self.g = g
         self.c = c
-        self.dim = 2 * g
+        self.dim = dim
         self.space = _module_space(ctx, g)
-        self.slot_bounds = tuple(slot_bounds)
+        self.slot_bounds = (0, c, g - c, g + c, dim - c, dim)
         self.point = point
         self._f = f
         # the nonzero columns of F, each with its index: all an image reads
-        self._f_cols = tuple([(j, col) for j, col in enumerate(f_cols) if col])
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+        for i, row in enumerate(f):
+            for j, x in row:
+                cols[j].append((i, x))
+        self._f_cols = tuple([(j, tuple(col)) for j, col in enumerate(cols) if col])
         self._vlin = vlin
         self._ker_f: Subspace | None = None
         self._validate()
@@ -285,11 +267,6 @@ class DieudonneModule:
         )
 
 
-def _entries(rows) -> Entries:
-    """The nonzero (index, value) pairs of each row."""
-    return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
-
-
 def _dense(entries, dim: int) -> linalg.Rows:
     """The dense rows of a matrix kept by its nonzero entries per row."""
     out = []
@@ -345,11 +322,11 @@ def _module_space(ctx: FieldCtx, g: int) -> SymplecticSpace:
 def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     """The split graded module of a Lagrangian point, for genus g >= 2c.
 
-    F (by rows and by columns) and Vlin (by rows) are written entry by
-    entry from the point's reduced rows and U . J, a signed reversal of
-    them; only nonzero entries are written, and no matrix is built.
-    Vlin = V^(p) twists V's entries forward: its slot 0 -> slot 2 block
-    is U itself, and -1 is F_p-rational.
+    F and Vlin are written by rows, entry by entry, from the point's
+    reduced rows and U . J, a signed reversal of them; only nonzero
+    entries are written, and no matrix is built.  Vlin = V^(p) twists
+    V's entries forward: its slot 0 -> slot 2 block is U itself, and -1
+    is F_p-rational.
     """
     space = u.space
     ctx, c = space.ctx, space.n
@@ -358,10 +335,8 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
     k = g - 2 * c
-    bounds = (0, c, g - c, g + c, 2 * g - c, 2 * g)
-    _, s1, s2, s3, s4, _ = bounds  # where slots 1..4 start
+    s1, s2 = c, g - c  # where slots 1 and 2 start
     neg = ctx.neg_list
-    minus_one = neg[1]
     up = ctx.frob_lists[1 % ctx.k]
 
     # slot 0 -> slot 2: U into L, its basis vectors as columns; F is
@@ -369,24 +344,19 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     cols_u = tuple(zip(*u.rows))
     f_u = [tuple([(j, neg[up[x]]) for j, x in enumerate(col) if x]) for col in cols_u]
     v_u = [tuple([(j, x) for j, x in enumerate(col) if x]) for col in cols_u]
-    f_u_cols = [tuple([(s2 + r, neg[up[x]]) for r, x in enumerate(row) if x]) for row in u.rows]
     # slot 1 -> slot 3: the identity on K, into reversed, negated
     # coordinates of its twist
     f_k = [((s1 + k - 1 - i, 1),) for i in range(k)]
-    v_k = [((s1 + k - 1 - i, minus_one),) for i in range(k)]
-    f_k_cols = [((s3 + k - 1 - i, 1),) for i in range(k)]
+    v_k = [((s1 + k - 1 - i, neg[1]),) for i in range(k)]
     # slot 2 -> slot 4: L -> L/U, in the coordinates y_j = -<u_{c-1-j}, x>:
     # row j of this block of F is row c-1-j of U . J, and Vlin is minus its twist
     uj = space.times_form(u.rows)[::-1]
     f_l = [tuple([(s2 + t, x) for t, x in enumerate(row) if x]) for row in uj]
     v_l = [tuple([(s2 + t, neg[up[x]]) for t, x in enumerate(row) if x]) for row in uj]
-    f_l_cols = [tuple([(s4 + j, x) for j, x in enumerate(col) if x]) for col in zip(*uj)]
 
-    before, after = [()] * s2, [()] * (2 * g - s3)
-    f = tuple(before + f_u + f_k + f_l)
-    vlin = tuple(before + v_u + v_k + v_l)
-    f_cols = tuple(f_u_cols + f_k_cols + f_l_cols + after)
-    return DieudonneModule._from_entries(ctx, g, c, f, f_cols, vlin, bounds, point=u)
+    f = tuple([()] * s2 + f_u + f_k + f_l)
+    vlin = tuple([()] * s2 + v_u + v_k + v_l)
+    return DieudonneModule(ctx, g, c, f, vlin, point=u)
 
 
 @dataclass(frozen=True)
@@ -394,7 +364,6 @@ class CanonicalFlag:
     """The stabilized chain in increasing dimension, with its dimensions
     and F-image dimensions."""
 
-    module: DieudonneModule
     members: tuple[Subspace, ...]
     dims: tuple[int, ...]
     fdims: tuple[int, ...]
@@ -467,7 +436,7 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
                 f"F-image dimension dichotomy fails on gap {d0}..{d1}: "
                 f"{f0} -> {f1}"
             )
-    return CanonicalFlag(module, chain, dims, fdims)
+    return CanonicalFlag(chain, dims, fdims)
 
 
 @dataclass(frozen=True)
@@ -512,8 +481,9 @@ def eo_type(module: DieudonneModule) -> EOType:
 
     psi is interpolated across canonical gaps using the zero-or-full
     dichotomy and inverted directly (``_label_of_final_type``, which
-    checks that psi is the label's final type); the label is re-verified
-    against the raw F-image dimensions at the canonical dimensions.
+    checks that psi is the label's final type).  At every canonical
+    dimension psi is the measured F-image dimension by construction,
+    once ``canonical_flag`` has checked the dichotomy.
     """
     flag = canonical_flag(module)
     g = module.g
@@ -523,11 +493,7 @@ def eo_type(module: DieudonneModule) -> EOType:
     ):
         for i in range(d0, d1 + 1):
             psi[i] = f0 if f1 == f0 else f0 + (i - d0)
-    w = _label_of_final_type(tuple(psi), g)
-    for d, f in zip(flag.dims, flag.fdims):
-        if psi[d] != f:
-            raise RuntimeError("matched label disagrees at a canonical dimension")
-    return EOType(w, tuple(psi))
+    return EOType(_label_of_final_type(tuple(psi), g), tuple(psi))
 
 
 def verify_pullback(

@@ -188,8 +188,12 @@ def _type_of_dims(n: int, dims: Sequence[int]) -> frozenset[int]:
 
 
 def _dims_of_type(n: int, subset: Iterable[int]) -> tuple[int, ...]:
-    """The symmetric dimension set of a type (inverse to ``_type_of_dims``)."""
+    """The symmetric dimension set of a type (inverse to ``_type_of_dims``);
+    ValueError for an index outside 1..n."""
     kept = set(subset)
+    for i in kept:
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} out of range 1..{n}")
     cuts = {d for i in range(1, n + 1) if i not in kept for d in (i, 2 * n - i)}
     return tuple(sorted(cuts | {0, 2 * n}))
 

@@ -5,11 +5,11 @@ Cayley-graph breadth-first search over ``WeylElement`` products (the
 independent oracle for lengths, parabolic subgroups and the group
 itself), conjugation and largest-first words by products, the Weyl-group
 scans that ``bedard`` and ``relpos`` build directly, a matrix inverse
-and the change of basis of a Dieudonné module, the dense products,
-adjunction and F-image that the module's entry form replaced, random
-self-dual flags
-for the relative-position laws, and the grid of meets that the rank
-table of ``relpos`` and ``refine`` replaced.
+and the change of basis of a Dieudonné module, a module built from
+dense rows, the dense products, adjunction and F-image that the
+module's entry form replaced, random self-dual flags for the
+relative-position laws, and the grid of meets that the rank table of
+``relpos`` and ``refine`` replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from dlstrata import linalg, weyl
-from dlstrata.dieudonne import DieudonneModule
+from dlstrata.dieudonne import DieudonneModule, Entries
 from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, random_symplectic
 from dlstrata.weyl import WeylElement
 from tests import as_rows
@@ -116,6 +116,19 @@ def inverse(ctx, rows: Sequence[Sequence[int]]) -> linalg.Rows:
     return tuple(row[n:] for row in reduced)
 
 
+def entries(rows) -> Entries:
+    """The nonzero (index, value) pairs of each row."""
+    return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
+
+
+def module_of_rows(ctx, g: int, c: int, f_rows, v_rows, point=None) -> DieudonneModule:
+    """The module of F and V given by dense rows: F by its nonzero
+    entries, and V by those of Vlin = V^(p)."""
+    up = ctx.frob_lists[1 % ctx.k]
+    vlin = tuple(tuple((j, up[x]) for j, x in row) for row in entries(v_rows))
+    return DieudonneModule(ctx, g, c, entries(f_rows), vlin, point=point)
+
+
 def transport(mod: DieudonneModule, s: Sequence[Sequence[int]]) -> DieudonneModule:
     """The isomorphic module in the basis x = S x', for S in Sp(2g).
 
@@ -133,7 +146,7 @@ def transport(mod: DieudonneModule, s: Sequence[Sequence[int]]) -> DieudonneModu
                        linalg.frob_map(ctx, s_rows, 1), dim)
     v2 = linalg.matmul(ctx, linalg.matmul(ctx, s_inv, mod.v_rows, dim),
                        linalg.frob_map(ctx, s_rows, -1), dim)
-    return DieudonneModule(ctx, mod.g, mod.c, f2, v2, mod.slot_bounds, point=None)
+    return module_of_rows(ctx, mod.g, mod.c, f2, v2)
 
 
 def dense_products(ctx, f_rows, v_rows) -> tuple[linalg.Rows, linalg.Rows]:

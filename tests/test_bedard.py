@@ -76,6 +76,10 @@ def test_conjugate_type_examples():
     # conjugation by the longest element permutes the generators
     w0 = weyl.longest_element(2)
     assert conjugate_type(w0, frozenset({1, 2})) == frozenset({1, 2})
+    # an index outside 1..n is refused, not read off the wrong position
+    for bad in ({0}, {5}, {1, 3}):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            conjugate_type(s1, frozenset(bad))
     # the two-entry rule against w s_j w^{-1} by products, exhaustively
     for n in (1, 2, 3, 4):
         types = list(all_subsets(n))
@@ -209,6 +213,9 @@ def test_flag_variety_dimensions():
     assert flag_variety_dim(1, frozenset()) == 1
     assert flag_variety_dim(2, frozenset({1})) == 3
     assert flag_variety_dim(3, frozenset()) == 9  # full flag variety of Sp_6
+    for bad in ({9}, {0}, {1, 3}):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            flag_variety_dim(2, frozenset(bad))
     for n in (1, 2, 3, 4):
         full = length(weyl.longest_element(n))
         for J in all_subsets(n):

@@ -8,7 +8,6 @@ from dlstrata import dlclassify as dc, linalg, weyl
 from dlstrata.dieudonne import (
     DieudonneModule,
     _adjoint_entries,
-    _entries,
     _label_of_final_type,
     _product_vanishes,
     build_from_lagrangian,
@@ -28,7 +27,14 @@ from dlstrata.symplectic import (
     zero_subspace,
 )
 from tests import as_array, as_rows, eye, tables, zeros
-from tests.reference import dense_adjunction_holds, dense_f_image, dense_products, transport
+from tests.reference import (
+    dense_adjunction_holds,
+    dense_f_image,
+    dense_products,
+    entries,
+    module_of_rows,
+    transport,
+)
 
 
 @pytest.fixture(scope="module")
@@ -168,11 +174,10 @@ def test_rows_match_the_array_assembly_at_rank_three():
 
 def _edited(mod, f_rows=None, v_rows=None):
     """The module's data with some matrices replaced, as a new module."""
-    return DieudonneModule(
+    return module_of_rows(
         mod.ctx, mod.g, mod.c,
         mod.f_rows if f_rows is None else f_rows,
         mod.v_rows if v_rows is None else v_rows,
-        mod.slot_bounds, point=None,
     )
 
 
@@ -196,6 +201,27 @@ def test_each_failed_check_raises_its_own_message(f16_line):
         with pytest.raises((RuntimeError, ValueError), match=match):
             _edited(mod, **edit)
     assert _edited(mod).f_rows == mod.f_rows  # the unedited data passes
+
+
+def test_constructor_takes_entries_and_derives_the_slots(f16_line):
+    """The one constructor refuses entries that do not fit 2g x 2g, by
+    row count or by column index, and otherwise rebuilds the module,
+    slot bounds included."""
+    mod = build_from_lagrangian(f16_line, 3)
+    ctx, g, c, dim = mod.ctx, mod.g, mod.c, mod.dim
+    f, vlin = mod._f, mod._vlin
+    for bad_f, bad_v in (
+        (f[:-1], vlin),
+        (f, vlin + ((),)),
+        (f[:-1] + (((dim, 1),),), vlin),
+        (f, ((((-1, 1),),) + vlin[1:])),
+    ):
+        with pytest.raises(ValueError, match="2g x 2g"):
+            DieudonneModule(ctx, g, c, bad_f, bad_v)
+    again = DieudonneModule(ctx, g, c, f, vlin, point=f16_line)
+    assert again.slot_bounds == mod.slot_bounds == (0, c, g - c, g + c, 2 * g - c, 2 * g)
+    assert (again.f_rows, again.v_rows) == (mod.f_rows, mod.v_rows)
+    assert module_to_json(again) == module_to_json(mod)
 
 
 def test_build_checks_preconditions(f16_line):
@@ -601,8 +627,8 @@ def test_entry_checks_decide_as_the_dense_oracles():
                 edited = f if trial % 2 else v
                 i, j = (int(x) for x in rng.integers(dim, size=2))
                 edited[i][j] = int(rng.integers(ctx.q))
-            fe = _entries(f)
-            vlin = tuple(tuple((j, up[x]) for j, x in row) for row in _entries(v))
+            fe = entries(f)
+            vlin = tuple(tuple((j, up[x]) for j, x in row) for row in entries(v))
             fv, vf = dense_products(ctx, f, v)
             got = (
                 _product_vanishes(ctx, fe, vlin),
@@ -719,7 +745,7 @@ def test_sign_freedom_in_the_middle_blocks(f16_line):
         f2[lo3:hi3, lo1:hi1] = neg[f2[lo3:hi3, lo1:hi1]]
         v2[lo3:hi3, lo1:hi1] = neg[v2[lo3:hi3, lo1:hi1]]
         f2, v2 = as_rows(f2), as_rows(v2)
-        flipped = DieudonneModule(ctx, mod.g, mod.c, f2, v2, mod.slot_bounds, point=mod.point)
+        flipped = module_of_rows(ctx, mod.g, mod.c, f2, v2, point=mod.point)
         assert eo_type(flipped).w.perm == eo_type(mod).w.perm
         if ctx.p != 2:  # at p = 2 the flip is the identity
             with pytest.raises(RuntimeError, match="adjunction"):

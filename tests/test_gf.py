@@ -290,3 +290,23 @@ def test_commands_without_a_draw_leave_numpy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_a_sampled_verify_without_numpy_exits_two():
+    # with numpy blocked, a verify that samples ends with exit 2 and one
+    # stderr line, not a traceback, before it enumerates a point; one
+    # whose trials cover every point draws nothing and runs
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        from dlstrata import cli, dlclassify
+        status = cli.main(["verify", "--c", "1", "--g", "2", "--p", "2", "--m", "2", "--trials", "5"])
+        assert dlclassify._cached_lagrangians.cache_info().currsize == 0, "enumerated first"
+        assert cli.main(["verify", "--c", "1", "--g", "2", "--p", "2", "--m", "2", "--trials", "17"]) == 0
+        sys.exit(status)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.count("\n") == 1 and "numpy" in result.stderr, result.stderr

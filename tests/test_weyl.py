@@ -192,6 +192,10 @@ def test_min_double_coset_rep_examples():
     assert min_double_coset_rep(s(1, 2) * s(2, 2), {1}, set()).perm == s(2, 2).perm
     w = s(2, 2) * s(1, 2)
     assert min_double_coset_rep(w, set(), set()).perm == w.perm
+    # an index outside 1..n is refused, not dropped from the type
+    for left, right in (([0], []), ([], [3]), ([0], [3]), ([1, 3], [2])):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            min_double_coset_rep(s(1, 2), left, right)
 
 
 def _strip_right_first(w, left, right):

@@ -69,10 +69,13 @@ twist of V's entries.  ``build_from_lagrangian`` writes them entry by
 entry from the point's reduced rows; the one constructor takes them in
 that form and derives the rest, F's nonzero columns and the slot
 bounds, which (g, c) fixes.  Every per-point step touches only those
-entries: the products F . Vlin and Vlin . F, the adjunction, and each
-F-image, which sums F's nonzero columns scaled by a row's twisted
-entries before its one elimination.  The two null spaces, of F and of
-Vlin, are the only steps that still read dense rows, built for them;
+entries: the products F . Vlin and Vlin . F, the adjunction, the two
+null spaces, of F and of Vlin, which ``linalg.nullspace`` eliminates
+over the entries as they are, and each F-image, which sums F's nonzero
+columns scaled by a row's twisted entries into a map of the image row's
+nonzero entries, then eliminates those maps (``linalg.rref_entries``,
+the kernel of both).  Only the reduced rows of a kernel or an image,
+the canonical form of a ``Subspace``, are written out dense.
 ``f_rows`` and ``v_rows`` build dense rows on access, for
 ``module_to_json`` and the tests.
 
@@ -88,13 +91,9 @@ from functools import lru_cache
 
 from . import dlclassify, linalg, symplectic, weyl
 from .gf import FieldCtx
+from .linalg import Entries
 from .symplectic import Subspace, SymplecticSpace, full_subspace, zero_subspace
 from .weyl import WeylElement
-
-
-# An operator kept by its nonzero entries: for each row of its matrix, the
-# (column, value) pairs, values nonzero codes.
-Entries = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class DieudonneModule:
@@ -112,7 +111,11 @@ class DieudonneModule:
     The constructor takes F and Vlin by their nonzero entries per row,
     as ``build_from_lagrangian`` writes them, and derives F's nonzero
     columns and the five slots' bounds (0, c, g-c, g+c, 2g-c, 2g) from
-    them and (g, c); every module passes the same checks.
+    them and (g, c).  It refuses, with ValueError, entries that do not
+    fit 2g x 2g (a row count other than 2g, a column outside 0..2g-1)
+    and values that are not nonzero codes (0, or q and beyond): the
+    eliminations read every stored entry as nonzero.  Every module
+    passes the same checks.
     """
 
     def __init__(
@@ -125,9 +128,8 @@ class DieudonneModule:
         point: Subspace | None = None,
     ):
         dim = 2 * g
-        if any(len(rows) != dim or any(not 0 <= j < dim for row in rows for j, _ in row)
-               for rows in (f, vlin)):
-            raise ValueError("operator matrices must be 2g x 2g")
+        if not (_fits(f, dim, ctx.q) and _fits(vlin, dim, ctx.q)):
+            raise ValueError("operator matrices must be 2g x 2g, by nonzero codes")
         self.ctx = ctx
         self.g = g
         self.c = c
@@ -169,12 +171,16 @@ class DieudonneModule:
 
     def f_image(self, sub: Subspace) -> Subspace:
         """F(C): row by row, sigma(x) summed over F's nonzero columns, then
-        one elimination.
+        one elimination over the nonzero entries.
 
         The image of a row x is the sum of sigma(x_j) F[:, j] over its
-        nonzero x_j, which touches only F's nonzero entries.  F(0) is 0,
-        and F of the whole space is the cached ker V (the two are equal
-        by the checks at construction), so neither needs elimination.
+        nonzero x_j, which touches only F's nonzero entries, and is kept
+        as a map of its nonzero entries for ``linalg.rref_entries``.  A
+        reduced row is zero before its pivot, so from the first row whose
+        pivot lies past F's last nonzero column on, every image is 0 and
+        none is summed.  F(0) is 0, and F of the whole space is the cached ker V (the two
+        are equal by the checks at construction), so neither needs
+        elimination.
         """
         if sub.dim == 0:
             return sub
@@ -183,21 +189,35 @@ class DieudonneModule:
         ctx, dim = self.ctx, self.dim
         add, mul = ctx.add_list, ctx.mul_list
         up = ctx.frob_lists[1 % ctx.k]
+        last = self._f_cols[-1][0]
         image = []
-        for row in sub.rows:
-            acc = [0] * dim
+        for row, p in zip(sub.rows, sub.pivots):
+            if p > last:
+                break
+            acc: dict[int, int] = {}
             for j, col in self._f_cols:
                 x = row[j]
                 if x:
                     if x == 1:
                         for i, y in col:
-                            acc[i] = add[acc[i]][y]
+                            acc[i] = add[acc.get(i, 0)][y]
                     else:
                         scale = mul[up[x]]
                         for i, y in col:
-                            acc[i] = add[acc[i]][scale[y]]
-            image.append(acc)
-        return Subspace._from_rref(self.space, *linalg.rref(ctx, image, dim))
+                            acc[i] = add[acc.get(i, 0)][scale[y]]
+            if 0 in acc.values():
+                acc = {i: y for i, y in acc.items() if y}
+            if acc:
+                image.append(acc)
+        rows, pivots = [], []
+        for c, tail in sorted(linalg.rref_entries(ctx, image).items()):
+            vec = [0] * dim
+            vec[c] = 1
+            for j, x in tail.items():
+                vec[j] = x
+            rows.append(tuple(vec))
+            pivots.append(c)
+        return Subspace._from_rref(self.space, tuple(rows), tuple(pivots))
 
     # -- construction-time checks -------------------------------------------
 
@@ -208,10 +228,10 @@ class DieudonneModule:
         dim ker F = g, rank F is g, so ker V = im F exactly when dim
         ker V = g, and then rank V is g too, so ker F = im V: the two
         kernel dimensions decide both equalities, and the images are
-        never eliminated for.  The products run over nonzero entries;
-        the two null spaces are eliminations of the dense rows.  The
-        pairing is J, which is F_p-rational, so the adjunction is F^T .
-        J = J . Vlin, an equality of entry sets (``_adjoint_entries``).
+        never eliminated for.  The products and the two null spaces run
+        over nonzero entries.  The pairing is J, which is F_p-rational,
+        so the adjunction is F^T . J = J . Vlin, an equality of entry
+        sets (``_adjoint_entries``).
         """
         ctx, dim, g, space = self.ctx, self.dim, self.g, self.space
         f, vlin = self._f, self._vlin
@@ -220,16 +240,11 @@ class DieudonneModule:
         # V(F x) = (Vlin . F . x)^(1/p), so V.F = 0 iff Vlin . F = 0
         if not _product_vanishes(ctx, vlin, f):
             raise RuntimeError("V after F is not zero")
-        # the matrix null space of F is sigma(ker F), of the same dimension;
-        # zero rows constrain nothing, so only the nonzero rows are written
-        self._sigma_ker_f = Subspace._from_rref(
-            space, linalg.nullspace(ctx, _dense([row for row in f if row], dim), dim)
-        )
+        # the matrix null space of F is sigma(ker F), of the same dimension
+        self._sigma_ker_f = Subspace._from_rref(space, linalg.nullspace(ctx, f, dim))
         if self._sigma_ker_f.dim != g:
             raise RuntimeError(f"dim ker F = {self._sigma_ker_f.dim} != g = {g}")
-        self._ker_v = ker_v = Subspace._from_rref(
-            space, linalg.nullspace(ctx, _dense([row for row in vlin if row], dim), dim)
-        )
+        self._ker_v = ker_v = Subspace._from_rref(space, linalg.nullspace(ctx, vlin, dim))
         if ker_v.dim != g:
             raise RuntimeError(
                 f"dim ker V = {ker_v.dim} != g = {g}: ker V != im F and ker F != im V"
@@ -265,6 +280,18 @@ class DieudonneModule:
         return Subspace._from_rref(
             self.space, out, tuple(lo + p for p in pivots) + tuple(range(hi, dim))
         )
+
+
+def _fits(rows: Entries, dim: int, q: int) -> bool:
+    """Whether entries describe a dim x dim matrix over F_q: dim rows,
+    each entry at a column in 0..dim-1 with a nonzero code as value."""
+    if len(rows) != dim:
+        return False
+    for row in rows:
+        for j, x in row:
+            if not (0 <= j < dim and 0 < x < q):
+                return False
+    return True
 
 
 def _dense(entries, dim: int) -> linalg.Rows:

@@ -2,28 +2,37 @@
 
 A matrix is a sequence of rows, each a sequence of Python int codes (see
 gf.py), and its column count is passed explicitly as ``ncols``, so a
-matrix without rows still has a width.  Every routine returns a tuple of
-tuples: results can be shared, hashed and compared as they are, and no
-caller can change rows that another holds.  Row convention: a subspace
-is the row span of its matrix, and the canonical form of a subspace is
-its reduced row echelon form, so equal subspaces have equal row tuples.
+matrix without rows still has a width.  Every routine that returns rows
+returns a tuple of tuples: results can be shared, hashed and compared as
+they are, and no caller can change rows that another holds.  Row
+convention: a subspace is the row span of its matrix, and the canonical
+form of a subspace is its reduced row echelon form, so equal subspaces
+have equal row tuples.
 
 The routines index the field's tables, which are nested lists
 (``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time,
 and use only the standard library, like ``gf``.  The matrices met here
 are tiny and sparse, at most about 10 x 20 (a 2c-dimensional space, a
 2g-dimensional module), and a point makes tens of them, so numpy
-dispatch and array conversion would cost more than the lookups.  Rows
-are the one dense matrix form (a Dieudonné module keeps its operators
-by their nonzero entries, see ``dieudonne``, and builds rows only for
-its two null spaces); the one array view is the read-only
-``symplectic.Subspace.basis``.  The cost is one lookup chain per entry
-touched:
+dispatch and array conversion would cost more than the lookups.  A
+matrix comes in one of two forms.  Rows are the dense form, which the
+classifying path eliminates: its rows are about three quarters nonzero.
+``Entries`` keeps a matrix by each row's nonzero (column, code) pairs,
+the form of a Dieudonné module's operators (see ``dieudonne``), whose
+matrices and subspaces are mostly zero; ``rref_entries`` eliminates rows
+kept as {column: code} maps, for the module's null spaces and F-images.
+The one array view is the read-only ``symplectic.Subspace.basis``.  The
+cost is one lookup chain per entry touched:
 
 * ``rref`` costs about rank x rows x columns; a rank is the number of
   its pivots;
-* ``nullspace`` is one elimination too, of the column-reversed matrix,
-  whose null vectors are already the canonical basis;
+* ``rref_entries`` reduces each row only at the pivots it holds and
+  clears each new pivot only from the rows that hold it, one lookup
+  chain per nonzero entry of the rows it combines, so zero entries
+  cost nothing;
+* ``nullspace`` takes the matrix by its entries and is one
+  ``rref_entries`` elimination, with last-column pivots, whose null
+  vectors are already the canonical basis;
 * ``matmul`` sums scaled rows of b, one lookup chain per nonzero entry
   of a times the columns of b, so zero entries cost nothing;
 * ``insertion_ranks`` removes from each vector its part in the span of
@@ -44,11 +53,14 @@ Table-driven row reduction over GF(p^k) follows the ``galois`` package
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gf import FieldCtx
 
 Rows = tuple[tuple[int, ...], ...]
+# A matrix kept by its nonzero entries: for each row, the (column, value)
+# pairs, values nonzero codes.
+Entries = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -91,34 +103,76 @@ def rref(
     return tuple(map(tuple, rows[:r])), tuple(pivots)
 
 
-def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> Rows:
-    """Canonical row basis of {x : mat @ x = 0} (x as column vectors).
+def rref_entries(
+    ctx: FieldCtx,
+    rows: Iterable[dict[int, int]],
+    lead: Callable[[dict[int, int]], int] = min,
+) -> dict[int, dict[int, int]]:
+    """Gauss-Jordan elimination of rows kept as {column: code} maps.
 
-    One elimination, of the column-reversed matrix.  In reversed order
-    the null vector of a free column f is 1 at f and nonzero elsewhere
-    only at pivot columns left of f; read back in the original order,
-    each vector leads with its free column, which is zero in every
-    other vector, so taken by increasing free column they are already
-    the reduced row echelon basis.
+    Each map holds a row's nonzero entries, and is consumed: rows are
+    reduced in place, one at a time.  The rows kept so far are 1 at
+    their own pivots and zero at each other's, so a new row is reduced
+    only at the pivots it holds, one scaled row each, which leaves it
+    zero at every pivot; zero entries cost nothing.  What is left, if
+    anything, is scaled to 1 at its ``lead`` column, which becomes its
+    pivot, and cleared from the kept rows that hold that column.  A
+    row's pivot is its first nonzero column (``min``, the reduced row
+    echelon form) or its last (``max``, the same form with the columns
+    read right to left), and stays so: a row cleared at a column
+    beyond its pivot keeps that pivot.  Returns each pivot mapped to
+    the other nonzero entries of its row, in the order the pivots were
+    found.
     """
-    if not rows or not ncols:
-        return identity(ncols)
-    reduced, pivots = rref(ctx, [row[::-1] for row in rows], ncols)
-    neg = ctx.neg_list
-    last = ncols - 1
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(last, -1, -1):
-        if fc in pivot_set:
+    add, mul, neg, inv = ctx.add_list, ctx.mul_list, ctx.neg_list, ctx.inv_list
+    reduced: dict[int, dict[int, int]] = {}
+    for row in rows:
+        held = [c for c in row if c in reduced] if reduced else ()
+        for c in held:
+            fneg = mul[neg[row.pop(c)]]
+            for j, y in reduced[c].items():
+                row[j] = add[row.get(j, 0)][fneg[y]]
+        if held and 0 in row.values():
+            row = {j: x for j, x in row.items() if x}
+        if not row:
             continue
-        vec = [0] * ncols
-        vec[last - fc] = 1
-        for row, pc in zip(reduced, pivots):
-            if pc > fc:
-                break
-            vec[last - pc] = neg[row[fc]]
-        basis.append(tuple(vec))
-    return tuple(basis)
+        c = lead(row)
+        x = row.pop(c)
+        if x != 1:
+            scale = mul[inv[x]]
+            row = {j: scale[y] for j, y in row.items()}
+        for pc, prow in reduced.items():
+            f = prow.pop(c, 0)
+            if f:
+                fneg = mul[neg[f]]
+                for j, y in row.items():
+                    prow[j] = add[prow.get(j, 0)][fneg[y]]
+                if 0 in prow.values():
+                    reduced[pc] = {j: y for j, y in prow.items() if y}
+        reduced[c] = row
+    return reduced
+
+
+def nullspace(ctx: FieldCtx, rows: Entries, ncols: int) -> Rows:
+    """Canonical row basis of {x : mat @ x = 0} (x as column vectors),
+    for a matrix kept by its nonzero (column, code) entries per row.
+
+    One elimination (``rref_entries``), with each row's last nonzero
+    column as its pivot.  The null vector of a free column f is then 1
+    at f and nonzero elsewhere only at pivot columns right of f, each
+    minus the entry at f of that pivot's row; it leads with f, which is
+    zero in every other vector, so taken by increasing free column the
+    vectors are already the reduced row echelon basis.
+    """
+    reduced = rref_entries(ctx, map(dict, rows), max)
+    neg = ctx.neg_list
+    basis = {fc: [0] * ncols for fc in range(ncols) if fc not in reduced}
+    for pc, tail in reduced.items():
+        for fc, x in tail.items():
+            basis[fc][pc] = neg[x]
+    for fc, vec in basis.items():
+        vec[fc] = 1
+    return tuple(map(tuple, basis.values()))
 
 
 def matmul(

@@ -6,8 +6,8 @@ independent oracle for lengths, parabolic subgroups and the group
 itself), conjugation and largest-first words by products, the Weyl-group
 scans that ``bedard`` and ``relpos`` build directly, a matrix inverse
 and the change of basis of a Dieudonné module, a module built from
-dense rows, the dense products, adjunction and F-image that the
-module's entry form replaced, random self-dual flags for the
+dense rows, the dense null space, products, adjunction and F-image that
+the entry forms replaced, random self-dual flags for the
 relative-position laws, and the grid of meets that the rank table of
 ``relpos`` and ``refine`` replaced.
 """
@@ -114,6 +114,37 @@ def inverse(ctx, rows: Sequence[Sequence[int]]) -> linalg.Rows:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
+
+
+def dense_nullspace(ctx, rows: Sequence[Sequence[int]], ncols: int) -> linalg.Rows:
+    """Canonical row basis of {x : mat @ x = 0} (x as column vectors).
+
+    The dense oracle for ``linalg.nullspace``, which takes the matrix by
+    its nonzero entries.  One elimination, of the column-reversed
+    matrix.  In reversed order the null vector of a free column f is 1
+    at f and nonzero elsewhere only at pivot columns left of f; read
+    back in the original order, each vector leads with its free column,
+    which is zero in every other vector, so taken by increasing free
+    column they are already the reduced row echelon basis.
+    """
+    if not rows or not ncols:
+        return linalg.identity(ncols)
+    reduced, pivots = linalg.rref(ctx, [row[::-1] for row in rows], ncols)
+    neg = ctx.neg_list
+    last = ncols - 1
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(last, -1, -1):
+        if fc in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[last - fc] = 1
+        for row, pc in zip(reduced, pivots):
+            if pc > fc:
+                break
+            vec[last - pc] = neg[row[fc]]
+        basis.append(tuple(vec))
+    return tuple(basis)
 
 
 def entries(rows) -> Entries:

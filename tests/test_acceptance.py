@@ -14,7 +14,7 @@ from dlstrata.bedard import FrobeniusAction
 from dlstrata.gf import field
 from dlstrata.symplectic import Flag, SymplecticSpace
 from tests import as_array
-from tests.reference import flag_apply, random_self_dual_flag
+from tests.reference import dense_nullspace, flag_apply, random_self_dual_flag
 
 
 def report(num: int, ok: bool, desc: str) -> None:
@@ -179,7 +179,7 @@ def test_c09_canonical_flag_behavior():
         # each complement by one null space, not the cached one
         omega = mod.space.gram_rows
         perps = [
-            linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, m.rows, omega, mod.dim), mod.dim)
+            dense_nullspace(mod.ctx, linalg.matmul(mod.ctx, m.rows, omega, mod.dim), mod.dim)
             for m in flag.members
         ]
         ok &= all(as_array(perp, mod.dim).tobytes() in keys for perp in perps)

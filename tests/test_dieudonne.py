@@ -30,6 +30,7 @@ from tests import as_array, as_rows, eye, tables, zeros
 from tests.reference import (
     dense_adjunction_holds,
     dense_f_image,
+    dense_nullspace,
     dense_products,
     entries,
     module_of_rows,
@@ -66,8 +67,8 @@ def _semilinear_apply(ctx, matrix, twist, x):
 def _preimage_by_nullspace(mod, rows):
     """{x : V(x) in the span of rows}, by null spaces with no special case."""
     ctx, dim = mod.ctx, mod.dim
-    ann = linalg.nullspace(ctx, rows, dim) if rows else linalg.identity(dim)
-    pre = linalg.nullspace(ctx, linalg.matmul(ctx, ann, mod.v_rows, dim), dim)
+    ann = dense_nullspace(ctx, rows, dim) if rows else linalg.identity(dim)
+    pre = dense_nullspace(ctx, linalg.matmul(ctx, ann, mod.v_rows, dim), dim)
     return linalg.frob_map(ctx, pre, 1)
 
 
@@ -80,7 +81,7 @@ def _f_product(mod, rows):
 def _complement(mod, rows):
     """The complement under the module pairing, by one null space."""
     omega = mod.space.gram_rows
-    return linalg.nullspace(mod.ctx, linalg.matmul(mod.ctx, rows, omega, mod.dim), mod.dim)
+    return dense_nullspace(mod.ctx, linalg.matmul(mod.ctx, rows, omega, mod.dim), mod.dim)
 
 
 def _build_by_arrays(u, g):
@@ -205,8 +206,9 @@ def test_each_failed_check_raises_its_own_message(f16_line):
 
 def test_constructor_takes_entries_and_derives_the_slots(f16_line):
     """The one constructor refuses entries that do not fit 2g x 2g, by
-    row count or by column index, and otherwise rebuilds the module,
-    slot bounds included."""
+    row count or by column index, and values that are not nonzero codes,
+    a stored zero or a code past the field, and otherwise rebuilds the
+    module, slot bounds included."""
     mod = build_from_lagrangian(f16_line, 3)
     ctx, g, c, dim = mod.ctx, mod.g, mod.c, mod.dim
     f, vlin = mod._f, mod._vlin
@@ -215,6 +217,8 @@ def test_constructor_takes_entries_and_derives_the_slots(f16_line):
         (f, vlin + ((),)),
         (f[:-1] + (((dim, 1),),), vlin),
         (f, ((((-1, 1),),) + vlin[1:])),
+        (f[:-1] + (f[-1] + ((0, 0),),), vlin),
+        (f, ((((0, ctx.q),),) + vlin[1:])),
     ):
         with pytest.raises(ValueError, match="2g x 2g"):
             DieudonneModule(ctx, g, c, bad_f, bad_v)
@@ -411,8 +415,8 @@ def test_v_preimage_matches_graded_formula(f16_line):
         # block route: solve the graded map into the slot, then pull back
         block = tuple(row[lo_t:hi_t] for row in mod.v_rows[lo_s:hi_s])
         width_t = hi_t - lo_t
-        ann = linalg.nullspace(ctx, h, width) if h else linalg.identity(width)
-        sol = linalg.nullspace(ctx, linalg.matmul(ctx, ann, block, width_t), width_t)
+        ann = dense_nullspace(ctx, h, width) if h else linalg.identity(width)
+        sol = dense_nullspace(ctx, linalg.matmul(ctx, ann, block, width_t), width_t)
         sol = linalg.frob_map(ctx, sol, 1)
         rows = [(0,) * lo_t + r + (0,) * (mod.dim - hi_t) for r in sol] + list(eye[hi_t:])
         rhs = linalg.rref(ctx, rows, mod.dim)[0]
@@ -471,7 +475,7 @@ def _round_closure(module):
 
     add(zeros(0, module.dim))
     add(eye(module.dim))
-    add(linalg.nullspace(ctx, linalg.frob_map(ctx, module.v_rows, 1), module.dim))
+    add(dense_nullspace(ctx, linalg.frob_map(ctx, module.v_rows, 1), module.dim))
     for _ in range(4 * module.g):
         grew = False
         for sub in list(members):
@@ -527,7 +531,7 @@ def test_module_kernels_are_cached_read_only(f16_line):
             sub = ker()
             assert ker() is sub
             assert not sub.basis.flags.writeable
-            assert sub.rows == linalg.nullspace(mod.ctx, linear, mod.dim)
+            assert sub.rows == dense_nullspace(mod.ctx, linear, mod.dim)
             with pytest.raises(ValueError):
                 sub.basis[0, 0] = 1
             with pytest.raises(TypeError):
@@ -558,10 +562,11 @@ def test_final_type_is_the_r_w_definition():
 
 
 def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
-    # two to build and check a module (ker F and ker V, its only null
-    # spaces), one per F-image of a proper member in the closure, none
-    # per complement, and no dense product anywhere; every complement
-    # read off reduced rows is the null space of C . J
+    # two eliminations over nonzero entries to build and check a module
+    # (ker F and ker V, its only null spaces), one per F-image of a
+    # proper member in the closure, none per complement, and no dense
+    # elimination or product anywhere; every complement read off reduced
+    # rows is the null space of C . J
     from .test_dlclassify import _counting
     from .test_symplectic import _generic_perp
 
@@ -569,20 +574,70 @@ def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
     space = dc.census_space(3, 2, 2)
     points = [(u, 5) for u in dc._cached_lagrangians(2, 2, 2)]
     points += [(random_lagrangian(space, rng), 6) for _ in range(50)]
-    # calls of rref, nullspace and matmul
-    calls = [_counting(monkeypatch, name) for name in ("rref", "nullspace", "matmul")]
+    # calls of rref_entries, nullspace, rref and matmul
+    names = ("rref_entries", "nullspace", "rref", "matmul")
+    calls = [_counting(monkeypatch, name) for name in names]
     counts = []
     for u, g in points:
         for count in calls:
             count[0] = 0
         mod = build_from_lagrangian(u, g)
-        assert [count[0] for count in calls] == [2, 2, 0]
+        assert [count[0] for count in calls] == [2, 2, 0, 0]
         flag = canonical_flag(mod)
-        assert [count[0] for count in calls] == [2 + len(flag.members) - 2, 2, 0]
+        assert [count[0] for count in calls] == [2 + len(flag.members) - 2, 2, 0, 0]
         counts.append(calls[0][0])
         for m in flag.members:
             assert m.perp().rows == _generic_perp(m)
     assert len(counts) == 4369 + 50 and max(counts[:4369]) == 7
+
+
+def _census_modules():
+    """The module of every ``CENSUS_CONFIGS`` point at g = 2c and 2c + 1,
+    with the point."""
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        for u in dc._cached_lagrangians(c, p, m):
+            for g in (2 * c, 2 * c + 1):
+                yield u, build_from_lagrangian(u, g)
+
+
+def _assert_null_spaces_match_the_dense_reference(mod):
+    ctx, dim = mod.ctx, mod.dim
+    assert mod._sigma_ker_f.rows == dense_nullspace(ctx, mod.f_rows, dim)
+    vlin = linalg.frob_map(ctx, mod.v_rows, 1)
+    assert mod.kernel_of_V().rows == dense_nullspace(ctx, vlin, dim)
+
+
+def test_null_spaces_match_the_dense_reference():
+    """Both null spaces a build eliminates over nonzero entries, of F and
+    of Vlin, are the dense null spaces row for row: on every census
+    point at g = 2c and 2c + 1, and on transported modules, whose
+    operators have no zero pattern."""
+    for _, mod in _census_modules():
+        _assert_null_spaces_match_the_dense_reference(mod)
+    rng = np.random.default_rng(59)
+    for mod in list(_seeded_modules())[::3]:
+        _assert_null_spaces_match_the_dense_reference(
+            transport(mod, random_symplectic(mod.space, rng))
+        )
+
+
+def test_a_number_is_g_minus_the_final_type_at_g():
+    """The a-number dim(ker F cap ker V) of every census point's module at
+    g = 2c and 2c + 1 is g - psi(g), psi the final type of the point's
+    lifted fine label: the EO side read off the two kernels, with no
+    canonical flag, against the Deligne-Lusztig side.  Over F_16 at g =
+    4 the a-numbers 2, 3 and 4 fall on 3,264, 1,020 and 85 points."""
+    seen: dict[tuple, dict[int, int]] = {}
+    for u, mod in _census_modules():
+        g = mod.g
+        psi = final_type_of(weyl.r_map_inv(dc.classify_fine(u), g), g)
+        a = mod.kernel_of_F().intersect(mod.kernel_of_V()).dim
+        assert a == g - psi[g], (u.rows, g)
+        counts = seen.setdefault((mod.ctx.q, mod.c, g), {})
+        counts[a] = counts.get(a, 0) + 1
+    assert seen[(16, 2, 4)] == {2: 3264, 3: 1020, 4: 85}
 
 
 def _assert_f_images_match_the_dense_product(mod):
@@ -591,17 +646,12 @@ def _assert_f_images_match_the_dense_product(mod):
 
 
 def test_f_images_match_the_dense_product():
-    """Each canonical member's F-image, summed over F's nonzero entries,
-    is the image of the dense product: on every c <= 2 census point at
-    g = 2c and 2c + 1, and on transported modules, whose operators have
-    no zero pattern."""
-    from .test_acceptance import CENSUS_CONFIGS
-
-    for c, p, m in CENSUS_CONFIGS:
-        if c <= 2:
-            for u in dc._cached_lagrangians(c, p, m):
-                for g in (2 * c, 2 * c + 1):
-                    _assert_f_images_match_the_dense_product(build_from_lagrangian(u, g))
+    """Each canonical member's F-image, summed over F's nonzero entries and
+    eliminated over them, is the image of the dense product: on every
+    census point at g = 2c and 2c + 1, and on transported modules, whose
+    operators have no zero pattern."""
+    for _, mod in _census_modules():
+        _assert_f_images_match_the_dense_product(mod)
     rng = np.random.default_rng(53)
     for mod in list(_seeded_modules())[::3]:
         _assert_f_images_match_the_dense_product(

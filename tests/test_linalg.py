@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from dlstrata import linalg
 from dlstrata.gf import field
 from tests import DTYPE, as_array, as_rows, eye, reference, tables, zeros
+from tests.reference import dense_nullspace, entries
 
 # every field the differential tests cover: characteristic 2 and odd,
 # prime and extension fields, up to the table limit
@@ -49,7 +50,7 @@ def test_nullspace_annihilates(f4):
     rng = np.random.default_rng(1)
     for _ in range(40):
         m = as_rows(_random_matrix(f4, rng, 3, 6))
-        ns = linalg.nullspace(f4, m, 6)
+        ns = linalg.nullspace(f4, entries(m), 6)
         assert len(ns) == 6 - len(linalg.rref(f4, m, 6)[1])
         if ns:
             prod = linalg.matmul(f4, m, tuple(zip(*ns)), len(ns))
@@ -239,7 +240,7 @@ def test_nullspace_is_exact(case):
     ctx, mat = case
     ncols = mat.shape[1]
     rows = as_rows(mat)
-    ns = linalg.nullspace(ctx, rows, ncols)
+    ns = linalg.nullspace(ctx, entries(rows), ncols)
     assert_rows(ns, ncols - len(linalg.rref(ctx, rows, ncols)[1]), ncols)
     # a canonical basis of vectors that mat annihilates
     arr = as_array(ns, ncols)
@@ -252,7 +253,7 @@ def test_nullspace_is_exact(case):
 def test_nullspace_holds_every_solution(case):
     ctx, mat = case
     ncols = mat.shape[1]
-    ns = as_array(linalg.nullspace(ctx, as_rows(mat), ncols), ncols)
+    ns = as_array(linalg.nullspace(ctx, entries(as_rows(mat)), ncols), ncols)
     solutions = [
         x for x in itertools.product(range(ctx.q), repeat=ncols)
         if not scalar_matmul(ctx, mat, np.array(x, dtype=DTYPE).reshape(-1, 1)).any()
@@ -346,10 +347,10 @@ def reference_nullspace(ctx, mat):
 def test_nullspace_matches_the_two_elimination_reference(case):
     ctx, mat = case
     ncols = mat.shape[1]
-    got = linalg.nullspace(ctx, as_rows(mat), ncols)
+    got = linalg.nullspace(ctx, entries(as_rows(mat)), ncols)
     want = reference_nullspace(ctx, mat)
     assert_rows(got, want.shape[0], ncols)
-    assert got == as_rows(want)
+    assert got == as_rows(want) == dense_nullspace(ctx, as_rows(mat), ncols)
 
 
 @PROPERTY
@@ -403,3 +404,86 @@ def test_insertion_ranks_match_the_rank_of_every_prefix(case, split, scalar, see
         for i in range(len(vectors))
     )
     assert type(got) is tuple and got == want
+
+
+# -- the elimination over nonzero entries against the dense routines --------
+
+# F_4, F_9, F_16 and F_25: the fields of the module layer's censuses
+ENTRY_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2)]
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=24):
+    """A field and a matrix over it, random or of full rank, at a drawn
+    density, with some rows zeroed; or the zero matrix."""
+    ctx = field(*draw(st.sampled_from(ENTRY_FIELDS)))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "full_rank", "zero"]))
+    if kind == "zero":
+        return ctx, zeros(rows, cols)
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    mat = rng.integers(1, ctx.q, size=(rows, cols)).astype(DTYPE)
+    mat = np.where(rng.random((rows, cols)) < density, mat, 0).astype(DTYPE)
+    if kind == "full_rank":
+        # a scaled permutation block on min(rows, cols) rows and columns,
+        # zero elsewhere in its columns (rows <= cols) or its rows
+        n = min(rows, cols)
+        ri, ci = rng.permutation(rows)[:n], rng.permutation(cols)[:n]
+        if rows <= cols:
+            mat[:, ci] = 0
+        else:
+            mat[ri, :] = 0
+        mat[ri, ci] = rng.integers(1, ctx.q, size=n)
+    if rows:
+        zeroed = rng.permutation(rows)[: draw(st.integers(0, rows))]
+        if kind != "full_rank":
+            mat[zeroed] = 0
+    return ctx, mat
+
+
+@PROPERTY
+@given(sparse_matrices())
+@example((field(2, 4), zeros(0, 24)))
+@example((field(5, 2), zeros(12, 24)))
+@example((field(3, 2), zeros(6, 0)))
+@example((field(2, 2), eye(24)[:12]))
+@example((field(5, 2), (eye(12) * 3)[:, ::-1].copy()))
+def test_nullspace_matches_the_dense_reference(case):
+    """The null space over nonzero entries is the dense one, row for row."""
+    ctx, mat = case
+    ncols = mat.shape[1]
+    rows = as_rows(mat)
+    got = linalg.nullspace(ctx, entries(rows), ncols)
+    assert_rows(got, len(got), ncols)
+    assert got == dense_nullspace(ctx, rows, ncols)
+
+
+@PROPERTY
+@given(sparse_matrices())
+@example((field(2, 4), zeros(3, 5)))
+@example((field(3, 2), eye(7)))
+def test_rref_entries_matches_rref(case):
+    """Eliminated with first-column pivots, the maps hold the rows of
+    ``rref``; with last-column pivots, those of the column-reversed
+    matrix, read back; and every kept entry is nonzero."""
+    ctx, mat = case
+    ncols = mat.shape[1]
+    rows = as_rows(mat)
+    last = ncols - 1
+    # at(j): column j's place in the matrix whose rref the maps must give
+    for lead, at in ((min, lambda j: j), (max, lambda j: last - j)):
+        reduced = linalg.rref_entries(ctx, [dict(row) for row in entries(rows)], lead)
+        assert all(all(tail.values()) for tail in reduced.values())
+        dense = []
+        for c in sorted(reduced, key=at):
+            vec = [0] * ncols
+            vec[at(c)] = 1
+            for j, x in reduced[c].items():
+                vec[at(j)] = x
+            dense.append(tuple(vec))
+        seen = [tuple(row[at(j)] for j in range(ncols)) for row in rows]
+        want, pivots = linalg.rref(ctx, seen, ncols)
+        assert tuple(dense) == want
+        assert tuple(sorted(map(at, reduced))) == pivots

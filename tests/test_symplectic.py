@@ -24,6 +24,7 @@ from dlstrata.symplectic import (
 )
 from tests import as_array, as_rows, eye, tables, zeros
 from tests.reference import (
+    dense_nullspace,
     flag_apply,
     meets_and_position,
     min_double_reps,
@@ -208,12 +209,12 @@ def test_perp_is_an_involution_on_cached_complements(pk, n, seed):
 
 def _ann(a):
     """The annihilator of a's rows under the standard dot product."""
-    return linalg.nullspace(a.space.ctx, a.rows, a.space.dim)
+    return dense_nullspace(a.space.ctx, a.rows, a.space.dim)
 
 
 def _generic_intersect(a, b):
     """The meet as the null space of both annihilators stacked."""
-    return linalg.nullspace(a.space.ctx, _ann(a) + _ann(b), a.space.dim)
+    return dense_nullspace(a.space.ctx, _ann(a) + _ann(b), a.space.dim)
 
 
 def _generic_sum(a, b):
@@ -229,7 +230,7 @@ def _generic_perp(a):
     """The complement as the null space of a . J, a product with the Gram rows."""
     space = a.space
     prod = linalg.matmul(space.ctx, a.rows, space.gram_rows, space.dim)
-    return linalg.nullspace(space.ctx, prod, space.dim)
+    return dense_nullspace(space.ctx, prod, space.dim)
 
 
 def _generic_orthogonal(a, b):

@@ -51,17 +51,21 @@ containing ker V that is stable under V-preimage and complement (Oort
 subspace C, and ker V = F(M), so that is also the least set holding 0
 and M that is stable under F-image and complement, and it is closed
 that way: with a worklist, so each member's F-image is computed once,
-one elimination each, a complement takes no elimination, and a closure
-that grows past 2g+1 members (the longest chain in a 2g-dimensional
-space) is refused at once.  The members, sorted by dimension, must
-then pass the chain check that refinement uses, and be self-dual.  Each
-member's F-image dimension is read off the image the closure kept for
-it; these interpolate to the final type psi, and the EO label is the
-minimal Siegel representative w with psi(i) = i - r_w(i, g), read off
-the positions where psi does not jump.  The two label maps of the
-verify path, psi to its label and a fine label to its lift
-(``weyl.r_map_inv``), build and validate each label once per argument
-pair.
+one elimination each, or none when no row of the member has a nonzero
+image (the image is then the space's one 0), and a complement takes no
+elimination.  A chain has one member per dimension, so the closure
+keeps its members by dimension, compares each new image or complement
+by rows with the one member of its dimension, and refuses a second,
+different subspace of an occupied dimension at once; so it never holds
+more than 2g+1 members, and no subspace is hashed.  The members, read
+off in dimension order with no sort, must then pass the chain check
+that refinement uses, and be self-dual.  Each member's F-image
+dimension is kept by the closure; these interpolate to the final type
+psi, and the EO label is the minimal Siegel representative w with
+psi(i) = i - r_w(i, g), read off the positions where psi does not
+jump.  The two label maps of the verify path, psi to its label and a
+fine label to its lift (``weyl.r_map_inv``), build and validate each
+label once per argument pair.
 
 A module keeps its operators by their nonzero entries, at most 4c^2 +
 g - 2c of the 4g^2: F by rows, and V by the rows of Vlin, the forward
@@ -178,10 +182,16 @@ class DieudonneModule:
         as a map of its nonzero entries for ``linalg.rref_entries``.  A
         reduced row is zero before its pivot, so from the first row whose
         pivot lies past F's last nonzero column on, every image is 0 and
-        none is summed.  F(0) is 0, and F of the whole space is the cached ker V (the two
-        are equal by the checks at construction), so neither needs
-        elimination.
+        none is summed.  When no row has a nonzero image, F(C) is the
+        space's one 0, with no elimination.  F(0) is 0, and F of the
+        whole space is the cached ker V (the two are equal by the checks
+        at construction), so neither needs elimination either.  A
+        subspace of another ambient space, even one of the same field
+        and genus, raises ValueError, as ``contains``, ``+`` and
+        ``intersect`` do.
         """
+        if sub.space is not self.space:
+            raise ValueError("subspaces live in different ambient spaces")
         if sub.dim == 0:
             return sub
         if sub.dim == self.dim:
@@ -209,6 +219,8 @@ class DieudonneModule:
                 acc = {i: y for i, y in acc.items() if y}
             if acc:
                 image.append(acc)
+        if not image:
+            return zero_subspace(self.space)
         rows, pivots = [], []
         for c, tail in sorted(linalg.rref_entries(ctx, image).items()):
             vec = [0] * dim
@@ -405,49 +417,54 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     under complement is closed under V-preimage exactly when it is
     closed under F-image, and F(M) = ker V = V^{-1}(0).  The closure
     runs as a worklist: each new member gets its F-image once, one
-    elimination, and its complement once, read off its reduced rows
-    with no elimination (cached on the member, so the self-duality
-    check reuses it; a complement knows its source, so the complement
-    of a complement costs nothing), and the images are kept, so each
-    member's F-image dimension is read off its image.  The result is
-    the least closed set, whatever the order of the work.  A chain in a
-    2g-dimensional space has at most 2g+1 members, so a closure that
-    grows past that raises RuntimeError at once.  The closure starts
-    from the space's one 0 and one V, whose complements are each other.
-    The members, sorted by dimension, must pass the ordered chain check
-    (``symplectic._check_chain``: dimensions strictly increase and each
-    member contains the one before) and be self-dual, and on each gap
-    the F-image dimension must grow by zero or by the full gap (the
-    dichotomy the final type is read from).  Violations raise
-    RuntimeError.
+    elimination, or none when the image is 0 (``DieudonneModule.f_image``),
+    and its complement once, read off its reduced rows with no
+    elimination (cached on the member, so the self-duality check reuses
+    it; a complement knows its source, so the complement of a
+    complement costs nothing), and each member's F-image dimension is
+    kept.  The result is the least closed set, whatever the order of
+    the work.  It must be a chain, which holds one member per
+    dimension, so the members are kept by dimension: a new image or
+    complement is compared, by rows, with the one member of its
+    dimension, and a different subspace there raises RuntimeError at
+    once ("not a chain"); so the closure never holds more than 2g+1
+    members and takes at most 2g+1 F-images.  The closure starts from
+    the space's one 0 and one V, whose complements are each other.  The
+    members, read off in dimension order, must pass the ordered chain
+    check (``symplectic._check_chain``: each member contains the one
+    before) and be self-dual, and on each gap the F-image dimension
+    must grow by zero or by the full gap (the dichotomy the final type
+    is read from).  Violations raise RuntimeError.
     """
     space = module.space
-    limit = module.dim + 1
-    # only the first object found for a member is kept and worked on, so
-    # its cached complement is the one the self-duality check reads
-    members: set[Subspace] = set()
-    images: dict[Subspace, Subspace] = {}
+    # a chain has one member per dimension; only the first object found
+    # for a dimension is kept and worked on, so its cached complement is
+    # the one the self-duality check reads
+    members: dict[int, Subspace] = {}
+    fdim: dict[int, int] = {}
     todo: list[Subspace] = []
 
     def add(sub: Subspace) -> None:
-        if sub not in members:
-            members.add(sub)
+        kept = members.get(sub.dim)
+        if kept is None:
+            members[sub.dim] = sub
             todo.append(sub)
-            if len(members) > limit:
-                raise RuntimeError(
-                    f"canonical closure exceeds {limit} members, "
-                    "the most a chain can hold"
-                )
+        elif kept.rows != sub.rows:
+            raise RuntimeError(
+                f"canonical members are not a chain: two distinct members "
+                f"of dimension {sub.dim}"
+            )
 
     add(zero_subspace(space))
     add(full_subspace(space))
     while todo:
         sub = todo.pop()
-        images[sub] = module.f_image(sub)
-        add(images[sub])
+        image = module.f_image(sub)
+        fdim[sub.dim] = image.dim
+        add(image)
         add(sub.perp())
 
-    chain = tuple(sorted(members, key=lambda m: m.dim))
+    chain = tuple([members[d] for d in range(module.dim + 1) if d in members])
     try:
         symplectic._check_chain(chain)
     except ValueError as exc:
@@ -456,7 +473,7 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
         raise RuntimeError("canonical flag is not self-dual")
 
     dims = tuple([m.dim for m in chain])
-    fdims = tuple([images[m].dim for m in chain])
+    fdims = tuple([fdim[m.dim] for m in chain])
     for (d0, f0), (d1, f1) in zip(zip(dims, fdims), zip(dims[1:], fdims[1:])):
         if f1 - f0 not in (0, d1 - d0):
             raise RuntimeError(

@@ -157,14 +157,15 @@ def nullspace(ctx: FieldCtx, rows: Entries, ncols: int) -> Rows:
     """Canonical row basis of {x : mat @ x = 0} (x as column vectors),
     for a matrix kept by its nonzero (column, code) entries per row.
 
-    One elimination (``rref_entries``), with each row's last nonzero
-    column as its pivot.  The null vector of a free column f is then 1
+    One elimination (``rref_entries``) of the nonempty rows, with each
+    row's last nonzero column as its pivot; an empty row adds nothing
+    to it, so no map is built for one.  The null vector of a free column f is then 1
     at f and nonzero elsewhere only at pivot columns right of f, each
     minus the entry at f of that pivot's row; it leads with f, which is
     zero in every other vector, so taken by increasing free column the
     vectors are already the reduced row echelon basis.
     """
-    reduced = rref_entries(ctx, map(dict, rows), max)
+    reduced = rref_entries(ctx, (dict(row) for row in rows if row), max)
     neg = ctx.neg_list
     basis = {fc: [0] * ncols for fc in range(ncols) if fc not in reduced}
     for pc, tail in reduced.items():

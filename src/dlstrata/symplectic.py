@@ -35,11 +35,15 @@ result; no representative is found by stripping descents.  The reader
 keeps each position per distinct table and pair of dimension sets; a
 table that fails is not kept.  The table itself is
 read per pair of chains, off ranks of sums, dim C_a + dim D_b -
-dim(C_a + D_b), with one insertion pass of D's rows into the reduced
-rows of each proper member of C (``linalg.insertion_ranks``), so no
-meet is built for it.  ``relpos`` reads it for two flags, and
-``refine``, the one refinement step, for two chains: it returns its
-relative position along with the refined chain, from the same table.
+dim(C_a + D_b), with one insertion pass into the reduced rows of each
+proper member of C (``linalg.insertion_ranks``), so no meet is built
+for it.  The pass inserts, for each member D_b in turn, only its reduced
+rows at the pivots D_{b-1} lacks: nested reduced subspaces have nested
+pivot sets, and those rows extend D_{b-1} to D_b, so the vectors
+inserted up to D_b are a basis of it and each rank is exact.
+``relpos`` reads it for two flags, and ``refine``, the one refinement
+step, for two chains: it returns its relative position along with the
+refined chain, from the same table.
 The table also gives the dimension of every join that refinement takes,
 so a meet and its join are built only when the join's dimension lies
 strictly between the two members it sits between; each distinct sum is
@@ -88,7 +92,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg, weyl
@@ -475,22 +479,32 @@ def _rank_table(
     """T[a][b] = dim(C_a cap D_b) = dim C_a + dim D_b - dim(C_a + D_b).
 
     The members of chain_d are nested, so C_a + D_b is the span of C_a
-    and the rows of D_1, ..., D_b, and one insertion pass of those rows
-    into the reduced rows of C_a (``linalg.insertion_ranks``) gives
-    dim(C_a + D_b) for every b.  The rows for 0 and for the whole space,
-    and the columns for 0 and for the whole space, need no pass.
+    and D_b, and one insertion pass of rows spanning D_1, ..., D_b in
+    turn into the reduced rows of C_a (``linalg.insertion_ranks``) gives
+    dim(C_a + D_b) for every b.  Those rows are, for each D_b, only its
+    reduced rows at the pivots D_{b-1} lacks.  A nonzero vector of a
+    reduced subspace leads at one of its pivots, so nested reduced
+    subspaces have nested pivot sets, and the dim D_b - dim D_{b-1} rows
+    at the new pivots extend D_{b-1} to D_b: a combination of them is
+    zero at every pivot of D_{b-1} (reduced rows vanish at each other's
+    pivots), so it lies in D_{b-1} only when it is 0.  The first dim D_b
+    rows inserted are thus a basis of D_b, and every entry is exact.  The
+    rows for 0 and for the whole space, and the columns for 0 and for
+    the whole space, need no pass.
     """
     ctx = chain_c[0].space.ctx
     ddims = [dm.dim for dm in chain_d]
-    inner = chain_d[1:-1]
-    vectors = [row for dm in inner for row in dm.rows]
-    # the index of each D_b's last row among the vectors
-    ends = [total - 1 for total in accumulate(ddims[1:-1])]
+    vectors = []
+    held: tuple[int, ...] = ()
+    for dm in chain_d[1:-1]:
+        vectors.extend([row for row, p in zip(dm.rows, dm.pivots) if p not in held])
+        held = dm.pivots
     table = [[0] * len(ddims)]
     for cm in chain_c[1:-1]:
         ranks = linalg.insertion_ranks(ctx, cm.rows, cm.pivots, vectors)
         row = [0]
-        row.extend([cm.dim + d - ranks[end] for d, end in zip(ddims[1:-1], ends)])
+        # D_b's last row is vector dim D_b - 1
+        row.extend([cm.dim + d - ranks[d - 1] for d in ddims[1:-1]])
         row.append(cm.dim)
         table.append(row)
     table.append(ddims)

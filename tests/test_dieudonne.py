@@ -21,6 +21,7 @@ from dlstrata.gf import field
 from dlstrata.symplectic import (
     Subspace,
     SymplecticSpace,
+    embed_matrix,
     full_subspace,
     random_lagrangian,
     random_symplectic,
@@ -351,6 +352,26 @@ def test_f_image_edges(f16_line, f16_rational_line):
         # and a proper subspace goes the generic way
         image = mod.f_image(ker_v)
         assert image.rows == linalg.rref(ctx, _f_product(mod, ker_v.rows), dim)[0]
+        # a member whose rows all lead past F's last nonzero column has
+        # image 0, the space's one 0, with no elimination
+        past = Subspace(mod.space, eye(dim)[mod._f_cols[-1][0] + 1 :])
+        assert 0 < past.dim < dim
+        assert not any(map(any, _f_product(mod, past.rows)))
+        assert mod.f_image(past) is zero
+
+
+def test_f_image_refuses_a_subspace_of_another_space(f16_line):
+    mod = build_from_lagrangian(f16_line, 2)
+    # a separately built space of the same field and genus is another space
+    other = SymplecticSpace(mod.ctx, mod.g)
+    alien = Subspace(other, eye(mod.dim)[:1])
+    assert alien.rows == Subspace(mod.space, eye(mod.dim)[:1]).rows
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        mod.f_image(alien)
+    # and so is the point's own space, of width 2c
+    assert f16_line.space.dim < mod.dim
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        mod.f_image(f16_line)
 
 
 @st.composite
@@ -539,6 +560,8 @@ def test_module_kernels_are_cached_read_only(f16_line):
 
 
 def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
+    # an F-image that is a new line on every call puts a second, different
+    # member in an occupied dimension, which the closure refuses at once
     mod = build_from_lagrangian(f16_line, 2)
     calls = []
 
@@ -549,7 +572,7 @@ def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
         return Subspace(mod.space, line)
 
     monkeypatch.setattr(mod, "f_image", fresh_line)
-    with pytest.raises(RuntimeError, match="exceeds 5 members"):
+    with pytest.raises(RuntimeError, match="not a chain: two distinct members of dimension 1"):
         canonical_flag(mod)
     assert len(calls) <= 2 * mod.g + 1
 
@@ -563,10 +586,10 @@ def test_final_type_is_the_r_w_definition():
 
 def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
     # two eliminations over nonzero entries to build and check a module
-    # (ker F and ker V, its only null spaces), one per F-image of a
-    # proper member in the closure, none per complement, and no dense
-    # elimination or product anywhere; every complement read off reduced
-    # rows is the null space of C . J
+    # (ker F and ker V, its only null spaces), one per nonzero F-image of
+    # a proper member in the closure, none for an image that is 0 or per
+    # complement, and no dense elimination or product anywhere; every
+    # complement read off reduced rows is the null space of C . J
     from .test_dlclassify import _counting
     from .test_symplectic import _generic_perp
 
@@ -584,11 +607,12 @@ def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
         mod = build_from_lagrangian(u, g)
         assert [count[0] for count in calls] == [2, 2, 0, 0]
         flag = canonical_flag(mod)
-        assert [count[0] for count in calls] == [2 + len(flag.members) - 2, 2, 0, 0]
+        imaged = sum(f > 0 for f in flag.fdims[1:-1])
+        assert [count[0] for count in calls] == [2 + imaged, 2, 0, 0]
         counts.append(calls[0][0])
         for m in flag.members:
             assert m.perp().rows == _generic_perp(m)
-    assert len(counts) == 4369 + 50 and max(counts[:4369]) == 7
+    assert len(counts) == 4369 + 50 and max(counts[:4369]) == 5
 
 
 def _census_modules():
@@ -816,6 +840,51 @@ def test_symplectic_substitution_preserves_eo_type():
         a = eo_type(build_from_lagrangian(u, 4)).w
         b = eo_type(build_from_lagrangian(u.apply(g), 4)).w
         assert a.perm == b.perm
+
+
+def test_eo_type_is_constant_on_rational_orbits():
+    """G^F = Sp(2c, F_{p^2}) acts by module isomorphisms, so U and hU have
+    the same EO type, the lift of U's fine label: each seeded h, drawn
+    over F_{p^2} and embedded, changes the zero pattern of the point and
+    so of the module the canonical closure runs on."""
+    pairs = 0
+    for c, p, m, seed in ((2, 2, 2, 81), (2, 3, 2, 82), (3, 2, 2, 83)):
+        space = dc.census_space(c, p, m)
+        small = SymplecticSpace(field(p, 2), c)
+        rng = np.random.default_rng(seed)
+        hs = [
+            embed_matrix(random_symplectic(small, rng), small.ctx, space.ctx)
+            for _ in range(5)
+        ]
+        for _ in range(12):
+            u = random_lagrangian(space, rng)
+            fine = dc.classify_fine(u)
+            for g in (2 * c, 2 * c + 1):
+                want = eo_type(build_from_lagrangian(u, g)).w
+                assert want.perm == weyl.r_map_inv(fine, g).perm
+                for h in hs:
+                    got = eo_type(build_from_lagrangian(u.apply(h), g)).w
+                    assert got.perm == want.perm, (u.rows, h, g)
+                    pairs += 1
+    assert pairs == 360
+
+
+def test_lifts_of_half_genus_labels_are_the_types_with_psi_zero_at_half():
+    """For every g <= 12 the lifts r_map_inv(w, g) of the 2^{floor(g/2)}
+    labels w of rank floor(g/2) are exactly the labels of rank g whose
+    final type vanishes at ceil(g/2), and r_map takes each lift back to
+    its label."""
+    for g in range(1, 13):
+        half = g // 2
+        labels = weyl.enumerate_IW(half)
+        lifts = {weyl.r_map_inv(w, g).perm for w in labels}
+        vanishing = {
+            w.perm for w in weyl.enumerate_IW(g) if final_type_of(w, g)[(g + 1) // 2] == 0
+        }
+        assert lifts == vanishing
+        assert len(vanishing) == len(labels) == 2**half
+        for w in labels:
+            assert weyl.r_map(weyl.r_map_inv(w, g), half).perm == w.perm
 
 
 # -- the identity between the two labels ------------------------------------

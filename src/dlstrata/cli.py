@@ -105,6 +105,9 @@ def cmd_census(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.c < 1:
+        print("census requires c >= 1", file=sys.stderr)
+        return 2
     problem = _unwritable(args.out)
     if problem:
         print(problem, file=sys.stderr)

@@ -58,8 +58,9 @@ keeps its members by dimension, compares each new image or complement
 by rows with the one member of its dimension, and refuses a second,
 different subspace of an occupied dimension at once; so it never holds
 more than 2g+1 members, and no subspace is hashed.  The members, read
-off in dimension order with no sort, must then pass the chain check
-that refinement uses, and be self-dual.  Each member's F-image
+off in dimension order with no sort, must then be self-dual and pass,
+on their lower half, the chain check that refinement uses: as there,
+self-duality gives the upper half's containments.  Each member's F-image
 dimension is kept by the closure; these interpolate to the final type
 psi, and the EO label is the minimal Siegel representative w with
 psi(i) = i - r_w(i, g), read off the positions where psi does not
@@ -269,29 +270,31 @@ class DieudonneModule:
             self._check_kernel_shapes()
 
     def _check_kernel_shapes(self) -> None:
-        """sigma(ker F) = pr_2^{-1}(U) and ker V = pr_2^{-1}(sigma U)."""
+        """sigma(ker F) = pr_2^{-1}(U) and ker V = pr_2^{-1}(sigma U), by rows.
+
+        Both kernels are eliminated to reduced rows, and so are the
+        pull-backs (``_middle_pullback``), so each equality of subspaces
+        is an equality of row tuples.
+        """
         u = self.point
-        if self._sigma_ker_f != self._middle_pullback(u.rows, u.pivots):
+        if self._sigma_ker_f.rows != self._middle_pullback(u.rows):
             raise RuntimeError("ker F does not project onto the point")
         twisted = linalg.frob_map(self.ctx, u.rows, 1)
-        if self.kernel_of_V() != self._middle_pullback(twisted, u.pivots):
+        if self._ker_v.rows != self._middle_pullback(twisted):
             raise RuntimeError("ker V does not project onto the twisted point")
 
-    def _middle_pullback(self, rows: linalg.Rows, pivots: tuple[int, ...]) -> Subspace:
-        """pr_2^{-1} of a subspace of the middle slot, given by reduced rows.
+    def _middle_pullback(self, rows: linalg.Rows) -> linalg.Rows:
+        """The reduced rows of pr_2^{-1} of a subspace of the middle slot,
+        given by its reduced rows.
 
         The rows sit in the middle slot above the unit rows of the later
         slots, which are zero on the middle columns, so the stack is
-        already reduced, with the middle pivots shifted by the slot's
-        start followed by every later column.
+        already reduced.
         """
         lo, hi = self.slot_bounds[2], self.slot_bounds[3]
         dim = self.dim
         left, right = (0,) * lo, (0,) * (dim - hi)
-        out = tuple(left + row + right for row in rows) + linalg.identity(dim)[hi:]
-        return Subspace._from_rref(
-            self.space, out, tuple(lo + p for p in pivots) + tuple(range(hi, dim))
-        )
+        return tuple([left + row + right for row in rows]) + linalg.identity(dim)[hi:]
 
 
 def _fits(rows: Entries, dim: int, q: int) -> bool:
@@ -365,7 +368,11 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
     reduced rows and U . J, a signed reversal of them; only nonzero
     entries are written, and no matrix is built.  Vlin = V^(p) twists
     V's entries forward: its slot 0 -> slot 2 block is U itself, and -1
-    is F_p-rational.
+    is F_p-rational.  The rows that do not depend on U, the empty rows
+    into slots 0 and 1 and the K block, are shared by every module of
+    the field, genus and rank (``_fixed_rows``), and each block that
+    does is written for F and Vlin together, in one pass over U's
+    nonzero entries.
     """
     space = u.space
     ctx, c = space.ctx, space.n
@@ -373,29 +380,41 @@ def build_from_lagrangian(u: Subspace, g: int) -> DieudonneModule:
         raise ValueError("genus must be at least twice the point rank")
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
-    k = g - 2 * c
-    s1, s2 = c, g - c  # where slots 1 and 2 start
+    s2 = g - c  # where slot 2 starts
     neg = ctx.neg_list
     up = ctx.frob_lists[1 % ctx.k]
+    empty, f_k, v_k = _fixed_rows(ctx, g, c)
 
     # slot 0 -> slot 2: U into L, its basis vectors as columns; F is
     # -sigma(U[j][r]) and Vlin is U[j][r] at (s2 + r, j)
-    cols_u = tuple(zip(*u.rows))
-    f_u = [tuple([(j, neg[up[x]]) for j, x in enumerate(col) if x]) for col in cols_u]
-    v_u = [tuple([(j, x) for j, x in enumerate(col) if x]) for col in cols_u]
-    # slot 1 -> slot 3: the identity on K, into reversed, negated
-    # coordinates of its twist
-    f_k = [((s1 + k - 1 - i, 1),) for i in range(k)]
-    v_k = [((s1 + k - 1 - i, neg[1]),) for i in range(k)]
+    f_u, v_u = [], []
+    for col in zip(*u.rows):
+        nonzero = [(j, x) for j, x in enumerate(col) if x]
+        f_u.append(tuple([(j, neg[up[x]]) for j, x in nonzero]))
+        v_u.append(tuple(nonzero))
     # slot 2 -> slot 4: L -> L/U, in the coordinates y_j = -<u_{c-1-j}, x>:
     # row j of this block of F is row c-1-j of U . J, and Vlin is minus its twist
-    uj = space.times_form(u.rows)[::-1]
-    f_l = [tuple([(s2 + t, x) for t, x in enumerate(row) if x]) for row in uj]
-    v_l = [tuple([(s2 + t, neg[up[x]]) for t, x in enumerate(row) if x]) for row in uj]
+    f_l, v_l = [], []
+    for row in space.times_form(u.rows)[::-1]:
+        nonzero = [(s2 + t, x) for t, x in enumerate(row) if x]
+        f_l.append(tuple(nonzero))
+        v_l.append(tuple([(j, neg[up[x]]) for j, x in nonzero]))
 
-    f = tuple([()] * s2 + f_u + f_k + f_l)
-    vlin = tuple([()] * s2 + v_u + v_k + v_l)
+    f = empty + tuple(f_u) + f_k + tuple(f_l)
+    vlin = empty + tuple(v_u) + v_k + tuple(v_l)
     return DieudonneModule(ctx, g, c, f, vlin, point=u)
+
+
+@lru_cache(maxsize=None)
+def _fixed_rows(ctx: FieldCtx, g: int, c: int) -> tuple[Entries, Entries, Entries]:
+    """The rows of every module of the field, genus and rank that U does
+    not fix: the g - c empty rows into slots 0 and 1, and F's and Vlin's
+    slot 1 -> slot 3 rows, the identity on K into reversed, negated
+    coordinates of its twist."""
+    k, s1, neg = g - 2 * c, c, ctx.neg_list
+    f_k = tuple([((s1 + k - 1 - i, 1),) for i in range(k)])
+    v_k = tuple([((s1 + k - 1 - i, neg[1]),) for i in range(k)])
+    return ((),) * (g - c), f_k, v_k
 
 
 @dataclass(frozen=True)
@@ -430,11 +449,15 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     once ("not a chain"); so the closure never holds more than 2g+1
     members and takes at most 2g+1 F-images.  The closure starts from
     the space's one 0 and one V, whose complements are each other.  The
-    members, read off in dimension order, must pass the ordered chain
-    check (``symplectic._check_chain``: each member contains the one
-    before) and be self-dual, and on each gap the F-image dimension
-    must grow by zero or by the full gap (the dichotomy the final type
-    is read from).  Violations raise RuntimeError.
+    members, read off in dimension order, must be self-dual and then
+    pass the ordered chain check (``symplectic._check_chain``: each
+    member contains the one before) on their lower half, through the
+    first member of dimension >= g, as ``symplectic.refine`` checks its
+    chains: perp reverses inclusion, so on a self-dual chain the upper
+    half's containments follow from the lower half's.  On each gap the
+    F-image dimension must grow by zero or by the full gap (the
+    dichotomy the final type is read from).  Violations raise
+    RuntimeError.
     """
     space = module.space
     # a chain has one member per dimension; only the first object found
@@ -465,12 +488,12 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
         add(sub.perp())
 
     chain = tuple([members[d] for d in range(module.dim + 1) if d in members])
-    try:
-        symplectic._check_chain(chain)
-    except ValueError as exc:
-        raise RuntimeError(f"canonical members are not a chain: {exc}") from exc
     if not symplectic._is_self_dual(chain):
         raise RuntimeError("canonical flag is not self-dual")
+    try:
+        symplectic._check_chain(chain[: len(chain) // 2 + 1])
+    except ValueError as exc:
+        raise RuntimeError(f"canonical members are not a chain: {exc}") from exc
 
     dims = tuple([m.dim for m in chain])
     fdims = tuple([fdim[m.dim] for m in chain])

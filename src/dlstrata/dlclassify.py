@@ -8,19 +8,22 @@ for the Lagrangian (Siegel) type.  The loop runs on chains, member
 tuples in increasing dimension, with no ``Flag`` built: the first is
 (0, U, V) with the space's one 0 and one V, and its twist is the tuple
 of the members' twists.  Each ``symplectic.refine`` step returns the
-next chain, already in order and checked as a chain, and the relative
-position it starts from, both read off one rank table of ranks of
-sums, which also tells which joins must be built; a stable chain comes
-back as the same tuple, with no meet taken, which ends the loop.  The
+next chain, already in order and checked as a self-dual chain, and the
+relative position it starts from, both read off one rank table of ranks
+of sums, which also tells which joins must be built; a stable chain
+comes back as the same tuple, with no meet taken, which ends the loop.
+So every chain of every point is shown to be a self-dual chain, each
+fact once: D_0 = (0, U, V) by the point's Lagrangian check (0 and V
+hold every U, and U is its own complement), and each later chain by the
+``refine`` call that builds it, with ``check`` or without.  The
 per-step positions must reproduce the stabilizing sequence attached to
-the label, and ``classify_fine`` asserts that (and self-duality of every
-chain, by comparing complements with rows) unless ``check=False``.
-Self-duality is checked on every point.  The sequence check reads only
-integers, each step's dimensions and position, so it runs once per
-distinct trace of them and is kept; a failing trace is not kept, and
-fails each time it is met.  A Lagrangian point is its own complement, so its
-Lagrangian check and the self-duality of every flag of its chain, whose
-middle member it is, read that one complement.
+the label, and ``classify_fine`` asserts that unless ``check=False``.
+The sequence check reads only integers, each step's dimensions and
+position, so it runs once per distinct trace of them and is kept; a
+failing trace is not kept, and fails each time it is met.  A Lagrangian
+point is its own complement, and so is its twist, so its Lagrangian
+check and the self-duality of every chain, whose middle member it is,
+read that one complement.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised
@@ -57,13 +60,15 @@ def _refine_to_stable(
     """Each chain of the refinement D_0, D_1, ... with its position.
 
     A chain is its member tuple in increasing dimension, from the
-    space's one 0 and one V; D_0 = (0, U, V) needs no containment check,
-    as 0 and V hold every U.  The steps end at the stable chain; the
-    position of D_k is its relative position with its twist, which the
-    same ``refine`` call returns along with D_{k+1}, and ``refine``
-    hands back D_k itself when D_k is stable.  A member that ``refine``
-    keeps is the same object in D_{k+1}, so its twist is carried over,
-    looked up by identity, and only new members are twisted.
+    space's one 0 and one V; D_0 = (0, U, V) needs no check: 0 and V
+    hold every U, and U is Lagrangian, so D_0 is self-dual.  ``refine``
+    checks each later chain as it builds it.  The steps end at the
+    stable chain; the position of D_k is its relative position with its
+    twist, which the same ``refine`` call returns along with D_{k+1},
+    and ``refine`` hands back D_k itself when D_k is stable.  A member
+    that ``refine`` keeps is the same object in D_{k+1}, so its twist is
+    carried over, looked up by identity, and only new members are
+    twisted.
     """
     if not u.is_lagrangian():
         raise ValueError("point must be a Lagrangian subspace")
@@ -89,9 +94,10 @@ def classify_fine(
 ) -> WeylElement:
     """Fine stratum label of a Lagrangian point.
 
-    With ``check``, every chain of the refinement must be self-dual and
-    the (position, type) of each step must follow the label's
-    stabilizing sequence; RuntimeError otherwise.
+    With ``check``, the (position, type) of each step must follow the
+    label's stabilizing sequence; RuntimeError otherwise.  Every chain
+    of the refinement is a self-dual chain either way: ``refine`` checks
+    each one it builds.
     """
     steps = _refine_to_stable(u, qexp)
     if check:
@@ -102,8 +108,7 @@ def classify_fine(
 def _check_against_sequence(
     steps: list[tuple[tuple[Subspace, ...], WeylElement]], c: int
 ) -> None:
-    if not all(symplectic._is_self_dual(chain) for chain, _ in steps):
-        raise RuntimeError("refinement chain left the self-dual flags")
+    """The steps' trace against the label's sequence (``_check_trace``)."""
     _check_trace(
         c, tuple([(tuple([m.dim for m in chain]), pos.perm) for chain, pos in steps])
     )

@@ -47,9 +47,11 @@ refined chain, from the same table.
 The table also gives the dimension of every join that refinement takes,
 so a meet and its join are built only when the join's dimension lies
 strictly between the two members it sits between; each distinct sum is
-eliminated once per step, the refined chain comes out already in order
-and is checked as a chain with no sorting, and a chain the table shows
-stable comes back as the same tuple.
+eliminated once per step, the refined chain comes out already in order,
+with no sorting, and a chain the table shows stable comes back as the
+same tuple.  ``refine`` checks the chain it builds: containment on its
+lower half, then self-duality, which gives the upper half's
+containments, since perp reverses inclusion.
 
 The complement is the one duality primitive.  It is read off reduced
 rows and pivots by index work alone, kept on the subspace, and
@@ -61,7 +63,9 @@ complement; and a flag with symmetric dimensions is self-dual when the
 complement of each member of its lower half has the rows of the member
 of complementary dimension.  The Lagrangian check of a point and the
 self-duality checks of its refinement flags, whose middle member it is,
-share its one complement, which is the point itself.
+share its one complement, which is the point itself; and J is
+F_p-rational, so a Lagrangian's twist is built as its own complement,
+and the meets against the twisted point take no index work for it.
 
 Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
@@ -83,9 +87,9 @@ once, and a complement's complement is its source; the shared 0 and V
 hold each other from the start, and no complement is ever re-pointed at
 another 0 or V), so everything here can be shared across threads;
 enumeration output order is deterministic.  A twist is its
-Frobenius-mapped rows and pivots, 0 and V are their own twists, and the
-twist of a chain is the tuple of its members' twists, built without
-re-checking it.
+Frobenius-mapped rows and pivots, 0 and V are their own twists, a
+Lagrangian's twist is its own complement, and the twist of a chain is
+the tuple of its members' twists, built without re-checking it.
 """
 
 from __future__ import annotations
@@ -286,14 +290,20 @@ class Subspace:
 
         0 and the whole space are their own twists, and come back as
         they are.  The form is F_p-rational, so the twist of the
-        complement is the complement of the twist, but a complement
+        complement is the complement of the twist: the twist of a
+        subspace known to be its own complement, a Lagrangian, is its
+        own complement too, and is built knowing it, so a twisted
+        point's complement takes no index work.  Any other complement
         is not carried over.
         """
         if self.dim == 0 or self.dim == self.space.dim:
             return self
-        return Subspace._from_rref(
+        out = Subspace._from_rref(
             self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
         )
+        if self._perp is self:
+            out._perp = out
+        return out
 
     def is_lagrangian(self) -> bool:
         """Whether self has dimension n and is its own complement."""
@@ -564,10 +574,18 @@ def refine(
     dimension, C_{i+1}.  Each distinct sum, of complements for a meet or
     of a meet and C_i for a join, is eliminated once per call, so U + U'
     serves both the meet U cap U' and the join U' + U.  Each join must
-    have the table's dimension, and the refined chain must pass
-    ``_check_chain``; RuntimeError otherwise.  When no join lies
-    strictly between, chain_c is stable and comes back as the same
-    tuple, with no meet taken.
+    have the table's dimension, and the refined chain must be a
+    self-dual chain; RuntimeError otherwise.  That is checked here, where
+    the chain is built, in two steps: ``_check_chain`` on its lower half,
+    through the first member of dimension >= n, and then
+    ``_is_self_dual``.  The containments of the upper half follow: perp
+    reverses inclusion, so an upper step X-perp in Y-perp is the lower
+    step Y in X.  A chain with an even number of members has no middle
+    member, and its lower half still holds the step across the middle, X
+    in X-perp.  Containment runs first, so a join that breaks it reads
+    "not a chain".  When no join lies strictly between, chain_c is
+    stable and comes back as the same tuple, with no meet taken and
+    nothing checked again.
     """
     table, position = _table_and_position(chain_c, chain_d)
     sums: dict = {}
@@ -589,9 +607,11 @@ def refine(
         return chain_c, position
     out = tuple(out)
     try:
-        _check_chain(out)
+        _check_chain(out[: len(out) // 2 + 1])
     except ValueError as exc:
         raise RuntimeError(f"refined members are not a chain: {exc}") from exc
+    if not _is_self_dual(out):
+        raise RuntimeError("refined chain is not self-dual")
     return out, position
 
 

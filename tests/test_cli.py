@@ -170,6 +170,14 @@ def test_census_config_errors(capsys):
         assert message in captured.err, argv
 
 
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_census_refuses_a_rank_below_one(capsys, c):
+    # the census's own message, not the symplectic space's
+    assert run(["census", "--c", c, "--p", "2", "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "census requires c >= 1\n"
+
+
 def test_verify_exit_codes(capsys):
     assert run(["verify", "--c", "1", "--g", "2", "--p", "2", "--m", "1"]) == 0
     out = capsys.readouterr().out

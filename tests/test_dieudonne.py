@@ -149,22 +149,34 @@ def _json_by_arrays(mod, arrays):
     }
 
 
-def _assert_built_as_by_arrays(u, g):
-    mod = build_from_lagrangian(u, g)
+@pytest.fixture(scope="module")
+def census_modules():
+    """The module of every ``CENSUS_CONFIGS`` point at g = 2c and 2c + 1,
+    with the point: built once, when the first census-wide test asks for
+    them, and shared by all of them."""
+    from .test_acceptance import CENSUS_CONFIGS
+
+    return [
+        (u, build_from_lagrangian(u, g))
+        for c, p, m in CENSUS_CONFIGS
+        for u in dc._cached_lagrangians(c, p, m)
+        for g in (2 * c, 2 * c + 1)
+    ]
+
+
+def _assert_built_as_by_arrays(u, g, mod=None):
+    if mod is None:
+        mod = build_from_lagrangian(u, g)
     arrays = _build_by_arrays(u, g)
     assert (mod.f_rows, mod.v_rows, mod.space.gram_rows) == tuple(map(as_rows, arrays))
     got = json.dumps(module_to_json(mod)).encode()
     assert got == json.dumps(_json_by_arrays(mod, arrays)).encode()
 
 
-def test_rows_match_the_array_assembly_on_every_census_point():
-    from .test_acceptance import CENSUS_CONFIGS
-
-    for c, p, m in CENSUS_CONFIGS:
-        if c <= 2:
-            for u in dc._cached_lagrangians(c, p, m):
-                for g in (2 * c, 2 * c + 1):
-                    _assert_built_as_by_arrays(u, g)
+def test_rows_match_the_array_assembly_on_every_census_point(census_modules):
+    for u, mod in census_modules:
+        if mod.c <= 2:
+            _assert_built_as_by_arrays(u, mod.g, mod)
 
 
 def test_rows_match_the_array_assembly_at_rank_three():
@@ -397,7 +409,8 @@ def test_v_preimage_is_the_complement_of_the_f_image_of_the_complement(pair):
 
 def test_middle_pullback_is_the_rref_of_its_rows():
     # the stacked rows are taken as reduced; the elimination they skip
-    # must give the same rows and pivots
+    # must give the same rows, leading at the shifted middle pivots and
+    # then at every later column
     rng = np.random.default_rng(37)
     space = dc.census_space(2, 2, 2)
     points = list(dc._cached_lagrangians(1, 2, 2))
@@ -410,10 +423,11 @@ def test_middle_pullback_is_the_rref_of_its_rows():
             lo, hi = mod.slot_bounds[2], mod.slot_bounds[3]
             for r in (0, 1):
                 rows = linalg.frob_map(ctx, u.rows, r)
-                got = mod._middle_pullback(rows, u.pivots)
+                got = mod._middle_pullback(rows)
                 stacked = [(0,) * lo + row + (0,) * (dim - hi) for row in rows]
                 stacked += linalg.identity(dim)[hi:]
-                assert (got.rows, got.pivots) == linalg.rref(ctx, stacked, dim)
+                pivots = tuple(lo + p for p in u.pivots) + tuple(range(hi, dim))
+                assert (got, pivots) == linalg.rref(ctx, stacked, dim)
 
 
 def test_v_preimage_matches_graded_formula(f16_line):
@@ -577,6 +591,55 @@ def test_closure_past_the_chain_bound_raises(f16_line, monkeypatch):
     assert len(calls) <= 2 * mod.g + 1
 
 
+def test_canonical_flag_refuses_a_wrong_member_of_the_right_dimension(f16_line, monkeypatch):
+    """At g = 2 the canonical flag of the wild line is 0 < N < ker V < N-perp
+    < M.  A patched F-image that gives a line outside ker V in place of N
+    leaves a self-dual set, (0, L, ker V, L-perp, M), so only the chain
+    check on its lower half can see it, and it must: "not a chain".  One
+    that gives, in place of N, a wrong member of dimension 3, an upper
+    member, is refused through its complement, a second line beside N."""
+    mod = build_from_lagrangian(f16_line, 2)
+    real, ker_v = mod.f_image, mod.kernel_of_V()
+    line = Subspace(mod.space, [(1, 0, 0, 0)])
+    assert not ker_v.contains(line)
+    monkeypatch.setattr(mod, "f_image", lambda sub: line if real(sub).dim == 1 else real(sub))
+    with pytest.raises(RuntimeError, match="not a chain: members are not totally ordered"):
+        canonical_flag(mod)
+    upper = line.perp()
+    monkeypatch.setattr(mod, "f_image", lambda sub: upper if sub is ker_v else real(sub))
+    with pytest.raises(RuntimeError, match="not a chain: two distinct members of dimension 1"):
+        canonical_flag(mod)
+    monkeypatch.setattr(mod, "f_image", real)
+    assert canonical_flag(mod).dims == (0, 1, 2, 3, 4)
+
+
+def test_canonical_flag_checks_self_duality_and_its_lower_half(monkeypatch):
+    """Each canonical flag goes through ``_is_self_dual`` whole, and then
+    through ``_check_chain`` on its lower half, through the first member
+    of dimension >= g, once each."""
+    from dlstrata import symplectic
+
+    real_chain, real_dual = symplectic._check_chain, symplectic._is_self_dual
+    calls = []
+
+    def check_chain(members):
+        calls.append(("chain", tuple(members)))
+        return real_chain(members)
+
+    def is_self_dual(members):
+        calls.append(("dual", tuple(members)))
+        return real_dual(members)
+
+    monkeypatch.setattr(symplectic, "_check_chain", check_chain)
+    monkeypatch.setattr(symplectic, "_is_self_dual", is_self_dual)
+    for mod in _seeded_modules():
+        calls.clear()
+        chain = canonical_flag(mod).members
+        half = chain[: len(chain) // 2 + 1]
+        assert calls == [("dual", chain), ("chain", half)]
+        assert half[-1].dim == mod.g
+
+
 def test_final_type_is_the_r_w_definition():
     for g in range(1, 7):
         for w in weyl.enumerate_IW(g):
@@ -615,17 +678,6 @@ def test_build_takes_two_eliminations_and_complements_none(monkeypatch):
     assert len(counts) == 4369 + 50 and max(counts[:4369]) == 5
 
 
-def _census_modules():
-    """The module of every ``CENSUS_CONFIGS`` point at g = 2c and 2c + 1,
-    with the point."""
-    from .test_acceptance import CENSUS_CONFIGS
-
-    for c, p, m in CENSUS_CONFIGS:
-        for u in dc._cached_lagrangians(c, p, m):
-            for g in (2 * c, 2 * c + 1):
-                yield u, build_from_lagrangian(u, g)
-
-
 def _assert_null_spaces_match_the_dense_reference(mod):
     ctx, dim = mod.ctx, mod.dim
     assert mod._sigma_ker_f.rows == dense_nullspace(ctx, mod.f_rows, dim)
@@ -633,12 +685,12 @@ def _assert_null_spaces_match_the_dense_reference(mod):
     assert mod.kernel_of_V().rows == dense_nullspace(ctx, vlin, dim)
 
 
-def test_null_spaces_match_the_dense_reference():
+def test_null_spaces_match_the_dense_reference(census_modules):
     """Both null spaces a build eliminates over nonzero entries, of F and
     of Vlin, are the dense null spaces row for row: on every census
     point at g = 2c and 2c + 1, and on transported modules, whose
     operators have no zero pattern."""
-    for _, mod in _census_modules():
+    for _, mod in census_modules:
         _assert_null_spaces_match_the_dense_reference(mod)
     rng = np.random.default_rng(59)
     for mod in list(_seeded_modules())[::3]:
@@ -647,14 +699,14 @@ def test_null_spaces_match_the_dense_reference():
         )
 
 
-def test_a_number_is_g_minus_the_final_type_at_g():
+def test_a_number_is_g_minus_the_final_type_at_g(census_modules):
     """The a-number dim(ker F cap ker V) of every census point's module at
     g = 2c and 2c + 1 is g - psi(g), psi the final type of the point's
     lifted fine label: the EO side read off the two kernels, with no
     canonical flag, against the Deligne-Lusztig side.  Over F_16 at g =
     4 the a-numbers 2, 3 and 4 fall on 3,264, 1,020 and 85 points."""
     seen: dict[tuple, dict[int, int]] = {}
-    for u, mod in _census_modules():
+    for u, mod in census_modules:
         g = mod.g
         psi = final_type_of(weyl.r_map_inv(dc.classify_fine(u), g), g)
         a = mod.kernel_of_F().intersect(mod.kernel_of_V()).dim
@@ -669,12 +721,12 @@ def _assert_f_images_match_the_dense_product(mod):
         assert mod.f_image(sub) == dense_f_image(mod, sub)
 
 
-def test_f_images_match_the_dense_product():
+def test_f_images_match_the_dense_product(census_modules):
     """Each canonical member's F-image, summed over F's nonzero entries and
     eliminated over them, is the image of the dense product: on every
     census point at g = 2c and 2c + 1, and on transported modules, whose
     operators have no zero pattern."""
-    for _, mod in _census_modules():
+    for _, mod in census_modules:
         _assert_f_images_match_the_dense_product(mod)
     rng = np.random.default_rng(53)
     for mod in list(_seeded_modules())[::3]:

@@ -501,13 +501,56 @@ def test_sequence_check_refuses_a_label_outside_the_minimal_representatives():
     _raises_twice([(f0, p0), (f1, s1)], "escaped the minimal coset representatives")
 
 
-def test_sequence_check_refuses_a_chain_that_is_not_self_dual():
-    (f0, p0), (_, p1) = _s2_steps()
-    space = f0[0].space
-    unit = np.eye(4, dtype=np.int32)
-    # symmetric dimensions; e1-perp is <e1, e2, e3>, not <e1, e2, e4>
-    skew = Flag([Subspace(space, unit[:1]), Subspace(space, unit[[0, 1, 3]])])
-    _raises_twice([(f0, p0), (skew.members, p1)], "left the self-dual flags")
+def test_a_wrong_twist_is_refused_as_not_self_dual_without_check(monkeypatch):
+    """A patched Frobenius image of the point U = <e1, e2> that gives the
+    plane <e1, e4>, which is not Lagrangian, makes refinement build the
+    upper member U + <e1, e4> = <e1, e2, e4> of the right dimension over
+    the lower member <e1>, whose complement is <e1, e2, e3>.  The chain
+    check passes, and the self-duality check in ``refine`` must refuse
+    it even with ``check=False``."""
+    space = dc.census_space(2, 2, 2)
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    u, stray = Subspace(space, unit[:2]), Subspace(space, [unit[0], unit[3]])
+    assert u.is_lagrangian() and not stray.is_lagrangian()
+    real = Subspace.twist
+    monkeypatch.setattr(Subspace, "twist", lambda sub, r: stray if sub is u else real(sub, r))
+    with pytest.raises(RuntimeError, match="refined chain is not self-dual"):
+        classify_fine(u, check=False)
+    monkeypatch.setattr(Subspace, "twist", real)
+    assert classify_fine(u).is_identity()
+
+
+def test_every_refined_chain_is_checked_once_where_it_is_built(monkeypatch):
+    """On every F_16 census point, classified with ``check=False``, each
+    chain that ``refine`` builds goes through ``_check_chain`` on its
+    lower half and through ``_is_self_dual`` once; D_0 = (0, U, V), which
+    the Lagrangian check covers, and the stable chain handed back again
+    go through neither."""
+    real_chain, real_dual = sp._check_chain, sp._is_self_dual
+    contained, dual = [], []
+
+    def check_chain(members):
+        contained.append(tuple(members))
+        return real_chain(members)
+
+    def is_self_dual(members):
+        dual.append(tuple(members))
+        return real_dual(members)
+
+    monkeypatch.setattr(sp, "_check_chain", check_chain)
+    monkeypatch.setattr(sp, "_is_self_dual", is_self_dual)
+    built_total = 0
+    for u in dc._cached_lagrangians(2, 2, 2):
+        contained.clear()
+        dual.clear()
+        classify_fine(u, check=False)
+        built = [chain for chain, _ in dc._refine_to_stable(u, 2)[1:]]
+        assert dual == built * 2
+        assert contained == [chain[: len(chain) // 2 + 1] for chain in built] * 2
+        built_total += len(built)
+    # over F_16 only the 1,020 s2 points refine, once each; (0, U, V) is
+    # already stable at the e and s2.s1.s2 points
+    assert built_total == 1020
 
 
 def test_cold_and_warm_caches_give_the_same_labels():

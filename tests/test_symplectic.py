@@ -890,6 +890,50 @@ def test_zero_and_full_are_one_object_per_space(space4, space9):
     assert zero_subspace(space9) is not zero and zero_subspace(space9).space is space9
 
 
+def _assert_twist_is_its_own_complement(u, r=2):
+    """A Lagrangian's twist is built as its own complement, with the rows
+    a fresh subspace of the same rows computes by index work."""
+    assert u.is_lagrangian()
+    t = u.twist(r)
+    assert t._perp is t and t.perp() is t
+    assert Subspace(u.space, t.rows).perp().rows == t.rows
+
+
+def test_twists_of_census_points_carry_their_complements():
+    from dlstrata import dlclassify
+
+    from .test_acceptance import CENSUS_CONFIGS
+
+    for c, p, m in CENSUS_CONFIGS:
+        for u in dlclassify._cached_lagrangians(c, p, m):
+            _assert_twist_is_its_own_complement(u)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 3, 4), (2, 5, 4), (3, 2, 4)]), st.integers(0, 2**32 - 1),
+       st.integers(-3, 3))
+def test_twists_of_random_lagrangians_carry_their_complements(config, seed, r):
+    # c = 2 over F_81 and F_625, c = 3 over F_16
+    c, p, k = config
+    space = SymplecticSpace(field(p, k), c)
+    _assert_twist_is_its_own_complement(random_lagrangian(space, np.random.default_rng(seed)), r)
+
+
+def test_only_a_known_own_complement_is_carried_by_a_twist(space9):
+    """A subspace that is not its own complement hands nothing on, and
+    neither does a Lagrangian whose complement was never asked for."""
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 2, 2, 3):
+        sub = rand_subspace(space9, rng, dim)
+        assert sub.perp() is not sub
+        t = sub.twist(1)
+        assert t._perp is None
+        assert t.perp().rows == Subspace(space9, t.rows).perp().rows
+    u = random_lagrangian(space9, rng)
+    assert u.twist(1)._perp is None
+    assert u.is_lagrangian() and u.twist(1)._perp is not None
+
+
 def test_refine_emits_the_chain_in_order_and_refuses_a_bad_join(space4, monkeypatch):
     """Refining (0, <e1, e2>, V) against (0, <e1, e3>, V) inserts the meet
     <e1> and the join <e1, e2, e3> in place.  A meet that gives a join of
@@ -909,6 +953,48 @@ def test_refine_emits_the_chain_in_order_and_refuses_a_bad_join(space4, monkeypa
     stray = Subspace(space4, unit[3:])
     monkeypatch.setattr(symplectic, "_meet", lambda a, b, sums: stray)
     with pytest.raises(RuntimeError, match="not a chain"):
+        refine(c, d)
+
+
+def _patched_meet(real, upper, stray):
+    """``_meet`` with the meet under ``upper`` replaced by ``stray``."""
+    return lambda a, b, sums: stray if a is upper else real(a, b, sums)
+
+
+def test_refine_refuses_a_chain_that_is_not_self_dual(space4, monkeypatch):
+    """A join of the table's dimension that keeps every containment but is
+    not the complement of its lower partner is refused as not self-dual.
+    Refining (0, <e1, e2>, V) against (0, <e1, e3>, V) with the meet <e4>
+    under V gives the join <e1, e2, e4>: it holds <e1, e2>, so the
+    refined members are a chain, but <e1>-perp is <e1, e2, e3>.  The
+    refusal is not kept: it comes again on a second call."""
+    unit = eye(4)
+    c = (zero_subspace(space4), Subspace(space4, unit[:2]), full_subspace(space4))
+    d = (zero_subspace(space4), Subspace(space4, unit[[0, 2]]), full_subspace(space4))
+    stray = Subspace(space4, unit[3:])
+    monkeypatch.setattr(symplectic, "_meet", _patched_meet(symplectic._meet, c[2], stray))
+    skew = (c[0], Subspace(space4, unit[:1]), c[1], Subspace(space4, unit[[0, 1, 3]]), c[2])
+    symplectic._check_chain(skew)
+    assert not symplectic._is_self_dual(skew)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="refined chain is not self-dual"):
+            refine(c, d)
+
+
+def test_refine_refuses_a_lower_member_that_breaks_containment(space4, monkeypatch):
+    """A lower join that does not lie in the member above it is refused as
+    not a chain, by the containment check on the lower half, which runs
+    before self-duality is asked: the meet <e4> under <e1, e2> gives
+    the join <e4>, outside <e1, e2>."""
+    unit = eye(4)
+    c = (zero_subspace(space4), Subspace(space4, unit[:2]), full_subspace(space4))
+    d = (zero_subspace(space4), Subspace(space4, unit[[0, 2]]), full_subspace(space4))
+    stray = Subspace(space4, unit[3:])
+    monkeypatch.setattr(symplectic, "_meet", _patched_meet(symplectic._meet, c[1], stray))
+    monkeypatch.setattr(
+        symplectic, "_is_self_dual", lambda members: pytest.fail("self-duality asked first")
+    )
+    with pytest.raises(RuntimeError, match="refined members are not a chain"):
         refine(c, d)
 
 

@@ -6,14 +6,20 @@ degree first).  For each (p, k) the modulus is the lexicographically
 first irreducible monic polynomial, so every table and every serialized
 value is reproducible bit for bit.
 
-A :class:`FieldCtx` carries one layout of lookup tables: nested Python
-lists (``add_list``, ``mul_list``, ``neg_list``, ``inv_list`` and
-``frob_lists``, one list per Frobenius power), which the row-based
+A :class:`FieldCtx` carries one layout of lookup tables: nested tuples
+of ints (``add_list``, ``mul_list``, ``neg_list``, ``inv_list`` and
+``frob_lists``, one row per Frobenius power), which the row-based
 linear algebra indexes one entry at a time without numpy dispatch.
 The module uses the standard library only.  Adding p^t and multiplying
 by a generator permute the codes, so each row of the sum and product
-tables is an earlier row read through one of those permutations, and
-every entry is an object of one ``list(range(q))``.  Orders above
+tables is an earlier row read through one of those permutations (an
+``itemgetter`` of many items returns a tuple), and every entry is an
+object of one ``tuple(range(q))``.  Tuples make the tables immutable,
+so the contexts the ``field`` cache shares cannot be written into; and
+CPython's cyclic collector untracks a tuple of ints the first time a
+collection sees it (and a table, a tuple of such rows, at a later
+collection), so it stops walking the q*q slots of F_1024's tables:
+most rows drop out during set-up, the rest at the next collection.  Orders above
 ``TABLE_LIMIT`` are refused, before any primality test or power is
 computed, so every context has its tables and no input makes
 construction unbounded.  Contexts are immutable after construction and
@@ -118,7 +124,16 @@ def _decode_int(code: int, p: int, k: int) -> list[int]:
 
 
 class FieldCtx:
-    """The field F_{p^k} with its fixed modulus and lookup tables."""
+    """The field F_{p^k} with its fixed modulus and lookup tables.
+
+    Every table is a tuple, and every row of a table a tuple of codes:
+    ``add_list[a][b]`` and ``mul_list[a][b]`` are q x q, ``neg_list`` and
+    ``inv_list`` (0 at 0) length q, and ``frob_lists[r]`` the code table
+    of x -> x^(p^r) for r < k.  Rows are shared where they are equal:
+    ``neg_list`` is the row ``mul_list[p - 1]``, and row 1 of
+    ``mul_list``, row 0 of ``add_list`` and ``frob_lists[0]`` are one
+    tuple.
+    """
 
     def __init__(self, p: int, k: int):
         if k < 1:
@@ -145,7 +160,7 @@ class FieldCtx:
         p, k, q = self.p, self.k, self.q
         # Every entry is an object of ``codes``, so each q x q table costs
         # q*q pointers, not q*q separate ints.
-        codes = list(range(q))
+        codes = tuple(range(q))
 
         # Adding p^t raises digit t by one mod p, a permutation of the
         # codes; the row of a + p^t is the row of a read through it.
@@ -153,30 +168,28 @@ class FieldCtx:
             itemgetter(*[c + step if c // step % p < p - 1 else c - (p - 1) * step for c in codes])
             for step in [p**t for t in range(k)]
         ]
-        self.add_list = _digitwise(
-            p, codes, [lambda row, shift=shift: list(shift(row)) for shift in shifts]
-        )
+        self.add_list = tuple(_digitwise(p, codes, shifts))
 
         # Multiplying by the generator g is a permutation of the codes too;
         # the row of g^(a+1) is the row of g^a read through it.
         exp, log = self._discrete_logs()
         n = q - 1
         times_g = itemgetter(0, *[exp[(i + 1) % n] for i in log[1:]])
-        self.mul_list = [[0] * q] * q  # every row but row 0 is replaced below
-        self.mul_list[1] = row = list(codes)
+        mul = [(0,) * q] * q  # every row but row 0 is replaced below
+        mul[1] = row = codes
         for x in exp[1:]:
-            self.mul_list[x] = row = list(times_g(row))
-        self.neg_list = list(self.mul_list[p - 1])  # -x = (p - 1) x; the code of -1 is p - 1
-        self.inv_list = [0] + [exp[-i % n] for i in log[1:]]
+            mul[x] = row = times_g(row)
+        self.mul_list = tuple(mul)
+        self.neg_list = mul[p - 1]  # -x = (p - 1) x; the code of -1 is p - 1
+        self.inv_list = (0, *[exp[-i % n] for i in log[1:]])
 
         # Frobenius through the logs, x^p = exp[p log x mod (q-1)]; the
         # higher powers compose its code table
-        frob1 = [0] + [exp[p * i % n] for i in log[1:]]
-        table = codes
-        self.frob_lists = [list(codes)]
+        frob1 = (0, *[exp[p * i % n] for i in log[1:]]).__getitem__
+        frob = [codes]
         for _ in range(1, k):
-            table = [frob1[x] for x in table]
-            self.frob_lists.append(table)
+            frob.append(tuple(map(frob1, frob[-1])))
+        self.frob_lists = tuple(frob)
 
     def _scalar_mul(self, a: int, b: int) -> int:
         pa = _ptrim(_decode_int(a, self.p, self.k))

@@ -9,7 +9,7 @@ convention: a subspace is the row span of its matrix, and the canonical
 form of a subspace is its reduced row echelon form, so equal subspaces
 have equal row tuples.
 
-The routines index the field's tables, which are nested lists
+The routines index the field's tables, which are nested tuples
 (``FieldCtx.add_list`` and friends, ``frob_lists``) one entry at a time,
 and use only the standard library, like ``gf``.  The matrices met here
 are tiny and sparse, at most about 10 x 20 (a 2c-dimensional space, a

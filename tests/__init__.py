@@ -22,11 +22,11 @@ def src_env() -> dict:
 
 @lru_cache(maxsize=None)
 def tables(ctx) -> SimpleNamespace:
-    """Numpy copies of a field's list tables, for array references in tests.
+    """Numpy copies of a field's tables, for array references in tests.
 
     ``add`` and ``mul`` are q x q, ``neg`` and ``inv`` length q, and
-    ``frob[r]`` the code table of x -> x^(p^r).  The field keeps only the
-    lists; these copies are built once per field.
+    ``frob[r]`` the code table of x -> x^(p^r).  The field keeps only its
+    nested tuples; these copies are built once per field.
     """
     return SimpleNamespace(
         add=np.array(ctx.add_list, dtype=np.int32),

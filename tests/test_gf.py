@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import subprocess
 import sys
@@ -63,7 +64,7 @@ def test_frobenius_order_and_values():
     t = ctx.p
     frob = ctx.frob_lists
     assert len(frob) == ctx.k
-    assert frob[0] == list(range(ctx.q))
+    assert frob[0] == tuple(range(ctx.q))
     assert ctx.coeffs_of(frob[1][t]) == (1, 1)  # t^2
     assert frob[1][frob[ctx.k - 1][t]] == t  # the power k - 1 inverts the power 1
     for a in range(ctx.q):
@@ -89,7 +90,7 @@ def test_mul_list_is_the_polynomial_product_on_every_pair(p, k):
     assert ctx.q <= 81
     for a in range(ctx.q):
         row = ctx.mul_list[a]
-        assert row == [_poly_product(ctx, a, b) for b in range(ctx.q)], a
+        assert row == tuple(_poly_product(ctx, a, b) for b in range(ctx.q)), a
 
 
 @pytest.mark.parametrize("p,k", [(2, 10), (31, 2), (3, 6)])
@@ -142,7 +143,7 @@ def _powers_by_polynomials(ctx):
     "p,k", [(2, 1), (2, 4), (3, 2), (2, 10), (31, 2), (1021, 1), (3, 6), (5, 4), (7, 3)]
 )
 def test_list_tables_equal_the_arrays(p, k):
-    """The list tables equal arrays built here by an independent route:
+    """The tables equal arrays built here by an independent route:
     addition and negation digit by digit, products and inverses through
     the powers of a generator found by polynomial multiplication."""
     ctx = field(p, k)
@@ -151,16 +152,38 @@ def test_list_tables_equal_the_arrays(p, k):
     add = np.zeros((ctx.q, ctx.q), dtype=np.int64)
     for i in range(k):
         add += (coeffs[:, None, i] + coeffs[None, :, i]) % p * weights[i]
-    assert ctx.add_list == add.tolist()
-    assert ctx.neg_list == ((-coeffs % p) @ weights).tolist()
+    assert ctx.add_list == tuple(map(tuple, add.tolist()))
+    assert ctx.neg_list == tuple(((-coeffs % p) @ weights).tolist())
     exp, log = _powers_by_polynomials(ctx)
     n = ctx.q - 1
     mul = np.zeros((ctx.q, ctx.q), dtype=np.int64)
     mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % n]
-    assert ctx.mul_list == mul.tolist()
+    assert ctx.mul_list == tuple(map(tuple, mul.tolist()))
     inv = np.zeros(ctx.q, dtype=np.int64)
     inv[1:] = exp[(-log[1:]) % n]
-    assert ctx.inv_list == inv.tolist()
+    assert ctx.inv_list == tuple(inv.tolist())
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 4), (2, 10)])
+def test_tables_are_immutable_and_untracked_by_the_collector(p, k):
+    # contexts are shared through the cache, so no caller may write into a
+    # table; and tuples of ints drop out of the cyclic collector once it
+    # has seen them, so it stops walking the q*q table slots.  A table
+    # drops out once its rows have: a collection may visit it before them,
+    # so two collections are needed, not one.
+    ctx = field(p, k)
+    outer = [ctx.add_list, ctx.mul_list, ctx.frob_lists]
+    rows = [ctx.neg_list, ctx.inv_list, *ctx.add_list, *ctx.mul_list, *ctx.frob_lists]
+    assert all(type(table) is tuple for table in outer + rows)
+    assert all(len(row) == ctx.q for row in rows)
+    for row in rows:
+        with pytest.raises(TypeError):
+            row[1] = 0
+    with pytest.raises(TypeError):
+        ctx.mul_list[1] = ctx.mul_list[0]
+    gc.collect()
+    gc.collect()
+    assert not any(map(gc.is_tracked, outer + rows))
 
 
 def _frobenius_by_polynomials(ctx):
@@ -197,7 +220,7 @@ def test_frobenius_tables_match_the_polynomial_route(p, k):
     reference = _frobenius_by_polynomials(ctx)
     assert len(ctx.frob_lists) == k
     for got, want in zip(ctx.frob_lists, reference):
-        assert got == want.tolist()
+        assert got == tuple(want.tolist())
 
 
 # (p, k, K) -> sha256 of the little-endian int32 table of F_{p^k} -> F_{p^K}

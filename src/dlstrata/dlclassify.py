@@ -10,8 +10,10 @@ tuples in increasing dimension, with no ``Flag`` built: the first is
 of the members' twists.  Each ``symplectic.refine`` step returns the
 next chain, already in order and checked as a self-dual chain, and the
 relative position it starts from, both read off one rank table of ranks
-of sums, which also tells which joins must be built; a stable chain
-comes back as the same tuple, with no meet taken, which ends the loop.
+of sums.  The position and the plan of the joins to build are read once
+per distinct table (4 over the F_16 census), and a chain the plan shows
+stable comes back as the same tuple right after that lookup, with no
+meet taken, which ends the loop.
 So every chain of every point is shown to be a self-dual chain, each
 fact once: D_0 = (0, U, V) by the point's Lagrangian check (0 and V
 hold every U, and U is its own complement), and each later chain by the

@@ -31,27 +31,32 @@ dim(C_a cap D_b) = r_w(dim D_b, dim C_a) by ``weyl._position_of_table``,
 the one reader of minimal double-coset representatives: its second
 differences count the positions each block of one flag sends into each
 block of the other, and every entry is re-checked against r_w of the
-result; no representative is found by stripping descents.  The reader
-keeps each position per distinct table and pair of dimension sets; a
-table that fails is not kept.  The table itself is
-read per pair of chains, off ranks of sums, dim C_a + dim D_b -
-dim(C_a + D_b), with one insertion pass into the reduced rows of each
-proper member of C (``linalg.insertion_ranks``), so no meet is built
-for it.  The pass inserts, for each member D_b in turn, only its reduced
-rows at the pivots D_{b-1} lacks: nested reduced subspaces have nested
-pivot sets, and those rows extend D_{b-1} to D_b, so the vectors
-inserted up to D_b are a basis of it and each rank is exact.
-``relpos`` reads it for two flags, and ``refine``, the one refinement
-step, for two chains: it returns its relative position along with the
-refined chain, from the same table.
+result; no representative is found by stripping descents.  The table
+itself is read per pair of chains, as a tuple of row tuples, off ranks
+of sums, dim C_a + dim D_b - dim(C_a + D_b), with one insertion pass
+into the reduced rows of each proper member of C
+(``linalg.insertion_ranks``), so no meet is built for it.  The pass
+inserts, for each member D_b in turn, only its reduced rows at the
+pivots D_{b-1} lacks: nested reduced subspaces have nested pivot sets,
+and those rows extend D_{b-1} to D_b, so the vectors inserted up to D_b
+are a basis of it and each rank is exact.  ``relpos`` reads it for two
+flags, and ``refine``, the one refinement step, for two chains: it
+returns its relative position along with the refined chain, from the
+same table.
+
 The table also gives the dimension of every join that refinement takes,
 so a meet and its join are built only when the join's dimension lies
-strictly between the two members it sits between; each distinct sum is
-eliminated once per step, the refined chain comes out already in order,
-with no sorting, and a chain the table shows stable comes back as the
-same tuple.  ``refine`` checks the chain it builds: containment on its
-lower half, then self-duality, which gives the upper half's
-containments, since perp reverses inclusion.
+strictly between the two members it sits between.  The position and
+this join plan are read once per distinct table and dimensions of C
+(``_read_table``, which ``relpos`` and ``refine`` share; a table that
+fails is not kept, so it fails on every call).  A chain the plan shows
+stable comes back as the same tuple right after the lookup; otherwise
+only the planned joins are built, each distinct sum is eliminated once
+per step, and the refined chain comes out already in order, with no
+sorting.  ``refine`` checks the chain it builds: every join against its
+planned dimension, containment on its lower half, then self-duality,
+which gives the upper half's containments, since perp reverses
+inclusion.
 
 The complement is the one duality primitive.  It is read off reduced
 rows and pivots by index work alone, kept on the subspace, and
@@ -470,8 +475,8 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     position is read off T and every entry re-checked by
     ``weyl._position_of_table``; a table that is not the table of a Weyl
     element raises RuntimeError, on every call.  The reading and the
-    re-check run once per distinct table and pair of dimension sets,
-    which is all they depend on.
+    re-check run once per distinct table and dimensions of flag_c, which
+    is all they depend on (``_read_table``, which ``refine`` shares).
     Both flags must have symmetric dimension sets, as self-dual flags
     do.  The argument order in r_w is what makes the normalization
     match the coset machinery: for the standard flag E and a permuted
@@ -480,13 +485,14 @@ def relpos(flag_c: Flag, flag_d: Flag) -> WeylElement:
     asymmetric pairs are sensitive to it).  The table is read off ranks
     of sums (see ``_rank_table``), so no meet is built.
     """
-    return _table_and_position(flag_c.members, flag_d.members)[1]
+    return _position_and_plan(flag_c.members, flag_d.members)[0]
 
 
 def _rank_table(
     chain_c: Sequence[Subspace], chain_d: Sequence[Subspace]
-) -> list[list[int]]:
-    """T[a][b] = dim(C_a cap D_b) = dim C_a + dim D_b - dim(C_a + D_b).
+) -> tuple[tuple[int, ...], ...]:
+    """T[a][b] = dim(C_a cap D_b) = dim C_a + dim D_b - dim(C_a + D_b),
+    as a tuple of row tuples, the key ``_read_table`` reads it by.
 
     The members of chain_d are nested, so C_a + D_b is the span of C_a
     and D_b, and one insertion pass of rows spanning D_1, ..., D_b in
@@ -503,41 +509,69 @@ def _rank_table(
     the whole space, need no pass.
     """
     ctx = chain_c[0].space.ctx
-    ddims = [dm.dim for dm in chain_d]
+    ddims = tuple([dm.dim for dm in chain_d])
+    inner = ddims[1:-1]
     vectors = []
     held: tuple[int, ...] = ()
     for dm in chain_d[1:-1]:
         vectors.extend([row for row, p in zip(dm.rows, dm.pivots) if p not in held])
         held = dm.pivots
-    table = [[0] * len(ddims)]
+    table = [(0,) * len(ddims)]
     for cm in chain_c[1:-1]:
         ranks = linalg.insertion_ranks(ctx, cm.rows, cm.pivots, vectors)
-        row = [0]
         # D_b's last row is vector dim D_b - 1
-        row.extend([cm.dim + d - ranks[d - 1] for d in ddims[1:-1]])
-        row.append(cm.dim)
-        table.append(row)
+        table.append((0, *[cm.dim + d - ranks[d - 1] for d in inner], cm.dim))
     table.append(ddims)
-    return table
+    return tuple(table)
 
 
-def _table_and_position(
+def _position_and_plan(
     chain_c: Sequence[Subspace], chain_d: Sequence[Subspace]
-) -> tuple[list[list[int]], WeylElement]:
-    """The rank table (row a, column b) of two chains and the position it gives.
+) -> tuple[WeylElement, tuple[tuple[tuple[int, int], ...], ...] | None]:
+    """The position of two chains and the joins that refine chain_c,
+    read off their rank table by ``_read_table``.
 
-    The table is read per pair of chains; the position is a function of
-    the table and the two dimension sets alone, so it is read and
-    re-checked once per distinct table (``weyl._position_of_table``).
+    The table is read per pair of chains; the position and the joins are
+    functions of the table and the dimensions of chain_c alone, so they
+    are read and checked once per distinct table.  The dimensions are
+    the members', not the table's last column, so a table that misstates
+    them is refused by the re-check of its entries.
     """
-    space = chain_c[0].space
-    if space is not chain_d[0].space:
+    if chain_c[0].space is not chain_d[0].space:
         raise ValueError("flags live in different spaces")
-    table = _rank_table(chain_c, chain_d)
-    key = tuple(map(tuple, table))
-    cdims = tuple([cm.dim for cm in chain_c])
-    # the last row of the table is the dimensions of chain_d
-    return table, weyl._position_of_table(space.n, cdims, key[-1], key)
+    return _read_table(tuple([cm.dim for cm in chain_c]), _rank_table(chain_c, chain_d))
+
+
+@lru_cache(maxsize=None)
+def _read_table(
+    cdims: tuple[int, ...], table: tuple[tuple[int, ...], ...]
+) -> tuple[WeylElement, tuple[tuple[tuple[int, int], ...], ...] | None]:
+    """The position a rank table gives, and its join plan.
+
+    The position is ``weyl._position_of_table``'s, with the dimensions
+    of chain D as the table's last row; a table it refuses raises on
+    every call, since only returned values are kept.  The plan has, for
+    each gap (C_i, C_{i+1}), the (column b, dimension) of every join
+    (C_{i+1} cap D_b) + C_i strictly between the two, the first of each
+    dimension.  C_i lies in C_{i+1}, so (C_{i+1} cap D_b) cap C_i = C_i
+    cap D_b and the join has dimension T(i+1, b) + dim C_i - T(i, b).  A
+    join of dimension dim C_i is C_i, one of dimension dim C_{i+1} is
+    C_{i+1}, and for a fixed i the joins grow with b, so two of the same
+    dimension are equal.  The plan is None when no join lies strictly
+    between, that is when the chain is stable.
+    """
+    position = weyl._position_of_table(cdims[-1] // 2, cdims, table[-1], table)
+    plan = []
+    for lower, upper, lower_row, upper_row in zip(cdims, cdims[1:], table, table[1:]):
+        joins = []
+        last = lower
+        for b, (lower_meet, upper_meet) in enumerate(zip(lower_row, upper_row)):
+            dim = upper_meet + lower - lower_meet
+            if dim != last and dim != upper:
+                joins.append((b, dim))
+                last = dim
+        plan.append(tuple(joins))
+    return position, tuple(plan) if any(plan) else None
 
 
 def _join(a: Subspace, b: Subspace, sums: dict) -> Subspace:
@@ -564,47 +598,40 @@ def refine(
 
     A chain is a tuple of members from 0 to V in increasing dimension
     (``Flag.members``, or a chain this returns).  The table fixes the
-    dimension of each join: C_i lies in C_{i+1}, so (C_{i+1} cap D_j)
-    cap C_i = C_i cap D_j and the join has dimension T(C_{i+1}, D_j) +
-    dim C_i - T(C_i, D_j).  A join of dimension dim C_i is C_i, one of
-    dimension dim C_{i+1} is C_{i+1}, and for a fixed i the joins grow
-    with j, so two of the same dimension are equal.  Only the first join
-    of each dimension strictly between is built, with its meet, and the
-    refined chain comes out in order: C_i, its joins by increasing
-    dimension, C_{i+1}.  Each distinct sum, of complements for a meet or
-    of a meet and C_i for a join, is eliminated once per call, so U + U'
-    serves both the meet U cap U' and the join U' + U.  Each join must
-    have the table's dimension, and the refined chain must be a
-    self-dual chain; RuntimeError otherwise.  That is checked here, where
-    the chain is built, in two steps: ``_check_chain`` on its lower half,
-    through the first member of dimension >= n, and then
-    ``_is_self_dual``.  The containments of the upper half follow: perp
-    reverses inclusion, so an upper step X-perp in Y-perp is the lower
-    step Y in X.  A chain with an even number of members has no middle
-    member, and its lower half still holds the step across the middle, X
-    in X-perp.  Containment runs first, so a join that breaks it reads
-    "not a chain".  When no join lies strictly between, chain_c is
-    stable and comes back as the same tuple, with no meet taken and
-    nothing checked again.
+    dimension of every join, and ``_read_table`` reads off it, once per
+    distinct table, the position and the plan of the joins strictly
+    between two members, the first of each dimension.  When there are
+    none, chain_c is stable and comes back as the same tuple right after
+    the lookup, with no meet taken and nothing checked again.  Otherwise
+    only the planned joins are built, each with its meet, and the refined
+    chain comes out in order: C_i, its joins by increasing dimension,
+    C_{i+1}.  Each distinct sum, of complements for a meet or of a meet
+    and C_i for a join, is eliminated once per call, so U + U' serves
+    both the meet U cap U' and the join U' + U.  Each join must have the
+    table's dimension, and the refined chain must be a self-dual chain;
+    RuntimeError otherwise.  That is checked here, where the chain is
+    built, in two steps: ``_check_chain`` on its lower half, through the
+    first member of dimension >= n, and then ``_is_self_dual``.  The
+    containments of the upper half follow: perp reverses inclusion, so
+    an upper step X-perp in Y-perp is the lower step Y in X.  A chain
+    with an even number of members has no middle member, and its lower
+    half still holds the step across the middle, X in X-perp.
+    Containment runs first, so a join that breaks it reads "not a chain".
     """
-    table, position = _table_and_position(chain_c, chain_d)
+    position, plan = _position_and_plan(chain_c, chain_d)
+    if plan is None:
+        return chain_c, position
     sums: dict = {}
     out = [chain_c[0]]
-    for lower, upper, lower_row, upper_row in zip(chain_c, chain_c[1:], table, table[1:]):
-        last = lower.dim
-        for dm, lower_meet, upper_meet in zip(chain_d, lower_row, upper_row):
-            dim = upper_meet + lower.dim - lower_meet
-            if dim != last and dim != upper.dim:
-                join = _join(_meet(upper, dm, sums), lower, sums)
-                if join.dim != dim:
-                    raise RuntimeError(
-                        f"a join has dimension {join.dim}, the rank table says {dim}"
-                    )
-                out.append(join)
-                last = dim
+    for lower, upper, joins in zip(chain_c, chain_c[1:], plan):
+        for b, dim in joins:
+            join = _join(_meet(upper, chain_d[b], sums), lower, sums)
+            if join.dim != dim:
+                raise RuntimeError(
+                    f"a join has dimension {join.dim}, the rank table says {dim}"
+                )
+            out.append(join)
         out.append(upper)
-    if len(out) == len(chain_c):
-        return chain_c, position
     out = tuple(out)
     try:
         _check_chain(out[: len(out) // 2 + 1])

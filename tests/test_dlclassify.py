@@ -553,11 +553,55 @@ def test_every_refined_chain_is_checked_once_where_it_is_built(monkeypatch):
     assert built_total == 1020
 
 
+def test_eliminations_per_stratum_over_the_f16_census(monkeypatch):
+    """Over F_16, counted by calls to ``linalg.rref`` and ``Subspace.__add__``:
+    the 3,349 e and s2.s1.s2 points are stable at (0, U, V) and take
+    neither; each of the 1,020 s2 points takes exactly one elimination,
+    U + U' with U' the p^2-twist of U, in its one refining step, where it
+    serves both the meet U cap U' and the join U' + U (the other two sums
+    are with 0), and none in its stable second step.  Nothing outside
+    ``refine`` eliminates."""
+    counts = [0, 0]  # rref calls, sums
+    real_rref, real_add, real_refine = linalg.rref, Subspace.__add__, sp.refine
+
+    def rref(*args):
+        counts[0] += 1
+        return real_rref(*args)
+
+    def add(a, b):
+        counts[1] += 1
+        return real_add(a, b)
+
+    steps = []
+
+    def refine(chain_c, chain_d):
+        before = tuple(counts)
+        out = real_refine(chain_c, chain_d)
+        steps.append((counts[0] - before[0], counts[1] - before[1]))
+        return out
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    monkeypatch.setattr(Subspace, "__add__", add)
+    monkeypatch.setattr(sp, "refine", refine)
+    want = {(): [(0, 0)], (2,): [(1, 3), (0, 0)], (2, 1, 2): [(0, 0)]}
+    seen = dict.fromkeys(want, 0)
+    for u in dc._cached_lagrangians(2, 2, 2):
+        counts[:] = [0, 0]
+        steps.clear()
+        word = weyl.reduced_word(classify_fine(u))
+        assert steps == want[word], (word, u.rows)
+        assert counts == [sum(step[0] for step in steps), sum(step[1] for step in steps)]
+        seen[word] += 1
+    assert seen == {(): 85, (2,): 1020, (2, 1, 2): 3264}
+
+
 def test_cold_and_warm_caches_give_the_same_labels():
     """Every point of every census configuration gets the same label with
-    the kept tables and traces as with both caches emptied before it; the
-    F_16 census keeps one trace per non-empty stratum."""
-    caches = (weyl._position_of_table, dc._check_trace)
+    the kept tables, plans and traces as with every cache emptied before
+    it; the F_16 census keeps one trace per non-empty stratum, and reads
+    its 5,389 refinement steps off 4 distinct tables, which a second
+    census reads again without adding any."""
+    caches = (weyl._position_of_table, sp._read_table, dc._check_trace)
     for c, p, m in CENSUS_CONFIGS:
         points = dc._cached_lagrangians(c, p, m)
         warm = [classify_fine(u).perm for u in points]
@@ -567,10 +611,15 @@ def test_cold_and_warm_caches_give_the_same_labels():
                 cache.cache_clear()
             cold.append(classify_fine(u).perm)
         assert cold == warm, (c, p, m)
-    dc._check_trace.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     records = census(2, 2, 2)
     assert sum(r.count > 0 for r in records) == 3
     assert dc._check_trace.cache_info().currsize == 3
+    # 3,349 points stable at (0, U, V) and 1,020 that refine once
+    assert sp._read_table.cache_info() == (5385, 4, None, 4)
+    assert census(2, 2, 2) == records
+    assert sp._read_table.cache_info() == (2 * 5385 + 4, 4, None, 4)
 
 
 def test_labels_are_invariant_under_absolute_frobenius():

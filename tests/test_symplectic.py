@@ -633,8 +633,7 @@ def test_relpos_rechecks_every_table_entry(space4, monkeypatch):
 
     def rank_table(flag_c, flag_d):
         table = real(flag_c, flag_d)
-        table[0] = [dim + 1 for dim in table[0]]
-        return table
+        return (tuple([dim + 1 for dim in table[0]]),) + table[1:]
 
     monkeypatch.setattr(symplectic, "_rank_table", rank_table)
     for c, d in pairs:
@@ -715,9 +714,9 @@ def _assert_refine_matches_all_joins(flag_c, flag_d):
     assert got == want.members and position.perm == want_position.perm
     # the rank table and the position are those of the grid of meets
     grid, grid_position = meets_and_position(flag_c, flag_d)
-    assert symplectic._rank_table(flag_c.members, flag_d.members) == [
-        [m.dim for m in row] for row in grid
-    ]
+    assert symplectic._rank_table(flag_c.members, flag_d.members) == tuple(
+        tuple([m.dim for m in row]) for row in grid
+    )
     assert position.perm == grid_position.perm
     # a stable chain comes back as the same tuple, with nothing rebuilt
     assert (got is flag_c.members) == (want == flag_c)
@@ -753,6 +752,45 @@ def test_refine_matches_all_joins_on_every_census_refinement_step(monkeypatch):
     assert meets
     for a, b, meet in meets:
         assert meet.rows == _generic_intersect(a, b)
+
+
+def test_refine_builds_several_joins_of_one_gap_in_order(monkeypatch):
+    """Refined against a complete self-dual flag D at c = 3 over F_9,
+    (0, V) has all 2n - 1 joins (V cap D_j) + 0 = D_j in its one gap:
+    they are planned and built in increasing dimension, one meet each,
+    and give D's members exactly, at position e.  (0, U, V) has several
+    joins in a gap too, for U the middle member of D and for a random
+    point, and matches the reference that eliminates every join.  Census
+    points seldom put two joins in one gap, so this and the random flag
+    pairs are what reach that path."""
+    space = SymplecticSpace(field(3, 2), 3)
+    rng = np.random.default_rng(32)
+    complete = range(1, space.dim)
+    zero, full = zero_subspace(space), full_subspace(space)
+    meets = []
+    real_meet = symplectic._meet
+
+    def recording(a, b, sums):
+        meets.append((a, b))
+        return real_meet(a, b, sums)
+
+    monkeypatch.setattr(symplectic, "_meet", recording)
+    standard = standard_flag(space, complete)
+    moved = flag_apply(standard, random_symplectic(space, rng))
+    for d in (standard, moved):
+        meets.clear()
+        got, position = refine((zero, full), d.members)
+        assert got == d.members and position.is_identity()
+        assert meets == [(full, dm) for dm in d.members[1:-1]]
+        plan = symplectic._position_and_plan((zero, full), d.members)[1]
+        assert plan == (tuple((j, j) for j in complete),)
+        middle = d.members[space.n]
+        assert refine((zero, middle, full), d.members)[0] == d.members
+        for u in (middle, random_lagrangian(space, rng)):
+            flag = Flag([u])
+            plan = symplectic._position_and_plan(flag.members, d.members)[1]
+            assert max(len(joins) for joins in plan) > 1
+            _assert_refine_matches_all_joins(flag, d)
 
 
 def _assert_twist_matches_rebuilt(flag, r):
@@ -792,8 +830,9 @@ def _self_dual_flag_pair(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_self_dual_flag_pair())
 def test_refine_matches_all_joins_on_random_flag_pairs(pair):
-    # every example reads its tables from scratch, not from earlier ones
+    # every example reads its tables and plans from scratch, not from earlier ones
     weyl._position_of_table.cache_clear()
+    symplectic._read_table.cache_clear()
     c, d = pair
     for a, b in ((c, d), (d, c), (c, c)):
         # refine a against b until it stops, checking every step

@@ -44,23 +44,27 @@ entries.
 Every module of genus g over a field shares one ``SymplecticSpace``,
 built on first use, so every subspace here is a
 ``symplectic.Subspace``: canonical, immutable, with its complement
-read off its reduced rows and cached (and perp is an involution: a
-complement knows its source).  The canonical flag is the smallest chain
-containing ker V that is stable under V-preimage and complement (Oort
-2001).  The adjunction gives V^{-1}(C) = F(C-perp)-perp for every
-subspace C, and ker V = F(M), so that is also the least set holding 0
-and M that is stable under F-image and complement, and it is closed
-that way: with a worklist, so each member's F-image is computed once,
-one elimination each, or none when no row of the member has a nonzero
-image (the image is then the space's one 0), and a complement takes no
-elimination.  A chain has one member per dimension, so the closure
-keeps its members by dimension, compares each new image or complement
-by rows with the one member of its dimension, and refuses a second,
-different subspace of an occupied dimension at once; so it never holds
-more than 2g+1 members, and no subspace is hashed.  The members, read
-off in dimension order with no sort, must then be self-dual and pass,
-on their lower half, the chain check that refinement uses: as there,
-self-duality gives the upper half's containments.  Each member's F-image
+read off its reduced rows, with no link between the two (perp is an
+involution on rows, so the complement of a complement has its source's
+rows).  The canonical flag is the smallest chain containing ker V that
+is stable under V-preimage and complement (Oort 2001).  The adjunction
+gives V^{-1}(C) = F(C-perp)-perp for every subspace C, and ker V =
+F(M), so that is also the least set holding 0 and M that is stable
+under F-image and complement, and it is closed that way: with a
+worklist, so each member's F-image is computed once, one elimination
+each, or none when no row of the member has a nonzero image (the image
+is then the space's one 0), and a complement takes no elimination.  A
+chain has one member per dimension, so the closure keeps its members
+by dimension, compares each new image or complement by rows with the
+one member of its dimension, and refuses a second, different subspace
+of an occupied dimension at once; so it never holds more than 2g+1
+members, and no subspace is hashed.  It takes one complement per pair
+of complementary dimensions, of the first member of the pair it works
+on, since the other member is that complement; so the comparisons it
+makes are the self-duality check.  The members, read off in dimension
+order with no sort, must then pass, on their lower half, the chain
+check that refinement uses: as there, self-duality gives the upper
+half's containments.  Each member's F-image
 dimension is kept by the closure; these interpolate to the final type
 psi, and the EO label is the minimal Siegel representative w with
 psi(i) = i - r_w(i, g), read off the positions where psi does not
@@ -111,7 +115,7 @@ class DieudonneModule:
     dense rows of F and V, built on each access.  The pairing is the
     standard form of ``SymplecticSpace(ctx, g)``, one space per field
     and genus shared by every module, so its subspaces are ``Subspace``
-    values with cached complements.
+    values, with complements read off their rows.
 
     The constructor takes F and Vlin by their nonzero entries per row,
     as ``build_from_lagrangian`` writes them, and derives F's nonzero
@@ -437,32 +441,35 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     closed under F-image, and F(M) = ker V = V^{-1}(0).  The closure
     runs as a worklist: each new member gets its F-image once, one
     elimination, or none when the image is 0 (``DieudonneModule.f_image``),
-    and its complement once, read off its reduced rows with no
-    elimination (cached on the member, so the self-duality check reuses
-    it; a complement knows its source, so the complement of a
-    complement costs nothing), and each member's F-image dimension is
-    kept.  The result is the least closed set, whatever the order of
-    the work.  It must be a chain, which holds one member per
-    dimension, so the members are kept by dimension: a new image or
-    complement is compared, by rows, with the one member of its
-    dimension, and a different subspace there raises RuntimeError at
-    once ("not a chain"); so the closure never holds more than 2g+1
-    members and takes at most 2g+1 F-images.  The closure starts from
-    the space's one 0 and one V, whose complements are each other.  The
-    members, read off in dimension order, must be self-dual and then
-    pass the ordered chain check (``symplectic._check_chain``: each
-    member contains the one before) on their lower half, through the
-    first member of dimension >= g, as ``symplectic.refine`` checks its
-    chains: perp reverses inclusion, so on a self-dual chain the upper
-    half's containments follow from the lower half's.  On each gap the
+    and each member's F-image dimension is kept.  The result is the
+    least closed set, whatever the order of the work.  It must be a
+    chain, which holds one member per dimension, so the members are
+    kept by dimension: a new image or complement is compared, by rows,
+    with the one member of its dimension, and a different subspace
+    there raises RuntimeError at once ("not a chain"); so the closure
+    never holds more than 2g+1 members and takes at most 2g+1 F-images.
+    Complements come one per pair of complementary dimensions, read off
+    reduced rows with no elimination: a member gets its complement when
+    it is worked on, unless the member of the complementary dimension
+    was worked on first.  That one's complement was then compared with
+    this member, or became it, so this member's complement is that one
+    by involution.  Every member is worked on, so every pair, the middle
+    member with itself included, is compared once, and the members are
+    self-dual with no further pass.  The closure starts from the
+    space's one 0 and one V, whose complements are each other.  The
+    members, read off in dimension order, must then pass the ordered
+    chain check (``symplectic._check_chain``: each member contains the
+    one before) on their lower half, through the first member of
+    dimension >= g, as ``symplectic.refine`` checks its chains: perp
+    reverses inclusion, so on a self-dual chain the upper half's
+    containments follow from the lower half's.  On each gap the
     F-image dimension must grow by zero or by the full gap (the
     dichotomy the final type is read from).  Violations raise
     RuntimeError.
     """
     space = module.space
     # a chain has one member per dimension; only the first object found
-    # for a dimension is kept and worked on, so its cached complement is
-    # the one the self-duality check reads
+    # for a dimension is kept and worked on
     members: dict[int, Subspace] = {}
     fdim: dict[int, int] = {}
     todo: list[Subspace] = []
@@ -483,13 +490,14 @@ def canonical_flag(module: DieudonneModule) -> CanonicalFlag:
     while todo:
         sub = todo.pop()
         image = module.f_image(sub)
-        fdim[sub.dim] = image.dim
         add(image)
-        add(sub.perp())
+        # the member of the complementary dimension, once worked on, has
+        # had its complement compared with this one
+        if module.dim - sub.dim not in fdim:
+            add(sub.perp())
+        fdim[sub.dim] = image.dim
 
     chain = tuple([members[d] for d in range(module.dim + 1) if d in members])
-    if not symplectic._is_self_dual(chain):
-        raise RuntimeError("canonical flag is not self-dual")
     try:
         symplectic._check_chain(chain[: len(chain) // 2 + 1])
     except ValueError as exc:

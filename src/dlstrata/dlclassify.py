@@ -23,9 +23,13 @@ the label, and ``classify_fine`` asserts that unless ``check=False``.
 The sequence check reads only integers, each step's dimensions and
 position, so it runs once per distinct trace of them and is kept; a
 failing trace is not kept, and fails each time it is met.  A Lagrangian
-point is its own complement, and so is its twist, so its Lagrangian
-check and the self-duality of every chain, whose middle member it is,
-read that one complement.
+point is its own complement, and so is its twist: the point's
+Lagrangian check reads its complement off its rows once and flags the
+point as its own complement, and its twists carry the flag, so the
+self-duality of every chain, whose middle member it is, and every meet
+against the point or its twist take no index work for them.  No
+subspace links to another, so a classified point and everything built
+for it are freed by reference counting once dropped.
 
 The twist exponent defaults to 2 (the base field of the moduli problem
 is F_{p^2}) but stays a parameter so the combinatorics can be exercised

@@ -58,19 +58,23 @@ planned dimension, containment on its lower half, then self-duality,
 which gives the upper half's containments, since perp reverses
 inclusion.
 
-The complement is the one duality primitive.  It is read off reduced
-rows and pivots by index work alone, kept on the subspace, and
-involutive: a complement records its source as its own complement, and
-a Lagrangian is its own complement.  A meet is the complement of the
+The complement is the one duality primitive.  It is a function of the
+reduced rows and pivots, read off them by index work alone, and
+involutive by rows: the complement of a complement has its source's
+rows.  It is not kept, and no subspace links to another, so reference
+counting frees every subspace the moment it is dropped.  A subspace
+keeps one flag instead, set when the complement it computes has its
+own rows: it is then known to be its own complement, and every later
+call returns it with no index work.  A meet is the complement of the
 join of the complements, so it costs the one elimination of that join;
 a subspace is Lagrangian when it has dimension n and is its own
 complement; and a flag with symmetric dimensions is self-dual when the
 complement of each member of its lower half has the rows of the member
-of complementary dimension.  The Lagrangian check of a point and the
-self-duality checks of its refinement flags, whose middle member it is,
-share its one complement, which is the point itself; and J is
-F_p-rational, so a Lagrangian's twist is built as its own complement,
-and the meets against the twisted point take no index work for it.
+of complementary dimension.  The Lagrangian check of a point sets its
+flag, so the self-duality checks of its refinement flags, whose middle
+member it is, and the meets against it take no index work for it; and
+J is F_p-rational, so a twist carries the flag, and the meets against
+the twisted point take none either.
 
 Meets, joins, containment and complements answer the trivial cases
 without any elimination, by lattice identities that hold for every
@@ -87,14 +91,14 @@ Per-point work runs on rows (see ``linalg``), and so does enumeration:
 each point of a Schubert cell has its reduced rows written straight
 from a template of the cell (``_cell_rows``), with no array between.
 
-Subspaces and flags are immutable values (complements are computed
-once, and a complement's complement is its source; the shared 0 and V
-hold each other from the start, and no complement is ever re-pointed at
-another 0 or V), so everything here can be shared across threads;
-enumeration output order is deterministic.  A twist is its
-Frobenius-mapped rows and pivots, 0 and V are their own twists, a
-Lagrangian's twist is its own complement, and the twist of a chain is
-the tuple of its members' twists, built without re-checking it.
+Subspaces and flags are immutable values (the one flag a subspace
+sets, that it is its own complement, is a fact of its rows, which only
+saves the work of reading it again; the complement of any 0 or V is
+the space's one V or 0, by dimension), so everything here can be
+shared across threads; enumeration output order is deterministic.  A
+twist is its Frobenius-mapped rows and pivots, 0 and V are their own
+twists, a twist carries the flag, and the twist of a chain is the tuple
+of its members' twists, built without re-checking it.
 """
 
 from __future__ import annotations
@@ -134,7 +138,6 @@ class SymplecticSpace:
         # the one 0 and the one V of this space, each the other's complement
         self._zero = Subspace._from_rref(self, (), ())
         self._full = Subspace._from_rref(self, linalg.identity(dim), tuple(range(dim)))
-        self._zero._perp, self._full._perp = self._full, self._zero
 
     def times_form(self, rows: Sequence[Sequence[int]]) -> linalg.Rows:
         """rows . J: each row reversed, with its first n entries negated."""
@@ -155,10 +158,12 @@ class Subspace:
     ``rows`` is the reduced basis as a tuple of tuples of codes, and it
     is the equality and hash key; ``pivots`` are its pivot columns.
     ``basis`` is the same basis as a read-only int32 array of shape
-    (dim, 2n), built on each access.
+    (dim, 2n), built on each access.  A subspace holds no other
+    subspace; besides its rows it keeps one flag, set once it is known
+    to be its own complement (``perp``).
     """
 
-    __slots__ = ("space", "rows", "pivots", "dim", "_perp")
+    __slots__ = ("space", "rows", "pivots", "dim", "_own_perp")
 
     def __init__(self, space: SymplecticSpace, rows: Sequence):
         """The span of any rows, an array or a sequence of code rows.
@@ -188,7 +193,7 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self.dim = len(rows)
-        self._perp = None
+        self._own_perp = False
 
     @property
     def basis(self):
@@ -241,7 +246,7 @@ class Subspace:
         )
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement under the symplectic form; computed once.
+        """Orthogonal complement under the symplectic form, from the rows.
 
         Read off the reduced rows and pivots, with no product and no
         elimination: C-perp is J^{-1} of the null space of C, and for
@@ -250,45 +255,42 @@ class Subspace:
         with the sign -1 when p_r and f lie on the same side of n.
         Those rows lead at the mirrored free columns and are zero at
         each other's leading columns, so they are the reduced rows.
-        The form is nondegenerate, so perp is an involution: the
-        complement records this subspace as its own complement, and
-        asking it back costs nothing.  A subspace whose complement has
-        its rows, a Lagrangian, is its own complement, with nothing new
-        built.  The complement of any 0 or V is the space's one V or 0
-        (``zero_subspace``, ``full_subspace``), whose own complements
-        stay each other.
+        The form is nondegenerate, so perp is an involution on rows;
+        each call builds the complement anew, and it keeps no link to
+        this subspace.  A subspace whose complement has its own rows, a
+        Lagrangian, is its own complement: it is returned itself, with
+        nothing new built, and flagged, so every later call returns it
+        at once.  The complement of any 0 or V is the space's one V or
+        0 (``zero_subspace``, ``full_subspace``), by dimension.
         """
-        if self._perp is None:
-            space = self.space
-            if self.dim == 0:
-                self._perp = space._full
-            elif self.dim == space.dim:
-                self._perp = space._zero
-            else:
-                neg, n, last = space.ctx.neg_list, space.n, space.dim - 1
-                pivot_set = set(self.pivots)
-                rows, pivots = [], []
-                for f in range(last, -1, -1):
-                    if f in pivot_set:
-                        continue
-                    vec = [0] * space.dim
-                    vec[last - f] = 1
-                    for row, p in zip(self.rows, self.pivots):
-                        if p > f:
-                            break
-                        x = row[f]
-                        if x:
-                            vec[last - p] = neg[x] if (p < n) == (f < n) else x
-                    rows.append(tuple(vec))
-                    pivots.append(last - f)
-                rows = tuple(rows)
-                if rows == self.rows:
-                    out = self
-                else:
-                    out = Subspace._from_rref(space, rows, tuple(pivots))
-                out._perp = self
-                self._perp = out
-        return self._perp
+        space = self.space
+        if self.dim == 0:
+            return space._full
+        if self.dim == space.dim:
+            return space._zero
+        if self._own_perp:
+            return self
+        neg, n, last = space.ctx.neg_list, space.n, space.dim - 1
+        pivot_set = set(self.pivots)
+        rows, pivots = [], []
+        for f in range(last, -1, -1):
+            if f in pivot_set:
+                continue
+            vec = [0] * space.dim
+            vec[last - f] = 1
+            for row, p in zip(self.rows, self.pivots):
+                if p > f:
+                    break
+                x = row[f]
+                if x:
+                    vec[last - p] = neg[x] if (p < n) == (f < n) else x
+            rows.append(tuple(vec))
+            pivots.append(last - f)
+        rows = tuple(rows)
+        if rows == self.rows:
+            self._own_perp = True
+            return self
+        return Subspace._from_rref(space, rows, tuple(pivots))
 
     def twist(self, r: int) -> "Subspace":
         """Entrywise p^r power of the basis (echelon form and pivots are kept).
@@ -296,22 +298,22 @@ class Subspace:
         0 and the whole space are their own twists, and come back as
         they are.  The form is F_p-rational, so the twist of the
         complement is the complement of the twist: the twist of a
-        subspace known to be its own complement, a Lagrangian, is its
-        own complement too, and is built knowing it, so a twisted
-        point's complement takes no index work.  Any other complement
-        is not carried over.
+        subspace known to be its own complement, a checked Lagrangian,
+        is its own complement too, and carries the flag that says so,
+        so a twisted point's complement takes no index work.  A
+        subspace not known to be its own complement hands nothing on.
         """
         if self.dim == 0 or self.dim == self.space.dim:
             return self
         out = Subspace._from_rref(
             self.space, linalg.frob_map(self.space.ctx, self.rows, r), self.pivots
         )
-        if self._perp is self:
-            out._perp = out
+        out._own_perp = self._own_perp
         return out
 
     def is_lagrangian(self) -> bool:
-        """Whether self has dimension n and is its own complement."""
+        """Whether self has dimension n and is its own complement; a yes
+        flags it (``perp``), so its twists and later checks read it."""
         return self.dim == self.space.n and self.perp() is self
 
     def apply(self, matrix: Sequence) -> "Subspace":
@@ -394,10 +396,12 @@ def _is_self_dual(members: Sequence[Subspace]) -> bool:
     With dimensions d_0 < ... < d_k symmetric about n that holds iff
     C_{d_i}-perp has the rows of C_{d_{k-i}} for every i <= k/2, and
     perp is an involution, so the pairs past the middle follow.  Each
-    complement is read off reduced rows and kept on its member (see
-    ``Subspace.perp``): a refinement chain's middle member is the
-    Lagrangian the classifier already checked, its own complement, and
-    the canonical closure has every member's complement already.
+    complement is read off its member's reduced rows (see
+    ``Subspace.perp``); a refinement chain's middle member is the
+    Lagrangian the classifier already checked, flagged as its own
+    complement, so it takes no index work.  ``refine`` and
+    ``Flag.is_self_dual`` ask this; the canonical closure compares its
+    complements as it takes them (``dieudonne.canonical_flag``).
     """
     full = members[0].space.dim
     if any(a.dim + b.dim != full for a, b in zip(members, reversed(members))):

@@ -6,10 +6,11 @@ independent oracle for lengths, parabolic subgroups and the group
 itself), conjugation and largest-first words by products, the Weyl-group
 scans that ``bedard`` and ``relpos`` build directly, a matrix inverse
 and the change of basis of a Dieudonné module, a module built from
-dense rows, the dense null space, products, adjunction and F-image that
-the entry forms replaced, random self-dual flags for the
-relative-position laws, and the grid of meets that the rank table of
-``relpos`` and ``refine`` replaced.
+dense rows, the standard module of each EO type (built with no point),
+the dense null space, products, adjunction and F-image that the entry
+forms replaced, random self-dual flags for the relative-position laws,
+and the grid of meets that the rank table of ``relpos`` and ``refine``
+replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from dlstrata import linalg, weyl
-from dlstrata.dieudonne import DieudonneModule, Entries
+from dlstrata.dieudonne import DieudonneModule, Entries, _adjoint_entries, final_type_of
 from dlstrata.symplectic import Flag, Subspace, SymplecticSpace, random_symplectic
 from dlstrata.weyl import WeylElement
 from tests import as_rows
@@ -201,6 +202,31 @@ def dense_f_image(mod: DieudonneModule, sub: Subspace) -> Subspace:
     powered = linalg.frob_map(ctx, sub.rows, 1)
     image = linalg.matmul(ctx, powered, tuple(zip(*mod.f_rows)), dim)
     return Subspace._from_rref(mod.space, *linalg.rref(ctx, image, dim))
+
+
+def module_of_images(ctx, g: int, images: dict[int, int]) -> DieudonneModule:
+    """The module with F e_x = e_{images[x]} for the positions x in
+    ``images`` and F e_x = 0 elsewhere (positions 1..2g), and Vlin its
+    adjoint (``dieudonne._adjoint_entries``), built with no point."""
+    f: list[list[tuple[int, int]]] = [[] for _ in range(2 * g)]
+    for x, y in sorted(images.items()):
+        f[y - 1].append((x - 1, 1))
+    f_entries = tuple([tuple(row) for row in f])
+    vlin: list[list[tuple[int, int]]] = [[] for _ in range(2 * g)]
+    for (i, j), x in sorted(_adjoint_entries(ctx, f_entries, g).items()):
+        vlin[i].append((j, x))
+    return DieudonneModule(ctx, g, 0, f_entries, tuple([tuple(row) for row in vlin]))
+
+
+def standard_module(ctx, w: WeylElement, g: int) -> DieudonneModule:
+    """The standard module of the EO type w in ^J W_g (Oort 2001): with
+    psi = ``final_type_of(w, g)``, F e_x = e_{psi(x)} at each position x
+    with w(x) > g, where psi jumps, and 0 elsewhere, so F(E_i) =
+    E_{psi(i)} on the standard flag E."""
+    psi = final_type_of(w, g)
+    return module_of_images(
+        ctx, g, {x: psi[x] for x in range(1, 2 * g + 1) if w.perm[x - 1] > g}
+    )
 
 
 # -- flags ----------------------------------------------------------------------

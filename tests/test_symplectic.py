@@ -189,15 +189,15 @@ def test_perp_properties(space4):
 @given(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 4)]), st.integers(1, 3),
        st.integers(0, 2**32 - 1))
 def test_perp_is_an_involution_on_cached_complements(pk, n, seed):
-    # a complement remembers its source, so asking it back is the source
-    # itself, and both equal fresh null spaces
+    # a complement is computed from rows, with no link to its source, and
+    # asking it back gives the source's rows; both equal fresh null spaces
     space = SymplecticSpace(field(*pk), n)
     rng = np.random.default_rng(seed)
     x = rand_subspace(space, rng, int(rng.integers(1, space.dim)))
     y = x.perp()
-    assert y.perp() is x
+    assert y.perp() == x
     assert y.rows == _generic_perp(x) and x.rows == _generic_perp(y)
-    # a fresh copy of the complement computes its own
+    # a fresh copy of the complement computes the same
     fresh = Subspace._from_rref(space, y.rows, y.pivots).perp()
     assert fresh is not x and fresh == x and fresh.perp().rows == y.rows
     for trivial in (zero_subspace(space), full_subspace(space)):
@@ -930,11 +930,12 @@ def test_zero_and_full_are_one_object_per_space(space4, space9):
 
 
 def _assert_twist_is_its_own_complement(u, r=2):
-    """A Lagrangian's twist is built as its own complement, with the rows
-    a fresh subspace of the same rows computes by index work."""
+    """A checked Lagrangian's twist knows it is its own complement, so
+    its complement is itself with no index work, and has the rows a
+    fresh subspace of the same rows computes by index work."""
     assert u.is_lagrangian()
     t = u.twist(r)
-    assert t._perp is t and t.perp() is t
+    assert t._own_perp and t.perp() is t
     assert Subspace(u.space, t.rows).perp().rows == t.rows
 
 
@@ -960,17 +961,29 @@ def test_twists_of_random_lagrangians_carry_their_complements(config, seed, r):
 
 def test_only_a_known_own_complement_is_carried_by_a_twist(space9):
     """A subspace that is not its own complement hands nothing on, and
-    neither does a Lagrangian whose complement was never asked for."""
+    neither does a Lagrangian that was never checked, until it is."""
     rng = np.random.default_rng(5)
     for dim in (1, 2, 2, 2, 3):
         sub = rand_subspace(space9, rng, dim)
-        assert sub.perp() is not sub
+        assert sub.perp() is not sub and not sub._own_perp
         t = sub.twist(1)
-        assert t._perp is None
+        assert not t._own_perp
         assert t.perp().rows == Subspace(space9, t.rows).perp().rows
+        assert not t._own_perp
     u = random_lagrangian(space9, rng)
-    assert u.twist(1)._perp is None
-    assert u.is_lagrangian() and u.twist(1)._perp is not None
+    assert not u.twist(1)._own_perp
+    assert u.is_lagrangian() and u.twist(1)._own_perp
+
+
+def test_no_subspace_slot_holds_a_subspace(space4):
+    """A subspace holds its space, rows, pivots, dimension and one flag,
+    and no other subspace: not its complement, nor its source."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rand_subspace(space4, rng, int(rng.integers(0, space4.dim + 1)))
+        for sub in (x, x.perp(), x.perp().perp(), x.twist(1), x.twist(1).perp()):
+            held = [getattr(sub, name) for name in Subspace.__slots__]
+            assert not any(isinstance(v, Subspace) for v in held)
 
 
 def test_refine_emits_the_chain_in_order_and_refuses_a_bad_join(space4, monkeypatch):
